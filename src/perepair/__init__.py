@@ -22,7 +22,6 @@ from .field_tower import (
     dual_basis,
     degree_over,
     factor_integer,
-    frobenius,
     is_in_subfield,
     is_primitive_in_subfield,
     make_field,
@@ -80,7 +79,6 @@ __all__ = [
     "BasisOverSubfield",
     "make_field",
     "factor_integer",
-    "frobenius",
     "trace_to",
     "is_in_subfield",
     "is_primitive_in_subfield",

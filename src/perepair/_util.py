@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-import tempfile
 
 
 def canonical_json(payload) -> str:
@@ -17,10 +16,15 @@ def digest_of(payload) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a file via temp-and-rename so readers never see partial output."""
+    """Write a file via temp-and-rename so readers never see partial output.
+
+    The temp file is created with mode 0666, which the umask trims to what
+    open() would give; mkstemp's private 0600 would survive the rename.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -18,11 +18,13 @@ set, and a content digest; it is immutable and safe to share.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 from .errors import PERepairError
 from ._util import atomic_write_text, canonical_json, digest_of
 from .field_tower import (
+    _is_probable_prime,
     factor_integer,
     is_primitive_in_subfield,
     make_field,
@@ -39,7 +41,6 @@ __all__ = [
     "build_plan_c1",
     "build_plan_c2",
     "c1_parameters",
-    "subpacketization_of",
     "save_plan",
     "load_plan",
 ]
@@ -81,7 +82,7 @@ def find_primes_c1(s: int, l: int, min_t, base_bits: int = 1):
         cand += 1
         if any(cand % p == 0 for p in out):
             continue
-        if not _is_prime_small(cand):
+        if not _is_probable_prime(cand):
             continue
         if cand % s != 1 % s:
             continue
@@ -89,17 +90,6 @@ def find_primes_c1(s: int, l: int, min_t, base_bits: int = 1):
             continue
         out.append(cand)
     return tuple(out)
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class _PlanBase:
@@ -142,9 +132,7 @@ class Construction1Plan(_PlanBase):
         self.d = k + s - 1
         self.ctx = ctx
         self.primes = tuple(p for p, _, _ in groups_spec)
-        self.u = 1
-        for p in self.primes:
-            self.u *= p
+        self.u = math.prod(self.primes)
         self.u_list = tuple(self.u // p for p in self.primes)
         self.L = self.u * s  # sub-packetization in q-symbols
         groups = [
@@ -174,9 +162,7 @@ class Construction2Plan(_PlanBase):
         self.r = r
         self.ctx = ctx
         self.primes = tuple(p for p, _, _ in groups_spec)
-        self.u = 1
-        for p in self.primes:
-            self.u *= p
+        self.u = math.prod(self.primes)
         self.u_list = tuple(self.u // p for p in self.primes)
         self.L = self.u
         groups = [
@@ -208,7 +194,7 @@ def _resolve_points(ctx, base_bits, prime, t, exponents):
         e = 0
         while len(exponents) < t:
             e += 1
-            if _gcd(e, order) == 1:
+            if math.gcd(e, order) == 1:
                 exponents.append(e)
     exponents = [int(e) for e in exponents]
     if len(exponents) != t:
@@ -216,7 +202,7 @@ def _resolve_points(ctx, base_bits, prime, t, exponents):
     gamma = sub.canonical_generator
     points = []
     for e in exponents:
-        if not 1 <= e < order or _gcd(e, order) != 1:
+        if not 1 <= e < order or math.gcd(e, order) != 1:
             raise PERepairError(
                 "CONSTRAINT_VIOLATION",
                 f"exponent {e} does not give a primitive point of GF(2^{base_bits * prime})",
@@ -233,12 +219,6 @@ def _resolve_points(ctx, base_bits, prime, t, exponents):
     return points, exponents
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _check_point_degrees(plan):
     """Every point of group i must have degree p_i over GF(q^{u_i}): the
     symbol field is generated over that subfield by any single point."""
@@ -251,6 +231,40 @@ def _check_point_degrees(plan):
                     "CONSTRAINT_VIOLATION",
                     f"point {p.hex()} is not defining over GF(2^{m})",
                 )
+
+
+def _check_c1(base_bits, s, k, pairs, factor_budget):
+    """Prime and rate checks of a Construction-1 parameter set, given as
+    (prime, t) pairs; returns (n, t_max, k), k defaulting to its maximum
+    n - t_max - s + 1."""
+    q = 1 << base_bits
+    seen = set()
+    for p, t in pairs:
+        if not _is_probable_prime(p) or p in seen:
+            raise PERepairError("BAD_PRIME", f"{p} is not a fresh prime")
+        seen.add(p)
+        if p % s != 1 % s:
+            raise PERepairError("BAD_PRIME", f"{p} != 1 mod {s}")
+        if t > _euler_phi(q ** p - 1, factor_budget):
+            raise PERepairError(
+                "INSUFFICIENT_PRIMITIVES",
+                f"group of {t} points exceeds phi(q^{p}-1) primitive elements",
+            )
+
+    n = sum(t for _, t in pairs)
+    t_max = max(t for _, t in pairs)
+    if k is None:
+        k = n - t_max - s + 1
+    if k < 1 or k > n - t_max:
+        raise PERepairError(
+            "RATE_VIOLATION", f"k={k} outside [1, n - t] = [1, {n - t_max}]"
+        )
+    if k + s - 1 > n - t_max:
+        raise PERepairError(
+            "RATE_VIOLATION",
+            f"locality d = k+s-1 = {k + s - 1} exceeds n - t = {n - t_max}",
+        )
+    return n, t_max, k
 
 
 def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
@@ -298,37 +312,8 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
     pairs = [pt for pt, _ in triples]
     exps = [e for _, e in triples]
 
-    q = 1 << base_bits
-    seen = set()
-    for p, t in pairs:
-        if not _is_prime_small(p) or p in seen:
-            raise PERepairError("BAD_PRIME", f"{p} is not a fresh prime")
-        seen.add(p)
-        if p % s != 1 % s:
-            raise PERepairError("BAD_PRIME", f"{p} != 1 mod {s}")
-        if t > _euler_phi(q ** p - 1, factor_budget):
-            raise PERepairError(
-                "INSUFFICIENT_PRIMITIVES",
-                f"group of {t} points exceeds phi(q^{p}-1) primitive elements",
-            )
-
-    n = sum(t for _, t in pairs)
-    t_max = max(t for _, t in pairs)
-    if k is None:
-        k = n - t_max - s + 1
-    if k < 1 or k > n - t_max:
-        raise PERepairError(
-            "RATE_VIOLATION", f"k={k} outside [1, n - t] = [1, {n - t_max}]"
-        )
-    if k + s - 1 > n - t_max:
-        raise PERepairError(
-            "RATE_VIOLATION",
-            f"locality d = k+s-1 = {k + s - 1} exceeds n - t = {n - t_max}",
-        )
-
-    u = 1
-    for p, _ in pairs:
-        u *= p
+    n, t_max, k = _check_c1(base_bits, s, k, pairs, factor_budget)
+    u = math.prod(p for p, _ in pairs)
     degree = base_bits * u * s
     if modulus is None:
         modulus = smallest_irreducible(degree)
@@ -353,7 +338,7 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
     q = 1 << base_bits
     seen = set()
     for p in primes:
-        if not _is_prime_small(p) or p in seen:
+        if not _is_probable_prime(p) or p in seen:
             raise PERepairError(
                 "CONSTRAINT_VIOLATION", f"{p} is not a fresh prime"
             )
@@ -370,9 +355,7 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
                 f"group needs {t} primitive points, more than phi(q^{p}-1)",
             )
 
-    u = 1
-    for p in primes:
-        u *= p
+    u = math.prod(primes)
     degree = base_bits * u
     if modulus is None:
         modulus = smallest_irreducible(degree)
@@ -421,28 +404,12 @@ def c1_parameters(base_bits, t_list, *, s, k=None, primes=None) -> C1Parameters:
     t_list = sorted(t_list)
     if primes is None:
         primes = find_primes_c1(s, len(t_list), t_list, base_bits)
-    n = sum(t_list)
-    t_max = max(t_list)
-    if k is None:
-        k = n - t_max - s + 1
-    d = k + s - 1
-    if k < 1 or d > n - t_max:
-        raise PERepairError("RATE_VIOLATION", f"(n,k,d)=({n},{k},{d}) infeasible")
-    q = 1 << base_bits
-    for p, t in zip(sorted(primes), t_list):
-        if p % s != 1 % s:
-            raise PERepairError("BAD_PRIME", f"{p} != 1 mod {s}")
-        if t > _euler_phi(q ** p - 1):
-            raise PERepairError("INSUFFICIENT_PRIMITIVES", f"t={t} at prime {p}")
-    u = 1
-    for p in primes:
-        u *= p
-    return C1Parameters(base_bits, s, k, d, n, t_max, tuple(sorted(primes)), u)
-
-
-def subpacketization_of(plan) -> int:
-    """Sub-packetization in q-symbols: s*u (Construction 1) or u."""
-    return plan.L
+    primes = sorted(primes)
+    if len(primes) != len(t_list):
+        raise ValueError("one prime per group")
+    n, t_max, k = _check_c1(base_bits, s, k, list(zip(primes, t_list)), 20.0)
+    return C1Parameters(base_bits, s, k, k + s - 1, n, t_max, tuple(primes),
+                        math.prod(primes))
 
 
 # ------------------------------------------------------------------ file I/O

@@ -31,11 +31,6 @@ __all__ = [
     "SubfieldHandle",
     "BasisOverSubfield",
     "make_field",
-    "add",
-    "mul",
-    "inv",
-    "power",
-    "frobenius",
     "trace_to",
     "is_in_subfield",
     "is_primitive_in_subfield",
@@ -119,9 +114,9 @@ def poly_mod(a: int, f: int) -> int:
     n = poly_degree(f)
     if n < 1:
         raise ValueError("modulus must have degree >= 1")
-    shifts = _tail_shifts(f)
-    if not shifts or shifts[0] <= n // 2:
+    if (f ^ (1 << n)).bit_length() - 1 <= n // 2:
         # sparse/low tail: fold the overflow down through x^n = tail(x)
+        shifts = _tail_shifts(f)
         mask = (1 << n) - 1
         hi = a >> n
         while hi:
@@ -190,7 +185,7 @@ def is_irreducible(f: int) -> bool:
         return True
     if not (f & 1):
         return False  # divisible by x
-    checkpoints = {n // p for p in _small_prime_factors(n)}
+    checkpoints = {n // p for p, _ in factor_integer(n)}
     y = 2  # the polynomial x
     for j in range(1, n + 1):
         y = poly_mod(clsq(y), f)
@@ -240,34 +235,24 @@ def gf2_rank(rows) -> int:
 # integer factorization: trial division to 10^6, then Brent's rho
 
 _TRIAL_LIMIT = 10 ** 6
-_trial_primes_cache = None
+_trial_primes_cache = []  # every prime <= _trial_primes_bound
+_trial_primes_bound = 1
 
 
-def _trial_primes():
-    global _trial_primes_cache
-    if _trial_primes_cache is None:
-        sieve = bytearray([1]) * _TRIAL_LIMIT
+def _trial_primes(x: int):
+    """Every prime up to min(isqrt(x), 10^6), enough to trial-divide x;
+    the largest sieve built so far is kept and reused."""
+    global _trial_primes_cache, _trial_primes_bound
+    limit = min(math.isqrt(x), _TRIAL_LIMIT)
+    if limit > _trial_primes_bound:
+        sieve = bytearray([1]) * (limit + 1)
         sieve[0] = sieve[1] = 0
-        for i in range(2, int(_TRIAL_LIMIT ** 0.5) + 1):
+        for i in range(2, math.isqrt(limit) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _trial_primes_cache = [i for i in range(_TRIAL_LIMIT) if sieve[i]]
+        _trial_primes_cache = [i for i in range(limit + 1) if sieve[i]]
+        _trial_primes_bound = limit
     return _trial_primes_cache
-
-
-def _small_prime_factors(n: int):
-    """Prime factors of a small integer by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -340,7 +325,7 @@ def _factor_with_budget(x: int, deadline: float):
     composite remainder (1 when factorization completed).
     """
     factors = {}
-    for p in _trial_primes():
+    for p in _trial_primes(x):
         if p * p > x:
             break
         while x % p == 0:
@@ -389,19 +374,11 @@ def factor_integer(x: int, budget: float = 10.0):
 
 
 def _divisors(n: int):
-    """All divisors of a small integer, ascending."""
+    """All divisors of a field degree n >= 2, ascending.  Degrees stay far
+    below 10^12, so trial division completes factor_integer and its time
+    budget is never consulted."""
     divs = [1]
-    facts = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            facts[d] = facts.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        facts[m] = facts.get(m, 0) + 1
-    for p, e in facts.items():
+    for p, e in factor_integer(n):
         divs = [dv * p ** i for dv in divs for i in range(e + 1)]
     return sorted(divs)
 
@@ -902,36 +879,6 @@ def make_field(degree_bits: int, modulus: int | None = None, *,
 
 # --------------------------------------------------------------------------
 # module-level operations over elements and handles
-
-
-def add(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a + b
-
-
-def mul(a: FieldElem, b: FieldElem) -> FieldElem:
-    return a * b
-
-
-def inv(a: FieldElem) -> FieldElem:
-    return a.inverse()
-
-
-def power(a: FieldElem, k: int) -> FieldElem:
-    return a ** k
-
-
-def frobenius(e: FieldElem, sub_bits: int) -> FieldElem:
-    """e^(2^m), by m repeated squarings; m must divide the field degree."""
-    ctx = e.ctx
-    if sub_bits < 1 or ctx.degree_bits % sub_bits != 0:
-        raise PERepairError(
-            "NOT_A_SUBFIELD_DEGREE",
-            f"{sub_bits} does not divide {ctx.degree_bits}",
-        )
-    v = e.v
-    for _ in range(sub_bits):
-        v = ctx._sq(v)
-    return FieldElem(ctx, v)
 
 
 def trace_to(e: FieldElem, sub: SubfieldHandle) -> FieldElem:

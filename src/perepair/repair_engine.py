@@ -26,7 +26,6 @@ from .rs_codes import annihilator, dual_multipliers, poly_eval
 
 __all__ = [
     "RepairSubspace",
-    "RepairQuery",
     "RepairTranscript",
     "cutset_bits",
     "relative_exponent",
@@ -55,29 +54,25 @@ class RepairSubspace:
         self.exponent = exponent
 
 
-class RepairQuery:
-    __slots__ = ("helper", "multiplier", "response_subfield")
-
-    def __init__(self, helper, multiplier, response_subfield):
-        self.helper = helper
-        self.multiplier = multiplier
-        self.response_subfield = response_subfield
-
-
 class RepairTranscript:
     """Everything one repair did: who helped, what they were asked, what
-    they answered, and the exact bit accounting."""
+    they answered, and the exact bit accounting.
 
-    __slots__ = ("failed", "helpers", "queries", "responses",
+    ``queries`` holds one (helper, multiplier) pair per response; every
+    response is a subfield element of ``response_bits`` bits.
+    """
+
+    __slots__ = ("failed", "helpers", "queries", "responses", "response_bits",
                  "per_helper_bits", "bits_transmitted", "cutset_bits",
                  "recovered", "verified")
 
-    def __init__(self, failed, helpers, queries, responses, per_helper_bits,
-                 bits_transmitted, cutset, recovered):
+    def __init__(self, failed, helpers, queries, responses, response_bits,
+                 per_helper_bits, bits_transmitted, cutset, recovered):
         self.failed = failed
         self.helpers = list(helpers)
         self.queries = queries
         self.responses = responses
+        self.response_bits = response_bits
         self.per_helper_bits = list(per_helper_bits)
         self.bits_transmitted = bits_transmitted
         self.cutset_bits = cutset
@@ -269,14 +264,6 @@ def select_helpers_c1(plan, failed: int, d: int):
     return _helper_prefix(plan, gi, d)[0]
 
 
-def _dual_mults(plan):
-    v = plan._cache.get("dual_multipliers")
-    if v is None:
-        v = dual_multipliers(plan.eval_set)
-        plan._cache["dual_multipliers"] = v
-    return v
-
-
 def _check_pairing(plan, codeword):
     if codeword.plan_digest != plan.digest:
         raise PERepairError(
@@ -284,6 +271,79 @@ def _check_pairing(plan, codeword):
         )
     if len(codeword.symbols) != plan.n:
         raise PERepairError("PLAN_MISMATCH", "codeword length disagrees with plan")
+
+
+def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
+    """The repair skeleton both constructions share.
+
+    ``shape()`` gives the query plan: (helpers, response subfield, query
+    basis E, number of point powers W).  Helper j is asked for the traces of
+    e * h(alpha_j) * v_j * c_j for every e in E, where h annihilates the
+    silenced points and v is the dual code's column multiplier; the failed
+    symbol is rebuilt through the trace-dual of the basis
+    B_{m,w} = e_m * alpha_f^w * h(alpha_f) * v_f.  The preparation is cached
+    per (failed, d).
+    """
+    ctx = plan.ctx
+    key = ("repair", failed, d)
+    prep = plan._cache.get(key)
+    if prep is None:
+        helpers, sub, E, W = shape()
+        helper_set = set(helpers)
+        silenced = [
+            plan.eval_set.points[i]
+            for i in range(plan.n)
+            if i not in helper_set and i != failed
+        ]
+        h = annihilator(silenced, ctx)
+        v = plan._cache.get("dual_multipliers")
+        if v is None:
+            v = dual_multipliers(plan.eval_set)
+            plan._cache["dual_multipliers"] = v
+        mults = []
+        helper_pows = []
+        for idx in helpers:
+            alpha_h = plan.eval_set.points[idx]
+            base_mult = poly_eval(h, alpha_h) * v.v[idx]
+            mults.append([e_m * base_mult for e_m in E])
+            pows = [ctx.one]
+            for _ in range(W - 1):
+                pows.append(pows[-1] * alpha_h)
+            helper_pows.append(pows)
+        alpha_f = plan.eval_set.points[failed]
+        f_mult = poly_eval(h, alpha_f) * v.v[failed]
+        B = []
+        for e_m in E:
+            acc = e_m * f_mult
+            for _ in range(W):
+                B.append(acc)
+                acc = acc * alpha_f
+        B_basis = BasisOverSubfield(sub, B)  # full-rank assertion
+        duals = dual_basis(B_basis)
+        prep = (helpers, sub, mults, helper_pows, duals.vectors, len(E), W)
+        plan._cache[key] = prep
+    helpers, sub, mults, helper_pows, dual_vecs, dim_e, W = prep
+
+    queries = []
+    responses = []
+    for hi, idx in enumerate(helpers):
+        for mult in mults[hi]:
+            queries.append((idx, mult))
+            responses.append(trace_to(mult * codeword.symbols[idx], sub))
+    per_helper_bits = [dim_e * sub.degree_bits] * len(helpers)
+    bits = sum(per_helper_bits)
+
+    recovered = ctx.zero
+    for m in range(dim_e):
+        for w in range(W):
+            lhs = ctx.zero
+            for hi in range(len(helpers)):
+                lhs = lhs + helper_pows[hi][w] * responses[hi * dim_e + m]
+            recovered = recovered + lhs * dual_vecs[m * W + w]
+
+    cutset = cutset_bits(d, plan.k, plan.L, plan.base_bits)
+    return RepairTranscript(failed, helpers, queries, responses, sub.degree_bits,
+                            per_helper_bits, bits, cutset, recovered)
 
 
 def repair_c1(plan, codeword, failed: int, d: int | None = None) -> RepairTranscript:
@@ -306,71 +366,18 @@ def repair_c1(plan, codeword, failed: int, d: int | None = None) -> RepairTransc
             "LOCALITY_OUT_OF_RANGE",
             f"d={d} outside [{plan.d}, {plan.n - t_i}] for this scheme",
         )
-    ctx = plan.ctx
-    s = plan.s
-    key = ("repair1", failed, d)
-    prep = plan._cache.get(key)
-    if prep is None:
+
+    def shape():
+        # each helper answers one query per basis element of the s-shift
+        # repair subspace S, over the helper prefix's residue field
         helpers, R = _helper_prefix(plan, gi, d)
         S = lemma1_subspace(plan, gi, relative_exponent(plan, failed),
                             helper_groups=R)
-        sub = S.subfield
-        helper_set = set(helpers)
-        silenced = [
-            plan.eval_set.points[i]
-            for i in range(plan.n)
-            if i not in helper_set and i != failed
-        ]
-        h = annihilator(silenced, ctx)
-        v = _dual_mults(plan)
-        mults = []
-        helper_pows = []
-        for idx in helpers:
-            alpha_h = plan.eval_set.points[idx]
-            base_mult = poly_eval(h, alpha_h) * v.v[idx]
-            mults.append([e_m * base_mult for e_m in S.basis])
-            pows = [ctx.one]
-            for _ in range(s - 1):
-                pows.append(pows[-1] * alpha_h)
-            helper_pows.append(pows)
-        # reconstruction basis B_{m,w} = e_m * alpha_f^w * h(alpha_f) * v_f
-        alpha_f = plan.eval_set.points[failed]
-        f_mult = poly_eval(h, alpha_f) * v.v[failed]
-        B = []
-        for e_m in S.basis:
-            acc = e_m * f_mult
-            for _ in range(s):
-                B.append(acc)
-                acc = acc * alpha_f
-        B_basis = BasisOverSubfield(sub, B)  # full-rank assertion
-        duals = dual_basis(B_basis)
-        prep = (helpers, sub, mults, helper_pows, duals.vectors, len(S.basis))
-        plan._cache[key] = prep
-    helpers, sub, mults, helper_pows, dual_vecs, dim_s = prep
+        return helpers, S.subfield, S.basis, plan.s
 
-    queries = []
-    responses = []
-    response_bits = sub.degree_bits
-    for hi, idx in enumerate(helpers):
-        for mult in mults[hi]:
-            queries.append(RepairQuery(idx, mult, sub))
-            responses.append(trace_to(mult * codeword.symbols[idx], sub))
-    per_helper_bits = [dim_s * response_bits] * len(helpers)
-    bits = sum(per_helper_bits)
-
-    recovered = ctx.zero
-    for m in range(dim_s):
-        for w in range(s):
-            lhs = ctx.zero
-            for hi in range(len(helpers)):
-                lhs = lhs + helper_pows[hi][w] * responses[hi * dim_s + m]
-            recovered = recovered + lhs * dual_vecs[m * s + w]
-
-    cutset = cutset_bits(d, plan.k, plan.L, plan.base_bits)
-    assert bits == d * plan.u * plan.base_bits
-    return RepairTranscript(
-        failed, helpers, queries, responses, per_helper_bits, bits, cutset, recovered
-    )
+    tr = _repair(plan, codeword, failed, d, shape)
+    assert tr.bits_transmitted == d * plan.u * plan.base_bits
+    return tr
 
 
 def repair_c2(plan, codeword, failed: int) -> RepairTranscript:
@@ -381,58 +388,13 @@ def repair_c2(plan, codeword, failed: int) -> RepairTranscript:
     _check_pairing(plan, codeword)
     gi, _ = plan.locate(failed)
     g = plan.groups[gi]
-    ctx = plan.ctx
-    key = ("repair2", failed)
-    prep = plan._cache.get(key)
-    if prep is None:
-        sub = ctx.subfield(plan.base_bits * plan.u_list[gi])
+
+    def shape():
         group_nodes = set(plan.group_nodes(gi))
         helpers = [i for i in range(plan.n) if i not in group_nodes]
-        silenced = [
-            plan.eval_set.points[i] for i in group_nodes if i != failed
-        ]
-        h = annihilator(silenced, ctx)
-        v = _dual_mults(plan)
-        mults = []
-        helper_pows = []
-        for idx in helpers:
-            alpha_h = plan.eval_set.points[idx]
-            mults.append(poly_eval(h, alpha_h) * v.v[idx])
-            pows = [ctx.one]
-            for _ in range(g.prime - 1):
-                pows.append(pows[-1] * alpha_h)
-            helper_pows.append(pows)
-        alpha_f = plan.eval_set.points[failed]
-        f_mult = poly_eval(h, alpha_f) * v.v[failed]
-        B = []
-        acc = f_mult
-        for _ in range(g.prime):
-            B.append(acc)
-            acc = acc * alpha_f
-        B_basis = BasisOverSubfield(sub, B)  # full-rank assertion
-        duals = dual_basis(B_basis)
-        prep = (helpers, sub, mults, helper_pows, duals.vectors)
-        plan._cache[key] = prep
-    helpers, sub, mults, helper_pows, dual_vecs = prep
+        sub = plan.ctx.subfield(plan.base_bits * plan.u_list[gi])
+        return helpers, sub, [plan.ctx.one], g.prime
 
-    queries = []
-    responses = []
-    for hi, idx in enumerate(helpers):
-        queries.append(RepairQuery(idx, mults[hi], sub))
-        responses.append(trace_to(mults[hi] * codeword.symbols[idx], sub))
-    per_helper_bits = [sub.degree_bits] * len(helpers)
-    bits = sum(per_helper_bits)
-
-    recovered = ctx.zero
-    for w in range(g.prime):
-        lhs = ctx.zero
-        for hi in range(len(helpers)):
-            lhs = lhs + helper_pows[hi][w] * responses[hi]
-        recovered = recovered + lhs * dual_vecs[w]
-
-    d = plan.n - g.t
-    cutset = cutset_bits(d, plan.k, plan.L, plan.base_bits)
-    assert bits == cutset
-    return RepairTranscript(
-        failed, helpers, queries, responses, per_helper_bits, bits, cutset, recovered
-    )
+    tr = _repair(plan, codeword, failed, plan.n - g.t, shape)
+    assert tr.bits_transmitted == tr.cutset_bits
+    return tr

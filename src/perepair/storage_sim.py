@@ -197,9 +197,8 @@ def run_repair(state: ClusterState, strategy: str = "pe", d: int | None = None):
             if d is not None and d != plan.n - plan.groups[plan.locate(failed)[0]].t:
                 raise ValueError("this construction fixes d = n - t_i per group")
             transcript = repair_c2(plan, cw, failed)
-        for query, response in zip(transcript.queries, transcript.responses):
-            log.add(query.helper, failed,
-                    query.response_subfield.degree_bits, "trace_response")
+        for helper, _ in transcript.queries:
+            log.add(helper, failed, transcript.response_bits, "trace_response")
         assert log.total_bits == transcript.bits_transmitted
     elif strategy == "naive":
         if d is not None:

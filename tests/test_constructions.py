@@ -9,7 +9,6 @@ from perepair.constructions import (
     find_primes_c1,
     load_plan,
     save_plan,
-    subpacketization_of,
 )
 from perepair.errors import PERepairError
 from perepair.field_tower import is_primitive_in_subfield
@@ -46,7 +45,7 @@ def test_toy_c1_shape(toy_c1):
     assert (p.n, p.k, p.d, p.s) == (6, 2, 3, 2)
     assert p.primes == (3, 5)
     assert p.u == 15 and p.u_list == (5, 3)
-    assert p.L == 30 and subpacketization_of(p) == 30
+    assert p.L == 30
     assert p.ctx.degree_bits == 30
     assert [g.t for g in p.groups] == [3, 3]
     assert [g.index for g in p.groups] == [1, 2]
@@ -275,3 +274,17 @@ def test_c1_parameters_validation():
     with pytest.raises(PERepairError) as ei:
         c1_parameters(1, [3, 3], s=2, primes=[2, 5])
     assert ei.value.code == "BAD_PRIME"
+
+
+def test_c1_parameters_checks_primes_like_build_plan_c1():
+    # 9 = 1 (mod 2) passes the congruence test but is not a prime, and a
+    # repeated prime would give two groups the same subfield
+    for primes in ([9, 5], [3, 3], [1, 3]):
+        with pytest.raises(PERepairError) as ei:
+            c1_parameters(1, [3, 3], s=2, primes=primes)
+        assert ei.value.code == "BAD_PRIME"
+        with pytest.raises(PERepairError) as ei:
+            build_plan_c1(1, [3, 3], s=2, primes=primes)
+        assert ei.value.code == "BAD_PRIME"
+    with pytest.raises(ValueError):
+        c1_parameters(1, [3, 3], s=2, primes=[3, 5, 7])

@@ -10,7 +10,6 @@ from perepair.field_tower import (
     degree_over,
     dual_basis,
     factor_integer,
-    frobenius,
     gf2_rank,
     is_in_subfield,
     is_irreducible,
@@ -144,6 +143,18 @@ def test_factor_integer_large_prime():
 def test_factor_integer_multiplicity():
     p = 1000003
     assert factor_integer(p * p * 7) == [(7, 1), (p, 2)]
+
+
+def test_factor_integer_trial_limit_boundary():
+    # trial division sieves to min(isqrt(x), 10^6); 999983 is the largest
+    # prime below 10^6 and 1000003 the smallest above it
+    assert factor_integer(2) == [(2, 1)]
+    assert factor_integer(4) == [(2, 2)]
+    assert factor_integer(49) == [(7, 2)]
+    assert factor_integer(999983 ** 2) == [(999983, 2)]
+    assert factor_integer(999983 * 1000003) == [(999983, 1), (1000003, 1)]
+    assert factor_integer(1000003 ** 2) == [(1000003, 2)]
+    assert factor_integer(15) == [(3, 1), (5, 1)]
 
 
 def test_factor_integer_timeout():
@@ -314,20 +325,6 @@ def test_trace_properties(gf4096):
     full = gf4096.subfield(12)
     e = gf4096.elem(1234)
     assert trace_to(e, full) == e
-
-
-def test_frobenius(gf4096):
-    rng = random.Random(41)
-    for _ in range(50):
-        e = gf4096.elem(rng.getrandbits(12))
-        f = gf4096.elem(rng.getrandbits(12))
-        assert frobenius(e, 12) == e
-        assert frobenius(e, 2) == e ** 4
-        assert frobenius(e, 1) == e * e
-        assert frobenius(e + f, 3) == frobenius(e, 3) + frobenius(f, 3)
-    with pytest.raises(PERepairError) as err:
-        frobenius(gf4096.one, 7)
-    assert err.value.code == "NOT_A_SUBFIELD_DEGREE"
 
 
 def test_degree_histograms(gf64):

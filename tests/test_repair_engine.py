@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from perepair.constructions import build_plan_c1
 from perepair.errors import PERepairError
 from perepair.field_tower import BasisOverSubfield
+from perepair.fixtures import example2
 from perepair.repair_engine import (
     RepairSubspace,
     cutset_bits,
@@ -16,6 +18,7 @@ from perepair.repair_engine import (
     verify_span,
 )
 from perepair.rs_codes import Codeword, MessagePoly, encode, naive_decode
+from perepair.storage_sim import fail_node, init_cluster, run_repair
 
 
 def make_codeword(plan, rng):
@@ -290,3 +293,29 @@ def test_transcript_payload_shape(toy_c1):
     tr.verified = tr.recovered == cw.symbols[1]
     assert tr.to_payload()["verified"] is True
     assert tr.to_json().endswith("\n")
+
+
+# SHA-256 over the transcript JSON, transfer-log CSV and trace responses of
+# the repairs below; any change to what a repair recovers, answers or
+# logs moves it
+PINNED_REPAIRS_SHA256 = (
+    "0595e3609e19cbac19af146aa79f025864b24dc56eb46f7e120601c47034d5d5"
+)
+
+
+def test_repair_outputs_are_pinned(toy_c1, toy_c2, toy_c1_wide):
+    h = hashlib.sha256()
+
+    def record(plan, node, seed, d=None):
+        state = fail_node(init_cluster(plan, seed), node)
+        _, tr, log = run_repair(state, "pe", d)
+        h.update(tr.to_json().encode())
+        h.update(log.to_csv().encode())
+        h.update("".join(r.hex() + "\n" for r in tr.responses).encode())
+
+    for plan in (toy_c1, toy_c2, example2().plan):
+        for node in range(plan.n):
+            record(plan, node, 1000 + node)
+    for d in (3, 6):
+        record(toy_c1_wide, 0, 77, d)
+    assert h.hexdigest() == PINNED_REPAIRS_SHA256

@@ -1,0 +1,21 @@
+import os
+import stat
+
+import pytest
+
+from perepair._util import atomic_write_text
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_text_mode_follows_umask(tmp_path, umask, mode):
+    path = tmp_path / "out.txt"
+    old = os.umask(umask)
+    try:
+        atomic_write_text(path, "first\n")
+        atomic_write_text(path, "second\n")  # replacing keeps the same rule
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_text(encoding="utf-8") == "second\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
