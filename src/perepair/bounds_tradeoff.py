@@ -9,6 +9,7 @@ side says how small the sub-packetization L can possibly be for a given
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -82,20 +83,14 @@ class BoundQuery:
 
 def min_subpacketization(query: BoundQuery) -> int:
     """Product of the first w-1 primes; 1 when w <= 1."""
-    out = 1
-    for p in first_primes(max(0, query.w - 1)):
-        out *= p
-    return out
+    return math.prod(first_primes(max(0, query.w - 1)))
 
 
 def conventional_lower_bound(k: int) -> int:
     """Product of the first k-1 primes: the t=1 bound."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = 1
-    for p in first_primes(k - 1):
-        out *= p
-    return out
+    return math.prod(first_primes(k - 1))
 
 
 class TradeoffRow:

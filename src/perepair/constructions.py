@@ -28,7 +28,6 @@ from .field_tower import (
     factor_integer,
     is_primitive_in_subfield,
     make_field,
-    smallest_irreducible,
 )
 from .rs_codes import EvaluationSet
 
@@ -60,9 +59,9 @@ class ExclusionGroup:
         self.point_exponents = tuple(point_exponents)
 
 
-def _euler_phi(x: int, budget: float = 20.0) -> int:
+def _euler_phi(x: int) -> int:
     phi = 1
-    for p, e in factor_integer(x, budget):
+    for p, e in factor_integer(x):
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
@@ -233,7 +232,7 @@ def _check_point_degrees(plan):
                 )
 
 
-def _check_c1(base_bits, s, k, pairs, factor_budget):
+def _check_c1(base_bits, s, k, pairs):
     """Prime and rate checks of a Construction-1 parameter set, given as
     (prime, t) pairs; returns (n, t_max, k), k defaulting to its maximum
     n - t_max - s + 1."""
@@ -245,7 +244,7 @@ def _check_c1(base_bits, s, k, pairs, factor_budget):
         seen.add(p)
         if p % s != 1 % s:
             raise PERepairError("BAD_PRIME", f"{p} != 1 mod {s}")
-        if t > _euler_phi(q ** p - 1, factor_budget):
+        if t > _euler_phi(q ** p - 1):
             raise PERepairError(
                 "INSUFFICIENT_PRIMITIVES",
                 f"group of {t} points exceeds phi(q^{p}-1) primitive elements",
@@ -268,8 +267,7 @@ def _check_c1(base_bits, s, k, pairs, factor_budget):
 
 
 def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
-                  primes=None, point_exponents=None, modulus=None,
-                  factor_budget=6.0):
+                  primes=None, point_exponents=None, modulus=None):
     """Resolve and validate a Construction-1 plan.
 
     Give s (then k defaults to its maximum n - t - s + 1) or give (k, d)
@@ -312,12 +310,10 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
     pairs = [pt for pt, _ in triples]
     exps = [e for _, e in triples]
 
-    n, t_max, k = _check_c1(base_bits, s, k, pairs, factor_budget)
+    n, t_max, k = _check_c1(base_bits, s, k, pairs)
     u = math.prod(p for p, _ in pairs)
     degree = base_bits * u * s
-    if modulus is None:
-        modulus = smallest_irreducible(degree)
-    ctx = make_field(degree, modulus, factor_budget=factor_budget)
+    ctx = make_field(degree, modulus)
 
     groups_spec = [
         (p, t, _resolve_points(ctx, base_bits, p, t, e))
@@ -329,8 +325,7 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
     return plan
 
 
-def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
-                  factor_budget=6.0):
+def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None):
     """Resolve and validate a Construction-2 plan: t_i = r - p_i + 1."""
     primes = [int(p) for p in primes]
     if len(primes) < 2:
@@ -349,7 +344,7 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
                 "CONSTRAINT_VIOLATION",
                 f"r - p + 1 = {t} < 2 for prime {p}",
             )
-        if t > _euler_phi(q ** p - 1, factor_budget):
+        if t > _euler_phi(q ** p - 1):
             raise PERepairError(
                 "CONSTRAINT_VIOLATION",
                 f"group needs {t} primitive points, more than phi(q^{p}-1)",
@@ -357,9 +352,7 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
 
     u = math.prod(primes)
     degree = base_bits * u
-    if modulus is None:
-        modulus = smallest_irreducible(degree)
-    ctx = make_field(degree, modulus, factor_budget=factor_budget)
+    ctx = make_field(degree, modulus)
 
     exps = list(point_exponents) if point_exponents is not None else [None] * len(primes)
     if len(exps) != len(primes):
@@ -407,7 +400,7 @@ def c1_parameters(base_bits, t_list, *, s, k=None, primes=None) -> C1Parameters:
     primes = sorted(primes)
     if len(primes) != len(t_list):
         raise ValueError("one prime per group")
-    n, t_max, k = _check_c1(base_bits, s, k, list(zip(primes, t_list)), 20.0)
+    n, t_max, k = _check_c1(base_bits, s, k, list(zip(primes, t_list)))
     return C1Parameters(base_bits, s, k, k + s - 1, n, t_max, tuple(primes),
                         math.prod(primes))
 
@@ -421,7 +414,7 @@ def save_plan(plan, path) -> None:
     atomic_write_text(path, canonical_json(payload) + "\n")
 
 
-def load_plan(path, factor_budget: float = 6.0):
+def load_plan(path):
     """Parse, digest-verify, rebuild, and re-validate a plan file."""
     import json
 
@@ -451,7 +444,6 @@ def load_plan(path, factor_budget: float = 6.0):
             primes=primes,
             point_exponents=exps,
             modulus=modulus,
-            factor_budget=factor_budget,
         )
     elif construction == 2:
         plan = build_plan_c2(
@@ -460,7 +452,6 @@ def load_plan(path, factor_budget: float = 6.0):
             primes,
             point_exponents=exps,
             modulus=modulus,
-            factor_budget=factor_budget,
         )
         if [g.t for g in plan.groups] != list(t):
             raise PERepairError("CORRUPT_FILE", f"{path}: stored t disagrees with r")

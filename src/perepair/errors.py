@@ -15,7 +15,9 @@ repair verification (exit 4)
     REPAIR_VERIFICATION_FAILED (CLI-level; repairs that finish but do not
     match ground truth)
 resource (exit 5)
-    FACTORIZATION_TIMEOUT, SPAN_FAILURE
+    FACTORIZATION_TIMEOUT (a composite outlasted the fixed cap of Brent-rho
+    steps; a step count, not a time, so the outcome is the same on every
+    machine), SPAN_FAILURE
 
 NO_FAILED_NODE is artifact-level plumbing (run_repair called on a healthy
 cluster); everything else comes from the documented operation contracts.

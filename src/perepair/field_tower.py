@@ -6,9 +6,10 @@ basis representation of GF(2^N); every subfield GF(2^m), m | N, lives inside
 it and is addressed through a :class:`SubfieldHandle` (membership is the
 Frobenius fixed-point test ``e^(2^m) == e``).  On top of that the module
 provides trace maps onto arbitrary subfields, trace-dual bases, primitive and
-defining element tests, and budgeted integer factorization (trial division
-followed by Brent's variant of Pollard rho) for the multiplicative-order
-checks.
+defining element tests, and integer factorization (trial division followed
+by Brent's variant of Pollard rho) for the multiplicative-order checks.  The
+factoring work is capped by a fixed count of rho steps, never by a clock, so
+every result depends on the inputs alone.
 
 Performance notes: multiplication is carry-less with a 4-bit window table and
 a sparse-modulus folding reduction; squaring spreads bytes through a
@@ -20,7 +21,6 @@ arbitrary-precision throughout.
 from __future__ import annotations
 
 import math
-import time
 from itertools import count
 
 from .errors import PERepairError
@@ -255,6 +255,16 @@ def _trial_primes(x: int):
     return _trial_primes_cache
 
 
+# Brent-rho caps, in iterations of y -> y^2 + c spent on one composite with
+# retries under a new c included.  Complete factorization (factor_integer):
+# 2^101 - 1 needs 6.8 M steps and 2^139 - 1 6.3 M, both within 2^23.
+_FACTOR_STEPS = 1 << 23
+# Best-effort factoring of 2^N - 1 in make_field: N = 4, 6, 8, 9, 12, 42, 190,
+# 390, 462 and every multiple of 30 up to 330 factor completely, the hardest
+# composite taking 55,422 steps (N = 240); 2^16 finds the same 48 primes of
+# 2^2310 - 1 as 2^17 and 2^18, where 2^14 finds 44.
+_ORDER_STEPS = 1 << 16
+
 _MR_BASES_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # deterministic below 3.3 * 10^24; beyond that the extra bases make the
 # composite-acceptance probability negligible for our (non-adversarial) inputs
@@ -286,24 +296,32 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, c: int, deadline: float):
-    """One Brent-rho round; returns a nontrivial factor, 0 to retry with a
-    different c, or None on deadline."""
+def _brent_rho(n: int, c: int, steps: int):
+    """One Brent-rho round of at most `steps` iterations of y -> y^2 + c
+    mod n.  Returns (d, used): a nontrivial factor d, 0 to retry with a
+    different c, or None when the next batch would pass the cap; used counts
+    the iterations taken."""
     y, m = 2, 128
     g = r = q = 1
     x = ys = y
+    used = 0
     while g == 1:
+        if used + r > steps:
+            return None, used
         x = y
         for _ in range(r):
             y = (y * y + c) % n
+        used += r
         k = 0
         while k < r and g == 1:
-            if time.monotonic() > deadline:
-                return None
+            batch = min(m, r - k)
+            if used + batch > steps:
+                return None, used
             ys = y
-            for _ in range(min(m, r - k)):
+            for _ in range(batch):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
+            used += batch
             g = math.gcd(q, n)
             k += m
         r <<= 1
@@ -311,15 +329,17 @@ def _brent_rho(n: int, c: int, deadline: float):
         g = 1
         y = ys
         while g == 1:
-            if time.monotonic() > deadline:
-                return None
+            if used >= steps:
+                return None, used
             y = (y * y + c) % n
+            used += 1
             g = math.gcd(x - y, n)
-    return 0 if g == n else g
+    return (0 if g == n else g), used
 
 
-def _factor_with_budget(x: int, deadline: float):
-    """Factor as far as the deadline allows.
+def _factor_bounded(x: int, steps: int):
+    """Factor as far as `steps` rho iterations per composite allow,
+    retries under a new c included.
 
     Returns (factors, leftover): a {prime: exponent} dict and the unfactored
     composite remainder (1 when factorization completed).
@@ -344,8 +364,10 @@ def _factor_with_budget(x: int, deadline: float):
             continue
         d = 0
         c = 1
+        used = 0
         while d == 0:
-            d = _brent_rho(n, c, deadline)
+            d, spent = _brent_rho(n, c, steps - used)
+            used += spent
             c += 1
         if d is None:
             leftover *= n
@@ -355,28 +377,28 @@ def _factor_with_budget(x: int, deadline: float):
     return factors, leftover
 
 
-def factor_integer(x: int, budget: float = 10.0):
+def factor_integer(x: int):
     """Full factorization of x >= 2 as a sorted list of (prime, exponent).
 
-    Trial division up to 10^6, then Pollard rho (Brent) under a wall-clock
-    budget in seconds; raises FACTORIZATION_TIMEOUT if the budget runs out
-    before the factorization completes.
+    Trial division up to 10^6, then Pollard rho (Brent) with a cap of
+    _FACTOR_STEPS iterations per composite; raises FACTORIZATION_TIMEOUT if
+    a composite is left when the cap runs out.
     """
     if x < 2:
         raise ValueError("factor_integer requires x >= 2")
-    factors, leftover = _factor_with_budget(x, time.monotonic() + budget)
+    factors, leftover = _factor_bounded(x, _FACTOR_STEPS)
     if leftover != 1:
         raise PERepairError(
             "FACTORIZATION_TIMEOUT",
-            f"unfactored composite of {leftover.bit_length()} bits remains",
+            f"unfactored composite of {leftover.bit_length()} bits remains "
+            f"after {_FACTOR_STEPS} rho steps",
         )
     return sorted(factors.items())
 
 
 def _divisors(n: int):
     """All divisors of a field degree n >= 2, ascending.  Degrees stay far
-    below 10^12, so trial division completes factor_integer and its time
-    budget is never consulted."""
+    below 10^12, so trial division completes factor_integer without rho."""
     divs = [1]
     for p, e in factor_integer(n):
         divs = [dv * p ** i for dv in divs for i in range(e + 1)]
@@ -397,25 +419,17 @@ def _cyclotomic_values(n: int):
     return vals
 
 
-def _factor_mersenne_like(n_bits: int, budget: float):
-    """Best-effort factorization of 2^n - 1 via its cyclotomic pieces.
+def _factor_mersenne_like(n_bits: int):
+    """Best-effort factorization of 2^n - 1 via its cyclotomic pieces, with
+    a cap of _ORDER_STEPS rho steps per composite.
 
     Returns (factors dict, cofactor, complete).  Unfactored pieces multiply
     into the composite cofactor instead of failing the whole call.
     """
-    pieces = [v for d, v in sorted(_cyclotomic_values(n_bits).items()) if v > 1]
-    deadline = time.monotonic() + budget
     factors = {}
     cofactor = 1
-    for v in pieces:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            cofactor *= v
-            continue
-        piece_deadline = time.monotonic() + min(
-            remaining, max(0.05, budget / len(pieces))
-        )
-        found, leftover = _factor_with_budget(v, piece_deadline)
+    for v in _cyclotomic_values(n_bits).values():
+        found, leftover = _factor_bounded(v, _ORDER_STEPS)
         for p, e in found.items():
             factors[p] = factors.get(p, 0) + e
         cofactor *= leftover
@@ -717,9 +731,9 @@ class SubfieldHandle:
         self._order_factors = None
         self._gf2_basis = None
 
-    def order_factorization(self, budget: float = 10.0):
+    def order_factorization(self):
         """Prime factorization of 2^m - 1, derived from the ambient context
-        when complete, otherwise factored directly under the budget."""
+        when complete, otherwise factored directly."""
         if self._order_factors is None:
             order = (1 << self.degree_bits) - 1
             if order == 1:
@@ -736,7 +750,7 @@ class SubfieldHandle:
                     if e:
                         found.append((p, e))
             if rem != 1:
-                for p, e in factor_integer(rem, budget):
+                for p, e in factor_integer(rem):
                     found.append((p, e))
             self._order_factors = tuple(sorted(found))
         return self._order_factors
@@ -797,10 +811,8 @@ class BasisOverSubfield:
 _field_cache = {}
 
 
-def make_field(degree_bits: int, modulus: int | None = None, *,
-               factor_budget: float = 6.0,
-               strict_factorization: bool = False) -> FieldCtx:
-    """Build GF(2^degree_bits).
+def make_field(degree_bits: int, modulus: int | None = None) -> FieldCtx:
+    """Build GF(2^degree_bits), cached by (degree_bits, modulus).
 
     With no modulus, picks the lexicographically smallest irreducible
     polynomial of that degree (coefficient vectors compared low-degree-first),
@@ -808,19 +820,18 @@ def make_field(degree_bits: int, modulus: int | None = None, *,
     polynomial (as an integer) that is defining over GF(2) and passes the
     order test against every known prime factor of 2^N - 1.
 
-    When 2^N - 1 cannot be fully factored within ``factor_budget`` seconds the
+    2^N - 1 is factored with a fixed cap of rho steps per composite, so the
+    outcome depends on N alone.  When a composite survives the cap, the
     context is still returned, with the unfactored composite recorded in
     ``order_cofactor`` and ``generator_verified = False`` — the generator then
     passed every available necessary test but its primitivity rests on the
     published parameters (this is the documented caveat for degree 2310).
-    Pass ``strict_factorization=True`` to turn that situation into
-    FACTORIZATION_TIMEOUT instead.
     """
     if degree_bits < 1:
         raise ValueError("degree_bits must be >= 1")
     if modulus is None:
         modulus = smallest_irreducible(degree_bits)
-    else:
+    elif (degree_bits, modulus) not in _field_cache:
         if poly_degree(modulus) != degree_bits:
             raise PERepairError(
                 "REDUCIBLE_MODULUS",
@@ -829,7 +840,7 @@ def make_field(degree_bits: int, modulus: int | None = None, *,
         if not is_irreducible(modulus):
             raise PERepairError("REDUCIBLE_MODULUS", "modulus is reducible")
 
-    key = (degree_bits, modulus, strict_factorization)
+    key = (degree_bits, modulus)
     cached = _field_cache.get(key)
     if cached is not None:
         return cached
@@ -839,12 +850,7 @@ def make_field(degree_bits: int, modulus: int | None = None, *,
         _field_cache[key] = ctx
         return ctx
 
-    factors, cofactor, complete = _factor_mersenne_like(degree_bits, factor_budget)
-    if strict_factorization and not complete:
-        raise PERepairError(
-            "FACTORIZATION_TIMEOUT",
-            f"2^{degree_bits}-1 not fully factored within {factor_budget}s",
-        )
+    factors, cofactor, complete = _factor_mersenne_like(degree_bits)
 
     order = (1 << degree_bits) - 1
     proper = [d for d in _divisors(degree_bits) if d < degree_bits]
@@ -895,8 +901,7 @@ def is_in_subfield(e: FieldElem, sub: SubfieldHandle) -> bool:
     return e.ctx._frob(e.v, sub.degree_bits) == e.v
 
 
-def is_primitive_in_subfield(e: FieldElem, sub: SubfieldHandle,
-                             budget: float = 10.0) -> bool:
+def is_primitive_in_subfield(e: FieldElem, sub: SubfieldHandle) -> bool:
     """True iff e generates the subfield's multiplicative group."""
     if not e:
         raise ValueError("zero is not in the multiplicative group")
@@ -910,7 +915,7 @@ def is_primitive_in_subfield(e: FieldElem, sub: SubfieldHandle,
         return False
     return all(
         ctx._pow(e.v, order // p) != 1
-        for p, _ in sub.order_factorization(budget)
+        for p, _ in sub.order_factorization()
     )
 
 

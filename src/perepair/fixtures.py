@@ -4,7 +4,7 @@ Two fully pinned clusters: every evaluation point is fixed by its minimal
 polynomial over GF(2) rather than by the default exponent choice, so the
 transfer totals these produce stay stable even if point selection defaults
 ever change.  Construction of the large example is deferred and cached;
-nothing here runs at import time.
+nothing here runs when the module is imported.
 """
 
 from .constructions import build_plan_c1, build_plan_c2

@@ -240,7 +240,7 @@ def save_cluster(state: ClusterState, path, plan_path=None) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_cluster(path, factor_budget: float = 6.0) -> ClusterState:
+def load_cluster(path) -> ClusterState:
     """Re-open a cluster file; live symbols are verified against a fresh
     encode of the seeded message."""
     path = os.fspath(path)
@@ -272,7 +272,7 @@ def load_cluster(path, factor_budget: float = 6.0) -> ClusterState:
     plan_path = plan_ref
     if not os.path.isabs(plan_path):
         plan_path = os.path.join(os.path.dirname(os.path.abspath(path)), plan_path)
-    plan = load_plan(plan_path, factor_budget=factor_budget)
+    plan = load_plan(plan_path)
     if plan.digest != digest:
         raise PERepairError(
             "DIGEST_MISMATCH", f"{path}: cluster references a different plan"
@@ -282,6 +282,7 @@ def load_cluster(path, factor_budget: float = 6.0) -> ClusterState:
     if len(node_lines) != plan.n:
         raise PERepairError("CORRUPT_FILE", f"{path}: expected {plan.n} node lines")
     failed_seen = 0
+    seen = set()
     for parts in node_lines:
         if len(parts) != 3:
             raise PERepairError("CORRUPT_FILE", f"{path}: bad node line {parts}")
@@ -291,6 +292,10 @@ def load_cluster(path, factor_budget: float = 6.0) -> ClusterState:
             raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
         if not 0 <= idx < plan.n:
             raise PERepairError("CORRUPT_FILE", f"{path}: node {idx} out of range")
+        if idx in seen:
+            # with the line count checked, a repeat hides a missing node
+            raise PERepairError("CORRUPT_FILE", f"{path}: node {idx} repeated")
+        seen.add(idx)
         if parts[2] == "FAILED":
             failed_seen += 1
             if failed_seen > 1:

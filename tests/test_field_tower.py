@@ -1,7 +1,10 @@
+import itertools
 import random
+import time
 
 import pytest
 
+from perepair import field_tower
 from perepair.errors import PERepairError
 from perepair.field_tower import (
     BasisOverSubfield,
@@ -22,6 +25,7 @@ from perepair.field_tower import (
     smallest_irreducible,
     trace_to,
 )
+from perepair.fixtures import example1
 
 
 # ---------------------------------------------------------------- raw polys
@@ -157,11 +161,36 @@ def test_factor_integer_trial_limit_boundary():
     assert factor_integer(15) == [(3, 1), (5, 1)]
 
 
-def test_factor_integer_timeout():
+def test_factor_integer_timeout(monkeypatch):
+    monkeypatch.setattr(field_tower, "_FACTOR_STEPS", 1 << 12)
     hard = (2 ** 89 - 1) * (2 ** 107 - 1)  # two large primes
     with pytest.raises(PERepairError) as err:
-        factor_integer(hard, budget=0.02)
+        factor_integer(hard)
     assert err.value.code == "FACTORIZATION_TIMEOUT"
+
+
+def test_factoring_ignores_the_clock(monkeypatch):
+    # a clock that leaps 10^6 s per reading would exhaust any time budget
+    ticks = itertools.count()
+
+    def leaping_clock():
+        return next(ticks) * 1e6
+
+    monkeypatch.setattr(time, "monotonic", leaping_clock)
+    monkeypatch.setattr(time, "perf_counter", leaping_clock)
+    assert factor_integer(2 ** 67 - 1) == [(193707721, 1), (761838257287, 1)]
+    F = make_field(190)  # its order needs ~54k rho steps on one composite
+    assert F.generator_verified is True
+    assert F.order_cofactor == 1
+
+
+def test_example1_field_facts():
+    # 2^2310 - 1 is only partly factored; the rho step cap fixes which part
+    F = example1().plan.ctx
+    assert F.generator.v == 3
+    assert len(F.order_factorization) == 48
+    assert F.order_cofactor.bit_length() == 1326
+    assert F.generator_verified is False
 
 
 def test_factor_integer_rejects_small():

@@ -306,6 +306,28 @@ def test_corrupt_cluster_contents(tmp_path, toy_c1):
     assert e.value.code == "CORRUPT_FILE"
 
 
+def test_repeated_node_line(tmp_path, toy_c1):
+    st = init_cluster(toy_c1, 8)
+    path = tmp_path / "cluster.txt"
+    save_cluster(st, path)
+    lines = path.read_text().splitlines()
+    node0 = next(l for l in lines if l.startswith("node 0 "))
+
+    # node 0 twice, node 5 missing: the line count alone still matches
+    path.write_text("\n".join(node0 if l.startswith("node 5 ") else l
+                              for l in lines) + "\n")
+    with pytest.raises(PERepairError) as e:
+        load_cluster(path)
+    assert e.value.code == "CORRUPT_FILE"
+
+    # a live node 0, then node 0 again as FAILED in node 5's place
+    path.write_text("\n".join("node 0 FAILED" if l.startswith("node 5 ") else l
+                              for l in lines) + "\n")
+    with pytest.raises(PERepairError) as e:
+        load_cluster(path)
+    assert e.value.code == "CORRUPT_FILE"
+
+
 def test_wrong_plan_digest(tmp_path, toy_c1, toy_c2):
     st = init_cluster(toy_c1, 8)
     path = tmp_path / "cluster.txt"
