@@ -184,8 +184,12 @@ class Construction2Plan(_PlanBase):
 
 
 def _resolve_points(ctx, base_bits, prime, t, exponents):
-    """Points of one group: powers of the canonical generator of the
-    degree-(base_bits*prime) subfield, validated primitive and distinct."""
+    """Points of one group: powers gamma^e of the canonical generator of the
+    degree-(base_bits*prime) subfield.  gamma is tested primitive once, and
+    an exponent coprime to the group order keeps that order; EvaluationSet
+    rejects repeated points (DUPLICATE_INDEX).  Each point then has degree
+    p_i over GF(q^{u_i}), as p_i divides none of the distinct primes of u_i.
+    """
     sub = ctx.subfield(base_bits * prime)
     order = (1 << (base_bits * prime)) - 1
     if exponents is None:
@@ -198,44 +202,27 @@ def _resolve_points(ctx, base_bits, prime, t, exponents):
     exponents = [int(e) for e in exponents]
     if len(exponents) != t:
         raise ValueError(f"group of size {t} got {len(exponents)} exponents")
-    gamma = sub.canonical_generator
-    points = []
     for e in exponents:
         if not 1 <= e < order or math.gcd(e, order) != 1:
             raise PERepairError(
                 "CONSTRAINT_VIOLATION",
                 f"exponent {e} does not give a primitive point of GF(2^{base_bits * prime})",
             )
-        points.append(gamma ** e)
-    if len({p.v for p in points}) != t:
-        raise PERepairError("DUPLICATE_INDEX", "repeated evaluation point in group")
-    for p in points:
-        if not is_primitive_in_subfield(p, sub):
-            raise PERepairError(
-                "CONSTRAINT_VIOLATION",
-                "evaluation point failed the subfield primitivity check",
-            )
-    return points, exponents
-
-
-def _check_point_degrees(plan):
-    """Every point of group i must have degree p_i over GF(q^{u_i}): the
-    symbol field is generated over that subfield by any single point."""
-    ctx = plan.ctx
-    for g, u_i in zip(plan.groups, plan.u_list):
-        m = plan.base_bits * u_i
-        for p in g.points:
-            if ctx._degree_over(p.v, m) != g.prime:
-                raise PERepairError(
-                    "CONSTRAINT_VIOLATION",
-                    f"point {p.hex()} is not defining over GF(2^{m})",
-                )
+    gamma = sub.canonical_generator
+    if not is_primitive_in_subfield(gamma, sub):
+        raise PERepairError(
+            "CONSTRAINT_VIOLATION",
+            "evaluation point failed the subfield primitivity check",
+        )
+    return [gamma ** e for e in exponents], exponents
 
 
 def _check_c1(base_bits, s, k, pairs):
     """Prime and rate checks of a Construction-1 parameter set, given as
     (prime, t) pairs; returns (n, t_max, k), k defaulting to its maximum
     n - t_max - s + 1."""
+    if s < 1:
+        raise ValueError(f"need s >= 1, got s={s}")
     q = 1 << base_bits
     seen = set()
     for p, t in pairs:
@@ -319,10 +306,7 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
         (p, t, _resolve_points(ctx, base_bits, p, t, e))
         for (p, t), e in zip(pairs, exps)
     ]
-    plan = Construction1Plan(base_bits, s, k, groups_spec, ctx)
-    _check_point_degrees(plan)
-    assert plan.L * base_bits == ctx.degree_bits
-    return plan
+    return Construction1Plan(base_bits, s, k, groups_spec, ctx)
 
 
 def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None):
@@ -364,10 +348,6 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None):
     plan = Construction2Plan(base_bits, r, groups_spec, ctx)
     if plan.k < 1:
         raise PERepairError("RATE_VIOLATION", f"k = n - r = {plan.k} < 1")
-    for g in plan.groups:
-        assert plan.k <= plan.n - g.t  # per-group locality admits k helpers
-    _check_point_degrees(plan)
-    assert plan.L * base_bits == ctx.degree_bits
     return plan
 
 
@@ -414,49 +394,70 @@ def save_plan(plan, path) -> None:
     atomic_write_text(path, canonical_json(payload) + "\n")
 
 
+# the int fields of each construction's plan file
+_PLAN_INTS = {1: ("base_bits", "s", "k"), 2: ("base_bits", "r")}
+
+
+def _plan_shape_error(payload):
+    """Why a parsed plan file is not an object of a known construction whose
+    numbers are all ints, in the right lists; None when it is.  type() is
+    used, not isinstance: JSON true/false parse as bool, an int subclass."""
+    if type(payload) is not dict:
+        return "plan is not a JSON object"
+    construction = payload.get("construction")
+    if type(construction) is not int or construction not in _PLAN_INTS:
+        return f"unknown construction {construction!r}"
+    exps = payload.get("point_exponents")
+    lists = [payload.get("primes"), payload.get("t")]
+    lists += exps if type(exps) is list else [exps]
+    if not all(type(x) is list for x in lists):
+        return "primes, t and each point_exponents entry must be lists"
+    scalars = [payload.get(name) for name in _PLAN_INTS[construction]]
+    if not all(type(v) is int for v in scalars + [v for x in lists for v in x]):
+        return "a plan number is not an int"
+    return None
+
+
 def load_plan(path):
     """Parse, digest-verify, rebuild, and re-validate a plan file."""
     import json
 
     try:
-        raw = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise PERepairError("CORRUPT_FILE", f"cannot read {path}: {exc}")
     try:
         payload = json.loads(raw)
+        why = _plan_shape_error(payload)
+        if why is not None:
+            raise ValueError(why)
         stored = payload.pop("digest")
-        construction = payload["construction"]
-        base_bits = payload["base_bits"]
-        primes = payload["primes"]
-        t = payload["t"]
-        exps = payload["point_exponents"]
         modulus = int(payload["modulus_hex"], 16)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
     if digest_of(payload) != stored:
         raise PERepairError("DIGEST_MISMATCH", f"{path}: plan digest mismatch")
-    if construction == 1:
+    if payload["construction"] == 1:
         plan = build_plan_c1(
-            base_bits,
-            t,
+            payload["base_bits"],
+            payload["t"],
             s=payload["s"],
             k=payload["k"],
-            primes=primes,
-            point_exponents=exps,
+            primes=payload["primes"],
+            point_exponents=payload["point_exponents"],
             modulus=modulus,
         )
-    elif construction == 2:
-        plan = build_plan_c2(
-            base_bits,
-            payload["r"],
-            primes,
-            point_exponents=exps,
-            modulus=modulus,
-        )
-        if [g.t for g in plan.groups] != list(t):
-            raise PERepairError("CORRUPT_FILE", f"{path}: stored t disagrees with r")
     else:
-        raise PERepairError("CORRUPT_FILE", f"{path}: unknown construction {construction}")
+        plan = build_plan_c2(
+            payload["base_bits"],
+            payload["r"],
+            payload["primes"],
+            point_exponents=payload["point_exponents"],
+            modulus=modulus,
+        )
+        if [g.t for g in plan.groups] != payload["t"]:
+            raise PERepairError("CORRUPT_FILE", f"{path}: stored t disagrees with r")
     if plan.digest != stored:
         raise PERepairError("DIGEST_MISMATCH", f"{path}: rebuilt plan differs")
     return plan

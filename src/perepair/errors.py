@@ -9,8 +9,9 @@ validation (exit 3)
     DIMENSION_EXCEEDS_LENGTH, DEGREE_TOO_HIGH, DUPLICATE_INDEX,
     INSUFFICIENT_PRIMITIVES, RATE_VIOLATION, BAD_PRIME, CONSTRAINT_VIOLATION,
     BAD_EXPONENT, LOCALITY_OUT_OF_RANGE, PLAN_MISMATCH, TOO_FEW_HELPERS,
-    ALREADY_FAILED, SECOND_FAILURE_UNSUPPORTED, NO_FAILED_NODE,
-    DIGEST_MISMATCH, CORRUPT_FILE
+    ALREADY_FAILED, SECOND_FAILURE_UNSUPPORTED, DIGEST_MISMATCH,
+    CORRUPT_FILE, and NO_FAILED_NODE (artifact-level plumbing: run_repair
+    called on a healthy cluster)
 repair verification (exit 4)
     REPAIR_VERIFICATION_FAILED (CLI-level; repairs that finish but do not
     match ground truth)
@@ -19,8 +20,7 @@ resource (exit 5)
     steps; a step count, not a time, so the outcome is the same on every
     machine), SPAN_FAILURE
 
-NO_FAILED_NODE is artifact-level plumbing (run_repair called on a healthy
-cluster); everything else comes from the documented operation contracts.
+Every other code comes from the documented operation contracts.
 """
 
 VALIDATION_CODES = frozenset({

@@ -128,9 +128,12 @@ def lemma1_subspace(plan, group: int, e: int = 1, helper_groups=None) -> RepairS
     lifted from GF(q^{u_i}) down to the residue field of the helper groups
     by a power basis of the intermediate subfield.  Each node of the group
     needs its own exponent (see relative_exponent); a single subspace does
-    not shift-span for the other points of the group.  Independence and the
-    span condition for alpha_1^e are verified; if the ambient generator
-    fails as beta, small powers of it are tried in order.
+    not shift-span for the other points of the group.  One check certifies
+    the result: verify_span's GF(2)-rank test of the span condition for
+    alpha_1^e.  The s shifts of the p_i * u_i / u-bar candidate vectors
+    give exactly N rows, so full rank also proves the vectors independent
+    over GF(q^{u-bar}).  If the ambient generator fails as beta, small
+    powers of it are tried in order.
     """
     if plan.construction != 1:
         raise ValueError("repair subspaces of this shape exist for construction 1")
@@ -173,7 +176,6 @@ def lemma1_subspace(plan, group: int, e: int = 1, helper_groups=None) -> RepairS
             lift.append(lift[-1] * delta)
 
     generator = ctx.generator
-    last_error = None
     for beta_exp in range(1, 33):
         beta = generator ** beta_exp
         base = []
@@ -193,20 +195,13 @@ def lemma1_subspace(plan, group: int, e: int = 1, helper_groups=None) -> RepairS
             beta_t = beta_t * beta
         base.append(closing)
         vectors = [b * f for b in base for f in lift]
-        try:
-            basis = BasisOverSubfield(sub, vectors)
-        except PERepairError as exc:
-            last_error = exc
-            continue
+        basis = BasisOverSubfield(sub, vectors, validate=False)
         subspace = RepairSubspace(sub, basis, beta, e)
         if verify_span(subspace, g.points[0], s):
             plan._cache[cache_key] = subspace
             return subspace
-        last_error = None
     raise PERepairError(
-        "SPAN_FAILURE",
-        f"no workable beta among g^1..g^32 for group {g.index}"
-        + (f" (last: {last_error})" if last_error else ""),
+        "SPAN_FAILURE", f"no workable beta among g^1..g^32 for group {g.index}"
     )
 
 
@@ -281,8 +276,10 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
     e * h(alpha_j) * v_j * c_j for every e in E, where h annihilates the
     silenced points and v is the dual code's column multiplier; the failed
     symbol is rebuilt through the trace-dual of the basis
-    B_{m,w} = e_m * alpha_f^w * h(alpha_f) * v_f.  The preparation is cached
-    per (failed, d).
+    B_{m,w} = e_m * alpha_f^w * h(alpha_f) * v_f.  B is not checked for
+    independence on its own: the trace form is nondegenerate, so dual_basis's
+    Gram matrix is singular, and it raises SINGULAR_GRAM, exactly when B is
+    not a basis.  The preparation is cached per (failed, d).
     """
     ctx = plan.ctx
     key = ("repair", failed, d)
@@ -318,8 +315,7 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
             for _ in range(W):
                 B.append(acc)
                 acc = acc * alpha_f
-        B_basis = BasisOverSubfield(sub, B)  # full-rank assertion
-        duals = dual_basis(B_basis)
+        duals = dual_basis(BasisOverSubfield(sub, B, validate=False))
         prep = (helpers, sub, mults, helper_pows, duals.vectors, len(E), W)
         plan._cache[key] = prep
     helpers, sub, mults, helper_pows, dual_vecs, dim_e, W = prep

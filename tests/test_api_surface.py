@@ -1,11 +1,13 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import perepair
+from perepair import errors
 
 MODULES = ["perepair"] + sorted(
     f"perepair.{info.name}" for info in pkgutil.iter_modules(perepair.__path__)
@@ -35,3 +37,22 @@ def test_no_clock_in_library():
             offenders += [f"{path.name}: {n}" for n in names
                           if n.split(".")[0] in clocks]
     assert offenders == []
+
+
+def test_error_codes_are_known_raised_and_documented():
+    # every literal code passed to PERepairError is known, every known code
+    # is raised somewhere, and the errors module lists each one exactly once
+    raised = []
+    for path in sorted(Path(perepair.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "PERepairError":
+                raised.append((path.name, node.args[0].value))
+    assert [(f, c) for f, c in raised if c not in errors.KNOWN_CODES] == []
+    assert errors.KNOWN_CODES - {c for _, c in raised} == set()
+    listed = re.findall(r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", errors.__doc__)
+    assert sorted(listed) == sorted(errors.KNOWN_CODES)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from perepair._util import digest_of
+from perepair.cli import main
 from perepair.constructions import (
     build_plan_c1,
     build_plan_c2,
@@ -247,6 +249,44 @@ def test_plan_file_corruption_detection(tmp_path, toy_c1):
     with pytest.raises(PERepairError) as ei:
         load_plan(tmp_path / "missing.json")
     assert ei.value.code == "CORRUPT_FILE"
+
+
+# a plan file that is not a JSON object, then digest-consistent payloads
+# whose numbers are not ints (JSON true/false included), and a file that is
+# not UTF-8
+MALFORMED_PLANS = [
+    b"5", b'"x"', b"null", b"[1, 2]", b"\xff\xfe{",
+    ("base_bits", "1"), ("base_bits", 1.0), ("base_bits", True), ("t", 3),
+    ("t", [3.0, 3]), ("s", "2"), ("k", None), ("point_exponents", 7),
+    ("point_exponents", [[1, 2, 4], ["x", 2, 4]]),
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED_PLANS, ids=repr)
+def test_malformed_plan_file_is_corrupt(tmp_path, toy_c1, case, capsys):
+    path = tmp_path / "bad.plan"
+    if isinstance(case, bytes):
+        path.write_bytes(case)
+    else:
+        payload = toy_c1.payload()
+        payload[case[0]] = case[1]
+        payload["digest"] = digest_of(payload)
+        path.write_text(json.dumps(payload))
+    with pytest.raises(PERepairError) as ei:
+        load_plan(path)
+    assert ei.value.code == "CORRUPT_FILE"
+    rc = main(["cluster", "--plan", str(path), "--out", str(tmp_path / "c")])
+    assert rc == 3
+    assert "CORRUPT_FILE" in capsys.readouterr().err
+
+
+def test_c1_rejects_s_below_one():
+    # the prime congruence check p = 1 (mod s) needs s >= 1
+    for s in (0, -1):
+        with pytest.raises(ValueError, match="need s >= 1"):
+            build_plan_c1(1, [3, 3], s=s, primes=[3, 5])
+        with pytest.raises(ValueError, match="need s >= 1"):
+            c1_parameters(1, [3, 3], s=s, primes=[3, 5])
 
 
 def test_c1_parameters_desk_arithmetic():

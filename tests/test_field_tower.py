@@ -412,8 +412,15 @@ def test_dual_basis_involution(gf4096):
 def test_dependent_vectors_rejected(gf4096):
     sub = gf4096.subfield(3)
     g = gf4096.generator
+    dependent = [gf4096.one, g, gf4096.one + g, g ** 2]
     with pytest.raises(PERepairError) as err:
-        BasisOverSubfield(sub, [gf4096.one, g, gf4096.one + g, g ** 2])
+        BasisOverSubfield(sub, dependent)
+    assert err.value.code == "SINGULAR_GRAM"
+    # unvalidated, the right number of dependent vectors still fails in
+    # dual_basis: the trace form is nondegenerate, so their Gram matrix is
+    # singular (a repair's B basis relies on this one check)
+    with pytest.raises(PERepairError) as err:
+        dual_basis(BasisOverSubfield(sub, dependent, validate=False))
     assert err.value.code == "SINGULAR_GRAM"
 
 

@@ -1,0 +1,77 @@
+"""Property tests: random small plans of both constructions, with random
+point exponents, repair every node to the interpolation oracle's symbol at
+exactly the cut-set bound.
+
+Examples are derandomized and have no deadline, so the outcome depends on
+the code alone, never on the machine's speed.
+"""
+
+import math
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from perepair.constructions import build_plan_c1, build_plan_c2
+from perepair.repair_engine import cutset_bits, repair_c1, repair_c2
+from perepair.rs_codes import MessagePoly, encode, naive_decode
+
+# Construction 1 at s = 2: (base_bits, primes), symbol fields of 30 to 70 bits
+C1_SHAPES = [(1, (3, 5)), (1, (3, 7)), (1, (3, 11)), (1, (5, 7)), (2, (3, 5))]
+# Construction 2: (base_bits, primes, r_min, r_max), the range of r in which
+# every t_i = r - p_i + 1 is at least 2 and at most phi(q^{p_i} - 1), and
+# k = n - r is at least 1; symbol fields of 12 to 60 bits
+C2_SHAPES = [(1, (3, 5), 7, 8), (2, (2, 3), 4, 9), (2, (2, 5), 6, 9),
+             (2, (3, 5), 7, 9), (2, (2, 3, 5), 6, 7)]
+
+
+def _exponents(draw, base_bits, prime, t):
+    """t distinct exponents that give primitive points of GF(2^(a*p))."""
+    order = (1 << (base_bits * prime)) - 1
+    units = [e for e in range(1, order) if math.gcd(e, order) == 1]
+    return draw(st.lists(st.sampled_from(units), min_size=t, max_size=t,
+                         unique=True))
+
+
+@st.composite
+def c1_plans(draw):
+    base_bits, primes = draw(st.sampled_from(C1_SHAPES))
+    # t_min >= 2 leaves room for k >= 1 up to k_max = n - t_max - s + 1;
+    # drawn downwards from k_max, so that simpler examples have the full rate
+    t = [draw(st.integers(2, 5)) for _ in primes]
+    k_max = sum(t) - max(t) - 1
+    k = k_max - draw(st.integers(0, k_max - 1))
+    exps = [_exponents(draw, base_bits, p, ti) for p, ti in zip(primes, t)]
+    return build_plan_c1(base_bits, t, s=2, k=k, primes=primes,
+                         point_exponents=exps)
+
+
+@st.composite
+def c2_plans(draw):
+    base_bits, primes, r_min, r_max = draw(st.sampled_from(C2_SHAPES))
+    r = draw(st.integers(r_min, r_max))
+    exps = [_exponents(draw, base_bits, p, r - p + 1) for p in primes]
+    return build_plan_c2(base_bits, r, primes, point_exponents=exps)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(plan=st.one_of(c1_plans(), c2_plans()), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_node_repairs_to_the_oracle_at_the_cutset_bound(plan, seed):
+    rng = random.Random(seed)
+    ctx = plan.ctx
+    msg = MessagePoly([ctx.elem(rng.getrandbits(ctx.degree_bits))
+                       for _ in range(plan.k)])
+    cw = encode(msg, plan.eval_set, plan_digest=plan.digest)
+    for node in range(plan.n):
+        others = [i for i in range(plan.n) if i != node][:plan.k]
+        oracle = naive_decode([(i, cw.symbols[i]) for i in others],
+                              plan.eval_set)
+        if plan.construction == 1:
+            tr = repair_c1(plan, cw, node)
+            d = plan.d
+        else:
+            tr = repair_c2(plan, cw, node)
+            d = plan.n - plan.groups[plan.locate(node)[0]].t
+        assert tr.recovered == oracle.evaluate(plan.eval_set.points[node])
+        assert tr.bits_transmitted == cutset_bits(d, plan.k, plan.L,
+                                                  plan.base_bits)

@@ -5,10 +5,11 @@ import pytest
 
 from perepair.constructions import build_plan_c1
 from perepair.errors import PERepairError
-from perepair.field_tower import BasisOverSubfield
+from perepair.field_tower import BasisOverSubfield, degree_over
 from perepair.fixtures import example2
 from perepair.repair_engine import (
     RepairSubspace,
+    _helper_prefix,
     cutset_bits,
     lemma1_subspace,
     relative_exponent,
@@ -301,6 +302,24 @@ def test_transcript_payload_shape(toy_c1):
 PINNED_REPAIRS_SHA256 = (
     "0595e3609e19cbac19af146aa79f025864b24dc56eb46f7e120601c47034d5d5"
 )
+
+
+def test_points_have_group_degree_and_subspaces_are_bases(toy_c1, toy_c2,
+                                                          toy_c1_wide):
+    # the library does not check these two facts itself: a point's degree
+    # p_i over GF(q^{u_i}) follows from its group's primitivity check, and a
+    # subspace basis's independence from verify_span's full-rank test
+    for plan in (toy_c1, toy_c2, toy_c1_wide, example2().plan):
+        for g, u_i in zip(plan.groups, plan.u_list):
+            sub = plan.ctx.subfield(plan.base_bits * u_i)
+            assert [degree_over(pt, sub) for pt in g.points] == [g.prime] * g.t
+    for plan in (toy_c1, toy_c1_wide):
+        for node in range(plan.n):
+            gi, _ = plan.locate(node)
+            e = relative_exponent(plan, node)
+            for groups in (_helper_prefix(plan, gi, plan.d)[1], None):
+                S = lemma1_subspace(plan, gi, e, helper_groups=groups)
+                BasisOverSubfield(S.subfield, S.basis, validate=True)
 
 
 def test_repair_outputs_are_pinned(toy_c1, toy_c2, toy_c1_wide):
