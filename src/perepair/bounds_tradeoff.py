@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import check_invariant
+
 __all__ = [
     "BoundQuery",
     "TradeoffRow",
@@ -119,9 +121,11 @@ def tradeoff_table(n: int, k: int) -> list:
             TradeoffRow(t, min_subpacketization(BoundQuery.uniform(k, t)), d_max, beta)
         )
     for prev, cur in zip(rows, rows[1:]):
-        assert cur.L_min <= prev.L_min
-        assert cur.beta_bar_min > prev.beta_bar_min
-        assert cur.beta_bar_min >= 1
+        check_invariant(cur.L_min <= prev.L_min, f"L_min rises at t={cur.t}")
+        check_invariant(cur.beta_bar_min > prev.beta_bar_min,
+                        f"bandwidth floor does not rise at t={cur.t}")
+        check_invariant(cur.beta_bar_min >= 1,
+                        f"bandwidth floor below 1 at t={cur.t}")
     return rows
 
 

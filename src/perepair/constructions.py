@@ -69,8 +69,8 @@ def _euler_phi(x: int) -> int:
 def find_primes_c1(s: int, l: int, min_t, base_bits: int = 1):
     """The l smallest distinct primes p = 1 (mod s) whose subfields hold
     enough primitive elements: phi(q^p - 1) >= min_t[i], matched ascending."""
-    if s < 1 or l < 2:
-        raise ValueError("need s >= 1 and l >= 2")
+    if s < 1 or l < 2 or base_bits < 1:
+        raise ValueError("need s >= 1, l >= 2 and base_bits >= 1")
     need = sorted(min_t)
     if len(need) != l:
         raise ValueError("min_t must have one entry per group")
@@ -223,6 +223,8 @@ def _check_c1(base_bits, s, k, pairs):
     n - t_max - s + 1."""
     if s < 1:
         raise ValueError(f"need s >= 1, got s={s}")
+    if base_bits < 1:
+        raise ValueError(f"need base_bits >= 1, got {base_bits}")
     q = 1 << base_bits
     seen = set()
     for p, t in pairs:
@@ -293,6 +295,8 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
         pairs = list(zip(primes, t_list))
     # normalize to ascending flexibility, tie-broken by prime
     exps = list(point_exponents) if point_exponents is not None else [None] * len(pairs)
+    if len(exps) != len(pairs):
+        raise ValueError("one exponent list per group")
     triples = sorted(zip(pairs, exps), key=lambda z: (z[0][1], z[0][0]))
     pairs = [pt for pt, _ in triples]
     exps = [e for _, e in triples]
@@ -314,6 +318,8 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None):
     primes = [int(p) for p in primes]
     if len(primes) < 2:
         raise ValueError("need at least two groups")
+    if base_bits < 1:
+        raise ValueError(f"need base_bits >= 1, got {base_bits}")
     q = 1 << base_bits
     seen = set()
     for p in primes:
@@ -438,24 +444,29 @@ def load_plan(path):
         raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
     if digest_of(payload) != stored:
         raise PERepairError("DIGEST_MISMATCH", f"{path}: plan digest mismatch")
-    if payload["construction"] == 1:
-        plan = build_plan_c1(
-            payload["base_bits"],
-            payload["t"],
-            s=payload["s"],
-            k=payload["k"],
-            primes=payload["primes"],
-            point_exponents=payload["point_exponents"],
-            modulus=modulus,
-        )
-    else:
-        plan = build_plan_c2(
-            payload["base_bits"],
-            payload["r"],
-            payload["primes"],
-            point_exponents=payload["point_exponents"],
-            modulus=modulus,
-        )
+    # the builders raise ValueError for values no plan can have
+    try:
+        if payload["construction"] == 1:
+            plan = build_plan_c1(
+                payload["base_bits"],
+                payload["t"],
+                s=payload["s"],
+                k=payload["k"],
+                primes=payload["primes"],
+                point_exponents=payload["point_exponents"],
+                modulus=modulus,
+            )
+        else:
+            plan = build_plan_c2(
+                payload["base_bits"],
+                payload["r"],
+                payload["primes"],
+                point_exponents=payload["point_exponents"],
+                modulus=modulus,
+            )
+    except ValueError as exc:
+        raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
+    if plan.construction == 2:
         if [g.t for g in plan.groups] != payload["t"]:
             raise PERepairError("CORRUPT_FILE", f"{path}: stored t disagrees with r")
     if plan.digest != stored:

@@ -14,7 +14,8 @@ validation (exit 3)
     called on a healthy cluster)
 repair verification (exit 4)
     REPAIR_VERIFICATION_FAILED (CLI-level; repairs that finish but do not
-    match ground truth)
+    match ground truth), INVARIANT_VIOLATION (a bit count or the trade-off
+    table disagrees with what the schemes prove: a defect, not bad input)
 resource (exit 5)
     FACTORIZATION_TIMEOUT (a composite outlasted the fixed cap of Brent-rho
     steps; a step count, not a time, so the outcome is the same on every
@@ -48,7 +49,8 @@ VALIDATION_CODES = frozenset({
 
 RESOURCE_CODES = frozenset({"FACTORIZATION_TIMEOUT", "SPAN_FAILURE"})
 
-VERIFICATION_CODES = frozenset({"REPAIR_VERIFICATION_FAILED"})
+VERIFICATION_CODES = frozenset({"REPAIR_VERIFICATION_FAILED",
+                                "INVARIANT_VIOLATION"})
 
 KNOWN_CODES = VALIDATION_CODES | RESOURCE_CODES | VERIFICATION_CODES
 
@@ -70,3 +72,10 @@ def exit_status(code: str) -> int:
     if code in VERIFICATION_CODES:
         return 4
     return 3
+
+
+def check_invariant(ok: bool, message: str) -> None:
+    """Raise INVARIANT_VIOLATION unless ok.  Unlike ``assert``, the check
+    survives ``python -O``."""
+    if not ok:
+        raise PERepairError("INVARIANT_VIOLATION", message)

@@ -11,11 +11,16 @@ by Brent's variant of Pollard rho) for the multiplicative-order checks.  The
 factoring work is capped by a fixed count of rho steps, never by a clock, so
 every result depends on the inputs alone.
 
-Performance notes: multiplication is carry-less with a 4-bit window table and
-a sparse-modulus folding reduction; squaring spreads bytes through a
-precomputed 16-bit table; traces use a cached N x N GF(2) matrix of the
-Frobenius map.  Everything is exact; exponents are arbitrary-precision
-throughout.
+Performance notes: multiplication is carry-less with a 4-bit window table,
+reduced by folding for sparse-tail moduli and by Barrett reduction (one
+clmul by x^(2N) div f, computed once) for dense-tail ones; squaring spreads
+bytes through a precomputed 16-bit table.  Subfield work is done in the
+subfield: a handle for K = GF(2^m) keeps m N-bit masks, one per coordinate
+of Tr_{E/K} in the basis 1, gamma, ..., gamma^(m-1), so a trace costs m
+parities, and dual_basis solves its Gram system with m-bit K arithmetic.
+The masks come from the trace sequence Tr_{E/GF(2)}(x^j) (Newton's
+identities on the modulus) and one m x m GF(2) solve.  Everything is exact;
+exponents are arbitrary-precision throughout.
 """
 
 from __future__ import annotations
@@ -229,6 +234,67 @@ def gf2_rank(rows) -> int:
                 break
             row ^= other
     return rank
+
+
+def _gf2_coordinates(vectors, y: int) -> int:
+    """c with y = XOR of vectors[l] over the set bits l of c, for GF(2)-
+    independent bit-vector ints and y in their span."""
+    pivots = {}
+    for l, v in enumerate(vectors):
+        c = 1 << l
+        while v:
+            b = v.bit_length() - 1
+            other = pivots.get(b)
+            if other is None:
+                pivots[b] = (v, c)
+                break
+            v ^= other[0]
+            c ^= other[1]
+    c = 0
+    while y:
+        v, cv = pivots[y.bit_length() - 1]
+        y ^= v
+        c ^= cv
+    return c
+
+
+def _gf2_solve(rows, rhs):
+    """x with rows * x = rhs over GF(2), by Gauss-Jordan.
+
+    rows[i] holds row i of an invertible square matrix (bit j = column j);
+    each rhs[i] is a bit-vector int, so every bit position is solved as its
+    own right-hand side at once."""
+    rows = list(rows)
+    rhs = list(rhs)
+    n = len(rows)
+    for col in range(n):
+        bit = 1 << col
+        piv = next(r for r in range(col, n) if rows[r] & bit)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        for r in range(n):
+            if r != col and rows[r] & bit:
+                rows[r] ^= rows[col]
+                rhs[r] ^= rhs[col]
+    return rhs
+
+
+def _power_sums(f: int) -> int:
+    """Power sums t_j of the roots of f, degree n, for j < 2n - 1, as the
+    bits of an int; for irreducible f, t_j = Tr(x^j) in GF(2)[x]/(f).
+
+    Newton's identities give t_1..t_(n-1), t_0 = n mod 2, and the
+    recurrence x^n = tail(x) gives the rest."""
+    n = poly_degree(f)
+    tail = f ^ (1 << n)
+    t = 0
+    for k in range(1, n):
+        bit = (tail & (t << (n - k))).bit_count() ^ (k & (tail >> (n - k)))
+        t |= (bit & 1) << k
+    t |= n & 1
+    for k in range(n, 2 * n - 1):
+        t |= ((tail & (t >> (k - n))).bit_count() & 1) << k
+    return t
 
 
 # --------------------------------------------------------------------------
@@ -514,8 +580,8 @@ class FieldCtx:
     """GF(2^N) with a fixed modulus, verified-or-trusted primitive generator,
     and the (possibly partial) factorization of the group order 2^N - 1.
 
-    Immutable after construction; internal caches (subfield handles, Frobenius
-    matrices) are memos only.  Build instances through :func:`make_field`.
+    Immutable after construction; internal caches (subfield handles, the
+    trace sequence) are memos only.  Build instances through :func:`make_field`.
     """
 
     def __init__(self, degree_bits, modulus, generator_value,
@@ -530,9 +596,12 @@ class FieldCtx:
         self._shifts = _tail_shifts(modulus)
         self._sparse = not self._shifts or self._shifts[0] <= degree_bits // 2
         self._hexw = (degree_bits + 3) // 4
+        # Barrett constant x^(2N) div f for the dense-tail fold
+        self._mu = None
+        if not self._sparse:
+            self._mu = poly_divmod(1 << 2 * degree_bits, modulus)[0]
         self._subfields = {}
-        self._frob_rows = {}
-        self._trace_rows = {}
+        self._trace_bits = None
         self.generator = FieldElem(self, generator_value)
 
     # -- raw int arithmetic ------------------------------------------------
@@ -547,7 +616,12 @@ class FieldCtx:
                     c ^= hi << sh
                 hi = c >> n
             return c
-        return poly_mod(c, self.modulus)
+        # Barrett: deg c <= 2N - 2, so q = ((c div x^N) * mu) div x^N is the
+        # exact quotient, and q * f below x^N is q times the tail
+        q = clmul(c >> n, self._mu) >> n
+        for sh in self._shifts:
+            c ^= q << sh
+        return c & self._mask
 
     def _mul(self, a: int, b: int) -> int:
         return self._fold(clmul(a, b))
@@ -636,54 +710,23 @@ class FieldCtx:
             self._subfields[m] = handle
         return handle
 
-    def _frob_matrix(self, m: int):
-        """Rows of e -> e^(2^m) in the monomial basis (row i = image of x^i)."""
-        rows = self._frob_rows.get(m)
-        if rows is None:
-            if self.degree_bits == 1:
-                rows = (1,)
-            else:
-                img = 2  # the polynomial x
-                for _ in range(m):
-                    img = self._sq(img)
-                acc = [1]
-                for _ in range(self.degree_bits - 1):
-                    acc.append(self._mul(acc[-1], img))
-                rows = tuple(acc)
-            self._frob_rows[m] = rows
-        return rows
-
-    def _apply_rows(self, rows, v: int) -> int:
-        acc = 0
-        while v:
-            low = v & -v
-            acc ^= rows[low.bit_length() - 1]
-            v ^= low
-        return acc
-
     def _frob(self, v: int, m: int) -> int:
         """e^(2^m) by m squarings."""
         for _ in range(m):
             v = self._sq(v)
         return v
 
-    def _trace_matrix(self, m: int):
-        """Rows of e -> e + e^(2^m) + ... (the trace onto GF(2^m)),
-        built once so each trace costs a single matrix application."""
-        rows = self._trace_rows.get(m)
-        if rows is None:
-            frob = self._frob_matrix(m)
-            steps = self.degree_bits // m
-            out = []
-            for i in range(self.degree_bits):
-                acc = cur = 1 << i
-                for _ in range(steps - 1):
-                    cur = self._apply_rows(frob, cur)
-                    acc ^= cur
-                out.append(acc)
-            rows = tuple(out)
-            self._trace_rows[m] = rows
-        return rows
+    def _trace_functional(self, a: int) -> int:
+        """Mask w with parity(y & w) = Tr_{E/GF(2)}(a * y) for every y.
+
+        Bit i of w is Tr(a x^i) = sum_j a_j t_(i+j), a Hankel product of a
+        with the trace sequence t_j = Tr(x^j), read off one clmul by the
+        bit-reversed a."""
+        if self._trace_bits is None:
+            self._trace_bits = _power_sums(self.modulus)
+        n = self.degree_bits
+        rev = int(format(a, f"0{n}b")[::-1], 2)
+        return (clmul(rev, self._trace_bits) >> (n - 1)) & self._mask
 
     def _degree_over(self, v: int, m: int) -> int:
         """Smallest d >= 1 with v^(2^(m*d)) == v."""
@@ -708,7 +751,7 @@ class SubfieldHandle:
     """
 
     __slots__ = ("ctx", "degree_bits", "canonical_generator", "order_verified",
-                 "_order_factors", "_gf2_basis")
+                 "_order_factors", "_gf2_basis", "_minpoly", "_trace_masks")
 
     def __init__(self, ctx: FieldCtx, m: int):
         self.ctx = ctx
@@ -727,6 +770,8 @@ class SubfieldHandle:
         self.order_verified = ctx.generator_verified
         self._order_factors = None
         self._gf2_basis = None
+        self._minpoly = None
+        self._trace_masks = None
 
     def order_factorization(self):
         """Prime factorization of 2^m - 1, derived from the ambient context
@@ -764,6 +809,58 @@ class SubfieldHandle:
                 rows.append(cur)
             self._gf2_basis = tuple(rows)
         return self._gf2_basis
+
+    # -- coordinates: K = GF(2)[x]/(g), x = gamma, g gamma's minimal polynomial
+
+    def _trace_coords(self, v: int) -> int:
+        """Coordinates of Tr_{E/K}(v) in the basis gamma^0..gamma^(m-1), as
+        an m-bit int: bit l is parity(v & psi_l).
+
+        By transitivity Tr_{E/GF(2)}(gamma^l v) = Tr_{K/GF(2)}(gamma^l z)
+        for z = Tr_{E/K}(v), which is sum_l' z_l' M_ll' with
+        M_ll' = Tr_{K/GF(2)}(gamma^(l+l')), the power sums of g.  The left
+        side is parity(v & phi_l), so psi = M^-1 phi."""
+        masks = self._trace_masks
+        if masks is None:
+            ctx = self.ctx
+            m = self.degree_bits
+            basis = self.gf2_basis()
+            gamma_m = ctx._mul(basis[-1], self.canonical_generator.v)
+            self._minpoly = (1 << m) | _gf2_coordinates(basis, gamma_m)
+            sums = _power_sums(self._minpoly)
+            gram = [(sums >> l) & ((1 << m) - 1) for l in range(m)]
+            phi = [ctx._trace_functional(b) for b in basis]
+            masks = self._trace_masks = tuple(_gf2_solve(gram, phi))
+        z = 0
+        for l, mask in enumerate(masks):
+            z |= ((v & mask).bit_count() & 1) << l
+        return z
+
+    def _lift(self, z: int) -> int:
+        """The element of E with coordinates z."""
+        acc = 0
+        for b in self.gf2_basis():
+            if not z:
+                break
+            if z & 1:
+                acc ^= b
+            z >>= 1
+        return acc
+
+    def _kmul(self, a: int, b: int) -> int:
+        """Product of two coordinate ints, shift-and-add modulo g (set up by
+        the first _trace_coords call)."""
+        g = self._minpoly
+        top = 1 << self.degree_bits
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= g
+        return r
 
     def __repr__(self):
         return f"SubfieldHandle(GF(2^{self.degree_bits}) in GF(2^{self.ctx.degree_bits}))"
@@ -890,7 +987,7 @@ def trace_to(e: FieldElem, sub: SubfieldHandle) -> FieldElem:
     m = sub.degree_bits
     if ctx.degree_bits == m:
         return e
-    return FieldElem(ctx, ctx._apply_rows(ctx._trace_matrix(m), e.v))
+    return FieldElem(ctx, sub._lift(sub._trace_coords(e.v)))
 
 
 def is_in_subfield(e: FieldElem, sub: SubfieldHandle) -> bool:
@@ -924,9 +1021,10 @@ def degree_over(e: FieldElem, sub: SubfieldHandle) -> int:
 def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
     """Trace-dual basis: returns d with trace_to(b_i * d_j) = delta_ij.
 
-    Forms the Gram matrix T_ij = Tr(b_i b_j) (entries in the subfield), solves
-    T X = I by Gaussian elimination with first-nonzero pivoting, and sets
-    d_i = sum_j X_ij b_j.
+    The Gram matrix T_ij = Tr(b_i b_j) has its entries in the subfield K, so
+    it is kept as K coordinates and d is solved from T d = b: one forward
+    elimination with first-nonzero pivoting and one back substitution, the
+    T side in K arithmetic and the b side one E product per row operation.
     """
     sub = b.subfield
     ctx = sub.ctx
@@ -936,44 +1034,35 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
             "SINGULAR_GRAM",
             f"{n} vectors cannot form a basis over GF(2^{sub.degree_bits})",
         )
-    gram = []
-    for bi in b.vectors:
-        row = []
-        for bj in b.vectors:
-            t = trace_to(bi * bj, sub)
-            row.append(t.v)
-        gram.append(row)
-    x = _invert_matrix(ctx, gram)
-    duals = []
+    d = [e.v for e in b.vectors]
+    gram = [[0] * n for _ in range(n)]
     for i in range(n):
-        acc = 0
-        for j in range(n):
-            acc ^= ctx._mul(x[i][j], b.vectors[j].v)
-        duals.append(FieldElem(ctx, acc))
-    return BasisOverSubfield(sub, duals, validate=False)
-
-
-def _invert_matrix(ctx: FieldCtx, rows):
-    """Invert a square matrix of raw field values by Gauss-Jordan."""
-    n = len(rows)
-    aug = [list(rows[i]) + [1 if j == i else 0 for j in range(n)]
-           for i in range(n)]
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = sub._trace_coords(ctx._mul(d[i], d[j]))
+    kmul = sub._kmul
+    lift = sub._lift
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if gram[r][col]), None)
         if piv is None:
             raise PERepairError("SINGULAR_GRAM", "matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_piv = ctx._inv(aug[col][col])
-        aug[col] = [ctx._mul(inv_piv, val) for val in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [
-                    val ^ ctx._mul(factor, aug[col][j])
-                    for j, val in enumerate(aug[r])
-                ]
-    return [row[n:] for row in aug]
+        gram[col], gram[piv] = gram[piv], gram[col]
+        d[col], d[piv] = d[piv], d[col]
+        inv = poly_inv_mod(gram[col][col], sub._minpoly)
+        prow = gram[col] = [0] * (col + 1) + [
+            kmul(inv, t) for t in gram[col][col + 1:]]
+        d[col] = ctx._mul(lift(inv), d[col])
+        for r in range(col + 1, n):
+            f = gram[r][col]
+            if f:
+                row = gram[r]
+                for j in range(col + 1, n):
+                    if prow[j]:
+                        row[j] ^= kmul(f, prow[j])
+                d[r] ^= ctx._mul(lift(f), d[col])
+    for col in range(n - 1, 0, -1):
+        for r in range(col):
+            f = gram[r][col]
+            if f:
+                d[r] ^= ctx._mul(lift(f), d[col])
+    return BasisOverSubfield(sub, [FieldElem(ctx, v) for v in d],
+                             validate=False)

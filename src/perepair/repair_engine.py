@@ -19,7 +19,7 @@ The two schemes share their skeleton and differ in the query plan:
 
 from __future__ import annotations
 
-from .errors import PERepairError
+from .errors import PERepairError, check_invariant
 from ._util import canonical_json
 from .field_tower import BasisOverSubfield, dual_basis, trace_to
 from .rs_codes import annihilator, dual_multipliers, poly_eval
@@ -372,7 +372,9 @@ def repair_c1(plan, codeword, failed: int, d: int | None = None) -> RepairTransc
         return helpers, S.subfield, S.basis, plan.s
 
     tr = _repair(plan, codeword, failed, d, shape)
-    assert tr.bits_transmitted == d * plan.u * plan.base_bits
+    expected = d * plan.u * plan.base_bits
+    check_invariant(tr.bits_transmitted == expected,
+                    f"repair moved {tr.bits_transmitted} bits, not {expected}")
     return tr
 
 
@@ -392,5 +394,7 @@ def repair_c2(plan, codeword, failed: int) -> RepairTranscript:
         return helpers, sub, [plan.ctx.one], g.prime
 
     tr = _repair(plan, codeword, failed, plan.n - g.t, shape)
-    assert tr.bits_transmitted == tr.cutset_bits
+    check_invariant(tr.bits_transmitted == tr.cutset_bits,
+                    f"repair moved {tr.bits_transmitted} bits, not "
+                    f"{tr.cutset_bits}")
     return tr

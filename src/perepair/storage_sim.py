@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import PERepairError
+from .errors import PERepairError, check_invariant
 from ._util import atomic_write_text
 from .constructions import load_plan, save_plan
 from .repair_engine import repair_c1, repair_c2
@@ -199,7 +199,8 @@ def run_repair(state: ClusterState, strategy: str = "pe", d: int | None = None):
             transcript = repair_c2(plan, cw, failed)
         for helper, _ in transcript.queries:
             log.add(helper, failed, transcript.response_bits, "trace_response")
-        assert log.total_bits == transcript.bits_transmitted
+        check_invariant(log.total_bits == transcript.bits_transmitted,
+                        "transfer log disagrees with the transcript's bits")
     elif strategy == "naive":
         if d is not None:
             raise ValueError("naive repair always reads k whole symbols")
@@ -212,7 +213,8 @@ def run_repair(state: ClusterState, strategy: str = "pe", d: int | None = None):
         )
         recovered = poly.evaluate(plan.eval_set.points[failed])
         transcript = NaiveReport(failed, helpers, log.total_bits, recovered)
-        assert log.total_bits == plan.k * plan.L * plan.base_bits
+        check_invariant(log.total_bits == plan.k * plan.L * plan.base_bits,
+                        "naive transfer log is not k whole symbols")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -245,8 +247,9 @@ def load_cluster(path) -> ClusterState:
     encode of the seeded message."""
     path = os.fspath(path)
     try:
-        raw = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise PERepairError("CORRUPT_FILE", f"cannot read {path}: {exc}")
 
     header = {}

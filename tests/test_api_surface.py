@@ -39,6 +39,16 @@ def test_no_clock_in_library():
     assert offenders == []
 
 
+def test_no_assert_in_library():
+    # python -O strips assert statements, so no runtime check may be one
+    offenders = []
+    for path in sorted(Path(perepair.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_error_codes_are_known_raised_and_documented():
     # every literal code passed to PERepairError is known, every known code
     # is raised somewhere, and the errors module lists each one exactly once

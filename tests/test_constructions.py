@@ -261,8 +261,13 @@ MALFORMED_PLANS = [
     ("point_exponents", [[1, 2, 4], ["x", 2, 4]]),
 ]
 
+# digest-consistent payloads of well-typed values that no plan can have
+IMPOSSIBLE_PLANS = [
+    ("base_bits", 0), ("base_bits", -1), ("point_exponents", []),
+]
 
-@pytest.mark.parametrize("case", MALFORMED_PLANS, ids=repr)
+
+@pytest.mark.parametrize("case", MALFORMED_PLANS + IMPOSSIBLE_PLANS, ids=repr)
 def test_malformed_plan_file_is_corrupt(tmp_path, toy_c1, case, capsys):
     path = tmp_path / "bad.plan"
     if isinstance(case, bytes):

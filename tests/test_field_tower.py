@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -354,6 +355,76 @@ def test_trace_properties(gf4096):
     full = gf4096.subfield(12)
     e = gf4096.elem(1234)
     assert trace_to(e, full) == e
+
+
+def _trace_by_squarings(e, m):
+    # the definition: e + e^(2^m) + e^(2^(2m)) + ..., N/m terms
+    acc = cur = e
+    for _ in range(e.ctx.degree_bits // m - 1):
+        for _ in range(m):
+            cur = cur * cur
+        acc = acc + cur
+    return acc
+
+
+# the default moduli x^60 + x^59 + 1 and x^210 + x^203 + 1 have dense tails
+# (Barrett reduction); x^42 + x^7 + x^4 + x^3 + 1 is folded as sparse
+@pytest.mark.parametrize("degree, modulus", [
+    (60, None), (210, None), (42, poly_from_exponents(42, 7, 4, 3, 0)),
+])
+def test_trace_to_is_the_frobenius_sum(degree, modulus):
+    F = make_field(degree, modulus)
+    rng = random.Random(degree)
+    for m in (m for m in range(1, degree + 1) if degree % m == 0):
+        sub = F.subfield(m)
+        for _ in range(3):
+            e = F.elem(rng.getrandbits(degree))
+            assert trace_to(e, sub) == _trace_by_squarings(e, m)
+
+
+@pytest.mark.parametrize("degree", [60, 210])
+def test_dense_tail_products_are_remainders(degree):
+    F = make_field(degree)
+    rng = random.Random(degree)
+    top = (1 << degree) - 1
+    pairs = [(top, top), (top, 1), (1 << (degree - 1), 1 << (degree - 1))]
+    pairs += [(rng.getrandbits(degree), rng.getrandbits(degree))
+              for _ in range(50)]
+    for a, b in pairs:
+        assert (F.elem(a) * F.elem(b)).v == poly_divmod(clmul(a, b), F.modulus)[1]
+
+
+@pytest.mark.parametrize("degree, m", [(12, 1), (12, 4), (12, 12), (210, 3)])
+def test_dual_basis_is_trace_dual(degree, m):
+    F = make_field(degree)
+    sub = F.subfield(m)
+    # 1, g, ..., g^(n-1) is a basis over GF(2^m): g has degree N over GF(2)
+    c = F.elem(random.Random(m).getrandbits(degree) | 1)
+    basis = BasisOverSubfield(
+        sub, [c * F.generator ** i for i in range(degree // m)])
+    dual = dual_basis(basis)
+    for i, bi in enumerate(basis):
+        for j, dj in enumerate(dual):
+            assert trace_to(bi * dj, sub).v == (1 if i == j else 0)
+
+
+def test_example1_subfield_traces_are_pinned():
+    # SHA-256 of trace_to(e, GF(2^385)).hex() in example1's GF(2^2310), as
+    # computed through the former N x N GF(2) matrix of the trace map
+    F = example1().plan.ctx
+    sub = F.subfield(385)
+    pinned = {
+        2: "e524158df47f63b7788e0eb9bfff58968e217758ac582880583bc5aa4b8bcb06",
+        1 << 2309:
+            "cb807f88cf6c4c34e4ce327b5502f724e3fc8e598f817564b540b9718bf00042",
+        0b100100101:
+            "e8d0e05811d3dd8e5056ff557fd713c26632a7723a8dbb4e47b4a699d375e73f",
+        random.Random(2310).getrandbits(2310):
+            "a5f321fe076af0caf916303e2aaa4fd03898133f747947fc151ba8867b4a6d45",
+    }
+    for v, digest in pinned.items():
+        tr = trace_to(F.elem(v), sub)
+        assert hashlib.sha256(tr.hex().encode()).hexdigest() == digest
 
 
 def test_degree_histograms(gf64):

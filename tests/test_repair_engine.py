@@ -279,6 +279,17 @@ def test_repair_c2_matches_interpolation_oracle(toy_c2):
         assert tr.recovered == poly.evaluate(toy_c2.eval_set.points[failed])
 
 
+def test_bit_count_invariant_is_a_coded_error(toy_c2, monkeypatch):
+    # the cut-set check survives python -O: a skewed bound is reported
+    from perepair import repair_engine
+
+    cw = make_codeword(toy_c2, random.Random(3))
+    monkeypatch.setattr(repair_engine, "cutset_bits", lambda *a: 1)
+    with pytest.raises(PERepairError) as ei:
+        repair_c2(toy_c2, cw, 0)
+    assert ei.value.code == "INVARIANT_VIOLATION"
+
+
 def test_transcript_payload_shape(toy_c1):
     rng = random.Random(2)
     cw = make_codeword(toy_c1, rng)

@@ -328,6 +328,18 @@ def test_repeated_node_line(tmp_path, toy_c1):
     assert e.value.code == "CORRUPT_FILE"
 
 
+def test_non_utf8_cluster_file_is_corrupt(tmp_path, capsys):
+    from perepair.cli import main
+
+    path = tmp_path / "cluster.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(PERepairError) as e:
+        load_cluster(path)
+    assert e.value.code == "CORRUPT_FILE"
+    assert main(["repair", "--cluster", str(path), "--node", "0"]) == 3
+    assert "CORRUPT_FILE" in capsys.readouterr().err
+
+
 def test_wrong_plan_digest(tmp_path, toy_c1, toy_c2):
     st = init_cluster(toy_c1, 8)
     path = tmp_path / "cluster.txt"
