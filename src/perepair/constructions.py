@@ -66,6 +66,12 @@ def _euler_phi(x: int) -> int:
     return phi
 
 
+def _phi_at_least(x: int, t: int) -> bool:
+    """phi(x) >= t, factoring x only when phi(x) >= sqrt(x/2) does not
+    settle it (p^(e-1)(p-1) >= sqrt(p^e) for odd p, 2^(e-1) = sqrt(2^e/2))."""
+    return t <= math.isqrt(x // 2) or _euler_phi(x) >= t
+
+
 def find_primes_c1(s: int, l: int, min_t, base_bits: int = 1):
     """The l smallest distinct primes p = 1 (mod s) whose subfields hold
     enough primitive elements: phi(q^p - 1) >= min_t[i], matched ascending."""
@@ -85,7 +91,7 @@ def find_primes_c1(s: int, l: int, min_t, base_bits: int = 1):
             continue
         if cand % s != 1 % s:
             continue
-        if _euler_phi(q ** cand - 1) < need[len(out)]:
+        if not _phi_at_least(q ** cand - 1, need[len(out)]):
             continue
         out.append(cand)
     return tuple(out)
@@ -233,7 +239,7 @@ def _check_c1(base_bits, s, k, pairs):
         seen.add(p)
         if p % s != 1 % s:
             raise PERepairError("BAD_PRIME", f"{p} != 1 mod {s}")
-        if t > _euler_phi(q ** p - 1):
+        if not _phi_at_least(q ** p - 1, t):
             raise PERepairError(
                 "INSUFFICIENT_PRIMITIVES",
                 f"group of {t} points exceeds phi(q^{p}-1) primitive elements",
@@ -334,7 +340,7 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None):
                 "CONSTRAINT_VIOLATION",
                 f"r - p + 1 = {t} < 2 for prime {p}",
             )
-        if t > _euler_phi(q ** p - 1):
+        if not _phi_at_least(q ** p - 1, t):
             raise PERepairError(
                 "CONSTRAINT_VIOLATION",
                 f"group needs {t} primitive points, more than phi(q^{p}-1)",

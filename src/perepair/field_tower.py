@@ -11,10 +11,12 @@ by Brent's variant of Pollard rho) for the multiplicative-order checks.  The
 factoring work is capped by a fixed count of rho steps, never by a clock, so
 every result depends on the inputs alone.
 
-Performance notes: multiplication is carry-less with a 4-bit window table,
-reduced by folding for sparse-tail moduli and by Barrett reduction (one
-clmul by x^(2N) div f, computed once) for dense-tail ones; squaring spreads
-bytes through a precomputed 16-bit table.  Subfield work is done in the
+Performance notes: multiplication is carry-less with a 4-bit window table
+of the longer operand, reduced by folding for sparse-tail moduli and by
+Barrett reduction (one clmul by x^(2N) div f, computed once) for dense-tail
+ones; squaring translates bytes through two nibble tables.  Primitivity is
+one product-tree order test over the known primes of the group order
+(_order_test).  Subfield work is done in the
 subfield: a handle for K = GF(2^m) keeps m N-bit masks, one per coordinate
 of Tr_{E/K} in the basis 1, gamma, ..., gamma^(m-1), so a trace costs m
 parities, and dual_basis solves its Gram system with m-bit K arithmetic.
@@ -59,17 +61,19 @@ __all__ = [
 # --------------------------------------------------------------------------
 # carry-less polynomial arithmetic on ints (bit i = coefficient of x^i)
 
-# byte -> 16 bits with the byte's bits spread to even positions (squaring map)
-_SPREAD = tuple(
-    sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)
+# byte -> its low (high) nibble's bits spread to even positions (squaring)
+_SQ_LO = bytes(
+    sum(((b >> i) & 1) << (2 * i) for i in range(4)) for b in range(256)
 )
+_SQ_HI = bytes(_SQ_LO[b >> 4] for b in range(256))
 
 
 def clmul(a: int, b: int) -> int:
-    """Carry-less product of two binary polynomials."""
+    """Carry-less product of two binary polynomials; the byte loop runs
+    over the shorter one (poly_inv_mod's quotients are a few bits)."""
     if a == 0 or b == 0:
         return 0
-    if a.bit_length() < b.bit_length():
+    if a.bit_length() > b.bit_length():
         a, b = b, a
     # window table: t[j] = j(x) * b(x) for all 4-bit j
     t = [0] * 16
@@ -86,15 +90,13 @@ def clmul(a: int, b: int) -> int:
 
 
 def clsq(a: int) -> int:
-    """Carry-less square: spreads every coefficient bit to position 2i."""
+    """Carry-less square: byte i becomes bytes 2i, 2i + 1 of the result."""
     if a == 0:
         return 0
     raw = a.to_bytes((a.bit_length() + 7) // 8, "little")
     out = bytearray(2 * len(raw))
-    for i, byte in enumerate(raw):
-        s = _SPREAD[byte]
-        out[2 * i] = s & 0xFF
-        out[2 * i + 1] = s >> 8
+    out[0::2] = raw.translate(_SQ_LO)
+    out[1::2] = raw.translate(_SQ_HI)
     return int.from_bytes(out, "little")
 
 
@@ -812,6 +814,15 @@ class SubfieldHandle:
 
     # -- coordinates: K = GF(2)[x]/(g), x = gamma, g gamma's minimal polynomial
 
+    def _coord_modulus(self) -> int:
+        """g, read off the coordinates of gamma^m."""
+        if self._minpoly is None:
+            basis = self.gf2_basis()
+            gamma_m = self.ctx._mul(basis[-1], self.canonical_generator.v)
+            self._minpoly = ((1 << self.degree_bits)
+                             | _gf2_coordinates(basis, gamma_m))
+        return self._minpoly
+
     def _trace_coords(self, v: int) -> int:
         """Coordinates of Tr_{E/K}(v) in the basis gamma^0..gamma^(m-1), as
         an m-bit int: bit l is parity(v & psi_l).
@@ -822,14 +833,10 @@ class SubfieldHandle:
         side is parity(v & phi_l), so psi = M^-1 phi."""
         masks = self._trace_masks
         if masks is None:
-            ctx = self.ctx
             m = self.degree_bits
-            basis = self.gf2_basis()
-            gamma_m = ctx._mul(basis[-1], self.canonical_generator.v)
-            self._minpoly = (1 << m) | _gf2_coordinates(basis, gamma_m)
-            sums = _power_sums(self._minpoly)
+            sums = _power_sums(self._coord_modulus())
             gram = [(sums >> l) & ((1 << m) - 1) for l in range(m)]
-            phi = [ctx._trace_functional(b) for b in basis]
+            phi = [self.ctx._trace_functional(b) for b in self.gf2_basis()]
             masks = self._trace_masks = tuple(_gf2_solve(gram, phi))
         z = 0
         for l, mask in enumerate(masks):
@@ -849,7 +856,7 @@ class SubfieldHandle:
 
     def _kmul(self, a: int, b: int) -> int:
         """Product of two coordinate ints, shift-and-add modulo g (set up by
-        the first _trace_coords call)."""
+        _coord_modulus)."""
         g = self._minpoly
         top = 1 << self.degree_bits
         r = 0
@@ -905,6 +912,26 @@ class BasisOverSubfield:
 _field_cache = {}
 
 
+def _order_test(ctx, v: int, order: int, primes) -> bool:
+    """True iff v^(order/p) != 1 for every p in primes, distinct prime
+    divisors of order (True for no primes).  A product tree: each node
+    splits its primes in halves and hands each half h^(prod of the other),
+    so a leaf p holds v^(order/p) and each level costs about as many
+    squarings as prod(primes) has bits."""
+    if not primes:
+        return True
+    stack = [(ctx._pow(v, order // math.prod(primes)), primes)]
+    while stack:
+        h, ps = stack.pop()
+        if h == 1:
+            return False
+        if len(ps) > 1:
+            left, right = ps[:len(ps) // 2], ps[len(ps) // 2:]
+            stack.append((ctx._pow(h, math.prod(left)), right))
+            stack.append((ctx._pow(h, math.prod(right)), left))
+    return True
+
+
 def make_field(degree_bits: int, modulus: int | None = None) -> FieldCtx:
     """Build GF(2^degree_bits), cached by (degree_bits, modulus).
 
@@ -947,22 +974,11 @@ def make_field(degree_bits: int, modulus: int | None = None) -> FieldCtx:
     factors, cofactor, complete = _factor_mersenne_like(degree_bits)
 
     order = (1 << degree_bits) - 1
-    proper = [d for d in _divisors(degree_bits) if d < degree_bits]
     probe = FieldCtx(degree_bits, modulus, 1, (), 1, False)  # arithmetic only
-    generator_value = None
-    for cand in count(2):
-        # defining over GF(2): fixed by no proper Frobenius power
-        y = cand
-        ok = True
-        for j in range(1, degree_bits):
-            y = probe._sq(y)
-            if j in proper and y == cand:
-                ok = False
-                break
-        if not ok:
-            continue
-        if all(probe._pow(cand, order // p) != 1 for p in factors):
-            generator_value = cand
+    for generator_value in count(2):
+        # defining over GF(2), then of full order as far as factored
+        if (probe._degree_over(generator_value, 1) == degree_bits
+                and _order_test(probe, generator_value, order, list(factors))):
             break
 
     ctx = FieldCtx(
@@ -1003,14 +1019,8 @@ def is_primitive_in_subfield(e: FieldElem, sub: SubfieldHandle) -> bool:
     # only the maximal proper divisors of the order remain to be tested
     if not is_in_subfield(e, sub):
         return False
-    order = (1 << sub.degree_bits) - 1
-    if order == 1:
-        return True
-    ctx = e.ctx
-    return all(
-        ctx._pow(e.v, order // p) != 1
-        for p, _ in sub.order_factorization()
-    )
+    return _order_test(e.ctx, e.v, (1 << sub.degree_bits) - 1,
+                       [p for p, _ in sub.order_factorization()])
 
 
 def degree_over(e: FieldElem, sub: SubfieldHandle) -> int:

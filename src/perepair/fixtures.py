@@ -40,15 +40,14 @@ def _root_exponent(ctx, degree_bits, poly_exponents):
     """Smallest j with p(gamma^j) = 0, gamma the canonical generator of the
     degree-``degree_bits`` subfield.  Pins a point by its minimal polynomial:
     p irreducible of the subfield's degree makes the root's minimal
-    polynomial p itself."""
-    sub = ctx.subfield(degree_bits)
+    polynomial p itself.  Powers of gamma are taken as residues of x modulo
+    gamma's minimal polynomial g, the subfield's coordinates."""
+    g = ctx.subfield(degree_bits)._coord_modulus()
     order = (1 << degree_bits) - 1
-    gamma = sub.canonical_generator
-    powers = [ctx.one.v]
-    acc = ctx.one
+    powers = [1]
     for _ in range(order - 1):
-        acc = acc * gamma
-        powers.append(acc.v)
+        x = powers[-1] << 1
+        powers.append(x ^ g if x >> degree_bits else x)
     for j in range(1, order):
         v = 0
         for e in poly_exponents:

@@ -225,8 +225,9 @@ def save_codeword(c: Codeword, ctx: FieldCtx, path) -> None:
 
 def load_codeword(path, ctx: FieldCtx) -> Codeword:
     try:
-        raw = open(path, "r", encoding="ascii").read()
-    except OSError as exc:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise PERepairError("CORRUPT_FILE", f"cannot read {path}: {exc}")
     lines = [ln for ln in raw.splitlines() if ln.strip()]
     try:

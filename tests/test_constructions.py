@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
 
 from perepair._util import digest_of
 from perepair.cli import main
 from perepair.constructions import (
+    _euler_phi,
+    _phi_at_least,
     build_plan_c1,
     build_plan_c2,
     c1_parameters,
@@ -310,6 +313,20 @@ def test_c1_parameters_four_group_case():
     assert p.u == 1155 and p.L == 2310
     assert p.repair_bits == 10395
     assert p.naive_bits == 18480
+
+
+def test_c1_parameters_settles_phi_without_factoring():
+    # 2^137 - 1 outlasts the rho cap, but phi(n) >= sqrt(n/2) admits 3
+    p = c1_parameters(1, [3, 3], s=2, primes=[3, 137])
+    assert p.primes == (3, 137) and p.u == 411
+
+
+def test_phi_bound_agrees_with_euler_phi():
+    for x in range(3, 300):
+        phi = _euler_phi(x)
+        assert math.isqrt(x // 2) <= phi
+        for t in range(1, x + 1):
+            assert _phi_at_least(x, t) == (t <= phi)
 
 
 def test_c1_parameters_validation():

@@ -22,6 +22,7 @@ from perepair.field_tower import (
     poly_divmod,
     poly_from_exponents,
     poly_gcd,
+    poly_inv_mod,
     poly_mod,
     smallest_irreducible,
     trace_to,
@@ -47,6 +48,43 @@ def test_clsq_matches_clmul():
     for _ in range(200):
         a = rng.getrandbits(rng.randrange(1, 300))
         assert clsq(a) == clmul(a, a)
+
+
+def _shift_xor_product(a, b):
+    """Schoolbook carry-less product, one bit of b at a time."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
+EXAMPLE1_MODULUS = poly_from_exponents(2310, 8, 5, 2, 0)
+
+
+def test_kernels_match_shift_and_xor_at_2310_bits():
+    rng = random.Random(2310)
+    for _ in range(20):
+        a = rng.getrandbits(2310) | (1 << 2309)
+        b = rng.getrandbits(2310)
+        assert clsq(a) == _shift_xor_product(a, a)
+        assert clmul(a, b) == _shift_xor_product(a, b)
+        for width in range(1, 17):
+            short = rng.getrandbits(width) | (1 << (width - 1))
+            expect = _shift_xor_product(a, short)
+            assert clmul(a, short) == expect
+            assert clmul(short, a) == expect
+
+
+def test_poly_inv_mod_round_trip_under_example1_modulus():
+    rng = random.Random(8)
+    for a in [1, 2, 3, rng.getrandbits(16)] + [
+            rng.getrandbits(2310) for _ in range(3)]:
+        inv = poly_inv_mod(a, EXAMPLE1_MODULUS)
+        assert inv.bit_length() <= 2310
+        assert poly_mod(_shift_xor_product(a, inv), EXAMPLE1_MODULUS) == 1
 
 
 def test_clmul_ring_axioms():
@@ -259,6 +297,26 @@ def test_make_field_defaults_deterministic():
     for p, e in a.order_factorization:
         prod *= p ** e
     assert prod == a.order
+
+
+def test_default_generators_are_pinned():
+    pinned = {4: 2, 6: 2, 8: 6, 12: 6, 30: 19, 60: 2, 210: 25}
+    assert {n: make_field(n).generator.v for n in pinned} == pinned
+
+
+@pytest.mark.parametrize("degree", [12, 30, 60])
+def test_order_test_matches_the_per_prime_check(degree):
+    F = make_field(degree)
+    primes = [p for p, _ in F.order_factorization]
+    lists = [primes, [], primes[:1], primes[-1:], primes[:2], primes[-2:]]
+    seen = set()
+    for cand in range(2, 65):
+        for ps in lists:
+            expect = all(F._pow(cand, F.order // p) != 1 for p in ps)
+            got = field_tower._order_test(F, cand, F.order, ps)
+            assert got == expect, (cand, ps)
+            seen.add(got)
+    assert seen == {True, False}
 
 
 def test_generator_has_full_order(gf64):

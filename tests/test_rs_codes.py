@@ -209,6 +209,14 @@ def test_codeword_file_round_trip(tmp_path, gf64):
     assert [s.v for s in back.symbols] == [s.v for s in c.symbols]
 
 
+def test_non_ascii_codeword_file_is_corrupt(tmp_path, gf64):
+    path = tmp_path / "cw.txt"
+    path.write_bytes(b"plan_digest=\xff\nn=0\ndegree_bits=6\n")
+    with pytest.raises(PERepairError) as err:
+        load_codeword(path, gf64)
+    assert err.value.code == "CORRUPT_FILE"
+
+
 def test_codeword_file_corruption(tmp_path, gf64):
     path = tmp_path / "cw.txt"
     path.write_text("plan_digest=x\nn=3\ndegree_bits=6\n01\n02\n")
