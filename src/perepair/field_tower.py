@@ -28,9 +28,9 @@ exponents are arbitrary-precision throughout.
 from __future__ import annotations
 
 import math
-from itertools import count
+from itertools import compress, count
 
-from .errors import PERepairError
+from .errors import PERepairError, check_invariant
 
 __all__ = [
     "FieldCtx",
@@ -308,17 +308,24 @@ _trial_primes_bound = 1
 
 
 def _trial_primes(x: int):
-    """Every prime up to min(isqrt(x), 10^6), enough to trial-divide x;
-    the largest sieve built so far is kept and reused."""
-    global _trial_primes_cache, _trial_primes_bound
+    """Every prime up to min(isqrt(x), 10^6), enough to trial-divide x.
+
+    The list only grows: a larger bound sieves just the new segment, with
+    the primes up to its square root, so each number is sieved once."""
+    global _trial_primes_bound
     limit = min(math.isqrt(x), _TRIAL_LIMIT)
     if limit > _trial_primes_bound:
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(limit) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _trial_primes_cache = [i for i in range(limit + 1) if sieve[i]]
+        root = math.isqrt(limit)
+        if root > _trial_primes_bound:
+            _trial_primes(root * root)
+        lo = _trial_primes_bound + 1
+        seg = bytearray([1]) * (limit + 1 - lo)
+        for p in _trial_primes_cache:
+            if p > root:
+                break
+            first = max(p * p, -(-lo // p) * p) - lo
+            seg[first::p] = bytes(len(range(first, len(seg), p)))
+        _trial_primes_cache.extend(compress(range(lo, limit + 1), seg))
         _trial_primes_bound = limit
     return _trial_primes_cache
 
@@ -737,7 +744,7 @@ class FieldCtx:
             y = self._frob(y, m)
             if y == v:
                 return d
-        raise AssertionError("element degree did not divide the tower")
+        check_invariant(False, "element degree did not divide the tower")
 
     def __repr__(self):
         return f"FieldCtx(GF(2^{self.degree_bits}), modulus=0x{self.modulus_hex})"
@@ -764,11 +771,11 @@ class SubfieldHandle:
             exp = ctx.order // ((1 << m) - 1)
             gen = FieldElem(ctx, ctx._pow(ctx.generator.v, exp))
         self.canonical_generator = gen
-        if m > 1 and ctx._degree_over(gen.v, 1) != m:
-            raise AssertionError(
-                "canonical subfield generator is not defining; "
-                "the ambient generator cannot be primitive"
-            )
+        check_invariant(
+            m == 1 or ctx._degree_over(gen.v, 1) == m,
+            "canonical subfield generator is not defining; "
+            "the ambient generator cannot be primitive",
+        )
         self.order_verified = ctx.generator_verified
         self._order_factors = None
         self._gf2_basis = None

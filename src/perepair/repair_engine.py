@@ -3,9 +3,11 @@
 The engine recovers one erased RS symbol without touching the failed node's
 exclusion group.  Every helper is sent multipliers, returns subfield traces
 of (multiplier * stored symbol), and the decoder reassembles the erased
-symbol through a trace-dual basis.  Bandwidth is counted in exact bits:
-a GF(2^m) response is m bits, and at the canonical locality the total equals
-the cut-set bound.
+symbol through a trace-dual basis.  That basis comes from one Gram solve
+per preparation, which is also the certificate that the query basis spans
+E (for Construction 1, Lemma 1's span condition).  Bandwidth is counted in
+exact bits: a GF(2^m) response is m bits, and at the canonical locality the
+total equals the cut-set bound.
 
 The two schemes share their skeleton and differ in the query plan:
 
@@ -38,20 +40,23 @@ __all__ = [
 
 
 class RepairSubspace:
-    """Verified repair subspace over a residue subfield.
+    """Certified repair subspace over a residue subfield.
 
     basis spans S over ``subfield``; ``beta`` is the ambient generator used
     to build it and ``exponent`` the point exponent e of the span condition
-    S + a^e S + ... + a^{e(s-1)} S = E.
+    S + a^e S + ... + a^{e(s-1)} S = E.  ``duals`` is the trace-dual of the
+    shifted set {b_m * a^(e*w)}, ordered m-major, which certifies that
+    condition (lemma1_subspace); subspaces built by hand may leave it None.
     """
 
-    __slots__ = ("subfield", "basis", "beta", "exponent")
+    __slots__ = ("subfield", "basis", "beta", "exponent", "duals")
 
-    def __init__(self, subfield, basis, beta, exponent):
+    def __init__(self, subfield, basis, beta, exponent, duals=None):
         self.subfield = subfield
         self.basis = basis
         self.beta = beta
         self.exponent = exponent
+        self.duals = duals
 
 
 class RepairTranscript:
@@ -129,11 +134,13 @@ def lemma1_subspace(plan, group: int, e: int = 1, helper_groups=None) -> RepairS
     by a power basis of the intermediate subfield.  Each node of the group
     needs its own exponent (see relative_exponent); a single subspace does
     not shift-span for the other points of the group.  One check certifies
-    the result: verify_span's GF(2)-rank test of the span condition for
-    alpha_1^e.  The s shifts of the p_i * u_i / u-bar candidate vectors
-    give exactly N rows, so full rank also proves the vectors independent
-    over GF(q^{u-bar}).  If the ambient generator fails as beta, small
-    powers of it are tried in order.
+    the result: the trace-dual of the s shifts of the p_i * u_i / u-bar
+    candidate vectors.  They number exactly N / (bits of GF(q^{u-bar})),
+    and the trace form is nondegenerate, so dual_basis's Gram matrix is
+    nonsingular exactly when they span E, which is the span condition for
+    alpha_1^e and also proves the candidates independent over GF(q^{u-bar}).
+    The duals are kept for the repair.  If the ambient generator fails as
+    beta, small powers of it are tried in order.
     """
     if plan.construction != 1:
         raise ValueError("repair subspaces of this shape exist for construction 1")
@@ -168,6 +175,33 @@ def lemma1_subspace(plan, group: int, e: int = 1, helper_groups=None) -> RepairS
         raise ValueError("helper groups must exclude the repaired group's prime")
     sub = ctx.subfield(a * ubar)
     alpha_e = g.points[0] ** e
+    for beta, vectors in _lemma1_candidates(plan, group, alpha_e, ubar):
+        shifted = BasisOverSubfield(sub, _shifts(vectors, alpha_e, s),
+                                    validate=False)
+        try:
+            duals = dual_basis(shifted)
+        except PERepairError as err:
+            if err.code != "SINGULAR_GRAM":
+                raise
+            continue
+        subspace = RepairSubspace(
+            sub, BasisOverSubfield(sub, vectors, validate=False), beta, e,
+            duals.vectors)
+        plan._cache[cache_key] = subspace
+        return subspace
+    raise PERepairError(
+        "SPAN_FAILURE", f"no workable beta among g^1..g^32 for group {g.index}"
+    )
+
+
+def _lemma1_candidates(plan, group: int, alpha_e, ubar: int):
+    """(beta, candidate vectors) of lemma1_subspace for beta = g^1..g^32,
+    in order, for the point alpha_e and residue field GF(q^ubar)."""
+    ctx = plan.ctx
+    a = plan.base_bits
+    s = plan.s
+    p_i = plan.groups[group].prime
+    u_i = plan.u_list[group]
 
     lift = [ctx.one]
     if u_i != ubar:
@@ -194,15 +228,18 @@ def lemma1_subspace(plan, group: int, e: int = 1, helper_groups=None) -> RepairS
             closing = closing + beta_t * top
             beta_t = beta_t * beta
         base.append(closing)
-        vectors = [b * f for b in base for f in lift]
-        basis = BasisOverSubfield(sub, vectors, validate=False)
-        subspace = RepairSubspace(sub, basis, beta, e)
-        if verify_span(subspace, g.points[0], s):
-            plan._cache[cache_key] = subspace
-            return subspace
-    raise PERepairError(
-        "SPAN_FAILURE", f"no workable beta among g^1..g^32 for group {g.index}"
-    )
+        yield beta, [b * f for b in base for f in lift]
+
+
+def _shifts(vectors, alpha, count: int):
+    """[v * alpha^w for v in vectors for w < count]: the order of the
+    repair's basis B_{m,w}."""
+    out = []
+    for v in vectors:
+        for _ in range(count):
+            out.append(v)
+            v = v * alpha
+    return out
 
 
 def verify_span(S: RepairSubspace, alpha, s: int) -> bool:
@@ -272,20 +309,23 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
     """The repair skeleton both constructions share.
 
     ``shape()`` gives the query plan: (helpers, response subfield, query
-    basis E, number of point powers W).  Helper j is asked for the traces of
-    e * h(alpha_j) * v_j * c_j for every e in E, where h annihilates the
-    silenced points and v is the dual code's column multiplier; the failed
-    symbol is rebuilt through the trace-dual of the basis
-    B_{m,w} = e_m * alpha_f^w * h(alpha_f) * v_f.  B is not checked for
-    independence on its own: the trace form is nondegenerate, so dual_basis's
-    Gram matrix is singular, and it raises SINGULAR_GRAM, exactly when B is
-    not a basis.  The preparation is cached per (failed, d).
+    basis E, number of point powers W, duals), where duals is the trace-dual
+    of the unscaled basis {e_m * alpha_f^w}, m-major: lemma1_subspace's
+    certificate for Construction 1, the power basis's Gram solve for
+    Construction 2.  Helper j is asked for the traces of e * h(alpha_j) *
+    v_j * c_j for every e in E, where h annihilates the silenced points and
+    v is the dual code's column multiplier; the failed symbol is rebuilt
+    through the trace-dual of B_{m,w} = e_m * alpha_f^w * c with
+    c = h(alpha_f) * v_f.  If Tr(u_i d_j) = delta_ij then
+    Tr((c u_i)(c^-1 d_j)) = delta_ij, so that dual is the shape's duals
+    times c^-1: one inversion, no second Gram solve.  The preparation is
+    cached per (failed, d).
     """
     ctx = plan.ctx
     key = ("repair", failed, d)
     prep = plan._cache.get(key)
     if prep is None:
-        helpers, sub, E, W = shape()
+        helpers, sub, E, W, duals = shape()
         helper_set = set(helpers)
         silenced = [
             plan.eval_set.points[i]
@@ -307,16 +347,9 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
             for _ in range(W - 1):
                 pows.append(pows[-1] * alpha_h)
             helper_pows.append(pows)
-        alpha_f = plan.eval_set.points[failed]
-        f_mult = poly_eval(h, alpha_f) * v.v[failed]
-        B = []
-        for e_m in E:
-            acc = e_m * f_mult
-            for _ in range(W):
-                B.append(acc)
-                acc = acc * alpha_f
-        duals = dual_basis(BasisOverSubfield(sub, B, validate=False))
-        prep = (helpers, sub, mults, helper_pows, duals.vectors, len(E), W)
+        f_inv = (poly_eval(h, plan.eval_set.points[failed]) * v.v[failed]).inverse()
+        prep = (helpers, sub, mults, helper_pows,
+                [d * f_inv for d in duals], len(E), W)
         plan._cache[key] = prep
     helpers, sub, mults, helper_pows, dual_vecs, dim_e, W = prep
 
@@ -369,7 +402,7 @@ def repair_c1(plan, codeword, failed: int, d: int | None = None) -> RepairTransc
         helpers, R = _helper_prefix(plan, gi, d)
         S = lemma1_subspace(plan, gi, relative_exponent(plan, failed),
                             helper_groups=R)
-        return helpers, S.subfield, S.basis, plan.s
+        return helpers, S.subfield, S.basis, plan.s, S.duals
 
     tr = _repair(plan, codeword, failed, d, shape)
     expected = d * plan.u * plan.base_bits
@@ -391,7 +424,9 @@ def repair_c2(plan, codeword, failed: int) -> RepairTranscript:
         group_nodes = set(plan.group_nodes(gi))
         helpers = [i for i in range(plan.n) if i not in group_nodes]
         sub = plan.ctx.subfield(plan.base_bits * plan.u_list[gi])
-        return helpers, sub, [plan.ctx.one], g.prime
+        powers = _shifts([plan.ctx.one], plan.eval_set.points[failed], g.prime)
+        duals = dual_basis(BasisOverSubfield(sub, powers, validate=False))
+        return helpers, sub, [plan.ctx.one], g.prime, duals.vectors
 
     tr = _repair(plan, codeword, failed, plan.n - g.t, shape)
     check_invariant(tr.bits_transmitted == tr.cutset_bits,

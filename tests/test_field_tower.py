@@ -200,6 +200,24 @@ def test_factor_integer_trial_limit_boundary():
     assert factor_integer(15) == [(3, 1), (5, 1)]
 
 
+def test_trial_primes_grow_by_segments(monkeypatch):
+    # the bounds one make_field(2310) asks for, in order, then a smaller one
+    monkeypatch.setattr(field_tower, "_trial_primes_cache", [])
+    monkeypatch.setattr(field_tower, "_trial_primes_bound", 1)
+
+    def by_trial_division(limit):
+        return [p for p in range(2, limit + 1)
+                if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+    for limit in (48, 774, 2954):
+        assert field_tower._trial_primes(limit * limit + limit) == \
+            by_trial_division(limit)
+    primes = field_tower._trial_primes(10 ** 13)
+    assert len(primes) == 78498 and primes[-1] == 999983
+    assert field_tower._trial_primes(100) is primes
+    assert field_tower._trial_primes_bound == 10 ** 6
+
+
 def test_factor_integer_timeout(monkeypatch):
     monkeypatch.setattr(field_tower, "_FACTOR_STEPS", 1 << 12)
     hard = (2 ** 89 - 1) * (2 ** 107 - 1)  # two large primes
@@ -384,6 +402,20 @@ def test_subfield_handles(gf4096):
     assert err.value.code == "NOT_A_SUBFIELD_DEGREE"
     with pytest.raises(PERepairError):
         gf4096.subfield(0)
+
+
+def test_unprimitive_generator_is_an_invariant_violation():
+    # a trusted generator is not checked up front: generator 1 of GF(2^4)
+    # gives a canonical GF(4) generator of degree 1, reported with a code
+    ctx = field_tower.FieldCtx(4, 0b10011, 1, (), 1, False)
+    with pytest.raises(PERepairError) as err:
+        ctx.subfield(2)
+    assert err.value.code == "INVARIANT_VIOLATION"
+    # under the reducible x^4 + 1, x^(2^d) never returns to x
+    ring = field_tower.FieldCtx(4, 0b10001, 2, (), 1, False)
+    with pytest.raises(PERepairError) as err:
+        ring._degree_over(0b10, 1)
+    assert err.value.code == "INVARIANT_VIOLATION"
 
 
 def test_subfield_membership_count(gf4096):

@@ -5,11 +5,14 @@ import pytest
 
 from perepair.constructions import build_plan_c1
 from perepair.errors import PERepairError
-from perepair.field_tower import BasisOverSubfield, degree_over
+from perepair import field_tower, repair_engine
+from perepair.field_tower import BasisOverSubfield, degree_over, dual_basis, trace_to
 from perepair.fixtures import example2
 from perepair.repair_engine import (
     RepairSubspace,
     _helper_prefix,
+    _lemma1_candidates,
+    _shifts,
     cutset_bits,
     lemma1_subspace,
     relative_exponent,
@@ -18,7 +21,15 @@ from perepair.repair_engine import (
     select_helpers_c1,
     verify_span,
 )
-from perepair.rs_codes import Codeword, MessagePoly, encode, naive_decode
+from perepair.rs_codes import (
+    Codeword,
+    MessagePoly,
+    annihilator,
+    dual_multipliers,
+    encode,
+    naive_decode,
+    poly_eval,
+)
 from perepair.storage_sim import fail_node, init_cluster, run_repair
 
 
@@ -80,6 +91,96 @@ def test_lemma1_subspace_is_specific_to_its_point(toy_c1):
         RepairSubspace(S.subfield, S.basis, S.beta, 1), second, 2
     )
     assert not rows_span
+    # the Gram solve that certifies subspaces rejects the same shifts
+    wrong = BasisOverSubfield(S.subfield, _shifts(S.basis, second, 2),
+                              validate=False)
+    with pytest.raises(PERepairError) as ei:
+        dual_basis(wrong)
+    assert ei.value.code == "SINGULAR_GRAM"
+
+
+def test_gram_acceptance_matches_verify_span(toy_c1):
+    # every candidate of g^1..g^32, for every node's exponent, shifted by
+    # each point of its group: the trace-dual Gram solve accepts exactly
+    # what verify_span's GF(2) rank accepts
+    outcomes = set()
+    for gi, g in enumerate(toy_c1.groups):
+        ubar = toy_c1.groups[1 - gi].prime
+        sub = toy_c1.ctx.subfield(ubar)
+        for node in toy_c1.group_nodes(gi):
+            e = relative_exponent(toy_c1, node)
+            alpha_e = g.points[0] ** e
+            for beta, vectors in _lemma1_candidates(toy_c1, gi, alpha_e, ubar):
+                basis = BasisOverSubfield(sub, vectors, validate=False)
+                for pt in g.points:
+                    shifted = _shifts(vectors, pt, toy_c1.s)
+                    try:
+                        dual_basis(BasisOverSubfield(sub, shifted,
+                                                     validate=False))
+                        gram_ok = True
+                    except PERepairError as err:
+                        assert err.code == "SINGULAR_GRAM"
+                        gram_ok = False
+                    rank_ok = verify_span(RepairSubspace(sub, basis, beta, 1),
+                                          pt, toy_c1.s)
+                    assert gram_ok == rank_ok
+                    outcomes.add(gram_ok)
+    assert outcomes == {True, False}
+
+
+def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
+    # the repair's duals of B = f_mult * {e_m * alpha_f^w} are the
+    # subspace's duals over f_mult, equal to a fresh Gram solve of B
+    rng = random.Random(808)
+    for plan in (toy_c1, toy_c1_wide):
+        cw = make_codeword(plan, rng)
+        for node in range(plan.n):
+            assert repair_c1(plan, cw, node).recovered == cw.symbols[node]
+            helpers, sub, _, _, dual_vecs, _, _ = plan._cache[
+                ("repair", node, plan.d)]
+            gi, _ = plan.locate(node)
+            e = relative_exponent(plan, node)
+            S = lemma1_subspace(plan, gi, e,
+                                helper_groups=_helper_prefix(plan, gi, plan.d)[1])
+            helper_set = set(helpers)
+            h = annihilator([plan.eval_set.points[i] for i in range(plan.n)
+                             if i not in helper_set and i != node], plan.ctx)
+            f_mult = (poly_eval(h, plan.eval_set.points[node])
+                      * dual_multipliers(plan.eval_set).v[node])
+            alpha_f = plan.eval_set.points[node]
+            B = [f_mult * u for u in _shifts(S.basis, alpha_f, plan.s)]
+            fresh = dual_basis(BasisOverSubfield(sub, B, validate=False))
+            assert list(dual_vecs) == list(fresh.vectors)
+
+
+def test_cold_repairs_certify_once_without_gf2_rank(monkeypatch):
+    # one Gram solve per cold preparation is the only span certificate
+    def forbidden(*args):
+        raise AssertionError("GF(2) rank on the repair path")
+
+    monkeypatch.setattr(field_tower, "gf2_rank", forbidden)
+    monkeypatch.setattr(repair_engine, "verify_span", forbidden)
+    calls = []
+    real = repair_engine.dual_basis
+
+    def counted(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(repair_engine, "dual_basis", counted)
+    rng = random.Random(1234)
+    fresh_c1 = build_plan_c1(1, [3, 3], s=2, primes=[3, 5])
+    c2 = example2().plan
+    monkeypatch.setattr(c2, "_cache", {})
+    for plan, fn in ((fresh_c1, repair_c1), (c2, repair_c2)):
+        cw = make_codeword(plan, rng)
+        for node in range(plan.n):
+            calls.clear()
+            assert fn(plan, cw, node).recovered == cw.symbols[node]
+            assert len(calls) == 1
+            calls.clear()
+            fn(plan, cw, node)  # prepared: no Gram solve at all
+            assert not calls
 
 
 def test_lemma1_bad_exponent(toy_c1):
@@ -319,18 +420,28 @@ def test_points_have_group_degree_and_subspaces_are_bases(toy_c1, toy_c2,
                                                           toy_c1_wide):
     # the library does not check these two facts itself: a point's degree
     # p_i over GF(q^{u_i}) follows from its group's primitivity check, and a
-    # subspace basis's independence from verify_span's full-rank test
+    # subspace basis's independence from the nonsingular Gram matrix of its
+    # s shifts, solved by lemma1_subspace; the duals it keeps are the
+    # trace-dual of those shifts
     for plan in (toy_c1, toy_c2, toy_c1_wide, example2().plan):
         for g, u_i in zip(plan.groups, plan.u_list):
             sub = plan.ctx.subfield(plan.base_bits * u_i)
             assert [degree_over(pt, sub) for pt in g.points] == [g.prime] * g.t
     for plan in (toy_c1, toy_c1_wide):
+        ctx = plan.ctx
         for node in range(plan.n):
             gi, _ = plan.locate(node)
             e = relative_exponent(plan, node)
+            alpha_e = plan.groups[gi].points[0] ** e
             for groups in (_helper_prefix(plan, gi, plan.d)[1], None):
                 S = lemma1_subspace(plan, gi, e, helper_groups=groups)
                 BasisOverSubfield(S.subfield, S.basis, validate=True)
+                shifted = _shifts(S.basis, alpha_e, plan.s)
+                assert len(S.duals) == len(shifted)
+                for i, u in enumerate(shifted):
+                    for j, dj in enumerate(S.duals):
+                        want = ctx.one if i == j else ctx.zero
+                        assert trace_to(u * dj, S.subfield) == want
 
 
 def test_repair_outputs_are_pinned(toy_c1, toy_c2, toy_c1_wide):
