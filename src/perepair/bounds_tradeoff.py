@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count, islice
 
 from .errors import check_invariant
+from .field_tower import _is_probable_prime
 
 __all__ = [
     "BoundQuery",
@@ -25,26 +27,10 @@ __all__ = [
     "first_primes",
 ]
 
-_prime_cache = [2, 3, 5, 7, 11, 13]
-
 
 def first_primes(m: int) -> list:
-    """The m smallest primes (incrementally extended and cached)."""
-    while len(_prime_cache) < m:
-        cand = _prime_cache[-1] + 2
-        while True:
-            composite = False
-            for p in _prime_cache:
-                if p * p > cand:
-                    break
-                if cand % p == 0:
-                    composite = True
-                    break
-            if not composite:
-                _prime_cache.append(cand)
-                break
-            cand += 2
-    return _prime_cache[:m]
+    """The m smallest primes."""
+    return list(islice(filter(_is_probable_prime, count(2)), m))
 
 
 class BoundQuery:

@@ -85,8 +85,6 @@ def find_primes_c1(s: int, l: int, min_t, base_bits: int = 1):
     cand = 1
     while len(out) < l:
         cand += 1
-        if any(cand % p == 0 for p in out):
-            continue
         if not _is_probable_prime(cand):
             continue
         if cand % s != 1 % s:
@@ -97,22 +95,53 @@ def find_primes_c1(s: int, l: int, min_t, base_bits: int = 1):
     return tuple(out)
 
 
-class _PlanBase:
-    """Shared plumbing: node addressing, evaluation set, digest."""
+# the int fields of each construction's plan file
+_PLAN_INTS = {1: ("base_bits", "s", "k"), 2: ("base_bits", "r")}
 
-    def _finish(self, groups):
-        self.groups = tuple(groups)
-        self.n = sum(g.t for g in groups)
-        self.t_max = max(g.t for g in groups)
+
+class _PlanBase:
+    """What both constructions share: the (prime, flexibility, points)
+    groups, u = prod p_i and u_i = u / p_i, node addressing, the evaluation
+    set, the plan-file payload and its digest.
+
+    groups_spec holds one (p, t, (points, exponents)) per group, and
+    _PLAN_INTS names each construction's int fields of the payload.  A
+    subclass sets those other than base_bits (s and k, or r) before calling
+    __init__, which takes the digest, and derives L (and k) after it.
+    """
+
+    def __init__(self, base_bits, groups_spec, ctx):
+        self.base_bits = base_bits
+        self.ctx = ctx
+        self.primes = tuple(p for p, _, _ in groups_spec)
+        self.u = math.prod(self.primes)
+        self.u_list = tuple(self.u // p for p in self.primes)
+        self.groups = tuple(
+            ExclusionGroup(i + 1, p, t, pts, exps)
+            for i, (p, t, (pts, exps)) in enumerate(groups_spec)
+        )
+        self.n = sum(g.t for g in self.groups)
+        self.t_max = max(g.t for g in self.groups)
         points = []
         node_group = []
-        for gi, g in enumerate(groups):
+        for gi, g in enumerate(self.groups):
             points.extend(g.points)
             node_group.extend([gi] * g.t)
-        self.eval_set = EvaluationSet(self.ctx, points)
+        self.eval_set = EvaluationSet(ctx, points)
         self._node_group = tuple(node_group)
         self.digest = digest_of(self.payload())
         self._cache = {}
+
+    def payload(self):
+        return {
+            "construction": self.construction,
+            **{name: getattr(self, name)
+               for name in _PLAN_INTS[self.construction]},
+            "primes": list(self.primes),
+            "t": [g.t for g in self.groups],
+            "point_exponents": [list(g.point_exponents) for g in self.groups],
+            "modulus_hex": self.ctx.modulus_hex,
+        }
 
     def locate(self, node: int):
         """Global node index -> (group position 0-based, offset in group)."""
@@ -131,62 +160,21 @@ class Construction1Plan(_PlanBase):
     construction = 1
 
     def __init__(self, base_bits, s, k, groups_spec, ctx):
-        self.base_bits = base_bits
         self.s = s
         self.k = k
         self.d = k + s - 1
-        self.ctx = ctx
-        self.primes = tuple(p for p, _, _ in groups_spec)
-        self.u = math.prod(self.primes)
-        self.u_list = tuple(self.u // p for p in self.primes)
+        super().__init__(base_bits, groups_spec, ctx)
         self.L = self.u * s  # sub-packetization in q-symbols
-        groups = [
-            ExclusionGroup(i + 1, p, t, pts, exps)
-            for i, (p, t, (pts, exps)) in enumerate(groups_spec)
-        ]
-        self._finish(groups)
-
-    def payload(self):
-        return {
-            "construction": 1,
-            "base_bits": self.base_bits,
-            "s": self.s,
-            "k": self.k,
-            "primes": list(self.primes),
-            "t": [g.t for g in self.groups],
-            "point_exponents": [list(g.point_exponents) for g in self.groups],
-            "modulus_hex": self.ctx.modulus_hex,
-        }
 
 
 class Construction2Plan(_PlanBase):
     construction = 2
 
     def __init__(self, base_bits, r, groups_spec, ctx):
-        self.base_bits = base_bits
         self.r = r
-        self.ctx = ctx
-        self.primes = tuple(p for p, _, _ in groups_spec)
-        self.u = math.prod(self.primes)
-        self.u_list = tuple(self.u // p for p in self.primes)
+        super().__init__(base_bits, groups_spec, ctx)
         self.L = self.u
-        groups = [
-            ExclusionGroup(i + 1, p, t, pts, exps)
-            for i, (p, t, (pts, exps)) in enumerate(groups_spec)
-        ]
-        self._finish(groups)
         self.k = self.n - r
-
-    def payload(self):
-        return {
-            "construction": 2,
-            "base_bits": self.base_bits,
-            "r": self.r,
-            "primes": list(self.primes),
-            "t": [g.t for g in self.groups],
-            "point_exponents": [list(g.point_exponents) for g in self.groups],
-            "modulus_hex": self.ctx.modulus_hex,
-        }
 
 
 def _resolve_points(ctx, base_bits, prime, t, exponents):
@@ -404,10 +392,6 @@ def save_plan(plan, path) -> None:
     payload = plan.payload()
     payload["digest"] = plan.digest
     atomic_write_text(path, canonical_json(payload) + "\n")
-
-
-# the int fields of each construction's plan file
-_PLAN_INTS = {1: ("base_bits", "s", "k"), 2: ("base_bits", "r")}
 
 
 def _plan_shape_error(payload):

@@ -14,7 +14,10 @@ every result depends on the inputs alone.
 Performance notes: multiplication is carry-less with a 4-bit window table
 of the longer operand, reduced by folding for sparse-tail moduli and by
 Barrett reduction (one clmul by x^(2N) div f, computed once) for dense-tail
-ones; squaring translates bytes through two nibble tables.  Primitivity is
+ones; squaring translates bytes through two nibble tables.  FieldCtx._fold
+is the only reducer: the Rabin irreducibility test squares through an
+arithmetic-only FieldCtx, and poly_mod is plain long division (poly_divmod)
+for the few reductions off the hot path.  Primitivity is
 one product-tree order test over the known primes of the group order
 (_order_test).  Subfield work is done in the
 subfield: a handle for K = GF(2^m) keeps m N-bit masks, one per coordinate
@@ -118,25 +121,9 @@ def _tail_shifts(f: int) -> tuple:
 
 def poly_mod(a: int, f: int) -> int:
     """a mod f for binary polynomials, f nonconstant."""
-    n = poly_degree(f)
-    if n < 1:
+    if poly_degree(f) < 1:
         raise ValueError("modulus must have degree >= 1")
-    if (f ^ (1 << n)).bit_length() - 1 <= n // 2:
-        # sparse/low tail: fold the overflow down through x^n = tail(x)
-        shifts = _tail_shifts(f)
-        mask = (1 << n) - 1
-        hi = a >> n
-        while hi:
-            a &= mask
-            for sh in shifts:
-                a ^= hi << sh
-            hi = a >> n
-        return a
-    da = poly_degree(a)
-    while da >= n:
-        a ^= f << (da - n)
-        da = poly_degree(a)
-    return a
+    return poly_divmod(a, f)[1]
 
 
 def poly_divmod(a: int, b: int) -> tuple:
@@ -172,7 +159,7 @@ def poly_inv_mod(a: int, f: int) -> int:
         s0, s1 = s1, s0 ^ clmul(q, s1)
     if r0 != 1:
         raise ValueError("element not invertible for this modulus")
-    return poly_mod(s0, f)
+    return s0  # degree deg f - deg(last remainder above 1) < deg f
 
 
 def poly_from_exponents(*exponents: int) -> int:
@@ -193,9 +180,10 @@ def is_irreducible(f: int) -> bool:
     if not (f & 1):
         return False  # divisible by x
     checkpoints = {n // p for p, _ in factor_integer(n)}
+    ring = FieldCtx(n, f, 1, (), 1, False)  # arithmetic only, as in make_field
     y = 2  # the polynomial x
     for j in range(1, n + 1):
-        y = poly_mod(clsq(y), f)
+        y = ring._sq(y)
         if j in checkpoints and poly_gcd(y ^ 2, f) != 1:
             return False
     return y == 2
@@ -218,8 +206,6 @@ def smallest_irreducible(n: int) -> int:
         f = base | mid
         if is_irreducible(f):
             return f
-        if b >= (1 << width) - 1:  # pragma: no cover - irreducibles exist
-            raise AssertionError("no irreducible polynomial found")
 
 
 def gf2_rank(rows) -> int:
@@ -349,7 +335,7 @@ _MR_BASES_LARGE = _MR_BASES_SMALL + (41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES_SMALL:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -944,9 +930,10 @@ def make_field(degree_bits: int, modulus: int | None = None) -> FieldCtx:
 
     With no modulus, picks the lexicographically smallest irreducible
     polynomial of that degree (coefficient vectors compared low-degree-first),
-    so repeated runs agree byte-for-byte.  The generator is the smallest
-    polynomial (as an integer) that is defining over GF(2) and passes the
-    order test against every known prime factor of 2^N - 1.
+    so repeated runs agree byte-for-byte; that context is also cached under
+    (degree_bits, None), so the search runs once per degree.  The generator
+    is the smallest polynomial (as an integer) that is defining over GF(2)
+    and passes the order test against every known prime factor of 2^N - 1.
 
     2^N - 1 is factored with a fixed cap of rho steps per composite, so the
     outcome depends on N alone.  When a composite survives the cap, the
@@ -957,9 +944,13 @@ def make_field(degree_bits: int, modulus: int | None = None) -> FieldCtx:
     """
     if degree_bits < 1:
         raise ValueError("degree_bits must be >= 1")
+    requested = (degree_bits, modulus)
+    cached = _field_cache.get(requested)
+    if cached is not None:
+        return cached
     if modulus is None:
         modulus = smallest_irreducible(degree_bits)
-    elif (degree_bits, modulus) not in _field_cache:
+    else:
         if poly_degree(modulus) != degree_bits:
             raise PERepairError(
                 "REDUCIBLE_MODULUS",
@@ -969,34 +960,28 @@ def make_field(degree_bits: int, modulus: int | None = None) -> FieldCtx:
             raise PERepairError("REDUCIBLE_MODULUS", "modulus is reducible")
 
     key = (degree_bits, modulus)
-    cached = _field_cache.get(key)
-    if cached is not None:
-        return cached
-
-    if degree_bits == 1:
+    ctx = _field_cache.get(key)
+    if ctx is None and degree_bits == 1:
         ctx = FieldCtx(1, modulus, 1, (), 1, True)
-        _field_cache[key] = ctx
-        return ctx
-
-    factors, cofactor, complete = _factor_mersenne_like(degree_bits)
-
-    order = (1 << degree_bits) - 1
-    probe = FieldCtx(degree_bits, modulus, 1, (), 1, False)  # arithmetic only
-    for generator_value in count(2):
-        # defining over GF(2), then of full order as far as factored
-        if (probe._degree_over(generator_value, 1) == degree_bits
-                and _order_test(probe, generator_value, order, list(factors))):
-            break
-
-    ctx = FieldCtx(
-        degree_bits,
-        modulus,
-        generator_value,
-        sorted(factors.items()),
-        cofactor,
-        complete,
-    )
-    _field_cache[key] = ctx
+    elif ctx is None:
+        factors, cofactor, complete = _factor_mersenne_like(degree_bits)
+        order = (1 << degree_bits) - 1
+        probe = FieldCtx(degree_bits, modulus, 1, (), 1, False)  # arithmetic only
+        for generator_value in count(2):
+            # defining over GF(2), then of full order as far as factored
+            if (probe._degree_over(generator_value, 1) == degree_bits
+                    and _order_test(probe, generator_value, order,
+                                    list(factors))):
+                break
+        ctx = FieldCtx(
+            degree_bits,
+            modulus,
+            generator_value,
+            sorted(factors.items()),
+            cofactor,
+            complete,
+        )
+    _field_cache[key] = _field_cache[requested] = ctx
     return ctx
 
 

@@ -8,6 +8,7 @@ nothing here runs when the module is imported.
 """
 
 from .constructions import build_plan_c1, build_plan_c2
+from .errors import check_invariant
 from .field_tower import make_field, smallest_irreducible
 from .rs_codes import MessagePoly, encode
 
@@ -54,7 +55,7 @@ def _root_exponent(ctx, degree_bits, poly_exponents):
             v ^= powers[(j * e) % order]
         if v == 0:
             return j
-    raise AssertionError("pinned minimal polynomial has no root in its subfield")
+    check_invariant(False, "pinned minimal polynomial has no root in its subfield")
 
 
 def _pin_exponents(ctx, degree_bits, poly_exponents, relative):

@@ -203,42 +203,30 @@ def _lemma1_candidates(plan, group: int, alpha_e, ubar: int):
     p_i = plan.groups[group].prime
     u_i = plan.u_list[group]
 
-    lift = [ctx.one]
-    if u_i != ubar:
-        delta = ctx.subfield(a * u_i).canonical_generator
-        for _ in range(u_i // ubar - 1):
-            lift.append(lift[-1] * delta)
-
-    generator = ctx.generator
+    delta = ctx.subfield(a * u_i).canonical_generator
+    lift = _shifts([ctx.one], delta, u_i // ubar)
+    step = alpha_e ** s
+    top = alpha_e ** (p_i - 1)
     for beta_exp in range(1, 33):
-        beta = generator ** beta_exp
-        base = []
-        beta_mu = ctx.one
-        for mu in range(s):
-            point_pow = alpha_e ** mu
-            step = alpha_e ** s
-            for _ in range((p_i - 1) // s):
-                base.append(beta_mu * point_pow)
-                point_pow = point_pow * step
-            beta_mu = beta_mu * beta
+        beta = ctx.generator ** beta_exp
+        # beta^mu * alpha_e^(mu + sigma*s), mu-major
+        base = _shifts(_shifts([ctx.one], beta * alpha_e, s), step,
+                       (p_i - 1) // s)
         closing = ctx.zero
-        beta_t = ctx.one
-        top = alpha_e ** (p_i - 1)
-        for _ in range(s):
-            closing = closing + beta_t * top
-            beta_t = beta_t * beta
+        for v in _shifts([top], beta, s):
+            closing = closing + v
         base.append(closing)
         yield beta, [b * f for b in base for f in lift]
 
 
 def _shifts(vectors, alpha, count: int):
-    """[v * alpha^w for v in vectors for w < count]: the order of the
-    repair's basis B_{m,w}."""
+    """[v * alpha^w for v in vectors for w < count], count >= 1: the order
+    of the repair's basis B_{m,w}."""
     out = []
     for v in vectors:
-        for _ in range(count):
-            out.append(v)
-            v = v * alpha
+        out.append(v)
+        for _ in range(count - 1):
+            out.append(out[-1] * alpha)
     return out
 
 
@@ -343,10 +331,7 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
             alpha_h = plan.eval_set.points[idx]
             base_mult = poly_eval(h, alpha_h) * v.v[idx]
             mults.append([e_m * base_mult for e_m in E])
-            pows = [ctx.one]
-            for _ in range(W - 1):
-                pows.append(pows[-1] * alpha_h)
-            helper_pows.append(pows)
+            helper_pows.append(_shifts([ctx.one], alpha_h, W))
         f_inv = (poly_eval(h, plan.eval_set.points[failed]) * v.v[failed]).inverse()
         prep = (helpers, sub, mults, helper_pows,
                 [d * f_inv for d in duals], len(E), W)

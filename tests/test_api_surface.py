@@ -39,12 +39,21 @@ def test_no_clock_in_library():
     assert offenders == []
 
 
+def _raises_assertion_error(node) -> bool:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_in_library():
-    # python -O strips assert statements, so no runtime check may be one
+    # python -O strips assert statements, so no runtime check may be one;
+    # a failed check raises a coded error (errors.check_invariant), never
+    # a bare AssertionError
     offenders = []
     for path in sorted(Path(perepair.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Assert):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Raise) and node.exc is not None
+                    and _raises_assertion_error(node)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 

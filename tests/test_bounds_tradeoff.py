@@ -11,12 +11,16 @@ from perepair.bounds_tradeoff import (
     tradeoff_csv,
     tradeoff_table,
 )
+from perepair.field_tower import _trial_primes
 
 
 def test_first_primes():
     assert first_primes(0) == []
     assert first_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert first_primes(25)[-1] == 97
+    # against field_tower's segmented sieve; the 2000th prime is 17,389
+    sieve = [p for p in _trial_primes(17390 ** 2) if p < 17390]
+    assert first_primes(2000) == sieve
 
 
 def test_min_subpacketization_uniform():

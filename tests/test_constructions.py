@@ -6,6 +6,7 @@ import pytest
 from perepair._util import digest_of
 from perepair.cli import main
 from perepair.constructions import (
+    _PLAN_INTS,
     _euler_phi,
     _phi_at_least,
     build_plan_c1,
@@ -17,6 +18,7 @@ from perepair.constructions import (
 )
 from perepair.errors import PERepairError
 from perepair.field_tower import is_primitive_in_subfield
+from perepair.fixtures import example2
 
 
 def test_find_primes_smallest_admissible():
@@ -192,15 +194,35 @@ def test_duplicate_points_rejected():
     assert ei.value.code == "DUPLICATE_INDEX"
 
 
-def test_digest_freezes_plan_identity(toy_c1, toy_c2):
+def test_digest_freezes_plan_identity(toy_c1, toy_c2, toy_c1_wide):
     assert toy_c1.digest == (
         "e4fbb57c7d2da305b23d9c829bb8eb22e9f9a4356cb40527a97180d2ab6348b2"
+    )
+    assert toy_c2.digest == (
+        "22b581fd0de228b9640e36512d5571dc0b6aa2ef47da21d388654cde503e8c3f"
+    )
+    assert example2().plan.digest == (
+        "424e751317856f1f4daaae31af5c361fc9f5c43d3d3fece3f9eed7d6aefd0ff0"
+    )
+    # the benchmark's wide plan: default primes and dense-tail modulus
+    wide = build_plan_c1(1, [3, 3, 3], s=2, k=2)
+    assert wide.digest == toy_c1_wide.digest == (
+        "e1328b97b6f99a10822f37e3d0dee07156a1c2318095091451dd97592a14ee4a"
     )
     rebuilt = build_plan_c1(1, [3, 3], s=2, primes=[3, 5])
     assert rebuilt.digest == toy_c1.digest
     other = build_plan_c1(1, [3, 2], s=2, primes=[3, 5])
     assert other.digest != toy_c1.digest
     assert toy_c2.digest != toy_c1.digest
+
+
+def test_payload_holds_the_plan_file_fields(toy_c1, toy_c2):
+    shared = {"construction", "primes", "t", "point_exponents", "modulus_hex"}
+    for plan in (toy_c1, toy_c2):
+        payload = plan.payload()
+        assert set(payload) == shared | set(_PLAN_INTS[plan.construction])
+        assert payload["construction"] == plan.construction
+        assert digest_of(payload) == plan.digest
 
 
 def test_plan_file_roundtrip(tmp_path, toy_c1, toy_c2):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from perepair import field_tower
+from perepair import field_tower, fixtures
 from perepair.errors import PERepairError
 from perepair.field_tower import (
     BasisOverSubfield,
@@ -81,9 +81,11 @@ def test_kernels_match_shift_and_xor_at_2310_bits():
 def test_poly_inv_mod_round_trip_under_example1_modulus():
     rng = random.Random(8)
     for a in [1, 2, 3, rng.getrandbits(16)] + [
-            rng.getrandbits(2310) for _ in range(3)]:
+            rng.getrandbits(2310) for _ in range(3)] + [
+            rng.getrandbits(2400) | (1 << 2399)]:
         inv = poly_inv_mod(a, EXAMPLE1_MODULUS)
-        assert inv.bit_length() <= 2310
+        # the Bezout coefficient is returned as is, so it must be reduced
+        assert 0 <= field_tower.poly_degree(inv) < 2310
         assert poly_mod(_shift_xor_product(a, inv), EXAMPLE1_MODULUS) == 1
 
 
@@ -133,8 +135,9 @@ def test_irreducible_small_tables():
 
 @pytest.mark.parametrize(
     "degree,count",
-    [(2, 1), (3, 2), (4, 3), (5, 6), (6, 9), (8, 30)],
-    # necklace counts: (1/n) * sum_{d|n} mu(d) 2^(n/d)
+    [(2, 1), (3, 2), (4, 3), (5, 6), (6, 9), (8, 30), (9, 56), (10, 99)],
+    # necklace counts: (1/n) * sum_{d|n} mu(d) 2^(n/d); degrees 9 and 10
+    # take every tail through both ring folds, sparse and Barrett
 )
 def test_irreducible_census(degree, count):
     found = sum(
@@ -155,6 +158,9 @@ def test_smallest_irreducible_frozen():
         f = smallest_irreducible(n)
         assert f.bit_length() - 1 == n
         assert is_irreducible(f)
+    # the default moduli of example2's GF(2^60) and the wide GF(2^210) plans
+    assert smallest_irreducible(60) == poly_from_exponents(60, 59, 0)
+    assert smallest_irreducible(210) == poly_from_exponents(210, 203, 0)
 
 
 def test_gf2_rank():
@@ -317,6 +323,16 @@ def test_make_field_defaults_deterministic():
     assert prod == a.order
 
 
+def test_make_field_caches_the_default_modulus(monkeypatch):
+    ctx = make_field(12)
+
+    def no_search(n):
+        raise AssertionError(f"searched again for a degree-{n} modulus")
+
+    monkeypatch.setattr(field_tower, "smallest_irreducible", no_search)
+    assert make_field(12) is ctx
+
+
 def test_default_generators_are_pinned():
     pinned = {4: 2, 6: 2, 8: 6, 12: 6, 30: 19, 60: 2, 210: 25}
     assert {n: make_field(n).generator.v for n in pinned} == pinned
@@ -415,6 +431,13 @@ def test_unprimitive_generator_is_an_invariant_violation():
     ring = field_tower.FieldCtx(4, 0b10001, 2, (), 1, False)
     with pytest.raises(PERepairError) as err:
         ring._degree_over(0b10, 1)
+    assert err.value.code == "INVARIANT_VIOLATION"
+
+
+def test_unrooted_pin_is_an_invariant_violation():
+    # x^2 + x + 1 has no root in GF(8)
+    with pytest.raises(PERepairError) as err:
+        fixtures._root_exponent(make_field(6), 3, (2, 1, 0))
     assert err.value.code == "INVARIANT_VIOLATION"
 
 
