@@ -249,6 +249,28 @@ def _check_c1(base_bits, s, k, pairs):
     return n, t_max, k
 
 
+def _c1_groups(base_bits, s, t_list, primes, point_exponents=None):
+    """(prime, t, exponents) of each Construction-1 group, in plan order:
+    ascending flexibility, tie-broken by prime.  The i-th prime goes with
+    the i-th t; primes default to find_primes_c1's, matched to the t's
+    ascending."""
+    t_list = list(t_list)
+    if len(t_list) < 2 or min(t_list) < 1:
+        raise ValueError("need at least two groups with positive flexibility")
+    if primes is None:
+        if point_exponents is not None:
+            raise ValueError("explicit exponents require explicit primes")
+        t_list.sort()
+        primes = find_primes_c1(s, len(t_list), t_list, base_bits)
+    primes = [int(p) for p in primes]
+    if len(primes) != len(t_list):
+        raise ValueError("one prime per group")
+    exps = [None] * len(t_list) if point_exponents is None else list(point_exponents)
+    if len(exps) != len(t_list):
+        raise ValueError("one exponent list per group")
+    return sorted(zip(primes, t_list, exps), key=lambda g: (g[1], g[0]))
+
+
 def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
                   primes=None, point_exponents=None, modulus=None):
     """Resolve and validate a Construction-1 plan.
@@ -273,36 +295,14 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
             stacklevel=2,
         )
 
-    t_list = list(t_list)
-    if len(t_list) < 2 or min(t_list) < 1:
-        raise ValueError("need at least two groups with positive flexibility")
-    if primes is None:
-        order = sorted(range(len(t_list)), key=lambda i: t_list[i])
-        primes = find_primes_c1(s, len(t_list), [t_list[i] for i in order], base_bits)
-        pairs = [(primes[rank], t_list[i]) for rank, i in enumerate(order)]
-        if point_exponents is not None:
-            raise ValueError("explicit exponents require explicit primes")
-    else:
-        primes = [int(p) for p in primes]
-        if len(primes) != len(t_list):
-            raise ValueError("one prime per group")
-        pairs = list(zip(primes, t_list))
-    # normalize to ascending flexibility, tie-broken by prime
-    exps = list(point_exponents) if point_exponents is not None else [None] * len(pairs)
-    if len(exps) != len(pairs):
-        raise ValueError("one exponent list per group")
-    triples = sorted(zip(pairs, exps), key=lambda z: (z[0][1], z[0][0]))
-    pairs = [pt for pt, _ in triples]
-    exps = [e for _, e in triples]
-
-    n, t_max, k = _check_c1(base_bits, s, k, pairs)
-    u = math.prod(p for p, _ in pairs)
+    groups = _c1_groups(base_bits, s, t_list, primes, point_exponents)
+    n, t_max, k = _check_c1(base_bits, s, k, [(p, t) for p, t, _ in groups])
+    u = math.prod(p for p, _, _ in groups)
     degree = base_bits * u * s
     ctx = make_field(degree, modulus)
 
     groups_spec = [
-        (p, t, _resolve_points(ctx, base_bits, p, t, e))
-        for (p, t), e in zip(pairs, exps)
+        (p, t, _resolve_points(ctx, base_bits, p, t, e)) for p, t, e in groups
     ]
     return Construction1Plan(base_bits, s, k, groups_spec, ctx)
 
@@ -373,15 +373,13 @@ class C1Parameters:
 
 
 def c1_parameters(base_bits, t_list, *, s, k=None, primes=None) -> C1Parameters:
-    """Resolve Construction-1 numerology without building GF(q^{us})."""
-    t_list = sorted(t_list)
-    if primes is None:
-        primes = find_primes_c1(s, len(t_list), t_list, base_bits)
-    primes = sorted(primes)
-    if len(primes) != len(t_list):
-        raise ValueError("one prime per group")
-    n, t_max, k = _check_c1(base_bits, s, k, list(zip(primes, t_list)))
-    return C1Parameters(base_bits, s, k, k + s - 1, n, t_max, tuple(primes),
+    """Resolve Construction-1 numerology without building GF(q^{us}):
+    the groups pair up and sort exactly as in build_plan_c1, and
+    ``primes`` follows that group order."""
+    pairs = [(p, t) for p, t, _ in _c1_groups(base_bits, s, t_list, primes)]
+    n, t_max, k = _check_c1(base_bits, s, k, pairs)
+    primes = tuple(p for p, _ in pairs)
+    return C1Parameters(base_bits, s, k, k + s - 1, n, t_max, primes,
                         math.prod(primes))
 
 

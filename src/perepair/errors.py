@@ -8,10 +8,10 @@ validation (exit 3)
     REDUCIBLE_MODULUS, ZERO_INVERSE, NOT_A_SUBFIELD_DEGREE, SINGULAR_GRAM,
     DIMENSION_EXCEEDS_LENGTH, DEGREE_TOO_HIGH, DUPLICATE_INDEX,
     INSUFFICIENT_PRIMITIVES, RATE_VIOLATION, BAD_PRIME, CONSTRAINT_VIOLATION,
-    BAD_EXPONENT, LOCALITY_OUT_OF_RANGE, PLAN_MISMATCH, TOO_FEW_HELPERS,
-    ALREADY_FAILED, SECOND_FAILURE_UNSUPPORTED, DIGEST_MISMATCH,
-    CORRUPT_FILE, and NO_FAILED_NODE (artifact-level plumbing: run_repair
-    called on a healthy cluster)
+    LOCALITY_OUT_OF_RANGE, PLAN_MISMATCH, TOO_FEW_HELPERS, ALREADY_FAILED,
+    SECOND_FAILURE_UNSUPPORTED, DIGEST_MISMATCH, CORRUPT_FILE, and
+    NO_FAILED_NODE (artifact-level plumbing: run_repair called on a healthy
+    cluster)
 repair verification (exit 4)
     REPAIR_VERIFICATION_FAILED (CLI-level; repairs that finish but do not
     match ground truth), INVARIANT_VIOLATION (a bit count or the trade-off
@@ -36,7 +36,6 @@ VALIDATION_CODES = frozenset({
     "RATE_VIOLATION",
     "BAD_PRIME",
     "CONSTRAINT_VIOLATION",
-    "BAD_EXPONENT",
     "LOCALITY_OUT_OF_RANGE",
     "PLAN_MISMATCH",
     "TOO_FEW_HELPERS",

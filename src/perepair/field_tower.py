@@ -559,7 +559,8 @@ class FieldElem:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx.modulus, self.v))
+        # equal to ints of the same value, so it hashes like one
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0
@@ -739,30 +740,21 @@ class FieldCtx:
 class SubfieldHandle:
     """GF(2^m) inside a FieldCtx, addressed by its canonical generator
     g^((2^N-1)/(2^m-1)).
-
-    ``order_verified`` is True when the ambient generator's primitivity is
-    fully verified (then the canonical generator provably has order 2^m - 1);
-    trusted-generator contexts propagate their caveat here.
     """
 
-    __slots__ = ("ctx", "degree_bits", "canonical_generator", "order_verified",
+    __slots__ = ("ctx", "degree_bits", "canonical_generator",
                  "_order_factors", "_gf2_basis", "_minpoly", "_trace_masks")
 
     def __init__(self, ctx: FieldCtx, m: int):
         self.ctx = ctx
         self.degree_bits = m
-        if m == ctx.degree_bits:
-            gen = ctx.generator
-        else:
-            exp = ctx.order // ((1 << m) - 1)
-            gen = FieldElem(ctx, ctx._pow(ctx.generator.v, exp))
+        gen = FieldElem(ctx, ctx._pow(ctx.generator.v, ctx.order // ((1 << m) - 1)))
         self.canonical_generator = gen
         check_invariant(
             m == 1 or ctx._degree_over(gen.v, 1) == m,
             "canonical subfield generator is not defining; "
             "the ambient generator cannot be primitive",
         )
-        self.order_verified = ctx.generator_verified
         self._order_factors = None
         self._gf2_basis = None
         self._minpoly = None

@@ -14,7 +14,8 @@ The two schemes share their skeleton and differ in the query plan:
 * Construction 1 (locality d, shift count s = d - k + 1): the helper prefix
   R of groups defines a residue subfield GF(q^{u-bar}); each helper answers
   one query per basis element of a repair subspace S with
-  dim_{GF(q^{u-bar})} S = u/u-bar.
+  dim_{GF(q^{u-bar})} S = u/u-bar.  S is built for the failed node's own
+  point alpha, so it is addressed by (node, R).
 * Construction 2: all survivors outside the failed group help, one query
   each, responses in GF(q^{u_i}).
 """
@@ -30,7 +31,6 @@ __all__ = [
     "RepairSubspace",
     "RepairTranscript",
     "cutset_bits",
-    "relative_exponent",
     "lemma1_subspace",
     "verify_span",
     "select_helpers_c1",
@@ -40,22 +40,21 @@ __all__ = [
 
 
 class RepairSubspace:
-    """Certified repair subspace over a residue subfield.
+    """Certified repair subspace of one node over a residue subfield.
 
     basis spans S over ``subfield``; ``beta`` is the ambient generator used
-    to build it and ``exponent`` the point exponent e of the span condition
-    S + a^e S + ... + a^{e(s-1)} S = E.  ``duals`` is the trace-dual of the
-    shifted set {b_m * a^(e*w)}, ordered m-major, which certifies that
-    condition (lemma1_subspace); subspaces built by hand may leave it None.
+    to build it.  ``duals`` is the trace-dual of the shifted set
+    {b_m * alpha^w}, ordered m-major, alpha the node's point, which
+    certifies the span condition S + alpha S + ... + alpha^{s-1} S = E
+    (lemma1_subspace); subspaces built by hand may leave it None.
     """
 
-    __slots__ = ("subfield", "basis", "beta", "exponent", "duals")
+    __slots__ = ("subfield", "basis", "beta", "duals")
 
-    def __init__(self, subfield, basis, beta, exponent, duals=None):
+    def __init__(self, subfield, basis, beta, duals=None):
         self.subfield = subfield
         self.basis = basis
         self.beta = beta
-        self.exponent = exponent
         self.duals = duals
 
 
@@ -110,73 +109,46 @@ def cutset_bits(d_helpers: int, k: int, L_qsyms: int, base_bits: int) -> int:
     return -(-num // den) * base_bits
 
 
-def relative_exponent(plan, node: int) -> int:
-    """Exponent e with (first group point)^e == the node's point.
+def lemma1_subspace(plan, node: int, helper_groups=None) -> RepairSubspace:
+    """Repair subspace of one Construction-1 node, over GF(q^{u-bar}).
 
-    Point exponents are stored relative to the group subfield's canonical
-    generator, so e is their ratio mod q^{p_i}-1 (the first exponent is a
-    unit because the point is primitive).
-    """
-    gi, off = plan.locate(node)
-    g = plan.groups[gi]
-    order = (1 << (plan.base_bits * g.prime)) - 1
-    return g.point_exponents[off] * pow(g.point_exponents[0], -1, order) % order
-
-
-def lemma1_subspace(plan, group: int, e: int = 1, helper_groups=None) -> RepairSubspace:
-    """Repair subspace for one point of a Construction-1 group, over
-    GF(q^{u-bar}).
-
-    The subspace belongs to the point alpha_1^e (alpha_1 = the group's
-    first point): its base layer is the s-shift set
-    {beta^mu * (alpha_1^e)^(mu + sigma*s)} plus the closing sum element,
-    lifted from GF(q^{u_i}) down to the residue field of the helper groups
-    by a power basis of the intermediate subfield.  Each node of the group
-    needs its own exponent (see relative_exponent); a single subspace does
-    not shift-span for the other points of the group.  One check certifies
-    the result: the trace-dual of the s shifts of the p_i * u_i / u-bar
-    candidate vectors.  They number exactly N / (bits of GF(q^{u-bar})),
-    and the trace form is nondegenerate, so dual_basis's Gram matrix is
-    nonsingular exactly when they span E, which is the span condition for
-    alpha_1^e and also proves the candidates independent over GF(q^{u-bar}).
-    The duals are kept for the repair.  If the ambient generator fails as
-    beta, small powers of it are tried in order.
+    The subspace belongs to the node's point alpha (Lemma 1: S + alpha S +
+    ... + alpha^{s-1} S = E): its base layer is the s-shift set
+    {beta^mu * alpha^(mu + sigma*s)} plus the closing sum element, lifted
+    from GF(q^{u_i}) down to the residue field of the helper groups by a
+    power basis of the intermediate subfield.  Each node needs its own
+    subspace; one built for a point does not shift-span for the other
+    points of its group.  One check certifies the result: the trace-dual
+    of the s shifts of the p_i * u_i / u-bar candidate vectors.  They
+    number exactly N / (bits of GF(q^{u-bar})), and the trace form is
+    nondegenerate, so dual_basis's Gram matrix is nonsingular exactly when
+    they span E, which is the span condition for alpha and also proves the
+    candidates independent over GF(q^{u-bar}).  The duals are kept for the
+    repair.  If the ambient generator fails as beta, small powers of it
+    are tried in order.  Helper groups default to every other group.
     """
     if plan.construction != 1:
         raise ValueError("repair subspaces of this shape exist for construction 1")
-    g = plan.groups[group]
+    group, _ = plan.locate(node)
     if helper_groups is None:
         helper_groups = tuple(j for j in range(len(plan.groups)) if j != group)
     helper_groups = tuple(helper_groups)
     if group in helper_groups or not helper_groups:
         raise ValueError("helper groups must be nonempty and exclude the failed group")
-    cache_key = ("subspace", group, e, helper_groups)
+    cache_key = ("subspace", node, helper_groups)
     cached = plan._cache.get(cache_key)
     if cached is not None:
         return cached
 
-    ctx = plan.ctx
-    a = plan.base_bits
-    q = 1 << a
-    s = plan.s
-    p_i = g.prime
-    order_i = q ** p_i - 1
-    if not 1 <= e < order_i or e % ((order_i) // (q - 1)) == 0:
-        raise PERepairError(
-            "BAD_EXPONENT",
-            f"e={e} must lie in [1, {order_i}) off multiples of {(order_i) // (q - 1)}",
-        )
-
-    u_i = plan.u_list[group]
     ubar = 1
     for j in helper_groups:
         ubar *= plan.groups[j].prime
-    if u_i % ubar:
+    if plan.u_list[group] % ubar:
         raise ValueError("helper groups must exclude the repaired group's prime")
-    sub = ctx.subfield(a * ubar)
-    alpha_e = g.points[0] ** e
-    for beta, vectors in _lemma1_candidates(plan, group, alpha_e, ubar):
-        shifted = BasisOverSubfield(sub, _shifts(vectors, alpha_e, s),
+    sub = plan.ctx.subfield(plan.base_bits * ubar)
+    alpha = plan.eval_set.points[node]
+    for beta, vectors in _lemma1_candidates(plan, group, alpha, ubar):
+        shifted = BasisOverSubfield(sub, _shifts(vectors, alpha, plan.s),
                                     validate=False)
         try:
             duals = dual_basis(shifted)
@@ -185,18 +157,19 @@ def lemma1_subspace(plan, group: int, e: int = 1, helper_groups=None) -> RepairS
                 raise
             continue
         subspace = RepairSubspace(
-            sub, BasisOverSubfield(sub, vectors, validate=False), beta, e,
+            sub, BasisOverSubfield(sub, vectors, validate=False), beta,
             duals.vectors)
         plan._cache[cache_key] = subspace
         return subspace
     raise PERepairError(
-        "SPAN_FAILURE", f"no workable beta among g^1..g^32 for group {g.index}"
+        "SPAN_FAILURE", f"no workable beta among g^1..g^32 for node {node}"
     )
 
 
-def _lemma1_candidates(plan, group: int, alpha_e, ubar: int):
+def _lemma1_candidates(plan, group: int, alpha, ubar: int):
     """(beta, candidate vectors) of lemma1_subspace for beta = g^1..g^32,
-    in order, for the point alpha_e and residue field GF(q^ubar)."""
+    in order, for the point alpha of the group and residue field
+    GF(q^ubar)."""
     ctx = plan.ctx
     a = plan.base_bits
     s = plan.s
@@ -205,12 +178,12 @@ def _lemma1_candidates(plan, group: int, alpha_e, ubar: int):
 
     delta = ctx.subfield(a * u_i).canonical_generator
     lift = _shifts([ctx.one], delta, u_i // ubar)
-    step = alpha_e ** s
-    top = alpha_e ** (p_i - 1)
+    step = alpha ** s
+    top = alpha ** (p_i - 1)
     for beta_exp in range(1, 33):
         beta = ctx.generator ** beta_exp
-        # beta^mu * alpha_e^(mu + sigma*s), mu-major
-        base = _shifts(_shifts([ctx.one], beta * alpha_e, s), step,
+        # beta^mu * alpha^(mu + sigma*s), mu-major
+        base = _shifts(_shifts([ctx.one], beta * alpha, s), step,
                        (p_i - 1) // s)
         closing = ctx.zero
         for v in _shifts([top], beta, s):
@@ -231,13 +204,13 @@ def _shifts(vectors, alpha, count: int):
 
 
 def verify_span(S: RepairSubspace, alpha, s: int) -> bool:
-    """True iff S + a^e S + ... + a^{e(s-1)} S is the whole field,
-    by a GF(2)-rank computation."""
+    """True iff S + alpha S + ... + alpha^{s-1} S is the whole field, by a
+    GF(2)-rank computation: the predicate lemma1_subspace's Gram solve
+    stands in for, kept as an independent check."""
     from .field_tower import gf2_rank
 
     ctx = alpha.ctx
     sigma = S.subfield.gf2_basis()
-    alpha_e = alpha ** S.exponent
     rows = []
     shift = ctx.one
     for _ in range(s):
@@ -245,7 +218,7 @@ def verify_span(S: RepairSubspace, alpha, s: int) -> bool:
             bw = (shift * b).v
             for sg in sigma:
                 rows.append(ctx._mul(bw, sg))
-        shift = shift * alpha_e
+        shift = shift * alpha
     return gf2_rank(rows) == ctx.degree_bits
 
 
@@ -385,8 +358,7 @@ def repair_c1(plan, codeword, failed: int, d: int | None = None) -> RepairTransc
         # each helper answers one query per basis element of the s-shift
         # repair subspace S, over the helper prefix's residue field
         helpers, R = _helper_prefix(plan, gi, d)
-        S = lemma1_subspace(plan, gi, relative_exponent(plan, failed),
-                            helper_groups=R)
+        S = lemma1_subspace(plan, failed, helper_groups=R)
         return helpers, S.subfield, S.basis, plan.s, S.duals
 
     tr = _repair(plan, codeword, failed, d, shape)

@@ -28,7 +28,6 @@ from perepair.field_tower import (
 from perepair.fixtures import example1, example2
 from perepair.repair_engine import (
     lemma1_subspace,
-    relative_exponent,
     repair_c1,
     repair_c2,
     verify_span,
@@ -217,21 +216,16 @@ def test_criterion_7_algebra_property_suite(toy_c1, toy_c1_wide):
     # span condition: every node's repair subspace, with its own point's
     # power shifts, spans the whole symbol field over GF(2)
     for plan in (toy_c1, toy_c1_wide):
-        for gi, group in enumerate(plan.groups):
-            others = tuple(j for j in range(len(plan.groups)) if j != gi)
-            for off in range(group.t):
-                node = plan.group_nodes(gi)[off]
-                S = lemma1_subspace(
-                    plan, gi, relative_exponent(plan, node), helper_groups=others
-                )
-                assert verify_span(S, group.points[0], plan.s), (plan.n, node)
+        for node in range(plan.n):
+            S = lemma1_subspace(plan, node)
+            assert verify_span(S, plan.eval_set.points[node], plan.s), (plan.n, node)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
 
     # spot-check at degree 2310: the subspace used by the published repair
     ex = example1()
     helper_groups = (1, 2, 3)
-    S = lemma1_subspace(ex.plan, 0, 1, helper_groups=helper_groups)
-    assert verify_span(S, ex.plan.groups[0].points[0], ex.plan.s)
+    S = lemma1_subspace(ex.plan, 0, helper_groups=helper_groups)
+    assert verify_span(S, ex.plan.eval_set.points[0], ex.plan.s)
     total = time.monotonic() - t0
     print(f"criterion 7: PASS — axioms, dual bases, span checks ({total:.2f}s)")

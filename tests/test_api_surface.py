@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -20,6 +21,21 @@ def test_every_export_resolves(name):
     exported = getattr(module, "__all__", ())
     assert len(set(exported)) == len(exported), "duplicate __all__ entry"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark's tracer wraps these names by attribute; a rename would
+    # break a traced run with an AttributeError
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(short, fn) for table in (tracer.TRACED, tracer.COUNTED)
+             for short, fns in table.items() for fn in fns]
+    names += [tuple(name.split(".")) for name in tracer.REPAIRS]
+    missing = [f"{short}.{fn}" for short, fn in names
+               if not hasattr(importlib.import_module(f"perepair.{short}"), fn)]
+    assert missing == []
 
 
 def test_no_clock_in_library():

@@ -372,3 +372,9 @@ def test_c1_parameters_checks_primes_like_build_plan_c1():
         assert ei.value.code == "BAD_PRIME"
     with pytest.raises(ValueError):
         c1_parameters(1, [3, 3], s=2, primes=[3, 5, 7])
+    # the i-th prime goes with the i-th t in both: 3 carries the group of
+    # 7 points, more than phi(2^3 - 1) = 6 primitive elements
+    for build in (c1_parameters, build_plan_c1):
+        with pytest.raises(PERepairError) as ei:
+            build(1, [7, 3], s=2, primes=[3, 5])
+        assert ei.value.code == "INSUFFICIENT_PRIMITIVES"

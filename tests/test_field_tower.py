@@ -402,10 +402,23 @@ def test_cross_field_operations_rejected(gf16, gf64):
         gf16.elem(16)
 
 
+def test_elements_hash_like_the_ints_they_equal(gf16, gf64):
+    # == with an int must agree with hash, or dicts and sets split them
+    assert gf16.one == 1 and hash(gf16.one) == hash(1)
+    assert {1: "one"}.get(gf16.one) == "one"
+    assert {gf16.one, 1} == {1}
+    assert {gf16.elem(7): 0}.get(7) == 0
+    assert len({gf16.generator, gf16.elem(gf16.generator.v)}) == 1
+    # same value under different moduli: unequal even where hashes match
+    assert gf16.elem(2) != gf64.elem(2)
+
+
 # ---------------------------------------------------------------- subfields
 
 
 def test_subfield_handles(gf4096):
+    # the whole field's canonical generator is the ambient one
+    assert gf4096.subfield(12).canonical_generator == gf4096.generator
     for m in (1, 2, 3, 4, 6, 12):
         sub = gf4096.subfield(m)
         gamma = sub.canonical_generator

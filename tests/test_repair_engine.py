@@ -15,7 +15,6 @@ from perepair.repair_engine import (
     _shifts,
     cutset_bits,
     lemma1_subspace,
-    relative_exponent,
     repair_c1,
     repair_c2,
     select_helpers_c1,
@@ -56,41 +55,30 @@ def test_cutset_bits_needs_k_helpers():
     assert ei.value.code == "TOO_FEW_HELPERS"
 
 
-def test_relative_exponent(toy_c1, toy_c2):
-    assert [relative_exponent(toy_c1, i) for i in range(6)] == [1, 2, 3, 1, 2, 3]
-    # first group of the C2 toy: exponents relative to the first point
-    assert [relative_exponent(toy_c2, i) for i in range(7)] == [1, 2, 4, 7, 8, 11, 13]
-
-
 def test_lemma1_subspace_shape(toy_c1):
     S = lemma1_subspace(toy_c1, 0)
     assert len(list(S.basis)) == 3
     assert S.subfield.degree_bits == 5
-    assert S.exponent == 1
     assert S.beta == toy_c1.ctx.generator
-    assert verify_span(S, toy_c1.groups[0].points[0], toy_c1.s)
+    assert verify_span(S, toy_c1.eval_set.points[0], toy_c1.s)
     # cached: same object on repeat
     assert lemma1_subspace(toy_c1, 0) is S
 
 
 def test_lemma1_every_node_has_a_verified_subspace(toy_c1):
-    for gi, g in enumerate(toy_c1.groups):
-        for node in toy_c1.group_nodes(gi):
-            e = relative_exponent(toy_c1, node)
-            S = lemma1_subspace(toy_c1, gi, e)
-            assert verify_span(S, g.points[0], toy_c1.s)
+    for node in range(toy_c1.n):
+        S = lemma1_subspace(toy_c1, node)
+        assert verify_span(S, toy_c1.eval_set.points[node], toy_c1.s)
 
 
 def test_lemma1_subspace_is_specific_to_its_point(toy_c1):
-    # the e=1 subspace spans with shifts of the first point only; the other
-    # points of the group need their own exponent
-    S = lemma1_subspace(toy_c1, 1, 1)
-    assert verify_span(S, toy_c1.groups[1].points[0], 2)
+    # the first node's subspace spans with shifts of its own point only;
+    # the other nodes of the group need their own subspace
+    first = toy_c1.group_nodes(1)[0]
+    S = lemma1_subspace(toy_c1, first)
+    assert verify_span(S, toy_c1.eval_set.points[first], 2)
     second = toy_c1.groups[1].points[1]
-    rows_span = verify_span(
-        RepairSubspace(S.subfield, S.basis, S.beta, 1), second, 2
-    )
-    assert not rows_span
+    assert not verify_span(S, second, 2)
     # the Gram solve that certifies subspaces rejects the same shifts
     wrong = BasisOverSubfield(S.subfield, _shifts(S.basis, second, 2),
                               validate=False)
@@ -100,7 +88,7 @@ def test_lemma1_subspace_is_specific_to_its_point(toy_c1):
 
 
 def test_gram_acceptance_matches_verify_span(toy_c1):
-    # every candidate of g^1..g^32, for every node's exponent, shifted by
+    # every candidate of g^1..g^32, for every node's point, shifted by
     # each point of its group: the trace-dual Gram solve accepts exactly
     # what verify_span's GF(2) rank accepts
     outcomes = set()
@@ -108,9 +96,8 @@ def test_gram_acceptance_matches_verify_span(toy_c1):
         ubar = toy_c1.groups[1 - gi].prime
         sub = toy_c1.ctx.subfield(ubar)
         for node in toy_c1.group_nodes(gi):
-            e = relative_exponent(toy_c1, node)
-            alpha_e = g.points[0] ** e
-            for beta, vectors in _lemma1_candidates(toy_c1, gi, alpha_e, ubar):
+            alpha = toy_c1.eval_set.points[node]
+            for beta, vectors in _lemma1_candidates(toy_c1, gi, alpha, ubar):
                 basis = BasisOverSubfield(sub, vectors, validate=False)
                 for pt in g.points:
                     shifted = _shifts(vectors, pt, toy_c1.s)
@@ -121,7 +108,7 @@ def test_gram_acceptance_matches_verify_span(toy_c1):
                     except PERepairError as err:
                         assert err.code == "SINGULAR_GRAM"
                         gram_ok = False
-                    rank_ok = verify_span(RepairSubspace(sub, basis, beta, 1),
+                    rank_ok = verify_span(RepairSubspace(sub, basis, beta),
                                           pt, toy_c1.s)
                     assert gram_ok == rank_ok
                     outcomes.add(gram_ok)
@@ -139,8 +126,7 @@ def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
             helpers, sub, _, _, dual_vecs, _, _ = plan._cache[
                 ("repair", node, plan.d)]
             gi, _ = plan.locate(node)
-            e = relative_exponent(plan, node)
-            S = lemma1_subspace(plan, gi, e,
+            S = lemma1_subspace(plan, node,
                                 helper_groups=_helper_prefix(plan, gi, plan.d)[1])
             helper_set = set(helpers)
             h = annihilator([plan.eval_set.points[i] for i in range(plan.n)
@@ -183,28 +169,22 @@ def test_cold_repairs_certify_once_without_gf2_rank(monkeypatch):
             assert not calls
 
 
-def test_lemma1_bad_exponent(toy_c1):
-    for e in (0, -3, (1 << 5) - 1, 1 << 5):
-        with pytest.raises(PERepairError) as ei:
-            lemma1_subspace(toy_c1, 1, e)
-        assert ei.value.code == "BAD_EXPONENT"
-
-
-def test_lemma1_bad_exponent_divisibility():
-    # q=4, p=3: exponents divisible by (q^3-1)/(q-1) = 21 give points of the
-    # base field, which can never define the extension
+def test_lemma1_subspaces_over_a_gf4_base():
+    # q = 4: every node's subspace lives over GF(4^{u-bar}) and shift-spans
+    # E with its own point's powers
     plan = build_plan_c1(2, [2, 2], s=2, primes=[3, 5])
-    with pytest.raises(PERepairError) as ei:
-        lemma1_subspace(plan, 0, 21)
-    assert ei.value.code == "BAD_EXPONENT"
-    assert lemma1_subspace(plan, 0, 2).exponent == 2
+    for node in range(plan.n):
+        gi, _ = plan.locate(node)
+        S = lemma1_subspace(plan, node)
+        assert S.subfield.degree_bits == 2 * plan.groups[1 - gi].prime
+        assert verify_span(S, plan.eval_set.points[node], plan.s)
 
 
 def test_lemma1_rejects_degenerate_helper_groups(toy_c1):
     with pytest.raises(ValueError):
-        lemma1_subspace(toy_c1, 0, 1, helper_groups=(0,))
+        lemma1_subspace(toy_c1, 0, helper_groups=(0,))
     with pytest.raises(ValueError):
-        lemma1_subspace(toy_c1, 0, 1, helper_groups=())
+        lemma1_subspace(toy_c1, 0, helper_groups=())
 
 
 def test_verify_span_s1_full_basis(toy_c1):
@@ -212,7 +192,7 @@ def test_verify_span_s1_full_basis(toy_c1):
     sub = ctx.subfield(5)
     g = ctx.generator
     basis = BasisOverSubfield(sub, [g ** j for j in range(6)])
-    S = RepairSubspace(sub, basis, g, 1)
+    S = RepairSubspace(sub, basis, g)
     assert verify_span(S, toy_c1.eval_set.points[0], 1)
 
 
@@ -431,12 +411,10 @@ def test_points_have_group_degree_and_subspaces_are_bases(toy_c1, toy_c2,
         ctx = plan.ctx
         for node in range(plan.n):
             gi, _ = plan.locate(node)
-            e = relative_exponent(plan, node)
-            alpha_e = plan.groups[gi].points[0] ** e
             for groups in (_helper_prefix(plan, gi, plan.d)[1], None):
-                S = lemma1_subspace(plan, gi, e, helper_groups=groups)
+                S = lemma1_subspace(plan, node, helper_groups=groups)
                 BasisOverSubfield(S.subfield, S.basis, validate=True)
-                shifted = _shifts(S.basis, alpha_e, plan.s)
+                shifted = _shifts(S.basis, plan.eval_set.points[node], plan.s)
                 assert len(S.duals) == len(shifted)
                 for i, u in enumerate(shifted):
                     for j, dj in enumerate(S.duals):
