@@ -20,11 +20,17 @@ arithmetic-only FieldCtx, and poly_mod is plain long division (poly_divmod)
 for the few reductions off the hot path.  Primitivity is
 one product-tree order test over the known primes of the group order
 (_order_test).  Subfield work is done in the
-subfield: a handle for K = GF(2^m) keeps m N-bit masks, one per coordinate
-of Tr_{E/K} in the basis 1, gamma, ..., gamma^(m-1), so a trace costs m
-parities, and dual_basis solves its Gram system with m-bit K arithmetic.
-The masks come from the trace sequence Tr_{E/GF(2)}(x^j) (Newton's
-identities on the modulus) and one m x m GF(2) solve.  Everything is exact;
+subfield: a handle for K = GF(2^m) keeps the coordinates of the dual
+c_0..c_(m-1) of 1, gamma, ..., gamma^(m-1) under Tr_{K/GF(2)} and m N-bit
+masks, one per coordinate of Tr_{E/K}, so a trace costs m parities.  The masks come from
+the trace sequence Tr_{E/GF(2)}(x^j) (Newton's identities on the modulus)
+and one m x m GF(2) solve.  dual_basis solves n = N/m vectors with O(N)
+products in E when m is small against n, as in a repair over a small
+residue field: masks of c_l b_i turn Gram entries into parities, a Gram row
+is one int of m-bit entries whose row operations are XORs of its gamma^l
+multiples, and the m products gamma^l d_col of a pivot serve all its
+operations on the b side.  Otherwise it takes n(n + 1)/2 products for the
+Gram matrix and about one per row operation.  Everything is exact;
 exponents are arbitrary-precision throughout.
 """
 
@@ -244,6 +250,26 @@ def _gf2_coordinates(vectors, y: int) -> int:
         y ^= v
         c ^= cv
     return c
+
+
+def _parities(v: int, masks) -> int:
+    """Int whose bit l is parity(v & masks[l])."""
+    z = 0
+    for l, mask in enumerate(masks):
+        z |= ((v & mask).bit_count() & 1) << l
+    return z
+
+
+def _select(table, z: int) -> int:
+    """XOR of table[l] over the set bits l of z."""
+    acc = 0
+    for t in table:
+        if not z:
+            break
+        if z & 1:
+            acc ^= t
+        z >>= 1
+    return acc
 
 
 def _gf2_solve(rows, rhs):
@@ -743,7 +769,8 @@ class SubfieldHandle:
     """
 
     __slots__ = ("ctx", "degree_bits", "canonical_generator",
-                 "_order_factors", "_gf2_basis", "_minpoly", "_trace_masks")
+                 "_order_factors", "_gf2_basis", "_minpoly", "_trace_duals",
+                 "_trace_masks")
 
     def __init__(self, ctx: FieldCtx, m: int):
         self.ctx = ctx
@@ -758,6 +785,7 @@ class SubfieldHandle:
         self._order_factors = None
         self._gf2_basis = None
         self._minpoly = None
+        self._trace_duals = None
         self._trace_masks = None
 
     def order_factorization(self):
@@ -808,51 +836,37 @@ class SubfieldHandle:
                              | _gf2_coordinates(basis, gamma_m))
         return self._minpoly
 
-    def _trace_coords(self, v: int) -> int:
-        """Coordinates of Tr_{E/K}(v) in the basis gamma^0..gamma^(m-1), as
-        an m-bit int: bit l is parity(v & psi_l).
+    def _trace_dual_basis(self):
+        """(z, psi): z_l the coordinates of c_l, where c_0..c_(m-1) is the
+        dual of gamma^0..gamma^(m-1) under Tr_{K/GF(2)}, and
+        psi_l = _trace_functional(c_l), so that parity(v & psi_l) is
+        coordinate l of Tr_{E/K}(v).
 
-        By transitivity Tr_{E/GF(2)}(gamma^l v) = Tr_{K/GF(2)}(gamma^l z)
-        for z = Tr_{E/K}(v), which is sum_l' z_l' M_ll' with
-        M_ll' = Tr_{K/GF(2)}(gamma^(l+l')), the power sums of g.  The left
-        side is parity(v & phi_l), so psi = M^-1 phi."""
-        masks = self._trace_masks
-        if masks is None:
+        Coordinate l of z in K is Tr_{K/GF(2)}(c_l z), and by transitivity
+        Tr_{K/GF(2)}(c_l Tr_{E/K}(v)) = Tr_{E/GF(2)}(c_l v).  z_l is row l
+        of M^-1, M_ll' = Tr_{K/GF(2)}(gamma^(l+l')) the power sums of g, so
+        psi = M^-1 phi for phi_l = _trace_functional(gamma^l): one solve
+        gives both.  The c_l stay as m-bit coordinates: lifted, they would
+        hold m N-bit ints that only a small K's dual_basis reads."""
+        if self._trace_masks is None:
             m = self.degree_bits
             sums = _power_sums(self._coord_modulus())
             gram = [(sums >> l) & ((1 << m) - 1) for l in range(m)]
             phi = [self.ctx._trace_functional(b) for b in self.gf2_basis()]
-            masks = self._trace_masks = tuple(_gf2_solve(gram, phi))
-        z = 0
-        for l, mask in enumerate(masks):
-            z |= ((v & mask).bit_count() & 1) << l
-        return z
+            x = _gf2_solve(gram, [(f << m) | (1 << l)
+                                  for l, f in enumerate(phi)])
+            self._trace_duals = tuple(v & ((1 << m) - 1) for v in x)
+            self._trace_masks = tuple(v >> m for v in x)
+        return self._trace_duals, self._trace_masks
+
+    def _trace_coords(self, v: int) -> int:
+        """Coordinates of Tr_{E/K}(v) in the basis gamma^0..gamma^(m-1), as
+        an m-bit int: bit l is parity(v & psi_l)."""
+        return _parities(v, self._trace_dual_basis()[1])
 
     def _lift(self, z: int) -> int:
         """The element of E with coordinates z."""
-        acc = 0
-        for b in self.gf2_basis():
-            if not z:
-                break
-            if z & 1:
-                acc ^= b
-            z >>= 1
-        return acc
-
-    def _kmul(self, a: int, b: int) -> int:
-        """Product of two coordinate ints, shift-and-add modulo g (set up by
-        _coord_modulus)."""
-        g = self._minpoly
-        top = 1 << self.degree_bits
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= g
-        return r
+        return _select(self.gf2_basis(), z)
 
     def __repr__(self):
         return f"SubfieldHandle(GF(2^{self.degree_bits}) in GF(2^{self.ctx.degree_bits}))"
@@ -1015,48 +1029,94 @@ def degree_over(e: FieldElem, sub: SubfieldHandle) -> int:
 def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
     """Trace-dual basis: returns d with trace_to(b_i * d_j) = delta_ij.
 
-    The Gram matrix T_ij = Tr(b_i b_j) has its entries in the subfield K, so
-    it is kept as K coordinates and d is solved from T d = b: one forward
-    elimination with first-nonzero pivoting and one back substitution, the
-    T side in K arithmetic and the b side one E product per row operation.
+    The Gram matrix T_ij = Tr_{E/K}(b_i b_j) has its entries in the subfield
+    K = GF(2^m), and d = T^-1 b comes from one Gauss-Jordan elimination with
+    first-nonzero pivoting.  For n vectors (n m = N) it costs O(N) products
+    in E when K is small against n, and never more than O(n^2):
+
+    * Gram.  Coordinate l of Tr_{E/K}(b_i y) is parity(y & W_il) for the
+      mask W_il = _trace_functional(c_l b_i), c_l the dual of gamma^l in K
+      (SubfieldHandle._trace_dual_basis), so every entry is m parities once
+      each vector has paid m products and m functionals.  Those N + N
+      undercut the n(n + 1)/2 products b_i b_j only when 4m < n + 1;
+      otherwise each product gives its entry through _trace_coords.
+    * T side.  A row is one int of m-bit slots, one per column not yet
+      pivoted.  gamma times a row is a shift plus each slot's carry times
+      g - x^m, which stays in its slot, so a row operation by f in K XORs
+      the pivot row's multiples gamma^l row selected by the bits of f:
+      O(n^2) int XORs and no K product.
+    * b side.  When m < n the pivot's m products gamma^l d_col serve every
+      row operation the same way; otherwise each costs one product.
     """
     sub = b.subfield
     ctx = sub.ctx
+    m = sub.degree_bits
     n = len(b.vectors)
-    if n * sub.degree_bits != ctx.degree_bits:
+    if n * m != ctx.degree_bits:
         raise PERepairError(
             "SINGULAR_GRAM",
-            f"{n} vectors cannot form a basis over GF(2^{sub.degree_bits})",
+            f"{n} vectors cannot form a basis over GF(2^{m})",
         )
+    by_masks = 4 * m < n + 1
+    small = m < n
+    coords, psi = sub._trace_dual_basis()
+    duals = [sub._lift(z) for z in coords] if by_masks else ()
     d = [e.v for e in b.vectors]
-    gram = [[0] * n for _ in range(n)]
+    rows = [0] * n
     for i in range(n):
+        masks = ([ctx._trace_functional(ctx._mul(c, d[i])) for c in duals]
+                 if by_masks else psi)
         for j in range(i, n):
-            gram[i][j] = gram[j][i] = sub._trace_coords(ctx._mul(d[i], d[j]))
-    kmul = sub._kmul
+            t = _parities(d[j] if by_masks else ctx._mul(d[i], d[j]), masks)
+            rows[i] |= t << (j * m)
+            rows[j] |= t << (i * m)
+
+    g = sub._coord_modulus()
+    kmask = (1 << m) - 1
+    ones = ctx._mask // kmask  # bit 0 of every slot
+    top = ones << (m - 1)
+    tails = ones * (g ^ (1 << m))  # g - x^m in every slot
+    basis = sub.gf2_basis()
     lift = sub._lift
+
+    def multiples(row):
+        out = [row]
+        for _ in range(m - 1):
+            carry = (row & top) >> (m - 1)
+            # (carry << m) - carry fills exactly the slots that carry
+            row = ((row & ~top) << 1) ^ (tails & ((carry << m) - carry))
+            out.append(row)
+        return out
+
+    # slot 0 of every row is the current column: each pivot drops a slot
     for col in range(n):
-        piv = next((r for r in range(col, n) if gram[r][col]), None)
+        piv = next((r for r in range(col, n) if rows[r] & kmask), None)
         if piv is None:
             raise PERepairError("SINGULAR_GRAM", "matrix is singular")
-        gram[col], gram[piv] = gram[piv], gram[col]
+        rows[col], rows[piv] = rows[piv], rows[col]
         d[col], d[piv] = d[piv], d[col]
-        inv = poly_inv_mod(gram[col][col], sub._minpoly)
-        prow = gram[col] = [0] * (col + 1) + [
-            kmul(inv, t) for t in gram[col][col + 1:]]
-        d[col] = ctx._mul(lift(inv), d[col])
-        for r in range(col + 1, n):
-            f = gram[r][col]
-            if f:
-                row = gram[r]
-                for j in range(col + 1, n):
-                    if prow[j]:
-                        row[j] ^= kmul(f, prow[j])
-                d[r] ^= ctx._mul(lift(f), d[col])
-    for col in range(n - 1, 0, -1):
-        for r in range(col):
-            f = gram[r][col]
-            if f:
-                d[r] ^= ctx._mul(lift(f), d[col])
+        p = rows[col] & kmask
+        rest = rows[col] >> m
+        if p != 1:
+            inv = poly_inv_mod(p, g)
+            if rest:
+                rest = _select(multiples(rest), inv)
+            d[col] = ctx._mul(lift(inv), d[col])
+        rows[col] = rest
+        v = d[col]
+        table = None  # built for the first row that needs it
+        for r in range(n):
+            if r == col:
+                continue
+            f = rows[r] & kmask
+            rows[r] >>= m
+            if not f:
+                continue
+            if table is None:
+                table = multiples(rest) if rest else [0]
+                if small:
+                    vs = [v] + [ctx._mul(s, v) for s in basis[1:]]
+            rows[r] ^= _select(table, f)
+            d[r] ^= _select(vs, f) if small else ctx._mul(lift(f), v)
     return BasisOverSubfield(sub, [FieldElem(ctx, v) for v in d],
                              validate=False)

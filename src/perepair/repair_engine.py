@@ -5,7 +5,10 @@ exclusion group.  Every helper is sent multipliers, returns subfield traces
 of (multiplier * stored symbol), and the decoder reassembles the erased
 symbol through a trace-dual basis.  That basis comes from one Gram solve
 per preparation, which is also the certificate that the query basis spans
-E (for Construction 1, Lemma 1's span condition).  Bandwidth is counted in
+E (for Construction 1, Lemma 1's span condition).  For N/m vectors over
+GF(2^m) the solve costs O(N) products in E when m is small against N/m,
+as in a Construction-1 repair at small d, and O((N/m)^2) otherwise
+(field_tower.dual_basis).  Bandwidth is counted in
 exact bits: a GF(2^m) response is m bits, and at the canonical locality the
 total equals the cut-set bound.
 

@@ -438,3 +438,31 @@ def test_repair_outputs_are_pinned(toy_c1, toy_c2, toy_c1_wide):
     for d in (3, 6):
         record(toy_c1_wide, 0, 77, d)
     assert h.hexdigest() == PINNED_REPAIRS_SHA256
+
+
+# SHA-256 over the accepted beta exponent and the hex duals of every node's
+# cold preparation ("repair", node, d) on a fresh toy_c1_wide plan, the
+# plan shape of the benchmark's wide-cold workload, as computed by the
+# entry-by-entry Gram solve that dual_basis replaced
+PINNED_COLD_PREPARATIONS_SHA256 = (
+    "00d2d22804bebca4f1b0238ec29fc1a423739d5a79ea34dff886078d54d37f80"
+)
+
+
+def test_cold_preparations_are_pinned():
+    plan = build_plan_c1(1, [3, 3, 3], s=2, k=2, primes=[3, 5, 7])
+    ctx = plan.ctx
+    msg = MessagePoly([ctx.elem(i + 1) for i in range(plan.k)])
+    cw = encode(msg, plan.eval_set, plan_digest=plan.digest)
+    h = hashlib.sha256()
+    for node in range(plan.n):
+        assert ("repair", node, plan.d) not in plan._cache
+        repair_c1(plan, cw, node)
+        gi, _ = plan.locate(node)
+        _, R = _helper_prefix(plan, gi, plan.d)
+        beta = plan._cache[("subspace", node, R)].beta
+        exp = next(e for e in range(1, 33) if ctx.generator ** e == beta)
+        duals = plan._cache[("repair", node, plan.d)][4]
+        h.update(f"{node} {exp}\n".encode())
+        h.update("".join(v.hex() + "\n" for v in duals).encode())
+    assert h.hexdigest() == PINNED_COLD_PREPARATIONS_SHA256

@@ -340,6 +340,29 @@ def test_non_utf8_cluster_file_is_corrupt(tmp_path, capsys):
     assert "CORRUPT_FILE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", "\u0661\u0662"),  # Arabic-Indic 12, which int() reads as 12
+    ("seed", "+12"),
+    ("seed", "1_2"),
+    ("node", "\u0663"),  # Arabic-Indic 3
+    ("node", "\uff13"),  # fullwidth 3
+])
+def test_cluster_numbers_must_be_ascii_decimals(tmp_path, toy_c1, field,
+                                                 value):
+    path = tmp_path / "cluster.txt"
+    save_cluster(init_cluster(toy_c1, 12), path)
+    assert load_cluster(path).message_seed == 12
+    text = path.read_text(encoding="utf-8")
+    if field == "seed":
+        text = text.replace("seed = 12\n", f"seed = {value}\n")
+    else:
+        text = text.replace("\nnode 3 ", f"\nnode {value} ")
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(PERepairError) as e:
+        load_cluster(path)
+    assert e.value.code == "CORRUPT_FILE"
+
+
 def test_wrong_plan_digest(tmp_path, toy_c1, toy_c2):
     st = init_cluster(toy_c1, 8)
     path = tmp_path / "cluster.txt"
