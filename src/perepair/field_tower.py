@@ -598,6 +598,10 @@ class FieldElem:
         return f"FieldElem({self.hex()})"
 
 
+# ASCII hex digits in either case: all that FieldCtx.from_hex reads
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 class FieldCtx:
     """GF(2^N) with a fixed modulus, verified-or-trusted primitive generator,
     and the (possibly partial) factorization of the group order 2^N - 1.
@@ -709,6 +713,11 @@ class FieldCtx:
         return format(e.v, f"0{self._hexw}x")
 
     def from_hex(self, s: str) -> FieldElem:
+        """The element spelled by ASCII hex digits, as to_hex writes it.
+        int(s, 16) alone also reads a 0x prefix, a sign, underscores,
+        surrounding blanks and non-ASCII digits."""
+        if not s or not _HEX_DIGITS.issuperset(s):
+            raise ValueError(f"not a hex symbol: {s!r}")
         v = int(s, 16)
         if not 0 <= v <= self._mask:
             raise ValueError("hex value out of range for this field")

@@ -269,6 +269,33 @@ def _check_pairing(plan, codeword):
         raise PERepairError("PLAN_MISMATCH", "codeword length disagrees with plan")
 
 
+def _parity_column(plan, failed: int, helpers):
+    """The dual-code parity check through ``helpers`` and ``failed``.
+
+    h annihilates the points of every other node, and v is the dual
+    code's column multiplier (cached on the plan).  Returns the column
+    [h(alpha_j) * v_j for j in helpers] and f_inv = (h(alpha_f) * v_f)^-1.
+    When deg h <= n - k - 1, i.e. at least k helpers, sum_j column_j * c_j
+    = c_f / f_inv for every codeword c; callers that also shift h by
+    point powers need the margin for them.  One inversion, beyond the
+    plan's first computation of v.
+    """
+    ctx = plan.ctx
+    points = plan.eval_set.points
+    helper_set = set(helpers)
+    h = annihilator(
+        [points[i] for i in range(plan.n) if i not in helper_set and i != failed],
+        ctx,
+    )
+    v = plan._cache.get("dual_multipliers")
+    if v is None:
+        v = dual_multipliers(plan.eval_set)
+        plan._cache["dual_multipliers"] = v
+    column = [poly_eval(h, points[j]) * v.v[j] for j in helpers]
+    f_inv = (poly_eval(h, points[failed]) * v.v[failed]).inverse()
+    return column, f_inv
+
+
 def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
     """The repair skeleton both constructions share.
 
@@ -276,39 +303,24 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
     basis E, number of point powers W, duals), where duals is the trace-dual
     of the unscaled basis {e_m * alpha_f^w}, m-major: lemma1_subspace's
     certificate for Construction 1, the power basis's Gram solve for
-    Construction 2.  Helper j is asked for the traces of e * h(alpha_j) *
-    v_j * c_j for every e in E, where h annihilates the silenced points and
-    v is the dual code's column multiplier; the failed symbol is rebuilt
-    through the trace-dual of B_{m,w} = e_m * alpha_f^w * c with
-    c = h(alpha_f) * v_f.  If Tr(u_i d_j) = delta_ij then
-    Tr((c u_i)(c^-1 d_j)) = delta_ij, so that dual is the shape's duals
-    times c^-1: one inversion, no second Gram solve.  The preparation is
-    cached per (failed, d).
+    Construction 2.  Helper j is asked for the traces of e * col_j * c_j
+    for every e in E, where col_j = h(alpha_j) * v_j is _parity_column's
+    entry: h annihilates the silenced points and v is the dual code's
+    column multiplier.  The failed symbol is rebuilt through the
+    trace-dual of B_{m,w} = e_m * alpha_f^w * c with c = h(alpha_f) * v_f.
+    If Tr(u_i d_j) = delta_ij then Tr((c u_i)(c^-1 d_j)) = delta_ij, so
+    that dual is the shape's duals times c^-1 = f_inv: one inversion, no
+    second Gram solve.  The preparation is cached per (failed, d).
     """
     ctx = plan.ctx
     key = ("repair", failed, d)
     prep = plan._cache.get(key)
     if prep is None:
         helpers, sub, E, W, duals = shape()
-        helper_set = set(helpers)
-        silenced = [
-            plan.eval_set.points[i]
-            for i in range(plan.n)
-            if i not in helper_set and i != failed
-        ]
-        h = annihilator(silenced, ctx)
-        v = plan._cache.get("dual_multipliers")
-        if v is None:
-            v = dual_multipliers(plan.eval_set)
-            plan._cache["dual_multipliers"] = v
-        mults = []
-        helper_pows = []
-        for idx in helpers:
-            alpha_h = plan.eval_set.points[idx]
-            base_mult = poly_eval(h, alpha_h) * v.v[idx]
-            mults.append([e_m * base_mult for e_m in E])
-            helper_pows.append(_shifts([ctx.one], alpha_h, W))
-        f_inv = (poly_eval(h, plan.eval_set.points[failed]) * v.v[failed]).inverse()
+        column, f_inv = _parity_column(plan, failed, helpers)
+        mults = [[e_m * col for e_m in E] for col in column]
+        helper_pows = [_shifts([ctx.one], plan.eval_set.points[idx], W)
+                       for idx in helpers]
         prep = (helpers, sub, mults, helper_pows,
                 [d * f_inv for d in duals], len(E), W)
         plan._cache[key] = prep

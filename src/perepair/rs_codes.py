@@ -3,9 +3,11 @@
 A codeword is the evaluation of a degree-bounded message polynomial at n
 distinct points of the symbol field.  The dual code of RS(n, k, A) is the
 generalized RS code with column multipliers v_i = prod_{j != i}
-(alpha_i - alpha_j)^{-1}; ``parity_check`` evaluates those dual constraints
-and ``naive_decode`` (Lagrange interpolation through any k coordinates) is
-the module's correctness oracle for everything downstream.
+(alpha_i - alpha_j)^{-1}, and ``parity_check`` evaluates those dual
+constraints.  Both repair strategies rebuild a symbol through such a
+constraint.  ``naive_decode`` (Lagrange interpolation through any k
+coordinates) is on no repair path: it is the oracle the tests check the
+repairs against.
 
 Polynomials are coefficient lists of FieldElem in ascending degree order;
 degrees stay tiny (<= n), so evaluation is plain Horner.

@@ -5,6 +5,15 @@ The orchestrator injects a single failure, runs a repair strategy over a
 counted message channel, and verifies the recovered symbol against the
 original encode byte-for-byte.
 
+The "pe" strategy is the repair engine's partial-exclusion repair.  The
+"naive" one reads k whole symbols, from the first k live nodes, and
+rebuilds the failed symbol by one parity check of the dual code: c_f =
+sum_j w_j c_j, with w_j = h(alpha_j) v_j / (h(alpha_f) v_f), h the
+annihilator of the other n - k - 1 points (the column that
+repair_engine's skeleton also uses).  The weights cost one inversion,
+beyond the plan's dual multipliers, which are computed once.  They are
+cached on the plan per (failed, helpers), so a repeat costs k products.
+
 Messages are drawn from SplitMix64 so clusters reproduce bit-identically
 across runs and machines: state advances by the odd constant
 0x9E3779B97F4A7C15, and each output is the state mixed by two xor-shift
@@ -27,8 +36,8 @@ import os
 from .errors import PERepairError, check_invariant
 from ._util import atomic_write_text
 from .constructions import load_plan, save_plan
-from .repair_engine import repair_c1, repair_c2
-from .rs_codes import Codeword, MessagePoly, encode, naive_decode
+from .repair_engine import _parity_column, repair_c1, repair_c2
+from .rs_codes import Codeword, MessagePoly, encode
 
 __all__ = [
     "SplitMix64",
@@ -131,7 +140,8 @@ class TransferLog:
 
 
 class NaiveReport:
-    """Outcome of whole-symbol interpolation repair."""
+    """Outcome of a whole-symbol repair: k helpers' symbols combined by one
+    dual-code parity check (the same symbol Lagrange interpolation gives)."""
 
     __slots__ = ("failed", "helpers", "bits_transmitted", "recovered", "verified")
 
@@ -208,10 +218,16 @@ def run_repair(state: ClusterState, strategy: str = "pe", d: int | None = None):
         symbol_bits = plan.ctx.degree_bits
         for h in helpers:
             log.add(h, failed, symbol_bits, "full_symbol")
-        poly = naive_decode(
-            [(h, state.nodes[h].symbol) for h in helpers], plan.eval_set
-        )
-        recovered = poly.evaluate(plan.eval_set.points[failed])
+        # w_j = column_j * f_inv, cached per (failed, helpers)
+        key = ("naive", failed, tuple(helpers))
+        weights = plan._cache.get(key)
+        if weights is None:
+            column, f_inv = _parity_column(plan, failed, helpers)
+            weights = [col * f_inv for col in column]
+            plan._cache[key] = weights
+        recovered = plan.ctx.zero
+        for h, w in zip(helpers, weights):
+            recovered = recovered + w * state.nodes[h].symbol
         transcript = NaiveReport(failed, helpers, log.total_bits, recovered)
         check_invariant(log.total_bits == plan.k * plan.L * plan.base_bits,
                         "naive transfer log is not k whole symbols")

@@ -1,9 +1,13 @@
+import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import perepair
 from perepair.cli import main
 
 
@@ -108,6 +112,50 @@ def test_repair_naive_reports_bits_without_cutset(capsys, tmp_path):
                      "--node", "0", "--strategy", "naive")
     assert rc == 0
     assert out.strip() == "bits=60 verified=true"
+
+
+# SHA-256 over the stdout of `perepair --json repair --strategy naive` for
+# nodes 0..5 in turn of the toy cluster (seed 1), as the Lagrange decode
+# that the cached parity check replaced printed it
+PINNED_NAIVE_TRANSCRIPTS_SHA256 = (
+    "f30cc851372ed719a7cf86fd5f707687d98c65e59131ab85378cf8718916fa72"
+)
+
+
+def test_naive_transcripts_are_pinned(capsys, tmp_path):
+    plan = make_plan(capsys, tmp_path)
+    cluster = tmp_path / "c.txt"
+    run(capsys, "cluster", "--plan", str(plan), "--seed", "1",
+        "--out", str(cluster))
+    h = hashlib.sha256()
+    for node in range(6):
+        rc, out, _ = run(capsys, "--json", "repair", "--cluster", str(cluster),
+                         "--node", str(node), "--strategy", "naive")
+        assert rc == 0
+        h.update(out.encode())
+    assert h.hexdigest() == PINNED_NAIVE_TRANSCRIPTS_SHA256
+
+
+@pytest.mark.parametrize("strategy", ["pe", "naive"])
+def test_repair_is_unchanged_under_python_O(capsys, tmp_path, strategy):
+    # python -O strips assert statements; every invariant the repair
+    # checks must survive that, and so must the transcript
+    plan = make_plan(capsys, tmp_path)
+    cluster = tmp_path / "c.txt"
+    run(capsys, "cluster", "--plan", str(plan), "--seed", "4",
+        "--out", str(cluster))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(perepair.__file__)))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "perepair.cli", "--json", "repair",
+             "--cluster", str(cluster), "--node", "4", "--strategy", strategy],
+            capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["verified"] is True
+    assert outs[0] == outs[1]
 
 
 def test_repair_json_mode(capsys, tmp_path):

@@ -390,9 +390,10 @@ def test_hex_round_trip():
     e = F.elem(0x2A)
     assert e.hex() == "02a"  # width = ceil(10/4) = 3, lowercase
     assert F.from_hex(e.hex()) == e
-    assert F.from_hex("3ff").v == 1023
-    with pytest.raises(ValueError):
-        F.from_hex("400")
+    assert F.from_hex("3ff").v == F.from_hex("3FF").v == 1023
+    for bad in ("400", "", "0x3ff", "+3ff", "3_ff", " 3ff", "\u0663ff"):
+        with pytest.raises(ValueError):
+            F.from_hex(bad)
 
 
 def test_cross_field_operations_rejected(gf16, gf64):

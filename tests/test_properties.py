@@ -1,6 +1,6 @@
 """Property tests: random small plans of both constructions, with random
 point exponents, repair every node to the interpolation oracle's symbol at
-exactly the cut-set bound.
+exactly the cut-set bound, by partial-exclusion and by naive repair.
 
 Examples are derandomized and have no deadline, so the outcome depends on
 the code alone, never on the machine's speed.
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from perepair.constructions import build_plan_c1, build_plan_c2
 from perepair.repair_engine import cutset_bits, repair_c1, repair_c2
 from perepair.rs_codes import MessagePoly, encode, naive_decode
+from perepair.storage_sim import fail_node, init_cluster, run_repair
 
 # Construction 1 at s = 2: (base_bits, primes), symbol fields of 30 to 70 bits
 C1_SHAPES = [(1, (3, 5)), (1, (3, 7)), (1, (3, 11)), (1, (5, 7)), (2, (3, 5))]
@@ -75,3 +76,19 @@ def test_every_node_repairs_to_the_oracle_at_the_cutset_bound(plan, seed):
         assert tr.recovered == oracle.evaluate(plan.eval_set.points[node])
         assert tr.bits_transmitted == cutset_bits(d, plan.k, plan.L,
                                                   plan.base_bits)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(plan=st.one_of(c1_plans(), c2_plans()), seed=st.integers(0, 2 ** 32 - 1))
+def test_cold_and_warm_naive_repairs_give_the_oracle_symbol(plan, seed):
+    state = init_cluster(plan, seed)
+    for node in range(plan.n):
+        others = [i for i in range(plan.n) if i != node][:plan.k]
+        oracle = naive_decode([(i, state.nodes[i].symbol) for i in others],
+                              plan.eval_set)
+        want = oracle.evaluate(plan.eval_set.points[node])
+        for _ in ("cold", "warm"):
+            fail_node(state, node)
+            state, rep, _ = run_repair(state, "naive")
+            assert rep.helpers == others
+            assert rep.recovered == want

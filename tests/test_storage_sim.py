@@ -2,8 +2,11 @@ import os
 
 import pytest
 
+from perepair import field_tower
 from perepair.errors import PERepairError
+from perepair.fixtures import example1
 from perepair.repair_engine import RepairTranscript
+from perepair.rs_codes import Codeword, load_codeword, naive_decode, save_codeword
 from perepair.storage_sim import (
     NaiveReport,
     SplitMix64,
@@ -170,6 +173,59 @@ def test_pe_and_naive_recover_the_same_symbol(toy_c2):
     st, naive, _ = run_repair(st, "naive")
     assert pe.verified is True and naive.verified is True
     assert pe.recovered == naive.recovered
+
+
+@pytest.mark.parametrize("plan_name", ["toy_c1", "toy_c2"])
+def test_naive_repair_matches_the_interpolation_oracle(request, plan_name):
+    # cold (weights computed) and warm (weights cached) repairs of every
+    # node both give the Lagrange interpolant through the same k helpers
+    plan = request.getfixturevalue(plan_name)
+    st = init_cluster(plan, 23)
+    for node in range(plan.n):
+        helpers = [i for i in range(plan.n) if i != node][:plan.k]
+        oracle = naive_decode([(i, st.nodes[i].symbol) for i in helpers],
+                              plan.eval_set)
+        want = oracle.evaluate(plan.eval_set.points[node])
+        key = ("naive", node, tuple(helpers))
+        plan._cache.pop(key, None)
+        fail_node(st, node)
+        st, cold, _ = run_repair(st, "naive")
+        assert key in plan._cache
+        fail_node(st, node)
+        st, warm, _ = run_repair(st, "naive")
+        assert cold.helpers == warm.helpers == helpers
+        assert cold.recovered == warm.recovered == want
+        assert cold.verified is True and warm.verified is True
+
+
+def test_warm_naive_repair_costs_k_products(monkeypatch):
+    # a warm naive repair is one cached parity check: k products and no
+    # inversion.  The Lagrange decode it replaced took 8 inversions and
+    # ~227 products per repair of this plan.
+    plan = example1().plan
+    assert plan.ctx._sparse  # so one clmul call is one product
+    calls = dict.fromkeys(("clmul", "poly_inv_mod"), 0)
+
+    def counted(name):
+        real = getattr(field_tower, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(field_tower, name, counted(name))
+    st = init_cluster(plan, 5)
+    for node in range(plan.n):
+        fail_node(st, node)
+        run_repair(st, "naive")  # caches this node's weights
+        fail_node(st, node)
+        calls.update(clmul=0, poly_inv_mod=0)
+        st, rep, _ = run_repair(st, "naive")
+        assert rep.verified is True
+        assert calls["clmul"] <= plan.k
+        assert calls["poly_inv_mod"] == 0
 
 
 def test_c2_rejects_foreign_d(toy_c2):
@@ -360,6 +416,33 @@ def test_cluster_numbers_must_be_ascii_decimals(tmp_path, toy_c1, field,
     path.write_text(text, encoding="utf-8")
     with pytest.raises(PERepairError) as e:
         load_cluster(path)
+    assert e.value.code == "CORRUPT_FILE"
+
+
+@pytest.mark.parametrize("spell", [
+    lambda h: "0x" + h,
+    lambda h: h[:3] + "_" + h[3:],
+    lambda h: "+" + h,
+    lambda h: "\u0660" + h,  # an Arabic-Indic 0, which int() reads as 0
+], ids=["prefix", "underscore", "sign", "non-ascii-digit"])
+@pytest.mark.parametrize("loader", ["cluster", "codeword"])
+def test_symbols_must_be_ascii_hex(tmp_path, toy_c1, loader, spell):
+    # every spelling keeps the symbol's value, so only the parse can refuse
+    st = init_cluster(toy_c1, 12)
+    path = tmp_path / "symbols.txt"
+    if loader == "cluster":
+        save_cluster(st, path)
+        load = load_cluster
+    else:
+        save_codeword(Codeword(st._expected, toy_c1.digest), toy_c1.ctx, path)
+        load = lambda p: load_codeword(p, toy_c1.ctx)
+    load(path)
+    h = st.nodes[3].symbol.hex()
+    text = path.read_text(encoding="utf-8")
+    assert text.count(h) == 1
+    path.write_text(text.replace(h, spell(h)), encoding="utf-8")
+    with pytest.raises(PERepairError) as e:
+        load(path)
     assert e.value.code == "CORRUPT_FILE"
 
 
