@@ -1,4 +1,5 @@
-"""Small shared plumbing: canonical JSON, digests, atomic file writes."""
+"""Small shared plumbing: canonical JSON, digests, atomic file writes,
+strict decimal parsing."""
 
 import hashlib
 import json
@@ -13,6 +14,16 @@ def canonical_json(payload) -> str:
 def digest_of(payload) -> str:
     """SHA-256 hex digest of the canonical JSON serialization."""
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()
+
+
+def parse_decimal(text: str) -> int:
+    """An int as the package's files write it: ASCII digits after an
+    optional minus sign.  int() alone also reads other Unicode digits, a
+    plus sign, underscores and surrounding blanks."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an ASCII decimal: {text!r}")
+    return int(text)
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -3,14 +3,17 @@
 The engine recovers one erased RS symbol without touching the failed node's
 exclusion group.  Every helper is sent multipliers, returns subfield traces
 of (multiplier * stored symbol), and the decoder reassembles the erased
-symbol through a trace-dual basis.  That basis comes from one Gram solve
-per preparation, which is also the certificate that the query basis spans
-E (for Construction 1, Lemma 1's span condition).  For N/m vectors over
-GF(2^m) the solve costs O(N) products in E when m is small against N/m,
-as in a Construction-1 repair at small d, and O((N/m)^2) otherwise
-(field_tower.dual_basis).  Bandwidth is counted in
-exact bits: a GF(2^m) response is m bits, and at the canonical locality the
-total equals the cut-set bound.
+symbol through a trace-dual basis.  The decoder is linear, so a preparation,
+cached per (failed node, d), folds that basis and the helpers' point powers
+into one weight per response, D_m(alpha_j); a prepared repair then costs
+one query product, one subfield trace and one weight product per response.
+The basis comes from one Gram solve per preparation, which is also the
+certificate that the query basis spans E (for Construction 1, Lemma 1's
+span condition).  For N/m vectors over GF(2^m) the solve costs O(N)
+products in E when m is small against N/m, as in a Construction-1 repair
+at small d, and O((N/m)^2) otherwise (field_tower.dual_basis).  Bandwidth
+is counted in exact bits: a GF(2^m) response is m bits, and at the
+canonical locality the total equals the cut-set bound.
 
 The two schemes share their skeleton and differ in the query plan:
 
@@ -25,9 +28,11 @@ The two schemes share their skeleton and differ in the query plan:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .errors import PERepairError, check_invariant
 from ._util import canonical_json
-from .field_tower import BasisOverSubfield, dual_basis, trace_to
+from .field_tower import BasisOverSubfield, FieldElem, SubfieldHandle, dual_basis
 from .rs_codes import annihilator, dual_multipliers, poly_eval
 
 __all__ = [
@@ -296,6 +301,20 @@ def _parity_column(plan, failed: int, helpers):
     return column, f_inv
 
 
+class _PreparedRepair(NamedTuple):
+    """One PE repair's cached preparation, per (failed, d).
+
+    Helper ``helpers[i]`` is asked for Tr(mults[i][m] * c), the trace onto
+    ``sub``, and that response enters the failed symbol times the raw int
+    ``weights[i][m]``.
+    """
+
+    helpers: list
+    sub: SubfieldHandle
+    mults: list
+    weights: list
+
+
 def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
     """The repair skeleton both constructions share.
 
@@ -310,7 +329,14 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
     trace-dual of B_{m,w} = e_m * alpha_f^w * c with c = h(alpha_f) * v_f.
     If Tr(u_i d_j) = delta_ij then Tr((c u_i)(c^-1 d_j)) = delta_ij, so
     that dual is the shape's duals times c^-1 = f_inv: one inversion, no
-    second Gram solve.  The preparation is cached per (failed, d).
+    second Gram solve.
+
+    That reconstruction, sum_{m,w} dual'_{m,w} * sum_j alpha_j^w * r_{j,m},
+    is regrouped by response: the failed symbol is sum_{j,m} r_{j,m} *
+    D_m(alpha_j) with D_m(x) = sum_w dual'_{m,w} x^w.  The preparation,
+    cached per (failed, d), holds the weights D_m(alpha_j), each by Horner
+    in W - 1 products.  A prepared repair then costs one query product,
+    one subfield trace and one weight product per response.
     """
     ctx = plan.ctx
     key = ("repair", failed, d)
@@ -318,34 +344,37 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
     if prep is None:
         helpers, sub, E, W, duals = shape()
         column, f_inv = _parity_column(plan, failed, helpers)
-        mults = [[e_m * col for e_m in E] for col in column]
-        helper_pows = [_shifts([ctx.one], plan.eval_set.points[idx], W)
-                       for idx in helpers]
-        prep = (helpers, sub, mults, helper_pows,
-                [d * f_inv for d in duals], len(E), W)
+        # D_m's coefficients, ascending: the repair duals of B_{m,0..W-1}
+        polys = [[dv * f_inv for dv in duals[m * W:(m + 1) * W]]
+                 for m in range(len(E))]
+        weights = [[poly_eval(p, plan.eval_set.points[j]).v for p in polys]
+                   for j in helpers]
+        prep = _PreparedRepair(helpers, sub,
+                               [[e_m * col for e_m in E] for col in column],
+                               weights)
         plan._cache[key] = prep
-    helpers, sub, mults, helper_pows, dual_vecs, dim_e, W = prep
+    helpers, sub, mults, weights = prep
 
+    mul = ctx._mul
+    trace_coords = sub._trace_coords
+    lift = sub._lift
+    symbols = codeword.symbols
     queries = []
-    responses = []
-    for hi, idx in enumerate(helpers):
-        for mult in mults[hi]:
+    raw = []
+    acc = 0
+    for idx, row_mults, row_weights in zip(helpers, mults, weights):
+        c = symbols[idx].v
+        for mult, weight in zip(row_mults, row_weights):
             queries.append((idx, mult))
-            responses.append(trace_to(mult * codeword.symbols[idx], sub))
-    per_helper_bits = [dim_e * sub.degree_bits] * len(helpers)
-    bits = sum(per_helper_bits)
-
-    recovered = ctx.zero
-    for m in range(dim_e):
-        for w in range(W):
-            lhs = ctx.zero
-            for hi in range(len(helpers)):
-                lhs = lhs + helper_pows[hi][w] * responses[hi * dim_e + m]
-            recovered = recovered + lhs * dual_vecs[m * W + w]
-
+            r = lift(trace_coords(mul(mult.v, c)))
+            raw.append(r)
+            acc ^= mul(r, weight)
+    responses = [FieldElem(ctx, r) for r in raw]
+    per_helper_bits = [len(row) * sub.degree_bits for row in mults]
     cutset = cutset_bits(d, plan.k, plan.L, plan.base_bits)
     return RepairTranscript(failed, helpers, queries, responses, sub.degree_bits,
-                            per_helper_bits, bits, cutset, recovered)
+                            per_helper_bits, sum(per_helper_bits), cutset,
+                            FieldElem(ctx, acc))
 
 
 def repair_c1(plan, codeword, failed: int, d: int | None = None) -> RepairTranscript:

@@ -16,7 +16,7 @@ degrees stay tiny (<= n), so evaluation is plain Horner.
 from __future__ import annotations
 
 from .errors import PERepairError
-from ._util import atomic_write_text, digest_of
+from ._util import atomic_write_text, digest_of, parse_decimal
 from .field_tower import FieldCtx, FieldElem
 
 __all__ = [
@@ -234,8 +234,8 @@ def load_codeword(path, ctx: FieldCtx) -> Codeword:
     lines = [ln for ln in raw.splitlines() if ln.strip()]
     try:
         digest = lines[0].removeprefix("plan_digest=")
-        n = int(lines[1].removeprefix("n="))
-        bits = int(lines[2].removeprefix("degree_bits="))
+        n = parse_decimal(lines[1].removeprefix("n="))
+        bits = parse_decimal(lines[2].removeprefix("degree_bits="))
         if (
             not lines[0].startswith("plan_digest=")
             or not lines[1].startswith("n=")

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 
 from .errors import PERepairError, check_invariant
-from ._util import atomic_write_text
+from ._util import atomic_write_text, parse_decimal
 from .constructions import load_plan, save_plan
 from .repair_engine import _parity_column, repair_c1, repair_c2
 from .rs_codes import Codeword, MessagePoly, encode
@@ -258,16 +258,6 @@ def save_cluster(state: ClusterState, path, plan_path=None) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _decimal(text: str) -> int:
-    """An int as save_cluster writes it: ASCII digits after an optional
-    minus sign.  int() alone also reads other Unicode digits, a plus sign
-    and underscores."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an ASCII decimal: {text!r}")
-    return int(text)
-
-
 def load_cluster(path) -> ClusterState:
     """Re-open a cluster file; live symbols are verified against a fresh
     encode of the seeded message."""
@@ -294,7 +284,7 @@ def load_cluster(path) -> ClusterState:
     try:
         plan_ref = header["plan"]
         digest = header["plan_digest"]
-        seed = _decimal(header["seed"])
+        seed = parse_decimal(header["seed"])
     except (KeyError, ValueError) as exc:
         raise PERepairError("CORRUPT_FILE", f"{path}: bad header: {exc}")
 
@@ -316,7 +306,7 @@ def load_cluster(path) -> ClusterState:
         if len(parts) != 3:
             raise PERepairError("CORRUPT_FILE", f"{path}: bad node line {parts}")
         try:
-            idx = _decimal(parts[1])
+            idx = parse_decimal(parts[1])
         except ValueError as exc:
             raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
         if not 0 <= idx < plan.n:

@@ -1,6 +1,7 @@
 """Property tests: random small plans of both constructions, with random
 point exponents, repair every node to the interpolation oracle's symbol at
-exactly the cut-set bound, by partial-exclusion and by naive repair.
+exactly the cut-set bound, by partial-exclusion and by naive repair, and a
+prepared (warm) PE repair replays the cold one.
 
 Examples are derandomized and have no deadline, so the outcome depends on
 the code alone, never on the machine's speed.
@@ -55,27 +56,60 @@ def c2_plans(draw):
     return build_plan_c2(base_bits, r, primes, point_exponents=exps)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(plan=st.one_of(c1_plans(), c2_plans()), seed=st.integers(0, 2 ** 32 - 1))
-def test_every_node_repairs_to_the_oracle_at_the_cutset_bound(plan, seed):
-    rng = random.Random(seed)
+def _codeword(plan, rng):
     ctx = plan.ctx
     msg = MessagePoly([ctx.elem(rng.getrandbits(ctx.degree_bits))
                        for _ in range(plan.k)])
-    cw = encode(msg, plan.eval_set, plan_digest=plan.digest)
+    return encode(msg, plan.eval_set, plan_digest=plan.digest)
+
+
+def _oracle(plan, cw, node):
+    """The erased symbol by Lagrange interpolation of k other symbols."""
+    others = [i for i in range(plan.n) if i != node][:plan.k]
+    poly = naive_decode([(i, cw.symbols[i]) for i in others], plan.eval_set)
+    return poly.evaluate(plan.eval_set.points[node])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(plan=st.one_of(c1_plans(), c2_plans()), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_node_repairs_to_the_oracle_at_the_cutset_bound(plan, seed):
+    cw = _codeword(plan, random.Random(seed))
     for node in range(plan.n):
-        others = [i for i in range(plan.n) if i != node][:plan.k]
-        oracle = naive_decode([(i, cw.symbols[i]) for i in others],
-                              plan.eval_set)
         if plan.construction == 1:
             tr = repair_c1(plan, cw, node)
             d = plan.d
         else:
             tr = repair_c2(plan, cw, node)
             d = plan.n - plan.groups[plan.locate(node)[0]].t
-        assert tr.recovered == oracle.evaluate(plan.eval_set.points[node])
+        assert tr.recovered == _oracle(plan, cw, node)
         assert tr.bits_transmitted == cutset_bits(d, plan.k, plan.L,
                                                   plan.base_bits)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(plan=st.one_of(c1_plans(), c2_plans()), seed=st.integers(0, 2 ** 32 - 1))
+def test_warm_repairs_replay_the_cold_ones(plan, seed):
+    # the cached preparation is keyed by (failed, d): a Construction-1 node
+    # is also repaired one helper above the canonical locality, where the
+    # failed group leaves room for it
+    rng = random.Random(seed)
+    first, second = _codeword(plan, rng), _codeword(plan, rng)
+    for node in range(plan.n):
+        t_i = plan.groups[plan.locate(node)[0]].t
+        if plan.construction == 1:
+            runs = [(d, lambda cw, d=d: repair_c1(plan, cw, node, d))
+                    for d in (plan.d, plan.d + 1) if d <= plan.n - t_i]
+        else:
+            runs = [(plan.n - t_i, lambda cw: repair_c2(plan, cw, node))]
+        for d, repair in runs:
+            assert ("repair", node, d) not in plan._cache
+            cold = repair(first)
+            warm = repair(first)
+            assert warm.to_payload() == cold.to_payload()
+            assert warm.queries == cold.queries
+            assert warm.responses == cold.responses
+            assert warm.recovered == first.symbols[node]
+            assert repair(second).recovered == _oracle(plan, second, node)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)

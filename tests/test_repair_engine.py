@@ -12,6 +12,7 @@ from perepair.repair_engine import (
     RepairSubspace,
     _helper_prefix,
     _lemma1_candidates,
+    _parity_column,
     _shifts,
     cutset_bits,
     lemma1_subspace,
@@ -116,27 +117,40 @@ def test_gram_acceptance_matches_verify_span(toy_c1):
 
 
 def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
-    # the repair's duals of B = f_mult * {e_m * alpha_f^w} are the
-    # subspace's duals over f_mult, equal to a fresh Gram solve of B
+    # the duals of B = f_mult * {e_m * alpha_f^w} are the subspace's duals
+    # over f_mult, equal to a fresh Gram solve of B, and each cached weight
+    # is the response's share of the reconstruction through those duals:
+    # sum_w dual_{m,w} * alpha_j^w
     rng = random.Random(808)
     for plan in (toy_c1, toy_c1_wide):
         cw = make_codeword(plan, rng)
         for node in range(plan.n):
             assert repair_c1(plan, cw, node).recovered == cw.symbols[node]
-            helpers, sub, _, _, dual_vecs, _, _ = plan._cache[
-                ("repair", node, plan.d)]
+            prep = plan._cache[("repair", node, plan.d)]
             gi, _ = plan.locate(node)
             S = lemma1_subspace(plan, node,
                                 helper_groups=_helper_prefix(plan, gi, plan.d)[1])
-            helper_set = set(helpers)
+            f_inv = _parity_column(plan, node, prep.helpers)[1]
+            helper_set = set(prep.helpers)
             h = annihilator([plan.eval_set.points[i] for i in range(plan.n)
                              if i not in helper_set and i != node], plan.ctx)
             f_mult = (poly_eval(h, plan.eval_set.points[node])
                       * dual_multipliers(plan.eval_set).v[node])
+            assert f_mult * f_inv == plan.ctx.one
             alpha_f = plan.eval_set.points[node]
             B = [f_mult * u for u in _shifts(S.basis, alpha_f, plan.s)]
-            fresh = dual_basis(BasisOverSubfield(sub, B, validate=False))
-            assert list(dual_vecs) == list(fresh.vectors)
+            fresh = dual_basis(BasisOverSubfield(prep.sub, B, validate=False))
+            assert [dv * f_inv for dv in S.duals] == list(fresh.vectors)
+            W = plan.s
+            for j, row in zip(prep.helpers, prep.weights):
+                pows = _shifts([plan.ctx.one], plan.eval_set.points[j], W)
+                want = []
+                for m in range(len(S.basis)):
+                    acc = plan.ctx.zero
+                    for w in range(W):
+                        acc = acc + fresh.vectors[m * W + w] * pows[w]
+                    want.append(acc.v)
+                assert row == want
 
 
 def test_cold_repairs_certify_once_without_gf2_rank(monkeypatch):
@@ -167,6 +181,39 @@ def test_cold_repairs_certify_once_without_gf2_rank(monkeypatch):
             calls.clear()
             fn(plan, cw, node)  # prepared: no Gram solve at all
             assert not calls
+
+
+def test_warm_pe_repair_costs_two_products_per_response(toy_c1, toy_c1_wide,
+                                                       monkeypatch):
+    # a prepared repair folds the reconstruction into one weight per
+    # response: one query product and one weight product each, and no
+    # inversion.  Replaying the dual-basis sum took 3.2 to 6.4 products per
+    # response on these plans.
+    calls = dict.fromkeys(("_mul", "poly_inv_mod"), 0)
+    real_mul = field_tower.FieldCtx._mul
+    real_inv = field_tower.poly_inv_mod
+
+    def mul(self, a, b):
+        calls["_mul"] += 1
+        return real_mul(self, a, b)
+
+    def inv(*args):
+        calls["poly_inv_mod"] += 1
+        return real_inv(*args)
+
+    monkeypatch.setattr(field_tower.FieldCtx, "_mul", mul)
+    monkeypatch.setattr(field_tower, "poly_inv_mod", inv)
+    for plan in (toy_c1, toy_c1_wide, example2().plan):
+        st = init_cluster(plan, 6)
+        for node in range(plan.n):
+            fail_node(st, node)
+            run_repair(st, "pe")  # prepares (or finds) this node's repair
+            fail_node(st, node)
+            calls.update(_mul=0, poly_inv_mod=0)
+            st, tr, _ = run_repair(st, "pe")
+            assert tr.verified is True
+            assert calls["_mul"] <= 2 * len(tr.responses)
+            assert calls["poly_inv_mod"] == 0
 
 
 def test_lemma1_subspaces_over_a_gf4_base():
@@ -440,10 +487,11 @@ def test_repair_outputs_are_pinned(toy_c1, toy_c2, toy_c1_wide):
     assert h.hexdigest() == PINNED_REPAIRS_SHA256
 
 
-# SHA-256 over the accepted beta exponent and the hex duals of every node's
-# cold preparation ("repair", node, d) on a fresh toy_c1_wide plan, the
-# plan shape of the benchmark's wide-cold workload, as computed by the
-# entry-by-entry Gram solve that dual_basis replaced
+# SHA-256 over the accepted beta exponent and the hex repair duals (the
+# subspace's duals times f_inv) of every node's cold preparation
+# ("repair", node, d) on a fresh toy_c1_wide plan, the plan shape of the
+# benchmark's wide-cold workload, as computed by the entry-by-entry Gram
+# solve that dual_basis replaced
 PINNED_COLD_PREPARATIONS_SHA256 = (
     "00d2d22804bebca4f1b0238ec29fc1a423739d5a79ea34dff886078d54d37f80"
 )
@@ -462,7 +510,9 @@ def test_cold_preparations_are_pinned():
         _, R = _helper_prefix(plan, gi, plan.d)
         beta = plan._cache[("subspace", node, R)].beta
         exp = next(e for e in range(1, 33) if ctx.generator ** e == beta)
-        duals = plan._cache[("repair", node, plan.d)][4]
+        helpers = plan._cache[("repair", node, plan.d)].helpers
+        f_inv = _parity_column(plan, node, helpers)[1]
+        duals = [dv * f_inv for dv in plan._cache[("subspace", node, R)].duals]
         h.update(f"{node} {exp}\n".encode())
         h.update("".join(v.hex() + "\n" for v in duals).encode())
     assert h.hexdigest() == PINNED_COLD_PREPARATIONS_SHA256

@@ -217,6 +217,34 @@ def test_non_ascii_codeword_file_is_corrupt(tmp_path, gf64):
     assert err.value.code == "CORRUPT_FILE"
 
 
+@pytest.mark.parametrize("header, spell", [
+    ("n", "+5"),
+    ("n", "0_5"),
+    ("n", " 5"),
+    ("n", "5 "),
+    ("n", "\u0665"),  # an Arabic-Indic 5, which int() reads as 5
+    ("degree_bits", "+6"),
+    ("degree_bits", "0_6"),
+    ("degree_bits", "6\t"),
+    ("degree_bits", "\uff16"),  # a fullwidth 6
+])
+def test_codeword_header_numbers_must_be_ascii_decimals(tmp_path, gf64,
+                                                        header, spell):
+    # every spelling keeps the header's value, so only the parse can refuse
+    c = encode(random_message(gf64, 2, random.Random(23)),
+               points_of(gf64, [1, 2, 3, 4, 5]))
+    path = tmp_path / "cw.txt"
+    save_codeword(c, gf64, path)
+    text = path.read_text(encoding="ascii")
+    line = {"n": "n=5\n", "degree_bits": "degree_bits=6\n"}[header]
+    assert text.count(line) == 1
+    path.write_text(text.replace(line, f"{header}={spell}\n"),
+                    encoding="utf-8")
+    with pytest.raises(PERepairError) as err:
+        load_codeword(path, gf64)
+    assert err.value.code == "CORRUPT_FILE"
+
+
 def test_codeword_file_corruption(tmp_path, gf64):
     path = tmp_path / "cw.txt"
     path.write_text("plan_digest=x\nn=3\ndegree_bits=6\n01\n02\n")
