@@ -12,12 +12,14 @@ factoring work is capped by a fixed count of rho steps, never by a clock, so
 every result depends on the inputs alone.
 
 Performance notes: multiplication is carry-less with a 4-bit window table
-of the longer operand, reduced by folding for sparse-tail moduli and by
-Barrett reduction (one clmul by x^(2N) div f, computed once) for dense-tail
-ones; squaring translates bytes through two nibble tables.  FieldCtx._fold
-is the only reducer: the Rabin irreducibility test squares through an
-arithmetic-only FieldCtx, and poly_mod is plain long division (poly_divmod)
-for the few reductions off the hot path.  Primitivity is
+of the longer operand; squaring translates bytes through two nibble tables.
+FieldCtx._fold, the only reducer, takes a product (degree <= 2N - 2) to its
+remainder by the exact Barrett quotient, found without a product: w
+shift-XORs in each of ceil(log2((N - 1) / min(N - a))) log-doubling rounds
+for a tail of w exponents a (5 rounds for x^210 + x^203 + 1).  The Rabin
+irreducibility test squares through an arithmetic-only FieldCtx, and
+poly_mod is plain long division (poly_divmod) for the few reductions off
+the hot path.  Primitivity is
 one product-tree order test over the known primes of the group order
 (_order_test).  Subfield work is done in the
 subfield: a handle for K = GF(2^m) keeps the coordinates of the dual
@@ -112,17 +114,6 @@ def clsq(a: int) -> int:
 def poly_degree(p: int) -> int:
     """Degree of a binary polynomial (-1 for the zero polynomial)."""
     return p.bit_length() - 1
-
-
-def _tail_shifts(f: int) -> tuple:
-    """Exponents of f below its leading term, descending."""
-    tail = f ^ (1 << poly_degree(f))
-    shifts = []
-    while tail:
-        b = tail.bit_length() - 1
-        shifts.append(b)
-        tail ^= 1 << b
-    return tuple(shifts)
 
 
 def poly_mod(a: int, f: int) -> int:
@@ -619,13 +610,17 @@ class FieldCtx:
         self.order_cofactor = order_cofactor
         self.generator_verified = generator_verified
         self._mask = (1 << degree_bits) - 1
-        self._shifts = _tail_shifts(modulus)
-        self._sparse = not self._shifts or self._shifts[0] <= degree_bits // 2
+        # tail exponents a of the modulus, descending; round t of _fold
+        # shifts by (N - a) 2^t, keeping the strides below N - 1
+        self._shifts = tuple(degree_bits - i for i, bit in
+                             enumerate(bin(modulus)[3:], 1) if bit == "1")
+        strides = [degree_bits - a for a in self._shifts if a > 1]
+        rounds = []
+        while strides:
+            rounds.append(tuple(strides))
+            strides = [d << 1 for d in strides if d << 1 < degree_bits - 1]
+        self._rounds = tuple(rounds)
         self._hexw = (degree_bits + 3) // 4
-        # Barrett constant x^(2N) div f for the dense-tail fold
-        self._mu = None
-        if not self._sparse:
-            self._mu = poly_divmod(1 << 2 * degree_bits, modulus)[0]
         self._subfields = {}
         self._trace_bits = None
         self.generator = FieldElem(self, generator_value)
@@ -633,18 +628,23 @@ class FieldCtx:
     # -- raw int arithmetic ------------------------------------------------
 
     def _fold(self, c: int) -> int:
-        n = self.degree_bits
-        if self._sparse:
-            hi = c >> n
-            while hi:
-                c &= self._mask
-                for sh in self._shifts:
-                    c ^= hi << sh
-                hi = c >> n
+        """c mod f for deg c <= 2N - 2, the degree of any product or square.
+
+        With f = x^N + sum_a x^a and c = H x^N + L, the quotient q obeys
+        q = H + sum_(a>0) (q >> (N - a)), so q = prod_t (1 + S^(2^t)) H with
+        S = sum_a s^(N - a), s the right shift by one: over GF(2) the shifts
+        commute and (sum S_i)^2 = sum S_i^2.  A quotient has degree at most
+        N - 2, so ceil(log2((N - 1) / min(N - a))) rounds are exact, each one
+        shift-XOR per tail term; a tail with every a <= N/2 takes one round.
+        """
+        q = c >> self.degree_bits
+        if not q:
             return c
-        # Barrett: deg c <= 2N - 2, so q = ((c div x^N) * mu) div x^N is the
-        # exact quotient, and q * f below x^N is q times the tail
-        q = clmul(c >> n, self._mu) >> n
+        for strides in self._rounds:
+            t = q
+            for d in strides:
+                t ^= q >> d
+            q = t
         for sh in self._shifts:
             c ^= q << sh
         return c & self._mask

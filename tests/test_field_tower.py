@@ -137,7 +137,7 @@ def test_irreducible_small_tables():
     "degree,count",
     [(2, 1), (3, 2), (4, 3), (5, 6), (6, 9), (8, 30), (9, 56), (10, 99)],
     # necklace counts: (1/n) * sum_{d|n} mu(d) 2^(n/d); degrees 9 and 10
-    # take every tail through both ring folds, sparse and Barrett
+    # take every tail through the ring's fold, with zero to four rounds
 )
 def test_irreducible_census(degree, count):
     found = sum(
@@ -161,6 +161,12 @@ def test_smallest_irreducible_frozen():
     # the default moduli of example2's GF(2^60) and the wide GF(2^210) plans
     assert smallest_irreducible(60) == poly_from_exponents(60, 59, 0)
     assert smallest_irreducible(210) == poly_from_exponents(210, 203, 0)
+    # every degree 2..64 and 210, as computed under the former Barrett fold
+    h = hashlib.sha256()
+    for n in [*range(2, 65), 210]:
+        h.update(f"{n}:{smallest_irreducible(n):x}\n".encode())
+    assert h.hexdigest() == (
+        "ba165acda01f794cf3390c1ee5eaffd46ab22cd2a42b9f8c57adad6e5ee34cc1")
 
 
 def test_gf2_rank():
@@ -496,7 +502,7 @@ def _trace_by_squarings(e, m):
 
 
 # the default moduli x^60 + x^59 + 1 and x^210 + x^203 + 1 have dense tails
-# (Barrett reduction); x^42 + x^7 + x^4 + x^3 + 1 is folded as sparse
+# (6 and 5 rounds of _fold's quotient); x^42 + x^7 + x^4 + x^3 + 1 takes one
 @pytest.mark.parametrize("degree, modulus", [
     (60, None), (210, None), (42, poly_from_exponents(42, 7, 4, 3, 0)),
 ])
@@ -510,16 +516,37 @@ def test_trace_to_is_the_frobenius_sum(degree, modulus):
             assert trace_to(e, sub) == _trace_by_squarings(e, m)
 
 
-@pytest.mark.parametrize("degree", [60, 210])
-def test_dense_tail_products_are_remainders(degree):
-    F = make_field(degree)
+def _reference_mulmod(a, b, f):
+    # shift-and-xor product, then top-down long division by f: no
+    # perepair arithmetic, so it checks FieldCtx's reducer independently
+    n = f.bit_length() - 1
+    p = _shift_xor_product(a, b)
+    for i in range(p.bit_length() - 1, n - 1, -1):
+        if p >> i & 1:
+            p ^= f << (i - n)
+    return p
+
+
+@pytest.mark.parametrize("degree, f", [
+    pytest.param(60, poly_from_exponents(60, 59, 0), id="60"),  # stride 1
+    pytest.param(210, poly_from_exponents(210, 203, 0), id="210"),
+    pytest.param(2310, poly_from_exponents(2310, 2308, 2305, 2302, 0),
+                 id="2310-pentanomial"),
+    pytest.param(2310, EXAMPLE1_MODULUS, id="2310-example1"),
+    pytest.param(42, poly_from_exponents(42, 7, 4, 3, 0), id="42-sparse"),
+    # an irreducible x^100 + x^99 + ... + 1 with a tail of weight 54
+    pytest.param(100, 0x1c6dd451b26bcefab3a3b48c4b, id="100-heavy-tail"),
+])
+def test_dense_tail_products_are_remainders(degree, f):
+    ctx = field_tower.FieldCtx(degree, f, 1, (), 1, False)  # arithmetic only
     rng = random.Random(degree)
     top = (1 << degree) - 1
     pairs = [(top, top), (top, 1), (1 << (degree - 1), 1 << (degree - 1))]
     pairs += [(rng.getrandbits(degree), rng.getrandbits(degree))
               for _ in range(50)]
     for a, b in pairs:
-        assert (F.elem(a) * F.elem(b)).v == poly_divmod(clmul(a, b), F.modulus)[1]
+        assert ctx._mul(a, b) == _reference_mulmod(a, b, f)
+        assert ctx._sq(a) == _reference_mulmod(a, a, f)
 
 
 @pytest.mark.parametrize("degree, m", [(12, 1), (12, 4), (12, 12), (210, 3)])

@@ -203,7 +203,6 @@ def test_warm_naive_repair_costs_k_products(monkeypatch):
     # inversion.  The Lagrange decode it replaced took 8 inversions and
     # ~227 products per repair of this plan.
     plan = example1().plan
-    assert plan.ctx._sparse  # so one clmul call is one product
     calls = dict.fromkeys(("clmul", "poly_inv_mod"), 0)
 
     def counted(name):
@@ -216,6 +215,9 @@ def test_warm_naive_repair_costs_k_products(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(field_tower, name, counted(name))
+    top = plan.ctx.order  # all ones: the widest product there is
+    plan.ctx._mul(top, top)
+    assert calls["clmul"] == 1  # so one clmul call is one product
     st = init_cluster(plan, 5)
     for node in range(plan.n):
         fail_node(st, node)
