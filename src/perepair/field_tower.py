@@ -868,6 +868,14 @@ class SubfieldHandle:
             self._trace_masks = tuple(v >> m for v in x)
         return self._trace_duals, self._trace_masks
 
+    def _is_small(self) -> bool:
+        """True when 4m < N/m + 1: K is small enough against E that trace
+        masks, m products and m functionals per vector, undercut products
+        between vectors.  dual_basis and a prepared repair both switch on
+        it."""
+        m = self.degree_bits
+        return 4 * m < self.ctx.degree_bits // m + 1
+
     def _trace_coords(self, v: int) -> int:
         """Coordinates of Tr_{E/K}(v) in the basis gamma^0..gamma^(m-1), as
         an m-bit int: bit l is parity(v & psi_l)."""
@@ -1047,8 +1055,9 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
       mask W_il = _trace_functional(c_l b_i), c_l the dual of gamma^l in K
       (SubfieldHandle._trace_dual_basis), so every entry is m parities once
       each vector has paid m products and m functionals.  Those N + N
-      undercut the n(n + 1)/2 products b_i b_j only when 4m < n + 1;
-      otherwise each product gives its entry through _trace_coords.
+      undercut the n(n + 1)/2 products b_i b_j only when 4m < n + 1
+      (SubfieldHandle._is_small); otherwise each product gives its entry
+      through _trace_coords.
     * T side.  A row is one int of m-bit slots, one per column not yet
       pivoted.  gamma times a row is a shift plus each slot's carry times
       g - x^m, which stays in its slot, so a row operation by f in K XORs
@@ -1066,7 +1075,7 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
             "SINGULAR_GRAM",
             f"{n} vectors cannot form a basis over GF(2^{m})",
         )
-    by_masks = 4 * m < n + 1
+    by_masks = sub._is_small()
     small = m < n
     coords, psi = sub._trace_dual_basis()
     duals = [sub._lift(z) for z in coords] if by_masks else ()

@@ -5,11 +5,15 @@ exclusion group.  Every helper is sent multipliers, returns subfield traces
 of (multiplier * stored symbol), and the decoder reassembles the erased
 symbol through a trace-dual basis.  The decoder is linear, so a preparation,
 cached per (failed node, d), folds that basis and the helpers' point powers
-into one weight per response, D_m(alpha_j); a prepared repair then costs
-one query product, one subfield trace and one weight product per response.
-The basis comes from one Gram solve per preparation, which is also the
-certificate that the query basis spans E (for Construction 1, Lemma 1's
-span condition).  For N/m vectors over GF(2^m) the solve costs O(N)
+into one weight per response, D_m(alpha_j).  A prepared repair evaluates
+that map in one of two orders, fixed from the shape: by response, one
+query product, one subfield trace and one weight product per response; or,
+when the response field GF(2^m) is small against E (4m < N/m + 1), by
+trace coordinate, one product per helper, m mask parities per response and
+m - 1 products to finish, d + m - 1 per repair (_repair).  The basis
+comes from one Gram solve per preparation, which is also the certificate
+that the query basis spans E (for Construction 1, Lemma 1's span
+condition).  For N/m vectors over GF(2^m) the solve costs O(N)
 products in E when m is small against N/m, as in a Construction-1 repair
 at small d, and O((N/m)^2) otherwise (field_tower.dual_basis).  Bandwidth
 is counted in exact bits: a GF(2^m) response is m bits, and at the
@@ -305,14 +309,87 @@ class _PreparedRepair(NamedTuple):
     """One PE repair's cached preparation, per (failed, d).
 
     Helper ``helpers[i]`` is asked for Tr(mults[i][m] * c), the trace onto
-    ``sub``, and that response enters the failed symbol times the raw int
-    ``weights[i][m]``.
+    ``sub``, with mults[i][m] = e_m * col_i for the raw int col_i =
+    ``columns[i]``, and that response enters the failed symbol times the
+    raw int ``weights[i][m]``.  ``masks`` picks the evaluation order once,
+    from the shape: None repairs by response (_by_response, 2 products per
+    response); for a ``sub`` = GF(2^m) small against E, 4m < N/m + 1
+    (SubfieldHandle._is_small), it holds the masks
+    mu_{m,l} = _trace_functional(c_l * e_m), masks[m][l], and the repair
+    goes by trace coordinate (_by_coordinate, d + m - 1 products).
     """
 
     helpers: list
     sub: SubfieldHandle
+    columns: list
     mults: list
     weights: list
+    masks: tuple | None
+
+
+def _coordinate_masks(sub: SubfieldHandle, E):
+    """masks[m][l] with parity(y & masks[m][l]) = coordinate l of
+    Tr_{E/K}(e_m * y), K = ``sub``: the functional of c_l * e_m, c_l the
+    Tr_{K/GF(2)}-dual of gamma^l, lifted.  |E| * m products."""
+    ctx = sub.ctx
+    duals = [sub._lift(z) for z in sub._trace_dual_basis()[0]]
+    return tuple(tuple(ctx._trace_functional(ctx._mul(c, e_m.v))
+                       for c in duals) for e_m in E)
+
+
+def _by_response(prep: _PreparedRepair, symbols):
+    """(queries, raw responses, recovered int), each response traced from
+    its own query product and then multiplied by its weight: 2 products
+    per response."""
+    mul = prep.sub.ctx._mul
+    trace_coords = prep.sub._trace_coords
+    lift = prep.sub._lift
+    queries = []
+    raw = []
+    acc = 0
+    for idx, row_mults, row_weights in zip(prep.helpers, prep.mults,
+                                           prep.weights):
+        c = symbols[idx].v
+        for mult, weight in zip(row_mults, row_weights):
+            queries.append((idx, mult))
+            r = lift(trace_coords(mul(mult.v, c)))
+            raw.append(r)
+            acc ^= mul(r, weight)
+    return queries, raw, acc
+
+
+def _by_coordinate(prep: _PreparedRepair, symbols):
+    """_by_response's result from d + m - 1 products, m = [K : GF(2)].
+
+    Helper j's queries are e_m * col_j, so y_j = col_j * c_j is one
+    product per helper and coordinate l of response (j, m) is
+    parity(y_j & mu_{m,l}).  The recovered symbol sum_i lift(z_i) * w_i
+    equals sum_l gamma^l * S_l, where S_l XORs the weights of the
+    responses whose coordinate l is set: a Horner pass in gamma of m - 1
+    products."""
+    sub = prep.sub
+    mul = sub.ctx._mul
+    lift = sub._lift
+    sums = [0] * sub.degree_bits
+    queries = []
+    raw = []
+    for idx, col, row_mults, row_weights in zip(prep.helpers, prep.columns,
+                                                prep.mults, prep.weights):
+        y = mul(col, symbols[idx].v)
+        for mult, weight, row_masks in zip(row_mults, row_weights,
+                                           prep.masks):
+            queries.append((idx, mult))
+            z = 0
+            for l, mask in enumerate(row_masks):
+                if (y & mask).bit_count() & 1:
+                    z |= 1 << l
+                    sums[l] ^= weight
+            raw.append(lift(z))
+    gamma = sub.canonical_generator.v
+    acc = sums[-1]
+    for s_l in reversed(sums[:-1]):
+        acc = mul(acc, gamma) ^ s_l
+    return queries, raw, acc
 
 
 def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
@@ -335,10 +412,22 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
     is regrouped by response: the failed symbol is sum_{j,m} r_{j,m} *
     D_m(alpha_j) with D_m(x) = sum_w dual'_{m,w} x^w.  The preparation,
     cached per (failed, d), holds the weights D_m(alpha_j), each by Horner
-    in W - 1 products.  A prepared repair then costs one query product,
-    one subfield trace and one weight product per response.
+    in W - 1 products.  The map is linear over GF(2), and a prepared
+    repair evaluates it in one of two orders, fixed by the preparation
+    from the shape alone.  For R responses in K = GF(2^m):
+
+    * by response (_by_response): one query product, one subfield trace
+      and one weight product per response, 2R products;
+    * by trace coordinate (_by_coordinate), when K is small against E
+      (4m < N/m + 1, the rule dual_basis uses): one product per helper,
+      m parities per response against masks the preparation keeps
+      (|E| * m of them, shared by every helper), and m - 1 products to
+      finish, d + m - 1 products.
+
+    Both give the same responses, queries and symbol.  Where K is large
+    the masks cost more than they save (Construction 2, example1), so
+    those shapes stay by response.
     """
-    ctx = plan.ctx
     key = ("repair", failed, d)
     prep = plan._cache.get(key)
     if prep is None:
@@ -349,32 +438,21 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
                  for m in range(len(E))]
         weights = [[poly_eval(p, plan.eval_set.points[j]).v for p in polys]
                    for j in helpers]
-        prep = _PreparedRepair(helpers, sub,
-                               [[e_m * col for e_m in E] for col in column],
-                               weights)
+        prep = _PreparedRepair(
+            helpers, sub, [col.v for col in column],
+            [[e_m * col for e_m in E] for col in column], weights,
+            _coordinate_masks(sub, E) if sub._is_small() else None)
         plan._cache[key] = prep
-    helpers, sub, mults, weights = prep
-
-    mul = ctx._mul
-    trace_coords = sub._trace_coords
-    lift = sub._lift
-    symbols = codeword.symbols
-    queries = []
-    raw = []
-    acc = 0
-    for idx, row_mults, row_weights in zip(helpers, mults, weights):
-        c = symbols[idx].v
-        for mult, weight in zip(row_mults, row_weights):
-            queries.append((idx, mult))
-            r = lift(trace_coords(mul(mult.v, c)))
-            raw.append(r)
-            acc ^= mul(r, weight)
+    evaluate = _by_response if prep.masks is None else _by_coordinate
+    queries, raw, acc = evaluate(prep, codeword.symbols)
+    ctx = plan.ctx
+    sub = prep.sub
     responses = [FieldElem(ctx, r) for r in raw]
-    per_helper_bits = [len(row) * sub.degree_bits for row in mults]
+    per_helper_bits = [len(row) * sub.degree_bits for row in prep.mults]
     cutset = cutset_bits(d, plan.k, plan.L, plan.base_bits)
-    return RepairTranscript(failed, helpers, queries, responses, sub.degree_bits,
-                            per_helper_bits, sum(per_helper_bits), cutset,
-                            FieldElem(ctx, acc))
+    return RepairTranscript(failed, prep.helpers, queries, responses,
+                            sub.degree_bits, per_helper_bits,
+                            sum(per_helper_bits), cutset, FieldElem(ctx, acc))
 
 
 def repair_c1(plan, codeword, failed: int, d: int | None = None) -> RepairTranscript:

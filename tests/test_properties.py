@@ -112,6 +112,36 @@ def test_warm_repairs_replay_the_cold_ones(plan, seed):
             assert repair(second).recovered == _oracle(plan, second, node)
 
 
+@st.composite
+def c1_small_field_plans(draw):
+    """Construction 1 over GF(2^210), primes 3, 5 and 7, with d = k + 1 at
+    most every t_i, so that every helper prefix is one group: responses
+    in GF(2^3), GF(2^5) or GF(2^7), small against E, so prepared repairs
+    go by trace coordinate."""
+    t = [draw(st.integers(2, 5)) for _ in range(3)]
+    k = draw(st.integers(1, min(t) - 1))
+    exps = [_exponents(draw, 1, p, ti) for p, ti in zip((3, 5, 7), t)]
+    return build_plan_c1(1, t, s=2, k=k, primes=[3, 5, 7],
+                         point_exponents=exps)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=8)
+@given(plan=c1_small_field_plans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_small_response_field_repairs_by_coordinate(plan, seed):
+    rng = random.Random(seed)
+    first, second = _codeword(plan, rng), _codeword(plan, rng)
+    for node in range(plan.n):
+        cold = repair_c1(plan, first, node)
+        assert plan._cache[("repair", node, plan.d)].masks is not None
+        warm = repair_c1(plan, first, node)
+        assert warm.to_payload() == cold.to_payload()
+        assert warm.responses == cold.responses
+        tr = repair_c1(plan, second, node)
+        assert tr.recovered == _oracle(plan, second, node)
+        assert tr.bits_transmitted == cutset_bits(plan.d, plan.k, plan.L,
+                                                  plan.base_bits)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(plan=st.one_of(c1_plans(), c2_plans()), seed=st.integers(0, 2 ** 32 - 1))
 def test_cold_and_warm_naive_repairs_give_the_oracle_symbol(plan, seed):

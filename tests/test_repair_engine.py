@@ -10,6 +10,9 @@ from perepair.field_tower import BasisOverSubfield, degree_over, dual_basis, tra
 from perepair.fixtures import example2
 from perepair.repair_engine import (
     RepairSubspace,
+    _by_coordinate,
+    _by_response,
+    _coordinate_masks,
     _helper_prefix,
     _lemma1_candidates,
     _parity_column,
@@ -214,6 +217,75 @@ def test_warm_pe_repair_costs_two_products_per_response(toy_c1, toy_c1_wide,
             assert tr.verified is True
             assert calls["_mul"] <= 2 * len(tr.responses)
             assert calls["poly_inv_mod"] == 0
+
+
+def test_warm_small_field_repair_costs_d_plus_m_minus_1_products(
+        toy_c1_wide, monkeypatch):
+    # responses in GF(2^3) and GF(2^5) against GF(2^210): a prepared repair
+    # goes by trace coordinate, one product per helper and a Horner pass of
+    # m - 1 products in gamma, and no inversion.  By response it took
+    # 2 products per response, 126 (m = 5) and 210 (m = 3).
+    calls = dict.fromkeys(("_mul", "poly_inv_mod"), 0)
+    real_mul = field_tower.FieldCtx._mul
+    real_inv = field_tower.poly_inv_mod
+
+    def mul(self, a, b):
+        calls["_mul"] += 1
+        return real_mul(self, a, b)
+
+    def inv(*args):
+        calls["poly_inv_mod"] += 1
+        return real_inv(*args)
+
+    plan = toy_c1_wide
+    cw = make_codeword(plan, random.Random(2718))
+    for node in range(plan.n):
+        repair_c1(plan, cw, node)  # prepares (or finds) this node's repair
+        monkeypatch.setattr(field_tower.FieldCtx, "_mul", mul)
+        monkeypatch.setattr(field_tower, "poly_inv_mod", inv)
+        calls.update(_mul=0, poly_inv_mod=0)
+        tr = repair_c1(plan, cw, node)
+        monkeypatch.undo()
+        assert tr.recovered == cw.symbols[node]
+        assert calls["_mul"] <= len(tr.helpers) + tr.response_bits - 1
+        assert calls["poly_inv_mod"] == 0
+
+
+def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2):
+    # the two private evaluation orders on one preparation: the same
+    # queries, responses, bits and symbol for every node.  Shapes that
+    # repair by response get the masks built here; for Construction 2,
+    # |E| = 1 and the masks are the subfield's trace masks psi.
+    rng = random.Random(1618)
+    for plan in (toy_c1, toy_c1_wide, toy_c2):
+        cw = make_codeword(plan, rng)
+        for node in range(plan.n):
+            gi, _ = plan.locate(node)
+            if plan.construction == 1:
+                tr = repair_c1(plan, cw, node)
+                R = _helper_prefix(plan, gi, plan.d)[1]
+                E = lemma1_subspace(plan, node, helper_groups=R).basis
+            else:
+                tr = repair_c2(plan, cw, node)
+                E = [plan.ctx.one]
+            prep = plan._cache[("repair", node, len(tr.helpers))]
+            sub = prep.sub
+            assert (prep.masks is not None) == sub._is_small()
+            assert (prep.masks is not None) == (plan is toy_c1_wide)
+            masks = _coordinate_masks(sub, E)
+            if prep.masks is not None:
+                assert prep.masks == masks
+            if plan.construction == 2:
+                assert masks == (sub._trace_dual_basis()[1],)
+            by_response = _by_response(prep, cw.symbols)
+            by_coordinate = _by_coordinate(prep._replace(masks=masks),
+                                           cw.symbols)
+            assert by_coordinate == by_response
+            queries, raw, acc = by_response
+            assert queries == tr.queries
+            assert raw == [r.v for r in tr.responses]
+            assert acc == tr.recovered.v == cw.symbols[node].v
+            assert len(raw) * sub.degree_bits == tr.bits_transmitted
 
 
 def test_lemma1_subspaces_over_a_gf4_base():
@@ -516,3 +588,24 @@ def test_cold_preparations_are_pinned():
         h.update(f"{node} {exp}\n".encode())
         h.update("".join(v.hex() + "\n" for v in duals).encode())
     assert h.hexdigest() == PINNED_COLD_PREPARATIONS_SHA256
+
+
+# SHA-256 over the transcript JSON, transfer-log CSV and trace responses of
+# a PE repair of every node of toy_c1_wide at d = 3, for two cluster seeds:
+# nodes 3-8 answer in GF(2^3), which test_repair_outputs_are_pinned does
+# not reach
+PINNED_WIDE_REPAIRS_SHA256 = (
+    "4ae55baf450f18438907e46d555a34621c0a62113b963bf3b0f7ad67571a88bc"
+)
+
+
+def test_every_wide_node_repair_is_pinned(toy_c1_wide):
+    h = hashlib.sha256()
+    for seed in (31, 4096):
+        for node in range(toy_c1_wide.n):
+            state = fail_node(init_cluster(toy_c1_wide, seed), node)
+            _, tr, log = run_repair(state, "pe", 3)
+            h.update(tr.to_json().encode())
+            h.update(log.to_csv().encode())
+            h.update("".join(r.hex() + "\n" for r in tr.responses).encode())
+    assert h.hexdigest() == PINNED_WIDE_REPAIRS_SHA256
