@@ -56,7 +56,6 @@ from .repair_engine import (
     cutset_bits,
     repair_c1,
     repair_c2,
-    select_helpers_c1,
 )
 from .storage_sim import (
     ClusterState,
@@ -104,7 +103,6 @@ __all__ = [
     "load_plan",
     "RepairTranscript",
     "cutset_bits",
-    "select_helpers_c1",
     "repair_c1",
     "repair_c2",
     "ClusterState",

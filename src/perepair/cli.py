@@ -28,7 +28,7 @@ from .bounds_tradeoff import (
 from .constructions import build_plan_c1, build_plan_c2, save_plan
 from .errors import PERepairError, exit_status
 from .fixtures import by_name
-from .repair_engine import repair_c1, repair_c2
+from .repair_engine import _scheme
 from .storage_sim import fail_node, init_cluster, load_cluster, run_repair, save_cluster
 
 __all__ = ["main"]
@@ -72,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--cluster", required=True, help="cluster file")
     r.add_argument("--node", type=int, required=True)
     r.add_argument("--strategy", choices=("pe", "naive"), default="pe")
-    r.add_argument("--d", type=int, help="helper count override (construction 1)")
+    r.add_argument("--d", type=int, help="helper count: k+s-1 (default) to "
+                   "n-t_i in construction 1, only n-t_i in construction 2")
     r.add_argument("--out", help="transcript JSON file")
 
     b = sub.add_parser("bound", help="minimum sub-packetization")
@@ -215,22 +216,17 @@ def cmd_reproduce(args, parser) -> int:
     def check(label, got, want):
         checks.append((label, got, want, got == want))
 
+    repair = _scheme(plan)
+    for node in ex.nodes:
+        tr = repair(plan, ex.codeword, node)
+        want = ex.group_bits[plan.locate(node)[0]]
+        check(f"repair node {node} bits", tr.bits_transmitted, want)
+        check(f"repair node {node} cutset", tr.cutset_bits, want)
+        check(f"repair node {node} symbol", tr.recovered.hex(),
+              ex.codeword.symbols[node].hex())
     if plan.construction == 1:
-        # the published walk-through repairs the first node only
-        tr = repair_c1(plan, ex.codeword, 0, d=ex.d)
-        check("repair node 0 bits", tr.bits_transmitted, ex.group_bits[0])
-        check("repair node 0 symbol", tr.recovered.hex(),
-              ex.codeword.symbols[0].hex())
+        # the published Construction-1 walk-through also prices naive repair
         check("naive bits", plan.k * plan.L * plan.base_bits, ex.naive_bits)
-    else:
-        for node in range(plan.n):
-            tr = repair_c2(plan, ex.codeword, node)
-            gi = plan.locate(node)[0]
-            check(f"repair node {node} bits", tr.bits_transmitted,
-                  ex.group_bits[gi])
-            check(f"repair node {node} cutset", tr.cutset_bits, ex.group_bits[gi])
-            check(f"repair node {node} symbol", tr.recovered.hex(),
-                  ex.codeword.symbols[node].hex())
 
     ok = all(passed for _, _, _, passed in checks)
     if args.json:

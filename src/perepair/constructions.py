@@ -121,7 +121,6 @@ class _PlanBase:
             for i, (p, t, (pts, exps)) in enumerate(groups_spec)
         )
         self.n = sum(g.t for g in self.groups)
-        self.t_max = max(g.t for g in self.groups)
         points = []
         node_group = []
         for gi, g in enumerate(self.groups):

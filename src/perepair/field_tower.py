@@ -205,36 +205,33 @@ def smallest_irreducible(n: int) -> int:
             return f
 
 
-def gf2_rank(rows) -> int:
-    """Rank over GF(2) of bit-vector rows given as ints."""
+def _gf2_pivots(rows):
+    """{leading bit: (row, c)}: each bit-vector int of ``rows`` reduced by
+    the pivots before it, c the set of inputs it is the XOR of (bit l for
+    rows[l]).  Rows that reduce to zero leave no pivot."""
     pivots = {}
-    rank = 0
-    for row in rows:
+    for l, row in enumerate(rows):
+        c = 1 << l
         while row:
             b = row.bit_length() - 1
             other = pivots.get(b)
             if other is None:
-                pivots[b] = row
-                rank += 1
+                pivots[b] = (row, c)
                 break
-            row ^= other
-    return rank
+            row ^= other[0]
+            c ^= other[1]
+    return pivots
+
+
+def gf2_rank(rows) -> int:
+    """Rank over GF(2) of bit-vector rows given as ints."""
+    return len(_gf2_pivots(rows))
 
 
 def _gf2_coordinates(vectors, y: int) -> int:
     """c with y = XOR of vectors[l] over the set bits l of c, for GF(2)-
     independent bit-vector ints and y in their span."""
-    pivots = {}
-    for l, v in enumerate(vectors):
-        c = 1 << l
-        while v:
-            b = v.bit_length() - 1
-            other = pivots.get(b)
-            if other is None:
-                pivots[b] = (v, c)
-                break
-            v ^= other[0]
-            c ^= other[1]
+    pivots = _gf2_pivots(vectors)
     c = 0
     while y:
         v, cv = pivots[y.bit_length() - 1]

@@ -20,19 +20,20 @@ _cache = {}
 class WorkedExample:
     """A plan plus a pinned message and the transfer totals to re-check.
 
-    group_bits[i] is the expected repair bandwidth, in bits, for any node
-    of group i; naive_bits is the whole-symbol interpolation cost.
+    nodes lists the nodes to repair; group_bits[i] is the expected repair
+    bandwidth, in bits, for any node of group i; naive_bits is the
+    whole-symbol interpolation cost.
     """
 
     __slots__ = ("name", "plan", "message", "codeword",
-                 "d", "group_bits", "naive_bits")
+                 "nodes", "group_bits", "naive_bits")
 
-    def __init__(self, name, plan, message, d, group_bits, naive_bits):
+    def __init__(self, name, plan, message, nodes, group_bits, naive_bits):
         self.name = name
         self.plan = plan
         self.message = message
         self.codeword = encode(message, plan.eval_set, plan_digest=plan.digest)
-        self.d = d
+        self.nodes = tuple(nodes)
         self.group_bits = tuple(group_bits)
         self.naive_bits = naive_bits
 
@@ -90,8 +91,11 @@ def example1() -> WorkedExample:
         1, [3, 3, 3, 3], s=2, primes=[3, 5, 7, 11],
         point_exponents=exps, modulus=modulus,
     )
-    message = _gf2_message(plan.ctx, (1, 0, 1, 1), plan.k)  # x^3 + x^2 + 1
-    ex = WorkedExample("example1", plan, message, 9, (10395,) * 4, 18480)
+    # x^3 + x^2 + 1, whose roots include the points of nodes 0 and 1, so
+    # node 0 (the paper's walk-through) stores 0; 3, 6 and 9 do not
+    message = _gf2_message(plan.ctx, (1, 0, 1, 1), plan.k)
+    ex = WorkedExample("example1", plan, message, (0, 3, 6, 9),
+                       (10395,) * 4, 18480)
     _cache["example1"] = ex
     return ex
 
@@ -116,7 +120,8 @@ def example2() -> WorkedExample:
     plan = build_plan_c2(2, 8, [2, 3, 5], point_exponents=exps, modulus=modulus)
     # x^3 + x^2 + x + 1
     message = _gf2_message(plan.ctx, (1, 1, 1, 1), plan.k)
-    ex = WorkedExample("example2", plan, message, None, (300, 220, 156), 540)
+    ex = WorkedExample("example2", plan, message, range(plan.n),
+                       (300, 220, 156), 540)
     _cache["example2"] = ex
     return ex
 

@@ -45,7 +45,6 @@ __all__ = [
     "cutset_bits",
     "lemma1_subspace",
     "verify_span",
-    "select_helpers_c1",
     "repair_c1",
     "repair_c2",
 ]
@@ -256,28 +255,6 @@ def _helper_prefix(plan, excluded_group: int, d: int):
     return helpers, tuple(R)
 
 
-def select_helpers_c1(plan, failed: int, d: int):
-    """d helper nodes for a Construction-1 repair, never inside the failed
-    node's exclusion group."""
-    gi, _ = plan.locate(failed)
-    t_i = plan.groups[gi].t
-    if not plan.k <= d <= plan.n - t_i:
-        raise PERepairError(
-            "LOCALITY_OUT_OF_RANGE",
-            f"d={d} outside [{plan.k}, {plan.n - t_i}]",
-        )
-    return _helper_prefix(plan, gi, d)[0]
-
-
-def _check_pairing(plan, codeword):
-    if codeword.plan_digest != plan.digest:
-        raise PERepairError(
-            "PLAN_MISMATCH", "codeword was not produced under this plan"
-        )
-    if len(codeword.symbols) != plan.n:
-        raise PERepairError("PLAN_MISMATCH", "codeword length disagrees with plan")
-
-
 def _parity_column(plan, failed: int, helpers):
     """The dual-code parity check through ``helpers`` and ``failed``.
 
@@ -392,14 +369,19 @@ def _by_coordinate(prep: _PreparedRepair, symbols):
     return queries, raw, acc
 
 
-def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
-    """The repair skeleton both constructions share.
+def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscript:
+    """The repair skeleton both constructions share, and their contract.
 
-    ``shape()`` gives the query plan: (helpers, response subfield, query
-    basis E, number of point powers W, duals), where duals is the trace-dual
-    of the unscaled basis {e_m * alpha_f^w}, m-major: lemma1_subspace's
-    certificate for Construction 1, the power basis's Gram solve for
-    Construction 2.  Helper j is asked for the traces of e * col_j * c_j
+    The codeword must come from ``plan``, and d, by default the scheme's
+    ``canonical`` locality (None for n - t_i), must lie in [canonical,
+    n - t_i].  The repair moves d * cutset_bits(canonical) / canonical
+    bits, the cut-set bound at d = canonical, or INVARIANT_VIOLATION.
+
+    ``shape(gi, d)``, gi the failed group, gives the query plan: (helpers,
+    response subfield, query basis E, number of point powers W, duals),
+    duals the trace-dual of the unscaled basis {e_m * alpha_f^w}, m-major:
+    lemma1_subspace's certificate for Construction 1, the power basis's
+    Gram solve for Construction 2.  Helper j is asked for the traces of e * col_j * c_j
     for every e in E, where col_j = h(alpha_j) * v_j is _parity_column's
     entry: h annihilates the silenced points and v is the dual code's
     column multiplier.  The failed symbol is rebuilt through the
@@ -428,10 +410,26 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
     the masks cost more than they save (Construction 2, example1), so
     those shapes stay by response.
     """
+    if codeword.plan_digest != plan.digest:
+        raise PERepairError(
+            "PLAN_MISMATCH", "codeword was not produced under this plan"
+        )
+    if len(codeword.symbols) != plan.n:
+        raise PERepairError("PLAN_MISMATCH", "codeword length disagrees with plan")
+    gi, _ = plan.locate(failed)
+    top = plan.n - plan.groups[gi].t
+    canonical = top if canonical is None else canonical
+    if d is None:
+        d = canonical
+    if not canonical <= d <= top:
+        raise PERepairError(
+            "LOCALITY_OUT_OF_RANGE",
+            f"d={d} outside [{canonical}, {top}] for this scheme",
+        )
     key = ("repair", failed, d)
     prep = plan._cache.get(key)
     if prep is None:
-        helpers, sub, E, W, duals = shape()
+        helpers, sub, E, W, duals = shape(gi, d)
         column, f_inv = _parity_column(plan, failed, helpers)
         # D_m's coefficients, ascending: the repair duals of B_{m,0..W-1}
         polys = [[dv * f_inv for dv in duals[m * W:(m + 1) * W]]
@@ -449,66 +447,53 @@ def _repair(plan, codeword, failed: int, d: int, shape) -> RepairTranscript:
     sub = prep.sub
     responses = [FieldElem(ctx, r) for r in raw]
     per_helper_bits = [len(row) * sub.degree_bits for row in prep.mults]
-    cutset = cutset_bits(d, plan.k, plan.L, plan.base_bits)
+    bits = sum(per_helper_bits)
+    expected = d * cutset_bits(canonical, plan.k, plan.L,
+                               plan.base_bits) // canonical
+    check_invariant(bits == expected, f"repair moved {bits} bits, not {expected}")
     return RepairTranscript(failed, prep.helpers, queries, responses,
-                            sub.degree_bits, per_helper_bits,
-                            sum(per_helper_bits), cutset, FieldElem(ctx, acc))
+                            sub.degree_bits, per_helper_bits, bits,
+                            cutset_bits(d, plan.k, plan.L, plan.base_bits),
+                            FieldElem(ctx, acc))
 
 
 def repair_c1(plan, codeword, failed: int, d: int | None = None) -> RepairTranscript:
-    """Construction-1 repair of one node at locality d (default k+s-1).
-
-    Localities above the canonical k+s-1 still repair correctly (the helper
-    prefix grows and responses shrink proportionally) but transmit more than
-    the cut-set bound; below it the shifted parity polynomials would exceed
-    the dual degree bound, so such d are rejected.
-    """
+    """Construction-1 repair of one node at locality d in [k+s-1, n-t_i],
+    by default k+s-1.  A larger d widens the helper prefix and shrinks each
+    helper's responses, moving d * u base symbols, above the cut-set bound;
+    a smaller one would push the shifted parity polynomials past the dual
+    degree bound."""
     if plan.construction != 1:
         raise ValueError("plan is not a Construction-1 plan")
-    _check_pairing(plan, codeword)
-    gi, _ = plan.locate(failed)
-    t_i = plan.groups[gi].t
-    if d is None:
-        d = plan.d
-    if not plan.d <= d <= plan.n - t_i:
-        raise PERepairError(
-            "LOCALITY_OUT_OF_RANGE",
-            f"d={d} outside [{plan.d}, {plan.n - t_i}] for this scheme",
-        )
 
-    def shape():
+    def shape(gi, d):
         # each helper answers one query per basis element of the s-shift
         # repair subspace S, over the helper prefix's residue field
         helpers, R = _helper_prefix(plan, gi, d)
         S = lemma1_subspace(plan, failed, helper_groups=R)
         return helpers, S.subfield, S.basis, plan.s, S.duals
 
-    tr = _repair(plan, codeword, failed, d, shape)
-    expected = d * plan.u * plan.base_bits
-    check_invariant(tr.bits_transmitted == expected,
-                    f"repair moved {tr.bits_transmitted} bits, not {expected}")
-    return tr
+    return _repair(plan, codeword, failed, d, plan.d, shape)
 
 
-def repair_c2(plan, codeword, failed: int) -> RepairTranscript:
+def repair_c2(plan, codeword, failed: int, d: int | None = None) -> RepairTranscript:
     """Construction-2 repair: one trace from every survivor outside the
-    failed node's group."""
+    failed node's group, so d, if given, must be n - t_i."""
     if plan.construction != 2:
         raise ValueError("plan is not a Construction-2 plan")
-    _check_pairing(plan, codeword)
-    gi, _ = plan.locate(failed)
-    g = plan.groups[gi]
 
-    def shape():
+    def shape(gi, d):
         group_nodes = set(plan.group_nodes(gi))
         helpers = [i for i in range(plan.n) if i not in group_nodes]
         sub = plan.ctx.subfield(plan.base_bits * plan.u_list[gi])
-        powers = _shifts([plan.ctx.one], plan.eval_set.points[failed], g.prime)
+        p = plan.groups[gi].prime
+        powers = _shifts([plan.ctx.one], plan.eval_set.points[failed], p)
         duals = dual_basis(BasisOverSubfield(sub, powers, validate=False))
-        return helpers, sub, [plan.ctx.one], g.prime, duals.vectors
+        return helpers, sub, [plan.ctx.one], p, duals.vectors
 
-    tr = _repair(plan, codeword, failed, plan.n - g.t, shape)
-    check_invariant(tr.bits_transmitted == tr.cutset_bits,
-                    f"repair moved {tr.bits_transmitted} bits, not "
-                    f"{tr.cutset_bits}")
-    return tr
+    return _repair(plan, codeword, failed, d, None, shape)
+
+
+def _scheme(plan):
+    """repair_c1 or repair_c2, whichever fits the plan's construction."""
+    return repair_c1 if plan.construction == 1 else repair_c2

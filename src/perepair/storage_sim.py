@@ -36,7 +36,7 @@ import os
 from .errors import PERepairError, check_invariant
 from ._util import atomic_write_text, parse_decimal
 from .constructions import load_plan, save_plan
-from .repair_engine import _parity_column, repair_c1, repair_c2
+from .repair_engine import _parity_column, _scheme
 from .rs_codes import Codeword, MessagePoly, encode
 
 __all__ = [
@@ -200,13 +200,7 @@ def run_repair(state: ClusterState, strategy: str = "pe", d: int | None = None):
     log = TransferLog()
 
     if strategy == "pe":
-        cw = state.live_codeword()
-        if plan.construction == 1:
-            transcript = repair_c1(plan, cw, failed, d=d)
-        else:
-            if d is not None and d != plan.n - plan.groups[plan.locate(failed)[0]].t:
-                raise ValueError("this construction fixes d = n - t_i per group")
-            transcript = repair_c2(plan, cw, failed)
+        transcript = _scheme(plan)(plan, state.live_codeword(), failed, d)
         for helper, _ in transcript.queries:
             log.add(helper, failed, transcript.response_bits, "trace_response")
         check_invariant(log.total_bits == transcript.bits_transmitted,

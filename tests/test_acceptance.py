@@ -79,11 +79,16 @@ def test_criterion_2_large_per_node_exclusion_repair_beats_naive():
     assert plan.ctx.modulus == (1 << 2310) | (1 << 8) | (1 << 5) | (1 << 2) | 1
 
     state = _fixture_cluster(ex)
-    fail_node(state, 0)
-    state, tr, log = run_repair(state, "pe", d=9)
-    assert tr.verified is True
-    assert tr.recovered == ex.codeword.symbols[0]
-    assert log.total_bits == tr.bits_transmitted == 10395
+    # node 0 is the paper's walk-through, and its symbol is zero; one node
+    # of each other group, each with its own helper groups, is nonzero
+    assert ex.nodes == (0, 3, 6, 9)
+    for node in ex.nodes:
+        fail_node(state, node)
+        state, tr, log = run_repair(state, "pe", d=9)
+        assert tr.verified is True
+        assert tr.recovered == ex.codeword.symbols[node]
+        assert (tr.recovered != plan.ctx.zero) == (node != 0), f"node {node}"
+        assert log.total_bits == tr.bits_transmitted == 10395
 
     fail_node(state, 0)
     state, rep, log = run_repair(state, "naive")

@@ -103,6 +103,23 @@ def test_cluster_and_repair_flow(capsys, tmp_path):
     assert sum(e[2] for e in payload["transfer_log"]) == 45
 
 
+def test_c2_repair_rejects_foreign_d(capsys, tmp_path):
+    # Construction 2 repairs from every survivor outside the group: d = n - t_i
+    plan = tmp_path / "p.json"
+    run(capsys, "plan", "--construction", "2", "--base-bits", "2", "--r", "8",
+        "--primes", "2,3", "--out", str(plan))
+    cluster = tmp_path / "c.txt"
+    run(capsys, "cluster", "--plan", str(plan), "--seed", "3",
+        "--out", str(cluster))
+    rc, out, err = run(capsys, "repair", "--cluster", str(cluster),
+                       "--node", "0", "--d", "5")
+    assert rc == 3 and out == ""
+    assert "LOCALITY_OUT_OF_RANGE" in err
+    rc, out, _ = run(capsys, "repair", "--cluster", str(cluster),
+                     "--node", "0", "--d", "6")
+    assert rc == 0 and out.strip().endswith("verified=true")
+
+
 def test_repair_naive_reports_bits_without_cutset(capsys, tmp_path):
     plan = make_plan(capsys, tmp_path)
     cluster = tmp_path / "c.txt"
@@ -239,6 +256,24 @@ def test_reproduce_example2_json(capsys):
     assert payload["pass"] is True
     bits = [c["got"] for c in payload["checks"] if c["label"].endswith("bits")]
     assert bits == [300] * 7 + [220] * 6 + [156] * 4
+
+
+# SHA-256 of the stdout of `perepair reproduce example2` and of
+# `perepair --json reproduce example2`, as printed before both schemes
+# shared one repair loop
+PINNED_EXAMPLE2_SHA256 = {
+    (): "e448b557bbff337baab3c16c0afca0658813bdc66176d5f28f419d7b8733aa96",
+    ("--json",):
+        "364b2c17ffec73208c027ba325fe5acd9eba66f514ed280fa7dddbcfccd29384",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(PINNED_EXAMPLE2_SHA256))
+def test_reproduce_example2_output_is_pinned(capsys, flags):
+    rc, out, _ = run(capsys, *flags, "reproduce", "example2")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PINNED_EXAMPLE2_SHA256[flags]
 
 
 def test_reproduce_unknown_name_is_usage_error(capsys):

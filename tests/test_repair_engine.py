@@ -21,7 +21,6 @@ from perepair.repair_engine import (
     lemma1_subspace,
     repair_c1,
     repair_c2,
-    select_helpers_c1,
     verify_span,
 )
 from perepair.rs_codes import (
@@ -316,32 +315,31 @@ def test_verify_span_s1_full_basis(toy_c1):
 
 
 def test_select_helpers_round_robin(toy_c1, toy_c1_wide):
-    assert select_helpers_c1(toy_c1, 0, 3) == [3, 4, 5]
-    assert select_helpers_c1(toy_c1, 4, 3) == [0, 1, 2]
+    # d runs over [plan.d, n - t_i], the localities repair_c1 accepts
+    assert _helper_prefix(toy_c1, 0, 3) == ([3, 4, 5], (1,))
+    assert _helper_prefix(toy_c1, 1, 3) == ([0, 1, 2], (0,))
     # wide plan: helpers cycle across the prefix groups
-    assert select_helpers_c1(toy_c1_wide, 0, 3) == [3, 4, 5]
-    assert select_helpers_c1(toy_c1_wide, 0, 5) == [3, 6, 4, 7, 5]
-    assert select_helpers_c1(toy_c1_wide, 3, 4) == [0, 6, 1, 7]
+    assert _helper_prefix(toy_c1_wide, 0, 3) == ([3, 4, 5], (1,))
+    assert _helper_prefix(toy_c1_wide, 0, 4) == ([3, 6, 4, 7], (1, 2))
+    assert _helper_prefix(toy_c1_wide, 0, 5) == ([3, 6, 4, 7, 5], (1, 2))
+    assert _helper_prefix(toy_c1_wide, 0, 6) == ([3, 6, 4, 7, 5, 8], (1, 2))
+    assert _helper_prefix(toy_c1_wide, 1, 4) == ([0, 6, 1, 7], (0, 2))
 
 
 def test_select_helpers_never_in_failed_group(toy_c1, toy_c1_wide):
+    rng = random.Random(31)
     for plan in (toy_c1, toy_c1_wide):
+        cw = make_codeword(plan, rng)
         for node in range(plan.n):
             gi, _ = plan.locate(node)
             banned = set(plan.group_nodes(gi))
-            for d in range(plan.k, plan.n - plan.groups[gi].t + 1):
-                chosen = select_helpers_c1(plan, node, d)
-                assert len(chosen) == d == len(set(chosen))
-                assert not banned & set(chosen)
-
-
-def test_select_helpers_locality_range(toy_c1):
-    with pytest.raises(PERepairError) as ei:
-        select_helpers_c1(toy_c1, 0, 1)
-    assert ei.value.code == "LOCALITY_OUT_OF_RANGE"
-    with pytest.raises(PERepairError) as ei:
-        select_helpers_c1(toy_c1, 0, 4)
-    assert ei.value.code == "LOCALITY_OUT_OF_RANGE"
+            for d in range(plan.d, plan.n - plan.groups[gi].t + 1):
+                tr = repair_c1(plan, cw, node, d=d)
+                assert tr.helpers == _helper_prefix(plan, gi, d)[0]
+                assert len(tr.helpers) == d == len(set(tr.helpers))
+                assert not banned & set(tr.helpers)
+                assert tr.recovered == cw.symbols[node]
+                assert tr.bits_transmitted == d * plan.u * plan.base_bits
 
 
 def test_repair_c1_recovers_every_node(toy_c1):
@@ -396,12 +394,31 @@ def test_repair_c1_locality_range(toy_c1, toy_c1_wide):
         with pytest.raises(PERepairError) as ei:
             repair_c1(toy_c1, cw, 0, d=d)
         assert ei.value.code == "LOCALITY_OUT_OF_RANGE"
-    # d = k is selectable for helper listing but below the repair threshold
     cw_wide = make_codeword(toy_c1_wide, rng)
-    assert select_helpers_c1(toy_c1_wide, 0, 2) == [3, 4]
     with pytest.raises(PERepairError) as ei:
         repair_c1(toy_c1_wide, cw_wide, 0, d=2)
     assert ei.value.code == "LOCALITY_OUT_OF_RANGE"
+
+
+def test_repair_c2_locality_range(toy_c1, toy_c2):
+    cw = make_codeword(toy_c2, random.Random(6))
+    for failed in (0, 7):
+        top = toy_c2.n - toy_c2.groups[toy_c2.locate(failed)[0]].t
+        tr = repair_c2(toy_c2, cw, failed, d=top)
+        assert tr.recovered == cw.symbols[failed]
+        assert len(tr.helpers) == top
+        for d in (toy_c2.k, top - 1, top + 1):
+            with pytest.raises(PERepairError) as ei:
+                repair_c2(toy_c2, cw, failed, d=d)
+            assert ei.value.code == "LOCALITY_OUT_OF_RANGE"
+    # construction, then pairing, then node range, then locality
+    with pytest.raises(ValueError, match="Construction-2"):
+        repair_c2(toy_c1, cw, 99, d=1)
+    with pytest.raises(PERepairError) as ei:
+        repair_c2(toy_c2, make_codeword(toy_c1, random.Random(6)), 99, d=1)
+    assert ei.value.code == "PLAN_MISMATCH"
+    with pytest.raises(ValueError, match="out of range"):
+        repair_c2(toy_c2, cw, 99, d=1)
 
 
 def test_repair_c1_plan_mismatch(toy_c1, toy_c1_wide):
@@ -479,15 +496,21 @@ def test_repair_c2_matches_interpolation_oracle(toy_c2):
         assert tr.recovered == poly.evaluate(toy_c2.eval_set.points[failed])
 
 
-def test_bit_count_invariant_is_a_coded_error(toy_c2, monkeypatch):
-    # the cut-set check survives python -O: a skewed bound is reported
-    from perepair import repair_engine
-
-    cw = make_codeword(toy_c2, random.Random(3))
+def test_bit_count_invariant_is_a_coded_error(toy_c1, toy_c1_wide, toy_c2,
+                                              monkeypatch):
+    # the cut-set check survives python -O: a skewed bound is reported,
+    # for both schemes and above the canonical locality too
+    rng = random.Random(3)
+    cw1 = make_codeword(toy_c1, rng)
+    cw_wide = make_codeword(toy_c1_wide, rng)
+    cw2 = make_codeword(toy_c2, rng)
     monkeypatch.setattr(repair_engine, "cutset_bits", lambda *a: 1)
-    with pytest.raises(PERepairError) as ei:
-        repair_c2(toy_c2, cw, 0)
-    assert ei.value.code == "INVARIANT_VIOLATION"
+    for call in (lambda: repair_c1(toy_c1, cw1, 0),
+                 lambda: repair_c1(toy_c1_wide, cw_wide, 0, d=5),
+                 lambda: repair_c2(toy_c2, cw2, 0)):
+        with pytest.raises(PERepairError) as ei:
+            call()
+        assert ei.value.code == "INVARIANT_VIOLATION"
 
 
 def test_transcript_payload_shape(toy_c1):

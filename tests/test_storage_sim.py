@@ -233,8 +233,9 @@ def test_warm_naive_repair_costs_k_products(monkeypatch):
 def test_c2_rejects_foreign_d(toy_c2):
     st = init_cluster(toy_c2, 7)
     fail_node(st, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(PERepairError) as ei:
         run_repair(st, "pe", d=5)
+    assert ei.value.code == "LOCALITY_OUT_OF_RANGE"
     # and the fixed value is accepted
     st, tr, _ = run_repair(st, "pe", d=toy_c2.n - toy_c2.groups[0].t)
     assert tr.verified is True
