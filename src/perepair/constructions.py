@@ -140,6 +140,7 @@ class _PlanBase:
             "t": [g.t for g in self.groups],
             "point_exponents": [list(g.point_exponents) for g in self.groups],
             "modulus_hex": self.ctx.modulus_hex,
+            "generator_hex": self.ctx.generator_hex,
         }
 
     def locate(self, node: int):
@@ -183,7 +184,16 @@ def _resolve_points(ctx, base_bits, prime, t, exponents):
     rejects repeated points (DUPLICATE_INDEX).  Each point then has degree
     p_i over GF(q^{u_i}), as p_i divides none of the distinct primes of u_i.
     """
-    sub = ctx.subfield(base_bits * prime)
+    try:
+        sub = ctx.subfield(base_bits * prime)
+    except PERepairError as exc:
+        # a given generator of degree N can still leave the subfield's
+        # canonical generator non-defining: bad input, not a defect
+        if exc.code != "INVARIANT_VIOLATION":
+            raise
+        raise PERepairError(
+            "CONSTRAINT_VIOLATION", f"generator {ctx.generator_hex}: {exc}"
+        )
     order = (1 << (base_bits * prime)) - 1
     if exponents is None:
         exponents = []
@@ -271,13 +281,16 @@ def _c1_groups(base_bits, s, t_list, primes, point_exponents=None):
 
 
 def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
-                  primes=None, point_exponents=None, modulus=None):
+                  primes=None, point_exponents=None, modulus=None,
+                  generator=None):
     """Resolve and validate a Construction-1 plan.
 
     Give s (then k defaults to its maximum n - t - s + 1) or give (k, d)
     to derive s = d - k + 1; groups are normalized to ascending flexibility.
     Evaluation points default to the smallest exponents of each canonical
     subfield generator that are coprime to the subfield's group order.
+    modulus and generator go to make_field: without a generator it runs
+    its search.
     """
     if s is None:
         if k is None or d is None:
@@ -298,7 +311,7 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
     n, t_max, k = _check_c1(base_bits, s, k, [(p, t) for p, t, _ in groups])
     u = math.prod(p for p, _, _ in groups)
     degree = base_bits * u * s
-    ctx = make_field(degree, modulus)
+    ctx = make_field(degree, modulus, generator)
 
     groups_spec = [
         (p, t, _resolve_points(ctx, base_bits, p, t, e)) for p, t, e in groups
@@ -306,8 +319,10 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
     return Construction1Plan(base_bits, s, k, groups_spec, ctx)
 
 
-def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None):
-    """Resolve and validate a Construction-2 plan: t_i = r - p_i + 1."""
+def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
+                  generator=None):
+    """Resolve and validate a Construction-2 plan: t_i = r - p_i + 1.
+    modulus and generator go to make_field, as in build_plan_c1."""
     primes = [int(p) for p in primes]
     if len(primes) < 2:
         raise ValueError("need at least two groups")
@@ -335,7 +350,7 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None):
 
     u = math.prod(primes)
     degree = base_bits * u
-    ctx = make_field(degree, modulus)
+    ctx = make_field(degree, modulus, generator)
 
     exps = list(point_exponents) if point_exponents is not None else [None] * len(primes)
     if len(exps) != len(primes):
@@ -412,7 +427,14 @@ def _plan_shape_error(payload):
 
 
 def load_plan(path):
-    """Parse, digest-verify, rebuild, and re-validate a plan file."""
+    """Parse, digest-verify, rebuild, and re-validate a plan file.
+
+    The field is rebuilt from the stored modulus and generator, so loading
+    factors nothing and searches for no generator; the generator is only
+    checked to have full degree.  A file without ``generator_hex`` (written
+    before plans pinned their generator) is CORRUPT_FILE: its digest, and
+    its clusters' ``plan_digest``, predate the field.
+    """
     import json
 
     try:
@@ -427,6 +449,9 @@ def load_plan(path):
             raise ValueError(why)
         stored = payload.pop("digest")
         modulus = int(payload["modulus_hex"], 16)
+        if "generator_hex" not in payload:
+            raise ValueError("no generator_hex: rebuild the plan")
+        generator = int(payload["generator_hex"], 16)
     except (KeyError, TypeError, ValueError) as exc:
         raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
     if digest_of(payload) != stored:
@@ -442,6 +467,7 @@ def load_plan(path):
                 primes=payload["primes"],
                 point_exponents=payload["point_exponents"],
                 modulus=modulus,
+                generator=generator,
             )
         else:
             plan = build_plan_c2(
@@ -450,6 +476,7 @@ def load_plan(path):
                 payload["primes"],
                 point_exponents=payload["point_exponents"],
                 modulus=modulus,
+                generator=generator,
             )
     except ValueError as exc:
         raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")

@@ -595,17 +595,21 @@ class FieldCtx:
     and the (possibly partial) factorization of the group order 2^N - 1.
 
     Immutable after construction; internal caches (subfield handles, the
-    trace sequence) are memos only.  Build instances through :func:`make_field`.
+    trace sequence, the order facts) are memos only.  Without the three
+    order facts, they are computed on first read.  Build instances through
+    :func:`make_field`.
     """
 
     def __init__(self, degree_bits, modulus, generator_value,
-                 order_factorization, order_cofactor, generator_verified):
+                 order_factorization=None, order_cofactor=None,
+                 generator_verified=None):
         self.degree_bits = degree_bits
         self.modulus = modulus
         self.order = (1 << degree_bits) - 1
-        self.order_factorization = tuple(order_factorization)
-        self.order_cofactor = order_cofactor
-        self.generator_verified = generator_verified
+        self._facts = None
+        if order_factorization is not None:
+            self._facts = (tuple(order_factorization), order_cofactor,
+                           generator_verified)
         self._mask = (1 << degree_bits) - 1
         # tail exponents a of the modulus, descending; round t of _fold
         # shifts by (N - a) 2^t, keeping the strides below N - 1
@@ -724,6 +728,38 @@ class FieldCtx:
     def modulus_hex(self) -> str:
         return format(self.modulus, "x")
 
+    @property
+    def generator_hex(self) -> str:
+        return format(self.generator.v, "x")
+
+    # -- the group order 2^N - 1, factored on first read ---------------------
+
+    def _order_facts(self):
+        """(factorization, cofactor, verified): the primes of 2^N - 1 found
+        within the rho cap, the unfactored composite left (1 if none), and
+        whether the generator then passes the order test at every prime of
+        a complete factorization."""
+        if self._facts is None and self.degree_bits == 1:
+            self._facts = (), 1, True  # GF(2)* is {1}
+        elif self._facts is None:
+            factors, cofactor, complete = _factor_mersenne_like(self.degree_bits)
+            verified = complete and _order_test(self, self.generator.v,
+                                                self.order, list(factors))
+            self._facts = tuple(sorted(factors.items())), cofactor, verified
+        return self._facts
+
+    @property
+    def order_factorization(self):
+        return self._order_facts()[0]
+
+    @property
+    def order_cofactor(self) -> int:
+        return self._order_facts()[1]
+
+    @property
+    def generator_verified(self) -> bool:
+        return self._order_facts()[2]
+
     # -- subfields and Frobenius --------------------------------------------
 
     def subfield(self, m: int) -> "SubfieldHandle":
@@ -796,7 +832,8 @@ class SubfieldHandle:
 
     def order_factorization(self):
         """Prime factorization of 2^m - 1, derived from the ambient context
-        when complete, otherwise factored directly."""
+        when its factorization is already known and complete, otherwise
+        factored directly; it never sets off the ambient factoring."""
         if self._order_factors is None:
             order = (1 << self.degree_bits) - 1
             if order == 1:
@@ -804,8 +841,9 @@ class SubfieldHandle:
                 return self._order_factors
             rem = order
             found = []
-            if self.ctx.order_cofactor == 1:
-                for p, _ in self.ctx.order_factorization:
+            ambient = self.ctx._facts
+            if ambient is not None and ambient[1] == 1:
+                for p, _ in ambient[0]:
                     e = 0
                     while rem % p == 0:
                         rem //= p
@@ -945,26 +983,34 @@ def _order_test(ctx, v: int, order: int, primes) -> bool:
     return True
 
 
-def make_field(degree_bits: int, modulus: int | None = None) -> FieldCtx:
-    """Build GF(2^degree_bits), cached by (degree_bits, modulus).
+def make_field(degree_bits: int, modulus: int | None = None,
+               generator: int | None = None) -> FieldCtx:
+    """Build GF(2^degree_bits), cached by (degree_bits, modulus, generator).
 
     With no modulus, picks the lexicographically smallest irreducible
     polynomial of that degree (coefficient vectors compared low-degree-first),
     so repeated runs agree byte-for-byte; that context is also cached under
-    (degree_bits, None), so the search runs once per degree.  The generator
-    is the smallest polynomial (as an integer) that is defining over GF(2)
-    and passes the order test against every known prime factor of 2^N - 1.
+    a modulus of None, so the search runs once per degree.
 
-    2^N - 1 is factored with a fixed cap of rho steps per composite, so the
-    outcome depends on N alone.  When a composite survives the cap, the
-    context is still returned, with the unfactored composite recorded in
-    ``order_cofactor`` and ``generator_verified = False`` — the generator then
-    passed every available necessary test but its primitivity rests on the
-    published parameters (this is the documented caveat for degree 2310).
+    With no generator, the generator is the smallest polynomial (as an
+    integer) that is defining over GF(2) and passes the order test against
+    every known prime factor of 2^N - 1.  2^N - 1 is factored with a fixed
+    cap of rho steps per composite, so the outcome depends on N alone.  When
+    a composite survives the cap, the context is still returned, with the
+    unfactored composite recorded in ``order_cofactor`` and
+    ``generator_verified = False`` — the generator then passed every
+    available necessary test but its primitivity rests on the published
+    parameters (this is the documented caveat for degree 2310).
+
+    A given generator (a plan file's ``generator_hex``) is only checked to
+    have degree N over GF(2): no factoring and no order test.  Its context
+    computes the three order facts on first read, with the values a searched
+    context holds.  There is one context per (N, modulus, generator): a
+    search that returns a generator already given reuses its context.
     """
     if degree_bits < 1:
         raise ValueError("degree_bits must be >= 1")
-    requested = (degree_bits, modulus)
+    requested = (degree_bits, modulus, generator)
     cached = _field_cache.get(requested)
     if cached is not None:
         return cached
@@ -978,30 +1024,46 @@ def make_field(degree_bits: int, modulus: int | None = None) -> FieldCtx:
             )
         if not is_irreducible(modulus):
             raise PERepairError("REDUCIBLE_MODULUS", "modulus is reducible")
+    if degree_bits == 1 and generator is None:
+        generator = 1  # GF(2)* is {1}: nothing to search
 
-    key = (degree_bits, modulus)
-    ctx = _field_cache.get(key)
-    if ctx is None and degree_bits == 1:
-        ctx = FieldCtx(1, modulus, 1, (), 1, True)
-    elif ctx is None:
-        factors, cofactor, complete = _factor_mersenne_like(degree_bits)
-        order = (1 << degree_bits) - 1
+    ctx = _field_cache.get((degree_bits, modulus, generator))
+    if ctx is None:
         probe = FieldCtx(degree_bits, modulus, 1, (), 1, False)  # arithmetic only
-        for generator_value in count(2):
-            # defining over GF(2), then of full order as far as factored
-            if (probe._degree_over(generator_value, 1) == degree_bits
-                    and _order_test(probe, generator_value, order,
-                                    list(factors))):
-                break
-        ctx = FieldCtx(
-            degree_bits,
-            modulus,
-            generator_value,
-            sorted(factors.items()),
-            cofactor,
-            complete,
-        )
-    _field_cache[key] = _field_cache[requested] = ctx
+        if generator is None:
+            ctx = _searched_field(probe)
+        elif (0 < generator <= probe._mask
+                and probe._degree_over(generator, 1) == degree_bits):
+            ctx = FieldCtx(degree_bits, modulus, generator)
+        else:
+            raise PERepairError(
+                "CONSTRAINT_VIOLATION",
+                f"generator {generator:#x} is not of degree {degree_bits} "
+                "over GF(2)",
+            )
+    _field_cache[requested] = ctx
+    _field_cache[(degree_bits, modulus, generator)] = ctx
+    _field_cache[(degree_bits, modulus, ctx.generator.v)] = ctx
+    return ctx
+
+
+def _searched_field(probe: FieldCtx) -> FieldCtx:
+    """The context of make_field's generator search under probe's modulus,
+    or the cached context of a given generator equal to the one found,
+    its order facts filled in."""
+    n = probe.degree_bits
+    factors, cofactor, complete = _factor_mersenne_like(n)
+    for generator_value in count(2):
+        # defining over GF(2), then of full order as far as factored
+        if (probe._degree_over(generator_value, 1) == n
+                and _order_test(probe, generator_value, probe.order,
+                                list(factors))):
+            break
+    facts = tuple(sorted(factors.items())), cofactor, complete
+    ctx = _field_cache.get((n, probe.modulus, generator_value))
+    if ctx is None:
+        return FieldCtx(n, probe.modulus, generator_value, *facts)
+    ctx._facts = facts
     return ctx
 
 

@@ -1,10 +1,11 @@
 """Built-in reference deployments for the reproduce command.
 
 Two fully pinned clusters: every evaluation point is fixed by its minimal
-polynomial over GF(2) rather than by the default exponent choice, so the
-transfer totals these produce stay stable even if point selection defaults
-ever change.  Construction of the large example is deferred and cached;
-nothing here runs when the module is imported.
+polynomial over GF(2) rather than by the default exponent choice, and the
+field by its modulus and generator, so the transfer totals these produce
+stay stable even if point selection defaults ever change, and building
+them runs no generator search.  Construction of the large example is
+deferred and cached; nothing here runs when the module is imported.
 """
 
 from .constructions import build_plan_c1, build_plan_c2
@@ -79,7 +80,8 @@ def example1() -> WorkedExample:
     if ex is not None:
         return ex
     modulus = (1 << 2310) | (1 << 8) | (1 << 5) | (1 << 2) | 1
-    ctx = make_field(2310, modulus)
+    generator = 3  # what make_field's search returns under this modulus
+    ctx = make_field(2310, modulus, generator)
     pins = [
         (3, (3, 2, 0)),                # x^3 + x^2 + 1
         (5, (5, 4, 3, 1, 0)),          # x^5 + x^4 + x^3 + x + 1
@@ -89,7 +91,7 @@ def example1() -> WorkedExample:
     exps = [_pin_exponents(ctx, p, poly, (1, 2, 3)) for p, poly in pins]
     plan = build_plan_c1(
         1, [3, 3, 3, 3], s=2, primes=[3, 5, 7, 11],
-        point_exponents=exps, modulus=modulus,
+        point_exponents=exps, modulus=modulus, generator=generator,
     )
     # x^3 + x^2 + 1, whose roots include the points of nodes 0 and 1, so
     # node 0 (the paper's walk-through) stores 0; 3, 6 and 9 do not
@@ -107,7 +109,8 @@ def example2() -> WorkedExample:
     if ex is not None:
         return ex
     modulus = smallest_irreducible(60)
-    ctx = make_field(60, modulus)
+    generator = 2  # what make_field's search returns under this modulus
+    ctx = make_field(60, modulus, generator)
     pins = [
         (4, (4, 1, 0), (1, 2, 4, 7, 8, 11, 13)),    # x^4 + x + 1
         (6, (6, 4, 3, 1, 0), (1, 2, 4, 5, 8, 10)),  # x^6 + x^4 + x^3 + x + 1
@@ -117,7 +120,8 @@ def example2() -> WorkedExample:
     exps = [
         _pin_exponents(ctx, m, poly, rel) for m, poly, rel in pins
     ]
-    plan = build_plan_c2(2, 8, [2, 3, 5], point_exponents=exps, modulus=modulus)
+    plan = build_plan_c2(2, 8, [2, 3, 5], point_exponents=exps,
+                         modulus=modulus, generator=generator)
     # x^3 + x^2 + x + 1
     message = _gf2_message(plan.ctx, (1, 1, 1, 1), plan.k)
     ex = WorkedExample("example2", plan, message, range(plan.n),

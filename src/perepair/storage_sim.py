@@ -207,7 +207,11 @@ def run_repair(state: ClusterState, strategy: str = "pe", d: int | None = None):
                         "transfer log disagrees with the transcript's bits")
     elif strategy == "naive":
         if d is not None:
-            raise ValueError("naive repair always reads k whole symbols")
+            raise PERepairError(
+                "LOCALITY_OUT_OF_RANGE",
+                f"naive repair always reads k = {plan.k} whole symbols; "
+                f"it takes no locality, got d={d}",
+            )
         helpers = [rec.index for rec in state.nodes if not rec.failed][: plan.k]
         symbol_bits = plan.ctx.degree_bits
         for h in helpers:

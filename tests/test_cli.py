@@ -131,6 +131,17 @@ def test_repair_naive_reports_bits_without_cutset(capsys, tmp_path):
     assert out.strip() == "bits=60 verified=true"
 
 
+def test_repair_naive_rejects_a_locality(capsys, tmp_path):
+    plan = make_plan(capsys, tmp_path)
+    cluster = tmp_path / "c.txt"
+    run(capsys, "cluster", "--plan", str(plan), "--seed", "1",
+        "--out", str(cluster))
+    rc, out, err = run(capsys, "repair", "--cluster", str(cluster),
+                       "--node", "0", "--strategy", "naive", "--d", "3")
+    assert rc == 3 and out == ""
+    assert "LOCALITY_OUT_OF_RANGE" in err
+
+
 # SHA-256 over the stdout of `perepair --json repair --strategy naive` for
 # nodes 0..5 in turn of the toy cluster (seed 1), as the Lagrange decode
 # that the cached parity check replaced printed it

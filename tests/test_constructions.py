@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from perepair import field_tower
 from perepair._util import digest_of
 from perepair.cli import main
 from perepair.constructions import (
@@ -18,7 +19,8 @@ from perepair.constructions import (
 )
 from perepair.errors import PERepairError
 from perepair.field_tower import is_primitive_in_subfield
-from perepair.fixtures import example2
+from perepair.fixtures import example1, example2
+from perepair.storage_sim import init_cluster, load_cluster, save_cluster
 
 
 def test_find_primes_smallest_admissible():
@@ -195,20 +197,29 @@ def test_duplicate_points_rejected():
 
 
 def test_digest_freezes_plan_identity(toy_c1, toy_c2, toy_c1_wide):
-    assert toy_c1.digest == (
-        "e4fbb57c7d2da305b23d9c829bb8eb22e9f9a4356cb40527a97180d2ab6348b2"
-    )
-    assert toy_c2.digest == (
-        "22b581fd0de228b9640e36512d5571dc0b6aa2ef47da21d388654cde503e8c3f"
-    )
-    assert example2().plan.digest == (
-        "424e751317856f1f4daaae31af5c361fc9f5c43d3d3fece3f9eed7d6aefd0ff0"
-    )
-    # the benchmark's wide plan: default primes and dense-tail modulus
-    wide = build_plan_c1(1, [3, 3, 3], s=2, k=2)
-    assert wide.digest == toy_c1_wide.digest == (
-        "e1328b97b6f99a10822f37e3d0dee07156a1c2318095091451dd97592a14ee4a"
-    )
+    # (plan, digest of its payload without generator_hex, full digest): the
+    # first digests predate the pinned generator and still fix the rest
+    frozen = [
+        (toy_c1,
+         "e4fbb57c7d2da305b23d9c829bb8eb22e9f9a4356cb40527a97180d2ab6348b2",
+         "5bea9785413ce1a9958020372b004d553bf37e1c57613ce741743b1c046ae90b"),
+        (toy_c2,
+         "22b581fd0de228b9640e36512d5571dc0b6aa2ef47da21d388654cde503e8c3f",
+         "edfa492d02bd75075eb4e7c259351d39212eddd2c7a18cc0c053645f11461d6d"),
+        (example2().plan,
+         "424e751317856f1f4daaae31af5c361fc9f5c43d3d3fece3f9eed7d6aefd0ff0",
+         "7c46fd3ce0fc6ee187c4f8a97b8e30294dea1c08757b0942346db362b67a299e"),
+        # the benchmark's wide plan: default primes and dense-tail modulus
+        (build_plan_c1(1, [3, 3, 3], s=2, k=2),
+         "e1328b97b6f99a10822f37e3d0dee07156a1c2318095091451dd97592a14ee4a",
+         "de50a43a131cc50a8c6cbc65c59ac9a0ddba00b062b1bda3ef2a15a4d1369c2b"),
+    ]
+    for plan, without_generator, full in frozen:
+        payload = plan.payload()
+        del payload["generator_hex"]
+        assert digest_of(payload) == without_generator
+        assert plan.digest == full
+    assert toy_c1_wide.digest == frozen[-1][0].digest
     rebuilt = build_plan_c1(1, [3, 3], s=2, primes=[3, 5])
     assert rebuilt.digest == toy_c1.digest
     other = build_plan_c1(1, [3, 2], s=2, primes=[3, 5])
@@ -217,11 +228,13 @@ def test_digest_freezes_plan_identity(toy_c1, toy_c2, toy_c1_wide):
 
 
 def test_payload_holds_the_plan_file_fields(toy_c1, toy_c2):
-    shared = {"construction", "primes", "t", "point_exponents", "modulus_hex"}
+    shared = {"construction", "primes", "t", "point_exponents", "modulus_hex",
+              "generator_hex"}
     for plan in (toy_c1, toy_c2):
         payload = plan.payload()
         assert set(payload) == shared | set(_PLAN_INTS[plan.construction])
         assert payload["construction"] == plan.construction
+        assert payload["generator_hex"] == format(plan.ctx.generator.v, "x")
         assert digest_of(payload) == plan.digest
 
 
@@ -254,6 +267,92 @@ def test_plan_file_tamper_detection(tmp_path, toy_c1):
     with pytest.raises(PERepairError) as ei:
         load_plan(path)
     assert ei.value.code == "DIGEST_MISMATCH"
+
+
+def _write_plan(path, payload, digest=None):
+    """payload as a plan file, its digest recomputed unless given."""
+    payload = dict(payload)
+    payload["digest"] = digest_of(payload) if digest is None else digest
+    path.write_text(json.dumps(payload))
+
+
+def test_plan_file_pins_its_generator(tmp_path, toy_c1, capsys):
+    path = tmp_path / "plan.json"
+    payload = toy_c1.payload()
+    # another generator under the stored digest
+    _write_plan(path, {**payload, "generator_hex": "2"}, toy_c1.digest)
+    with pytest.raises(PERepairError) as ei:
+        load_plan(path)
+    assert ei.value.code == "DIGEST_MISMATCH"
+    # self-consistent files whose generator is not defining over GF(2), or
+    # is, but as a 7th power sends GF(2^3)'s canonical generator
+    # g^((2^30 - 1) / 7) to 1
+    ctx = toy_c1.ctx
+    short = format(ctx._pow(ctx.generator.v, 7), "x")
+    for bad in ("1", "-13", short):
+        _write_plan(path, {**payload, "generator_hex": bad})
+        with pytest.raises(PERepairError) as ei:
+            load_plan(path)
+        assert ei.value.code == "CONSTRAINT_VIOLATION"
+    rc = main(["cluster", "--plan", str(path), "--out", str(tmp_path / "c")])
+    assert rc == 3
+    assert "CONSTRAINT_VIOLATION" in capsys.readouterr().err
+    # the same generator given to the builder
+    with pytest.raises(PERepairError) as ei:
+        build_plan_c1(1, [3, 3], s=2, primes=[3, 5], generator=int(short, 16))
+    assert ei.value.code == "CONSTRAINT_VIOLATION"
+
+
+def test_plan_file_without_a_generator_is_corrupt(tmp_path, toy_c1):
+    # a plan file as written before the generator was pinned: its digest is
+    # consistent, and there is no search to fall back on
+    path = tmp_path / "plan.json"
+    payload = toy_c1.payload()
+    del payload["generator_hex"]
+    _write_plan(path, payload)
+    with pytest.raises(PERepairError) as ei:
+        load_plan(path)
+    assert ei.value.code == "CORRUPT_FILE"
+    assert "generator_hex" in str(ei.value)
+
+
+def test_plan_file_round_trip_is_byte_stable(tmp_path, toy_c1, toy_c2):
+    for plan in (toy_c1, toy_c2, example2().plan):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_plan(plan, first)
+        save_plan(load_plan(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def test_loading_a_plan_factors_nothing(tmp_path, monkeypatch):
+    # a fresh process: no cached field, and any factoring of 2^N - 1 or
+    # order test against it would be the generator search coming back
+    plan = example1().plan
+    path = tmp_path / "example1.plan"
+    save_plan(plan, path)
+    monkeypatch.setattr(field_tower, "_field_cache", {})
+
+    def no_factoring(n_bits):
+        raise AssertionError(f"factored 2^{n_bits} - 1")
+
+    ambient_tests = []
+    order_test = field_tower._order_test
+
+    def counted(ctx, v, order, primes):
+        ambient_tests.append(order == ctx.order)
+        return order_test(ctx, v, order, primes)
+
+    monkeypatch.setattr(field_tower, "_factor_mersenne_like", no_factoring)
+    monkeypatch.setattr(field_tower, "_order_test", counted)
+    loaded = load_plan(path)
+    assert loaded.digest == plan.digest
+    assert loaded.ctx is not plan.ctx and loaded.ctx.generator.v == 3
+    assert load_plan(path).ctx is loaded.ctx  # one context per generator
+    cluster = tmp_path / "example1.cluster"
+    save_cluster(init_cluster(loaded, 5), cluster, plan_path=path)
+    monkeypatch.setattr(field_tower, "_field_cache", {})
+    assert load_cluster(cluster).plan.digest == plan.digest
+    assert ambient_tests and not any(ambient_tests)  # subfield tests only
 
 
 def test_plan_file_corruption_detection(tmp_path, toy_c1):

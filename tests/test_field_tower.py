@@ -27,7 +27,7 @@ from perepair.field_tower import (
     smallest_irreducible,
     trace_to,
 )
-from perepair.fixtures import example1
+from perepair.fixtures import example1, example2
 
 
 # ---------------------------------------------------------------- raw polys
@@ -253,13 +253,66 @@ def test_factoring_ignores_the_clock(monkeypatch):
     assert F.order_cofactor == 1
 
 
-def test_example1_field_facts():
-    # 2^2310 - 1 is only partly factored; the rho step cap fixes which part
-    F = example1().plan.ctx
-    assert F.generator.v == 3
+def test_example1_field_facts(monkeypatch):
+    # 2^2310 - 1 is only partly factored; the rho step cap fixes which part.
+    # The fixtures pin the generators that the search returns today.
+    pinned = example1().plan.ctx
+    monkeypatch.setattr(field_tower, "_field_cache", {})
+    F = make_field(2310, EXAMPLE1_MODULUS)
+    assert F is not pinned and F.modulus == pinned.modulus
+    assert F.generator.v == pinned.generator.v == 3
     assert len(F.order_factorization) == 48
     assert F.order_cofactor.bit_length() == 1326
     assert F.generator_verified is False
+    # the pinned context factors on first read, to the same facts
+    for attr in ("order_factorization", "order_cofactor",
+                 "generator_verified"):
+        assert getattr(pinned, attr) == getattr(F, attr)
+    assert make_field(60, smallest_irreducible(60)).generator.v == \
+        example2().plan.ctx.generator.v == 2
+
+
+def test_pinned_and_searched_contexts_share_the_cache(monkeypatch):
+    # one context per (N, modulus, generator), whichever request comes first
+    monkeypatch.setattr(field_tower, "_field_cache", {})
+    f = smallest_irreducible(30)
+    pinned = make_field(30, f, 19)
+    assert pinned._facts is None  # nothing factored yet
+    searched = make_field(30)
+    assert searched is pinned and make_field(30, f) is pinned
+    assert pinned.generator_verified is True
+    # another defining generator gets its own context; the search's stays
+    other = make_field(30, None, 2)
+    assert other.generator.v == 2 and other is not pinned
+    assert make_field(30) is pinned and make_field(30, f, 2) is other
+    # searched first, then pinned: the pinned request is served from cache
+    monkeypatch.setattr(field_tower, "_field_cache", {})
+    searched = make_field(12)
+    assert make_field(12, None, searched.generator.v) is searched
+
+
+def test_pinned_context_facts_match_the_search(monkeypatch):
+    # 2^61 - 1 is prime; 2^12 - 1 and 2^60 - 1 factor completely
+    for n in (12, 60, 61):
+        searched = make_field(n)
+        monkeypatch.setattr(field_tower, "_field_cache", {})
+        pinned = make_field(n, None, searched.generator.v)
+        assert pinned is not searched
+        for attr in ("order_factorization", "order_cofactor",
+                     "generator_verified"):
+            assert getattr(pinned, attr) == getattr(searched, attr)
+        assert pinned.generator_verified is True
+    # a defining generator of short order is pinned, then not verified
+    gf16 = make_field(4, 0b10011, 0b1111)  # x^3 + x^2 + x + 1 has order 5
+    assert gf16.generator_verified is False
+
+
+def test_pinned_generator_must_be_defining():
+    for bad in (0, 1, 1 << 4, 0b110):  # 0b110 = x^2 + x lies in GF(4)
+        with pytest.raises(PERepairError) as err:
+            make_field(4, 0b10011, bad)
+        assert err.value.code == "CONSTRAINT_VIOLATION"
+    assert make_field(1, None, 1).generator_verified is True
 
 
 def test_factor_integer_rejects_small():

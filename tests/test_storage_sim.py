@@ -4,7 +4,7 @@ import pytest
 
 from perepair import field_tower
 from perepair.errors import PERepairError
-from perepair.fixtures import example1
+from perepair.fixtures import by_name, example1
 from perepair.repair_engine import RepairTranscript
 from perepair.rs_codes import Codeword, load_codeword, naive_decode, save_codeword
 from perepair.storage_sim import (
@@ -118,8 +118,22 @@ def test_naive_repair_reads_k_whole_symbols(toy_c1):
 def test_naive_rejects_a_locality_argument(toy_c1):
     st = init_cluster(toy_c1, 1)
     fail_node(st, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(PERepairError) as ei:
         run_repair(st, "naive", d=3)
+    assert ei.value.code == "LOCALITY_OUT_OF_RANGE"
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_worked_examples_price_naive_repair(name):
+    # naive_bits is k whole symbols, as a naive repair of the example moves
+    ex = by_name(name)
+    plan = ex.plan
+    st = init_cluster(plan, 3)
+    fail_node(st, plan.n - 1)
+    st, rep, _ = run_repair(st, "naive")
+    assert rep.verified is True
+    assert ex.naive_bits == plan.k * plan.L * plan.base_bits
+    assert ex.naive_bits == rep.bits_transmitted
 
 
 def test_unknown_strategy(toy_c1):
@@ -291,6 +305,20 @@ def test_saved_file_is_stable(tmp_path, toy_c1):
     save_cluster(st, a, plan_path=tmp_path / "p.json")
     save_cluster(st, b, plan_path=tmp_path / "p.json")
     assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:]
+
+
+def test_cluster_round_trip_is_byte_stable(tmp_path, toy_c1, toy_c2):
+    # save, load, save again: the same bytes, failed node included
+    for plan in (toy_c1, toy_c2):
+        st = init_cluster(plan, 12)
+        fail_node(st, 1)
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir(exist_ok=True)
+        second.mkdir(exist_ok=True)
+        save_cluster(st, first / "c.txt")
+        save_cluster(load_cluster(first / "c.txt"), second / "c.txt")
+        for name in ("c.txt", "c.txt.plan"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_tampered_symbol_detected(tmp_path, toy_c1):
