@@ -32,9 +32,7 @@ from .rs_codes import (
     EvaluationSet,
     MessagePoly,
     encode,
-    load_codeword,
     naive_decode,
-    save_codeword,
 )
 from .bounds_tradeoff import (
     BoundQuery,
@@ -88,8 +86,6 @@ __all__ = [
     "Codeword",
     "encode",
     "naive_decode",
-    "save_codeword",
-    "load_codeword",
     "BoundQuery",
     "min_subpacketization",
     "conventional_lower_bound",

@@ -177,7 +177,7 @@ def is_irreducible(f: int) -> bool:
     if not (f & 1):
         return False  # divisible by x
     checkpoints = {n // p for p, _ in factor_integer(n)}
-    ring = FieldCtx(n, f, 1, (), 1, False)  # arithmetic only, as in make_field
+    ring = FieldCtx(n, f, 1)  # arithmetic only, as in make_field
     y = 2  # the polynomial x
     for j in range(1, n + 1):
         y = ring._sq(y)
@@ -591,25 +591,21 @@ _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class FieldCtx:
-    """GF(2^N) with a fixed modulus, verified-or-trusted primitive generator,
-    and the (possibly partial) factorization of the group order 2^N - 1.
+    """GF(2^N) with a fixed modulus and a primitive generator, searched or
+    trusted.
 
     Immutable after construction; internal caches (subfield handles, the
-    trace sequence, the order facts) are memos only.  Without the three
-    order facts, they are computed on first read.  Build instances through
-    :func:`make_field`.
+    trace sequence, the order facts) are memos only.  The three order facts
+    (the possibly partial factorization of 2^N - 1, its cofactor and
+    whether the generator is verified) are computed on first read, for
+    every context.  Build instances through :func:`make_field`.
     """
 
-    def __init__(self, degree_bits, modulus, generator_value,
-                 order_factorization=None, order_cofactor=None,
-                 generator_verified=None):
+    def __init__(self, degree_bits, modulus, generator_value):
         self.degree_bits = degree_bits
         self.modulus = modulus
         self.order = (1 << degree_bits) - 1
-        self._facts = None
-        if order_factorization is not None:
-            self._facts = (tuple(order_factorization), order_cofactor,
-                           generator_verified)
+        self._facts = None  # written by _order_facts alone
         self._mask = (1 << degree_bits) - 1
         # tail exponents a of the modulus, descending; round t of _fold
         # shifts by (N - a) 2^t, keeping the strides below N - 1
@@ -831,29 +827,13 @@ class SubfieldHandle:
         self._trace_masks = None
 
     def order_factorization(self):
-        """Prime factorization of 2^m - 1, derived from the ambient context
-        when its factorization is already known and complete, otherwise
-        factored directly; it never sets off the ambient factoring."""
+        """Prime factorization of 2^m - 1, factored directly: the subfields
+        whose primitive elements are checked hold evaluation points and are
+        small, and the ambient factoring is never set off."""
         if self._order_factors is None:
-            order = (1 << self.degree_bits) - 1
-            if order == 1:
-                self._order_factors = ()
-                return self._order_factors
-            rem = order
-            found = []
-            ambient = self.ctx._facts
-            if ambient is not None and ambient[1] == 1:
-                for p, _ in ambient[0]:
-                    e = 0
-                    while rem % p == 0:
-                        rem //= p
-                        e += 1
-                    if e:
-                        found.append((p, e))
-            if rem != 1:
-                for p, e in factor_integer(rem):
-                    found.append((p, e))
-            self._order_factors = tuple(sorted(found))
+            m = self.degree_bits
+            self._order_factors = (tuple(factor_integer((1 << m) - 1))
+                                   if m > 1 else ())
         return self._order_factors
 
     def gf2_basis(self):
@@ -925,30 +905,17 @@ class SubfieldHandle:
 
 
 class BasisOverSubfield:
-    """Ordered, linearly independent vectors of E over a subfield.
-
-    Validation expands each vector against the subfield's GF(2)-basis and
-    checks rank over GF(2), which is exactly independence over the subfield.
+    """Ordered vectors of E over a subfield: what dual_basis takes and
+    returns.  Nothing is checked on construction; dual_basis refuses
+    vectors dependent over the subfield with SINGULAR_GRAM, the library's
+    one independence proof.
     """
 
     __slots__ = ("subfield", "vectors")
 
-    def __init__(self, subfield: SubfieldHandle, vectors, validate: bool = True):
+    def __init__(self, subfield: SubfieldHandle, vectors):
         self.subfield = subfield
         self.vectors = tuple(vectors)
-        if validate:
-            m = subfield.degree_bits
-            ctx = subfield.ctx
-            rows = []
-            sigma = subfield.gf2_basis()
-            for vec in self.vectors:
-                for s in sigma:
-                    rows.append(ctx._mul(vec.v, s))
-            if gf2_rank(rows) != len(self.vectors) * m:
-                raise PERepairError(
-                    "SINGULAR_GRAM",
-                    "vectors are linearly dependent over the subfield",
-                )
 
     def __len__(self):
         return len(self.vectors)
@@ -994,19 +961,20 @@ def make_field(degree_bits: int, modulus: int | None = None,
 
     With no generator, the generator is the smallest polynomial (as an
     integer) that is defining over GF(2) and passes the order test against
-    every known prime factor of 2^N - 1.  2^N - 1 is factored with a fixed
-    cap of rho steps per composite, so the outcome depends on N alone.  When
-    a composite survives the cap, the context is still returned, with the
-    unfactored composite recorded in ``order_cofactor`` and
-    ``generator_verified = False`` — the generator then passed every
+    every prime of 2^N - 1 that factoring finds.  2^N - 1 is factored with a
+    fixed cap of rho steps per composite, so the outcome depends on N alone.
+    When a composite survives the cap, the generator found has passed every
     available necessary test but its primitivity rests on the published
-    parameters (this is the documented caveat for degree 2310).
+    parameters (this is the documented caveat for degree 2310); its context
+    reports the unfactored composite in ``order_cofactor`` and
+    ``generator_verified = False``.
 
     A given generator (a plan file's ``generator_hex``) is only checked to
-    have degree N over GF(2): no factoring and no order test.  Its context
-    computes the three order facts on first read, with the values a searched
-    context holds.  There is one context per (N, modulus, generator): a
-    search that returns a generator already given reuses its context.
+    have degree N over GF(2): no factoring and no order test.  Every
+    context, searched or given, computes the three order facts on first
+    read, so a given generator equal to the search's reads the same facts.
+    There is one context per (N, modulus, generator): a search that returns
+    a generator already given reuses its context.
     """
     if degree_bits < 1:
         raise ValueError("degree_bits must be >= 1")
@@ -1027,43 +995,31 @@ def make_field(degree_bits: int, modulus: int | None = None,
     if degree_bits == 1 and generator is None:
         generator = 1  # GF(2)* is {1}: nothing to search
 
-    ctx = _field_cache.get((degree_bits, modulus, generator))
+    resolved = (degree_bits, modulus, generator)
+    ctx = _field_cache.get(resolved)
     if ctx is None:
-        probe = FieldCtx(degree_bits, modulus, 1, (), 1, False)  # arithmetic only
+        probe = FieldCtx(degree_bits, modulus, 1)  # arithmetic only
         if generator is None:
-            ctx = _searched_field(probe)
-        elif (0 < generator <= probe._mask
-                and probe._degree_over(generator, 1) == degree_bits):
-            ctx = FieldCtx(degree_bits, modulus, generator)
-        else:
+            # defining over GF(2), then of full order as far as factored
+            primes = list(_factor_mersenne_like(degree_bits)[0])
+            generator = next(
+                v for v in count(2)
+                if probe._degree_over(v, 1) == degree_bits
+                and _order_test(probe, v, probe.order, primes))
+        elif not (0 < generator <= probe._mask
+                  and probe._degree_over(generator, 1) == degree_bits):
             raise PERepairError(
                 "CONSTRAINT_VIOLATION",
                 f"generator {generator:#x} is not of degree {degree_bits} "
                 "over GF(2)",
             )
+        ctx = (_field_cache.get((degree_bits, modulus, generator))
+               or FieldCtx(degree_bits, modulus, generator))
+    # the request, its modulus resolved and its generator resolved: any
+    # later spelling of the field is then served with no factoring or search
     _field_cache[requested] = ctx
-    _field_cache[(degree_bits, modulus, generator)] = ctx
+    _field_cache[resolved] = ctx
     _field_cache[(degree_bits, modulus, ctx.generator.v)] = ctx
-    return ctx
-
-
-def _searched_field(probe: FieldCtx) -> FieldCtx:
-    """The context of make_field's generator search under probe's modulus,
-    or the cached context of a given generator equal to the one found,
-    its order facts filled in."""
-    n = probe.degree_bits
-    factors, cofactor, complete = _factor_mersenne_like(n)
-    for generator_value in count(2):
-        # defining over GF(2), then of full order as far as factored
-        if (probe._degree_over(generator_value, 1) == n
-                and _order_test(probe, generator_value, probe.order,
-                                list(factors))):
-            break
-    facts = tuple(sorted(factors.items())), cofactor, complete
-    ctx = _field_cache.get((n, probe.modulus, generator_value))
-    if ctx is None:
-        return FieldCtx(n, probe.modulus, generator_value, *facts)
-    ctx._facts = facts
     return ctx
 
 
@@ -1195,5 +1151,4 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
                     vs = [v] + [ctx._mul(s, v) for s in basis[1:]]
             rows[r] ^= _select(table, f)
             d[r] ^= _select(vs, f) if small else ctx._mul(lift(f), v)
-    return BasisOverSubfield(sub, [FieldElem(ctx, v) for v in d],
-                             validate=False)
+    return BasisOverSubfield(sub, [FieldElem(ctx, v) for v in d])

@@ -159,8 +159,7 @@ def lemma1_subspace(plan, node: int, helper_groups=None) -> RepairSubspace:
     sub = plan.ctx.subfield(plan.base_bits * ubar)
     alpha = plan.eval_set.points[node]
     for beta, vectors in _lemma1_candidates(plan, group, alpha, ubar):
-        shifted = BasisOverSubfield(sub, _shifts(vectors, alpha, plan.s),
-                                    validate=False)
+        shifted = BasisOverSubfield(sub, _shifts(vectors, alpha, plan.s))
         try:
             duals = dual_basis(shifted)
         except PERepairError as err:
@@ -168,8 +167,7 @@ def lemma1_subspace(plan, node: int, helper_groups=None) -> RepairSubspace:
                 raise
             continue
         subspace = RepairSubspace(
-            sub, BasisOverSubfield(sub, vectors, validate=False), beta,
-            duals.vectors)
+            sub, BasisOverSubfield(sub, vectors), beta, duals.vectors)
         plan._cache[cache_key] = subspace
         return subspace
     raise PERepairError(
@@ -488,7 +486,7 @@ def repair_c2(plan, codeword, failed: int, d: int | None = None) -> RepairTransc
         sub = plan.ctx.subfield(plan.base_bits * plan.u_list[gi])
         p = plan.groups[gi].prime
         powers = _shifts([plan.ctx.one], plan.eval_set.points[failed], p)
-        duals = dual_basis(BasisOverSubfield(sub, powers, validate=False))
+        duals = dual_basis(BasisOverSubfield(sub, powers))
         return helpers, sub, [plan.ctx.one], p, duals.vectors
 
     return _repair(plan, codeword, failed, d, None, shape)

@@ -16,7 +16,7 @@ degrees stay tiny (<= n), so evaluation is plain Horner.
 from __future__ import annotations
 
 from .errors import PERepairError
-from ._util import atomic_write_text, digest_of, parse_decimal
+from ._util import digest_of
 from .field_tower import FieldCtx, FieldElem
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "poly_eval",
     "parity_check",
     "naive_decode",
-    "save_codeword",
-    "load_codeword",
 ]
 
 
@@ -210,42 +208,3 @@ def naive_decode(symbols_at, A: EvaluationSet) -> MessagePoly:
         for d in range(k):
             coeffs[d] = coeffs[d] + scale * quot[d]
     return MessagePoly(coeffs)
-
-
-# ------------------------------------------------------------------ file I/O
-
-
-def save_codeword(c: Codeword, ctx: FieldCtx, path) -> None:
-    lines = [
-        f"plan_digest={c.plan_digest}",
-        f"n={c.n}",
-        f"degree_bits={ctx.degree_bits}",
-    ]
-    lines.extend(s.hex() for s in c.symbols)
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_codeword(path, ctx: FieldCtx) -> Codeword:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PERepairError("CORRUPT_FILE", f"cannot read {path}: {exc}")
-    lines = [ln for ln in raw.splitlines() if ln.strip()]
-    try:
-        digest = lines[0].removeprefix("plan_digest=")
-        n = parse_decimal(lines[1].removeprefix("n="))
-        bits = parse_decimal(lines[2].removeprefix("degree_bits="))
-        if (
-            not lines[0].startswith("plan_digest=")
-            or not lines[1].startswith("n=")
-            or not lines[2].startswith("degree_bits=")
-            or len(lines) != 3 + n
-        ):
-            raise ValueError("bad header")
-        if bits != ctx.degree_bits:
-            raise ValueError(f"field degree {bits} != {ctx.degree_bits}")
-        symbols = [ctx.from_hex(ln.strip()) for ln in lines[3:]]
-    except (IndexError, ValueError) as exc:
-        raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
-    return Codeword(symbols, digest)

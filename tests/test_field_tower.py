@@ -6,6 +6,7 @@ import time
 import pytest
 
 from perepair import field_tower, fixtures
+from perepair.constructions import build_plan_c1
 from perepair.errors import PERepairError
 from perepair.field_tower import (
     BasisOverSubfield,
@@ -307,6 +308,57 @@ def test_pinned_context_facts_match_the_search(monkeypatch):
     assert gf16.generator_verified is False
 
 
+def _count_factoring(monkeypatch):
+    # fresh cache, as in a new process; each entry is one 2^N - 1 factored
+    monkeypatch.setattr(field_tower, "_field_cache", {})
+    calls = []
+    real = field_tower._factor_mersenne_like
+
+    def counted(n_bits):
+        calls.append(n_bits)
+        return real(n_bits)
+
+    monkeypatch.setattr(field_tower, "_factor_mersenne_like", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [12, 60])
+def test_one_factoring_per_search_and_none_per_cached_request(monkeypatch,
+                                                              n):
+    # the search's field, asked for again by its modulus and by its
+    # generator, is served from the cache
+    calls = _count_factoring(monkeypatch)
+    searched = make_field(n)
+    assert make_field(n, smallest_irreducible(n)) is searched
+    assert make_field(n, None, searched.generator.v) is searched
+    assert calls == [n]
+
+
+def test_building_a_plan_factors_once(monkeypatch):
+    # the generator search factors 2^30 - 1; the primitivity checks of the
+    # points factor only their small subfields' orders
+    calls = _count_factoring(monkeypatch)
+    build_plan_c1(1, [3, 3], s=2, primes=[3, 5])
+    assert calls == [30]
+
+
+@pytest.mark.parametrize("n", [12, 60, 210])
+def test_subfield_order_factorization_is_factored_directly(monkeypatch, n):
+    # the same facts from a searched context, its order facts read first,
+    # and from a pinned one that never factored 2^N - 1
+    monkeypatch.setattr(field_tower, "_field_cache", {})
+    searched = make_field(n)
+    assert searched.order_cofactor == 1
+    monkeypatch.setattr(field_tower, "_field_cache", {})
+    pinned = make_field(n, None, searched.generator.v)
+    assert pinned is not searched
+    for m in (m for m in range(1, n + 1) if n % m == 0):
+        want = tuple(factor_integer((1 << m) - 1)) if m > 1 else ()
+        assert searched.subfield(m).order_factorization() == want
+        assert pinned.subfield(m).order_factorization() == want
+    assert pinned._facts is None
+
+
 def test_pinned_generator_must_be_defining():
     for bad in (0, 1, 1 << 4, 0b110):  # 0b110 = x^2 + x lies in GF(4)
         with pytest.raises(PERepairError) as err:
@@ -496,12 +548,12 @@ def test_subfield_handles(gf4096):
 def test_unprimitive_generator_is_an_invariant_violation():
     # a trusted generator is not checked up front: generator 1 of GF(2^4)
     # gives a canonical GF(4) generator of degree 1, reported with a code
-    ctx = field_tower.FieldCtx(4, 0b10011, 1, (), 1, False)
+    ctx = field_tower.FieldCtx(4, 0b10011, 1)
     with pytest.raises(PERepairError) as err:
         ctx.subfield(2)
     assert err.value.code == "INVARIANT_VIOLATION"
     # under the reducible x^4 + 1, x^(2^d) never returns to x
-    ring = field_tower.FieldCtx(4, 0b10001, 2, (), 1, False)
+    ring = field_tower.FieldCtx(4, 0b10001, 2)
     with pytest.raises(PERepairError) as err:
         ring._degree_over(0b10, 1)
     assert err.value.code == "INVARIANT_VIOLATION"
@@ -591,7 +643,7 @@ def _reference_mulmod(a, b, f):
     pytest.param(100, 0x1c6dd451b26bcefab3a3b48c4b, id="100-heavy-tail"),
 ])
 def test_dense_tail_products_are_remainders(degree, f):
-    ctx = field_tower.FieldCtx(degree, f, 1, (), 1, False)  # arithmetic only
+    ctx = field_tower.FieldCtx(degree, f, 1)  # arithmetic only
     rng = random.Random(degree)
     top = (1 << degree) - 1
     pairs = [(top, top), (top, 1), (1 << (degree - 1), 1 << (degree - 1))]
@@ -688,18 +740,24 @@ def test_dual_basis_involution(gf4096):
     assert [e.v for e in back] == [e.v for e in basis]
 
 
+def _independent(sub, vectors):
+    # independent over K = GF(2^m) iff their products with a GF(2)-basis of
+    # K have GF(2)-rank m per vector
+    F = sub.ctx
+    rows = [F._mul(v.v, c) for v in vectors for c in sub.gf2_basis()]
+    return gf2_rank(rows) == len(vectors) * sub.degree_bits
+
+
 def test_dependent_vectors_rejected(gf4096):
     sub = gf4096.subfield(3)
     g = gf4096.generator
     dependent = [gf4096.one, g, gf4096.one + g, g ** 2]
+    assert not _independent(sub, dependent)
+    # the right number of dependent vectors fails in dual_basis: the trace
+    # form is nondegenerate, so their Gram matrix is singular (a repair's B
+    # basis relies on this one check)
     with pytest.raises(PERepairError) as err:
-        BasisOverSubfield(sub, dependent)
-    assert err.value.code == "SINGULAR_GRAM"
-    # unvalidated, the right number of dependent vectors still fails in
-    # dual_basis: the trace form is nondegenerate, so their Gram matrix is
-    # singular (a repair's B basis relies on this one check)
-    with pytest.raises(PERepairError) as err:
-        dual_basis(BasisOverSubfield(sub, dependent, validate=False))
+        dual_basis(BasisOverSubfield(sub, dependent))
     assert err.value.code == "SINGULAR_GRAM"
 
 
@@ -773,15 +831,12 @@ def test_dual_basis_meets_the_trace_definition(degree):
         while True:
             vectors = [F.elem(rng.getrandbits(degree))
                        for _ in range(degree // m)]
-            basis = BasisOverSubfield(sub, vectors, validate=False)
-            try:
-                BasisOverSubfield(sub, vectors)
-            except PERepairError:
-                with pytest.raises(PERepairError) as err:
-                    dual_basis(basis)
-                assert err.value.code == "SINGULAR_GRAM"
-                continue
-            break
+            basis = BasisOverSubfield(sub, vectors)
+            if _independent(sub, vectors):
+                break
+            with pytest.raises(PERepairError) as err:
+                dual_basis(basis)
+            assert err.value.code == "SINGULAR_GRAM"
         _assert_trace_dual(basis, dual_basis(basis), tau)
 
 
@@ -795,7 +850,7 @@ def test_dual_basis_finds_a_dependency_at_the_last_pivot():
     dual_basis(BasisOverSubfield(sub, vectors + [c * F.generator ** 69]))
     dependent = vectors + [gamma * vectors[3] + gamma ** 5 * vectors[40]]
     with pytest.raises(PERepairError) as err:
-        dual_basis(BasisOverSubfield(sub, dependent, validate=False))
+        dual_basis(BasisOverSubfield(sub, dependent))
     assert err.value.code == "SINGULAR_GRAM"
 
 
@@ -807,7 +862,7 @@ def test_small_subfield_dual_basis_costs_o_n_products(monkeypatch, m):
     sub = F.subfield(m)
     c = F.elem(random.Random(m).getrandbits(210) | 1)
     basis = BasisOverSubfield(
-        sub, [c * F.generator ** i for i in range(210 // m)], validate=False)
+        sub, [c * F.generator ** i for i in range(210 // m)])
     want = [e.v for e in dual_basis(basis)]  # also fills the handle's caches
     calls = 0
     real = field_tower.clmul

@@ -83,8 +83,7 @@ def test_lemma1_subspace_is_specific_to_its_point(toy_c1):
     second = toy_c1.groups[1].points[1]
     assert not verify_span(S, second, 2)
     # the Gram solve that certifies subspaces rejects the same shifts
-    wrong = BasisOverSubfield(S.subfield, _shifts(S.basis, second, 2),
-                              validate=False)
+    wrong = BasisOverSubfield(S.subfield, _shifts(S.basis, second, 2))
     with pytest.raises(PERepairError) as ei:
         dual_basis(wrong)
     assert ei.value.code == "SINGULAR_GRAM"
@@ -101,12 +100,11 @@ def test_gram_acceptance_matches_verify_span(toy_c1):
         for node in toy_c1.group_nodes(gi):
             alpha = toy_c1.eval_set.points[node]
             for beta, vectors in _lemma1_candidates(toy_c1, gi, alpha, ubar):
-                basis = BasisOverSubfield(sub, vectors, validate=False)
+                basis = BasisOverSubfield(sub, vectors)
                 for pt in g.points:
                     shifted = _shifts(vectors, pt, toy_c1.s)
                     try:
-                        dual_basis(BasisOverSubfield(sub, shifted,
-                                                     validate=False))
+                        dual_basis(BasisOverSubfield(sub, shifted))
                         gram_ok = True
                     except PERepairError as err:
                         assert err.code == "SINGULAR_GRAM"
@@ -141,7 +139,7 @@ def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
             assert f_mult * f_inv == plan.ctx.one
             alpha_f = plan.eval_set.points[node]
             B = [f_mult * u for u in _shifts(S.basis, alpha_f, plan.s)]
-            fresh = dual_basis(BasisOverSubfield(prep.sub, B, validate=False))
+            fresh = dual_basis(BasisOverSubfield(prep.sub, B))
             assert [dv * f_inv for dv in S.duals] == list(fresh.vectors)
             W = plan.s
             for j, row in zip(prep.helpers, prep.weights):
@@ -555,8 +553,12 @@ def test_points_have_group_degree_and_subspaces_are_bases(toy_c1, toy_c2,
             gi, _ = plan.locate(node)
             for groups in (_helper_prefix(plan, gi, plan.d)[1], None):
                 S = lemma1_subspace(plan, node, helper_groups=groups)
-                BasisOverSubfield(S.subfield, S.basis, validate=True)
-                shifted = _shifts(S.basis, plan.eval_set.points[node], plan.s)
+                alpha = plan.eval_set.points[node]
+                shifted = _shifts(S.basis, alpha, plan.s)
+                # N/m shifts span E over K: they, and so the basis, are
+                # independent over K
+                assert len(shifted) * S.subfield.degree_bits == ctx.degree_bits
+                assert verify_span(S, alpha, plan.s)
                 assert len(S.duals) == len(shifted)
                 for i, u in enumerate(shifted):
                     for j, dj in enumerate(S.duals):

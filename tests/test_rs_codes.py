@@ -11,11 +11,9 @@ from perepair.rs_codes import (
     annihilator,
     dual_multipliers,
     encode,
-    load_codeword,
     naive_decode,
     parity_check,
     poly_eval,
-    save_codeword,
 )
 
 
@@ -196,64 +194,3 @@ def test_mds_property_toy(gf64):
         for subset in itertools.combinations(range(8), 3):
             m = naive_decode([(i, c.symbols[i]) for i in subset], A)
             assert [e.v for e in m.coefficients] == [e.v for e in f.coefficients]
-
-
-def test_codeword_file_round_trip(tmp_path, gf64):
-    rng = random.Random(19)
-    A = points_of(gf64, [1, 2, 3, 4, 5])
-    c = encode(random_message(gf64, 2, rng), A)
-    path = tmp_path / "cw.txt"
-    save_codeword(c, gf64, path)
-    back = load_codeword(path, gf64)
-    assert back.plan_digest == c.plan_digest
-    assert [s.v for s in back.symbols] == [s.v for s in c.symbols]
-
-
-def test_non_ascii_codeword_file_is_corrupt(tmp_path, gf64):
-    path = tmp_path / "cw.txt"
-    path.write_bytes(b"plan_digest=\xff\nn=0\ndegree_bits=6\n")
-    with pytest.raises(PERepairError) as err:
-        load_codeword(path, gf64)
-    assert err.value.code == "CORRUPT_FILE"
-
-
-@pytest.mark.parametrize("header, spell", [
-    ("n", "+5"),
-    ("n", "0_5"),
-    ("n", " 5"),
-    ("n", "5 "),
-    ("n", "\u0665"),  # an Arabic-Indic 5, which int() reads as 5
-    ("degree_bits", "+6"),
-    ("degree_bits", "0_6"),
-    ("degree_bits", "6\t"),
-    ("degree_bits", "\uff16"),  # a fullwidth 6
-])
-def test_codeword_header_numbers_must_be_ascii_decimals(tmp_path, gf64,
-                                                        header, spell):
-    # every spelling keeps the header's value, so only the parse can refuse
-    c = encode(random_message(gf64, 2, random.Random(23)),
-               points_of(gf64, [1, 2, 3, 4, 5]))
-    path = tmp_path / "cw.txt"
-    save_codeword(c, gf64, path)
-    text = path.read_text(encoding="ascii")
-    line = {"n": "n=5\n", "degree_bits": "degree_bits=6\n"}[header]
-    assert text.count(line) == 1
-    path.write_text(text.replace(line, f"{header}={spell}\n"),
-                    encoding="utf-8")
-    with pytest.raises(PERepairError) as err:
-        load_codeword(path, gf64)
-    assert err.value.code == "CORRUPT_FILE"
-
-
-def test_codeword_file_corruption(tmp_path, gf64):
-    path = tmp_path / "cw.txt"
-    path.write_text("plan_digest=x\nn=3\ndegree_bits=6\n01\n02\n")
-    with pytest.raises(PERepairError) as err:
-        load_codeword(path, gf64)
-    assert err.value.code == "CORRUPT_FILE"
-    with pytest.raises(PERepairError):
-        load_codeword(tmp_path / "missing.txt", gf64)
-    # wrong field degree
-    path.write_text("plan_digest=x\nn=1\ndegree_bits=4\n01\n")
-    with pytest.raises(PERepairError):
-        load_codeword(path, gf64)

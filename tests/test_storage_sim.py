@@ -6,7 +6,7 @@ from perepair import field_tower
 from perepair.errors import PERepairError
 from perepair.fixtures import by_name, example1
 from perepair.repair_engine import RepairTranscript
-from perepair.rs_codes import Codeword, load_codeword, naive_decode, save_codeword
+from perepair.rs_codes import naive_decode
 from perepair.storage_sim import (
     NaiveReport,
     SplitMix64,
@@ -456,24 +456,19 @@ def test_cluster_numbers_must_be_ascii_decimals(tmp_path, toy_c1, field,
     lambda h: "+" + h,
     lambda h: "\u0660" + h,  # an Arabic-Indic 0, which int() reads as 0
 ], ids=["prefix", "underscore", "sign", "non-ascii-digit"])
-@pytest.mark.parametrize("loader", ["cluster", "codeword"])
+@pytest.mark.parametrize("loader", ["cluster"])  # the one file of symbols
 def test_symbols_must_be_ascii_hex(tmp_path, toy_c1, loader, spell):
     # every spelling keeps the symbol's value, so only the parse can refuse
     st = init_cluster(toy_c1, 12)
     path = tmp_path / "symbols.txt"
-    if loader == "cluster":
-        save_cluster(st, path)
-        load = load_cluster
-    else:
-        save_codeword(Codeword(st._expected, toy_c1.digest), toy_c1.ctx, path)
-        load = lambda p: load_codeword(p, toy_c1.ctx)
-    load(path)
+    save_cluster(st, path)
+    load_cluster(path)
     h = st.nodes[3].symbol.hex()
     text = path.read_text(encoding="utf-8")
     assert text.count(h) == 1
     path.write_text(text.replace(h, spell(h)), encoding="utf-8")
     with pytest.raises(PERepairError) as e:
-        load(path)
+        load_cluster(path)
     assert e.value.code == "CORRUPT_FILE"
 
 
