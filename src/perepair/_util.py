@@ -1,9 +1,11 @@
-"""Small shared plumbing: canonical JSON, digests, atomic file writes,
-strict decimal parsing."""
+"""Small shared plumbing: canonical JSON, digests, strict file reads,
+atomic file writes, strict decimal parsing."""
 
 import hashlib
 import json
 import os
+
+from .errors import PERepairError
 
 
 def canonical_json(payload) -> str:
@@ -24,6 +26,15 @@ def parse_decimal(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an ASCII decimal: {text!r}")
     return int(text)
+
+
+def read_text(path) -> str:
+    """The whole UTF-8 text of a file the package reads, or CORRUPT_FILE."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PERepairError("CORRUPT_FILE", f"cannot read {path}: {exc}")
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -76,9 +76,7 @@ def min_subpacketization(query: BoundQuery) -> int:
 
 def conventional_lower_bound(k: int) -> int:
     """Product of the first k-1 primes: the t=1 bound."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return math.prod(first_primes(k - 1))
+    return min_subpacketization(BoundQuery.uniform(k, 1))
 
 
 class TradeoffRow:

@@ -52,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("plan", help="resolve a plan and write it to JSON")
+    p.set_defaults(run=cmd_plan)
     p.add_argument("--construction", type=int, choices=(1, 2), required=True)
     p.add_argument("--base-bits", type=int, default=1,
                    help="bits per base-field symbol (1 for GF(2), 2 for GF(4))")
@@ -64,11 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="plan.json")
 
     c = sub.add_parser("cluster", help="initialize a simulated cluster")
+    c.set_defaults(run=cmd_cluster)
     c.add_argument("--plan", required=True, help="plan JSON file")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", required=True, help="cluster file to write")
 
     r = sub.add_parser("repair", help="fail one node, repair it, count bits")
+    r.set_defaults(run=cmd_repair)
     r.add_argument("--cluster", required=True, help="cluster file")
     r.add_argument("--node", type=int, required=True)
     r.add_argument("--strategy", choices=("pe", "naive"), default="pe")
@@ -77,16 +80,19 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", help="transcript JSON file")
 
     b = sub.add_parser("bound", help="minimum sub-packetization")
+    b.set_defaults(run=cmd_bound)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--t", type=_csv_ints, required=True,
                    help="single flexibility, or one value per group")
 
     t = sub.add_parser("tradeoff", help="flexibility/bandwidth table as CSV")
+    t.set_defaults(run=cmd_tradeoff)
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--k", type=int, required=True)
     t.add_argument("--out", help="CSV file (default: stdout)")
 
     g = sub.add_parser("reproduce", help="re-run a built-in reference deployment")
+    g.set_defaults(run=cmd_reproduce)
     g.add_argument("name", help="example1 or example2")
     return top
 
@@ -138,7 +144,7 @@ def cmd_plan(args, parser) -> int:
     return 0
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args, parser) -> int:
     from .constructions import load_plan
 
     plan = load_plan(args.plan)
@@ -184,7 +190,7 @@ def cmd_repair(args, parser) -> int:
     return 0
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args, parser) -> int:
     query = (BoundQuery.uniform(args.k, args.t[0]) if len(args.t) == 1
              else BoundQuery(args.k, args.t))
     value = min_subpacketization(query)
@@ -195,7 +201,7 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def cmd_tradeoff(args) -> int:
+def cmd_tradeoff(args, parser) -> int:
     text = tradeoff_csv(tradeoff_table(args.n, args.k))
     if args.out:
         atomic_write_text(args.out, text)
@@ -255,26 +261,13 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.subcommand == "plan":
-            return cmd_plan(args, parser)
-        if args.subcommand == "cluster":
-            return cmd_cluster(args)
-        if args.subcommand == "repair":
-            return cmd_repair(args, parser)
-        if args.subcommand == "bound":
-            return cmd_bound(args)
-        if args.subcommand == "tradeoff":
-            return cmd_tradeoff(args)
-        if args.subcommand == "reproduce":
-            return cmd_reproduce(args, parser)
-        parser.error(f"unknown subcommand {args.subcommand!r}")
+        return args.run(args, parser)
     except PERepairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_status(exc.code)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import math
 import warnings
 
 from .errors import PERepairError
-from ._util import atomic_write_text, canonical_json, digest_of
+from ._util import atomic_write_text, canonical_json, digest_of, read_text
 from .field_tower import (
     _is_probable_prime,
     factor_integer,
@@ -438,12 +438,7 @@ def load_plan(path):
     import json
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PERepairError("CORRUPT_FILE", f"cannot read {path}: {exc}")
-    try:
-        payload = json.loads(raw)
+        payload = json.loads(read_text(path))
         why = _plan_shape_error(payload)
         if why is not None:
             raise ValueError(why)

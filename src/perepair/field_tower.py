@@ -22,11 +22,13 @@ poly_mod is plain long division (poly_divmod) for the few reductions off
 the hot path.  Primitivity is
 one product-tree order test over the known primes of the group order
 (_order_test).  Subfield work is done in the
-subfield: a handle for K = GF(2^m) keeps the coordinates of the dual
-c_0..c_(m-1) of 1, gamma, ..., gamma^(m-1) under Tr_{K/GF(2)} and m N-bit
-masks, one per coordinate of Tr_{E/K}, so a trace costs m parities.  The masks come from
-the trace sequence Tr_{E/GF(2)}(x^j) (Newton's identities on the modulus)
-and one m x m GF(2) solve.  dual_basis solves n = N/m vectors with O(N)
+subfield: a handle for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma,
+..., gamma^(m-1) under Tr_{K/GF(2)} and m N-bit masks, one per coordinate
+of Tr_{E/K}, so a trace costs m parities.  The duals come in closed form
+from gamma's minimal polynomial g, with no solve, and each mask is read
+off the trace sequence Tr_{E/GF(2)}(x^j) (Newton's identities on the
+modulus); SubfieldHandle._masks builds every other trace mask the same
+way.  dual_basis solves n = N/m vectors with O(N)
 products in E when m is small against n, as in a repair over a small
 residue field: masks of c_l b_i turn Gram entries into parities, a Gram row
 is one int of m-bit entries whose row operations are XORs of its gamma^l
@@ -258,27 +260,6 @@ def _select(table, z: int) -> int:
             acc ^= t
         z >>= 1
     return acc
-
-
-def _gf2_solve(rows, rhs):
-    """x with rows * x = rhs over GF(2), by Gauss-Jordan.
-
-    rows[i] holds row i of an invertible square matrix (bit j = column j);
-    each rhs[i] is a bit-vector int, so every bit position is solved as its
-    own right-hand side at once."""
-    rows = list(rows)
-    rhs = list(rhs)
-    n = len(rows)
-    for col in range(n):
-        bit = 1 << col
-        piv = next(r for r in range(col, n) if rows[r] & bit)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        for r in range(n):
-            if r != col and rows[r] & bit:
-                rows[r] ^= rows[col]
-                rhs[r] ^= rhs[col]
-    return rhs
 
 
 def _power_sums(f: int) -> int:
@@ -807,8 +788,7 @@ class SubfieldHandle:
     """
 
     __slots__ = ("ctx", "degree_bits", "canonical_generator",
-                 "_order_factors", "_gf2_basis", "_minpoly", "_trace_duals",
-                 "_trace_masks")
+                 "_order_factors", "_gf2_basis", "_minpoly", "_duals")
 
     def __init__(self, ctx: FieldCtx, m: int):
         self.ctx = ctx
@@ -823,8 +803,7 @@ class SubfieldHandle:
         self._order_factors = None
         self._gf2_basis = None
         self._minpoly = None
-        self._trace_duals = None
-        self._trace_masks = None
+        self._duals = None
 
     def order_factorization(self):
         """Prime factorization of 2^m - 1, factored directly: the subfields
@@ -860,41 +839,54 @@ class SubfieldHandle:
                              | _gf2_coordinates(basis, gamma_m))
         return self._minpoly
 
-    def _trace_dual_basis(self):
-        """(z, psi): z_l the coordinates of c_l, where c_0..c_(m-1) is the
-        dual of gamma^0..gamma^(m-1) under Tr_{K/GF(2)}, and
-        psi_l = _trace_functional(c_l), so that parity(v & psi_l) is
-        coordinate l of Tr_{E/K}(v).
+    def _trace_duals(self):
+        """(c, psi): c_0..c_(m-1), the dual of gamma^0..gamma^(m-1) under
+        Tr_{K/GF(2)}, lifted to E, and psi_l = _trace_functional(c_l), so
+        that parity(v & psi_l) is coordinate l of Tr_{E/K}(v).
 
         Coordinate l of z in K is Tr_{K/GF(2)}(c_l z), and by transitivity
-        Tr_{K/GF(2)}(c_l Tr_{E/K}(v)) = Tr_{E/GF(2)}(c_l v).  z_l is row l
-        of M^-1, M_ll' = Tr_{K/GF(2)}(gamma^(l+l')) the power sums of g, so
-        psi = M^-1 phi for phi_l = _trace_functional(gamma^l): one solve
-        gives both.  The c_l stay as m-bit coordinates: lifted, they would
-        hold m N-bit ints that only a small K's dual_basis reads."""
-        if self._trace_masks is None:
+        Tr_{K/GF(2)}(c_l Tr_{E/K}(v)) = Tr_{E/GF(2)}(c_l v).  The duals
+        have a closed form (Lidl & Niederreiter, Finite Fields, ch. 2): if
+        g(x) / (x - gamma) = sum_l b_l x^l then c_l = b_l / g'(gamma), so
+        c_(m-1) = 1 / g'(gamma) and c_(l-1) = gamma c_l + g_l c_(m-1), a
+        shift and two conditional XORs each in coordinates."""
+        if self._duals is None:
             m = self.degree_bits
-            sums = _power_sums(self._coord_modulus())
-            gram = [(sums >> l) & ((1 << m) - 1) for l in range(m)]
-            phi = [self.ctx._trace_functional(b) for b in self.gf2_basis()]
-            x = _gf2_solve(gram, [(f << m) | (1 << l)
-                                  for l, f in enumerate(phi)])
-            self._trace_duals = tuple(v & ((1 << m) - 1) for v in x)
-            self._trace_masks = tuple(v >> m for v in x)
-        return self._trace_duals, self._trace_masks
+            g = self._coord_modulus()
+            # g'(gamma): each odd-degree term x^i of g gives x^(i-1)
+            last = poly_inv_mod((g >> 1) & int("01" * m, 2), g)
+            coords = [last]
+            for l in range(m - 1, 0, -1):
+                c = coords[-1] << 1
+                if c >> m:
+                    c ^= g
+                if (g >> l) & 1:
+                    c ^= last
+                coords.append(c)
+            duals = tuple(self._lift(z) for z in reversed(coords))
+            self._duals = duals, tuple(self.ctx._trace_functional(c)
+                                       for c in duals)
+        return self._duals
+
+    def _masks(self, v: int):
+        """mu_l = _trace_functional(c_l * v) for each l: parity(y & mu_l)
+        is coordinate l of Tr_{E/K}(v * y).  m products and m functionals."""
+        ctx = self.ctx
+        return tuple(ctx._trace_functional(ctx._mul(c, v))
+                     for c in self._trace_duals()[0])
 
     def _is_small(self) -> bool:
-        """True when 4m < N/m + 1: K is small enough against E that trace
-        masks, m products and m functionals per vector, undercut products
-        between vectors.  dual_basis and a prepared repair both switch on
-        it."""
+        """True when 4m < N/m + 1: K is small enough against E that the
+        masks of _masks, m products and m functionals per vector, undercut
+        products between vectors.  dual_basis and a prepared repair both
+        switch on it."""
         m = self.degree_bits
         return 4 * m < self.ctx.degree_bits // m + 1
 
     def _trace_coords(self, v: int) -> int:
         """Coordinates of Tr_{E/K}(v) in the basis gamma^0..gamma^(m-1), as
         an m-bit int: bit l is parity(v & psi_l)."""
-        return _parities(v, self._trace_dual_basis()[1])
+        return _parities(v, self._trace_duals()[1])
 
     def _lift(self, z: int) -> int:
         """The element of E with coordinates z."""
@@ -1067,9 +1059,8 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
     in E when K is small against n, and never more than O(n^2):
 
     * Gram.  Coordinate l of Tr_{E/K}(b_i y) is parity(y & W_il) for the
-      mask W_il = _trace_functional(c_l b_i), c_l the dual of gamma^l in K
-      (SubfieldHandle._trace_dual_basis), so every entry is m parities once
-      each vector has paid m products and m functionals.  Those N + N
+      masks W_i = SubfieldHandle._masks(b_i), so every entry is m parities
+      once each vector has paid m products and m functionals.  Those N + N
       undercut the n(n + 1)/2 products b_i b_j only when 4m < n + 1
       (SubfieldHandle._is_small); otherwise each product gives its entry
       through _trace_coords.
@@ -1092,15 +1083,13 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
         )
     by_masks = sub._is_small()
     small = m < n
-    coords, psi = sub._trace_dual_basis()
-    duals = [sub._lift(z) for z in coords] if by_masks else ()
     d = [e.v for e in b.vectors]
     rows = [0] * n
     for i in range(n):
-        masks = ([ctx._trace_functional(ctx._mul(c, d[i])) for c in duals]
-                 if by_masks else psi)
+        masks = sub._masks(d[i]) if by_masks else None
         for j in range(i, n):
-            t = _parities(d[j] if by_masks else ctx._mul(d[i], d[j]), masks)
+            t = (_parities(d[j], masks) if by_masks
+                 else sub._trace_coords(ctx._mul(d[i], d[j])))
             rows[i] |= t << (j * m)
             rows[j] |= t << (i * m)
 

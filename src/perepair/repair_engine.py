@@ -289,9 +289,8 @@ class _PreparedRepair(NamedTuple):
     raw int ``weights[i][m]``.  ``masks`` picks the evaluation order once,
     from the shape: None repairs by response (_by_response, 2 products per
     response); for a ``sub`` = GF(2^m) small against E, 4m < N/m + 1
-    (SubfieldHandle._is_small), it holds the masks
-    mu_{m,l} = _trace_functional(c_l * e_m), masks[m][l], and the repair
-    goes by trace coordinate (_by_coordinate, d + m - 1 products).
+    (SubfieldHandle._is_small), masks[m] = sub._masks(e_m), and the
+    repair goes by trace coordinate (_by_coordinate, d + m - 1 products).
     """
 
     helpers: list
@@ -300,16 +299,6 @@ class _PreparedRepair(NamedTuple):
     mults: list
     weights: list
     masks: tuple | None
-
-
-def _coordinate_masks(sub: SubfieldHandle, E):
-    """masks[m][l] with parity(y & masks[m][l]) = coordinate l of
-    Tr_{E/K}(e_m * y), K = ``sub``: the functional of c_l * e_m, c_l the
-    Tr_{K/GF(2)}-dual of gamma^l, lifted.  |E| * m products."""
-    ctx = sub.ctx
-    duals = [sub._lift(z) for z in sub._trace_dual_basis()[0]]
-    return tuple(tuple(ctx._trace_functional(ctx._mul(c, e_m.v))
-                       for c in duals) for e_m in E)
 
 
 def _by_response(prep: _PreparedRepair, symbols):
@@ -437,7 +426,7 @@ def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscrip
         prep = _PreparedRepair(
             helpers, sub, [col.v for col in column],
             [[e_m * col for e_m in E] for col in column], weights,
-            _coordinate_masks(sub, E) if sub._is_small() else None)
+            tuple(sub._masks(e.v) for e in E) if sub._is_small() else None)
         plan._cache[key] = prep
     evaluate = _by_response if prep.masks is None else _by_coordinate
     queries, raw, acc = evaluate(prep, codeword.symbols)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 
 from .errors import PERepairError, check_invariant
-from ._util import atomic_write_text, parse_decimal
+from ._util import atomic_write_text, parse_decimal, read_text
 from .constructions import load_plan, save_plan
 from .repair_engine import _parity_column, _scheme
 from .rs_codes import Codeword, MessagePoly, encode
@@ -260,15 +260,9 @@ def load_cluster(path) -> ClusterState:
     """Re-open a cluster file; live symbols are verified against a fresh
     encode of the seeded message."""
     path = os.fspath(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PERepairError("CORRUPT_FILE", f"cannot read {path}: {exc}")
-
     header = {}
     node_lines = []
-    for line in raw.splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line:
             continue

@@ -1,8 +1,26 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from perepair.constructions import build_plan_c1, build_plan_c2
 from perepair.field_tower import make_field
 from perepair.rs_codes import MessagePoly, encode
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded by path; the tests only read the
+    benchmark's files."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's output oracle, written without perepair's arithmetic: the
+# tests' reference for products, reductions and symbols
+oracle = perfbench_module("oracle")
 
 
 @pytest.fixture(scope="session")

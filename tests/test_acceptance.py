@@ -32,16 +32,10 @@ from perepair.repair_engine import (
     repair_c2,
     verify_span,
 )
-from perepair.rs_codes import MessagePoly, encode, naive_decode
+from perepair.rs_codes import naive_decode
 from perepair.storage_sim import ClusterState, NodeRecord, fail_node, run_repair
 
-
-def _random_codeword(plan, rng):
-    ctx = plan.ctx
-    msg = MessagePoly(
-        [ctx.elem(rng.getrandbits(ctx.degree_bits)) for _ in range(plan.k)]
-    )
-    return encode(msg, plan.eval_set, plan_digest=plan.digest)
+from conftest import oracle, random_codeword
 
 
 def _fixture_cluster(ex):
@@ -54,16 +48,28 @@ def _fixture_cluster(ex):
     return ClusterState(plan, nodes, 0, ex.message, ex.codeword.symbols)
 
 
+def _oracle_symbols(ex):
+    """Every symbol of the example's codeword by the benchmark oracle's
+    Horner evaluation, with none of perepair's arithmetic."""
+    message = [c.v for c in ex.message.coefficients]
+    modulus = ex.plan.ctx.modulus
+    symbols = [oracle.horner(message, x.v, modulus)
+               for x in ex.plan.eval_set.points]
+    assert [s.v for s in ex.codeword.symbols] == symbols
+    return symbols
+
+
 def test_criterion_1_group_exclusion_code_repairs_all_nodes_at_cutset():
     t0 = time.monotonic()
     ex = example2()
     plan = ex.plan
     assert (plan.n, plan.k) == (17, 9)
     assert plan.ctx.degree_bits == 60 and plan.base_bits == 2
+    symbols = _oracle_symbols(ex)
     for node in range(plan.n):
         tr = repair_c2(plan, ex.codeword, node)
         want = ex.group_bits[plan.locate(node)[0]]
-        assert tr.recovered == ex.codeword.symbols[node], f"node {node}"
+        assert tr.recovered.v == symbols[node], f"node {node}"
         assert tr.bits_transmitted == want == tr.cutset_bits, f"node {node}"
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
@@ -78,6 +84,7 @@ def test_criterion_2_large_per_node_exclusion_repair_beats_naive():
     assert plan.ctx.degree_bits == 2310
     assert plan.ctx.modulus == (1 << 2310) | (1 << 8) | (1 << 5) | (1 << 2) | 1
 
+    symbols = _oracle_symbols(ex)
     state = _fixture_cluster(ex)
     # node 0 is the paper's walk-through, and its symbol is zero; one node
     # of each other group, each with its own helper groups, is nonzero
@@ -86,7 +93,7 @@ def test_criterion_2_large_per_node_exclusion_repair_beats_naive():
         fail_node(state, node)
         state, tr, log = run_repair(state, "pe", d=9)
         assert tr.verified is True
-        assert tr.recovered == ex.codeword.symbols[node]
+        assert tr.recovered.v == symbols[node], f"node {node}"
         assert (tr.recovered != plan.ctx.zero) == (node != 0), f"node {node}"
         assert log.total_bits == tr.bits_transmitted == 10395
 
@@ -159,14 +166,14 @@ def test_criterion_6_repair_agrees_with_interpolation_oracle(toy_c1, toy_c2):
     rng = random.Random(20260825)
     for plan, repair in ((toy_c1, repair_c1), (toy_c2, repair_c2)):
         for trial in range(100):
-            cw = _random_codeword(plan, rng)
+            cw = random_codeword(plan, rng)
             for failed in range(plan.n):
                 tr = repair(plan, cw, failed)
                 survivors = [i for i in range(plan.n) if i != failed][: plan.k]
-                oracle = naive_decode(
+                decoded = naive_decode(
                     [(i, cw.symbols[i]) for i in survivors], plan.eval_set
                 ).evaluate(plan.eval_set.points[failed])
-                assert tr.recovered == oracle, (plan.construction, trial, failed)
+                assert tr.recovered == decoded, (plan.construction, trial, failed)
                 assert tr.bits_transmitted == tr.cutset_bits, (trial, failed)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0

@@ -1,6 +1,5 @@
 import ast
 import importlib
-import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -9,6 +8,8 @@ import pytest
 
 import perepair
 from perepair import errors
+
+from conftest import perfbench_module
 
 MODULES = ["perepair"] + sorted(
     f"perepair.{info.name}" for info in pkgutil.iter_modules(perepair.__path__)
@@ -26,10 +27,7 @@ def test_every_export_resolves(name):
 def test_benchmark_tracer_names_resolve():
     # the benchmark's tracer wraps these names by attribute; a rename would
     # break a traced run with an AttributeError
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = perfbench_module("tracer")
     names = [(short, fn) for table in (tracer.TRACED, tracer.COUNTED)
              for short, fns in table.items() for fn in fns]
     names += [tuple(name.split(".")) for name in tracer.REPAIRS]

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from perepair.constructions import build_plan_c1, build_plan_c2
 from perepair.repair_engine import cutset_bits, repair_c1, repair_c2
-from perepair.rs_codes import MessagePoly, encode, naive_decode
+from perepair.rs_codes import naive_decode
 from perepair.storage_sim import fail_node, init_cluster, run_repair
+
+from conftest import random_codeword
 
 # Construction 1 at s = 2: (base_bits, primes), symbol fields of 30 to 70 bits
 C1_SHAPES = [(1, (3, 5)), (1, (3, 7)), (1, (3, 11)), (1, (5, 7)), (2, (3, 5))]
@@ -56,13 +58,6 @@ def c2_plans(draw):
     return build_plan_c2(base_bits, r, primes, point_exponents=exps)
 
 
-def _codeword(plan, rng):
-    ctx = plan.ctx
-    msg = MessagePoly([ctx.elem(rng.getrandbits(ctx.degree_bits))
-                       for _ in range(plan.k)])
-    return encode(msg, plan.eval_set, plan_digest=plan.digest)
-
-
 def _oracle(plan, cw, node):
     """The erased symbol by Lagrange interpolation of k other symbols."""
     others = [i for i in range(plan.n) if i != node][:plan.k]
@@ -73,7 +68,7 @@ def _oracle(plan, cw, node):
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(plan=st.one_of(c1_plans(), c2_plans()), seed=st.integers(0, 2 ** 32 - 1))
 def test_every_node_repairs_to_the_oracle_at_the_cutset_bound(plan, seed):
-    cw = _codeword(plan, random.Random(seed))
+    cw = random_codeword(plan, random.Random(seed))
     for node in range(plan.n):
         if plan.construction == 1:
             tr = repair_c1(plan, cw, node)
@@ -93,7 +88,7 @@ def test_warm_repairs_replay_the_cold_ones(plan, seed):
     # is also repaired one helper above the canonical locality, where the
     # failed group leaves room for it
     rng = random.Random(seed)
-    first, second = _codeword(plan, rng), _codeword(plan, rng)
+    first, second = random_codeword(plan, rng), random_codeword(plan, rng)
     for node in range(plan.n):
         t_i = plan.groups[plan.locate(node)[0]].t
         if plan.construction == 1:
@@ -129,7 +124,7 @@ def c1_small_field_plans(draw):
 @given(plan=c1_small_field_plans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_small_response_field_repairs_by_coordinate(plan, seed):
     rng = random.Random(seed)
-    first, second = _codeword(plan, rng), _codeword(plan, rng)
+    first, second = random_codeword(plan, rng), random_codeword(plan, rng)
     for node in range(plan.n):
         cold = repair_c1(plan, first, node)
         assert plan._cache[("repair", node, plan.d)].masks is not None

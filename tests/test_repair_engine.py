@@ -12,7 +12,6 @@ from perepair.repair_engine import (
     RepairSubspace,
     _by_coordinate,
     _by_response,
-    _coordinate_masks,
     _helper_prefix,
     _lemma1_candidates,
     _parity_column,
@@ -34,12 +33,7 @@ from perepair.rs_codes import (
 )
 from perepair.storage_sim import fail_node, init_cluster, run_repair
 
-
-def make_codeword(plan, rng):
-    msg = MessagePoly(
-        [plan.ctx.elem(rng.getrandbits(plan.ctx.degree_bits)) for _ in range(plan.k)]
-    )
-    return encode(msg, plan.eval_set, plan_digest=plan.digest)
+from conftest import random_codeword
 
 
 def test_cutset_bits_values():
@@ -123,7 +117,7 @@ def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
     # sum_w dual_{m,w} * alpha_j^w
     rng = random.Random(808)
     for plan in (toy_c1, toy_c1_wide):
-        cw = make_codeword(plan, rng)
+        cw = random_codeword(plan, rng)
         for node in range(plan.n):
             assert repair_c1(plan, cw, node).recovered == cw.symbols[node]
             prep = plan._cache[("repair", node, plan.d)]
@@ -173,7 +167,7 @@ def test_cold_repairs_certify_once_without_gf2_rank(monkeypatch):
     c2 = example2().plan
     monkeypatch.setattr(c2, "_cache", {})
     for plan, fn in ((fresh_c1, repair_c1), (c2, repair_c2)):
-        cw = make_codeword(plan, rng)
+        cw = random_codeword(plan, rng)
         for node in range(plan.n):
             calls.clear()
             assert fn(plan, cw, node).recovered == cw.symbols[node]
@@ -235,7 +229,7 @@ def test_warm_small_field_repair_costs_d_plus_m_minus_1_products(
         return real_inv(*args)
 
     plan = toy_c1_wide
-    cw = make_codeword(plan, random.Random(2718))
+    cw = random_codeword(plan, random.Random(2718))
     for node in range(plan.n):
         repair_c1(plan, cw, node)  # prepares (or finds) this node's repair
         monkeypatch.setattr(field_tower.FieldCtx, "_mul", mul)
@@ -255,7 +249,7 @@ def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2):
     # |E| = 1 and the masks are the subfield's trace masks psi.
     rng = random.Random(1618)
     for plan in (toy_c1, toy_c1_wide, toy_c2):
-        cw = make_codeword(plan, rng)
+        cw = random_codeword(plan, rng)
         for node in range(plan.n):
             gi, _ = plan.locate(node)
             if plan.construction == 1:
@@ -269,11 +263,11 @@ def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2):
             sub = prep.sub
             assert (prep.masks is not None) == sub._is_small()
             assert (prep.masks is not None) == (plan is toy_c1_wide)
-            masks = _coordinate_masks(sub, E)
+            masks = tuple(sub._masks(e.v) for e in E)
             if prep.masks is not None:
                 assert prep.masks == masks
             if plan.construction == 2:
-                assert masks == (sub._trace_dual_basis()[1],)
+                assert masks == (sub._trace_duals()[1],)
             by_response = _by_response(prep, cw.symbols)
             by_coordinate = _by_coordinate(prep._replace(masks=masks),
                                            cw.symbols)
@@ -327,7 +321,7 @@ def test_select_helpers_round_robin(toy_c1, toy_c1_wide):
 def test_select_helpers_never_in_failed_group(toy_c1, toy_c1_wide):
     rng = random.Random(31)
     for plan in (toy_c1, toy_c1_wide):
-        cw = make_codeword(plan, rng)
+        cw = random_codeword(plan, rng)
         for node in range(plan.n):
             gi, _ = plan.locate(node)
             banned = set(plan.group_nodes(gi))
@@ -343,7 +337,7 @@ def test_select_helpers_never_in_failed_group(toy_c1, toy_c1_wide):
 def test_repair_c1_recovers_every_node(toy_c1):
     rng = random.Random(20240601)
     for trial in range(5):
-        cw = make_codeword(toy_c1, rng)
+        cw = random_codeword(toy_c1, rng)
         for failed in range(toy_c1.n):
             tr = repair_c1(toy_c1, cw, failed)
             assert tr.recovered == cw.symbols[failed]
@@ -356,7 +350,7 @@ def test_repair_c1_recovers_every_node(toy_c1):
 
 def test_repair_c1_matches_interpolation_oracle(toy_c1):
     rng = random.Random(99)
-    cw = make_codeword(toy_c1, rng)
+    cw = random_codeword(toy_c1, rng)
     for failed in range(toy_c1.n):
         tr = repair_c1(toy_c1, cw, failed)
         others = [i for i in range(toy_c1.n) if i != failed][: toy_c1.k]
@@ -377,7 +371,7 @@ def test_repair_c1_zero_codeword(toy_c1):
 def test_repair_never_reads_the_failed_node(toy_c1, toy_c2):
     rng = random.Random(4242)
     for plan, fn in ((toy_c1, repair_c1), (toy_c2, repair_c2)):
-        cw = make_codeword(plan, rng)
+        cw = random_codeword(plan, rng)
         failed = plan.n - 1
         garbage = list(cw.symbols)
         garbage[failed] = plan.ctx.elem(rng.getrandbits(plan.ctx.degree_bits))
@@ -387,19 +381,19 @@ def test_repair_never_reads_the_failed_node(toy_c1, toy_c2):
 
 def test_repair_c1_locality_range(toy_c1, toy_c1_wide):
     rng = random.Random(8)
-    cw = make_codeword(toy_c1, rng)
+    cw = random_codeword(toy_c1, rng)
     for d in (2, 4):  # below k+s-1 and above n-t
         with pytest.raises(PERepairError) as ei:
             repair_c1(toy_c1, cw, 0, d=d)
         assert ei.value.code == "LOCALITY_OUT_OF_RANGE"
-    cw_wide = make_codeword(toy_c1_wide, rng)
+    cw_wide = random_codeword(toy_c1_wide, rng)
     with pytest.raises(PERepairError) as ei:
         repair_c1(toy_c1_wide, cw_wide, 0, d=2)
     assert ei.value.code == "LOCALITY_OUT_OF_RANGE"
 
 
 def test_repair_c2_locality_range(toy_c1, toy_c2):
-    cw = make_codeword(toy_c2, random.Random(6))
+    cw = random_codeword(toy_c2, random.Random(6))
     for failed in (0, 7):
         top = toy_c2.n - toy_c2.groups[toy_c2.locate(failed)[0]].t
         tr = repair_c2(toy_c2, cw, failed, d=top)
@@ -413,7 +407,7 @@ def test_repair_c2_locality_range(toy_c1, toy_c2):
     with pytest.raises(ValueError, match="Construction-2"):
         repair_c2(toy_c1, cw, 99, d=1)
     with pytest.raises(PERepairError) as ei:
-        repair_c2(toy_c2, make_codeword(toy_c1, random.Random(6)), 99, d=1)
+        repair_c2(toy_c2, random_codeword(toy_c1, random.Random(6)), 99, d=1)
     assert ei.value.code == "PLAN_MISMATCH"
     with pytest.raises(ValueError, match="out of range"):
         repair_c2(toy_c2, cw, 99, d=1)
@@ -421,7 +415,7 @@ def test_repair_c2_locality_range(toy_c1, toy_c2):
 
 def test_repair_c1_plan_mismatch(toy_c1, toy_c1_wide):
     rng = random.Random(77)
-    cw = make_codeword(toy_c1, rng)
+    cw = random_codeword(toy_c1, rng)
     with pytest.raises(PERepairError) as ei:
         repair_c1(toy_c1_wide, cw, 0)
     assert ei.value.code == "PLAN_MISMATCH"
@@ -435,8 +429,8 @@ def test_repair_c1_plan_mismatch(toy_c1, toy_c1_wide):
 
 def test_repair_wrong_construction(toy_c1, toy_c2):
     rng = random.Random(3)
-    cw1 = make_codeword(toy_c1, rng)
-    cw2 = make_codeword(toy_c2, rng)
+    cw1 = random_codeword(toy_c1, rng)
+    cw2 = random_codeword(toy_c2, rng)
     with pytest.raises(ValueError):
         repair_c2(toy_c1, cw1, 0)
     with pytest.raises(ValueError):
@@ -447,7 +441,7 @@ def test_repair_c1_above_canonical_locality(toy_c1_wide):
     """More helpers than k+s-1 still repair, trading bandwidth for spread."""
     rng = random.Random(5150)
     plan = toy_c1_wide
-    cw = make_codeword(plan, rng)
+    cw = random_codeword(plan, rng)
     tr = repair_c1(plan, cw, 0)
     assert tr.recovered == cw.symbols[0]
     assert tr.bits_transmitted == tr.cutset_bits == 315
@@ -463,7 +457,7 @@ def test_repair_c1_partial_prefix_group(toy_c1_wide):
     # failing in the middle group routes all queries to the first group
     rng = random.Random(31337)
     plan = toy_c1_wide
-    cw = make_codeword(plan, rng)
+    cw = random_codeword(plan, rng)
     tr = repair_c1(plan, cw, 3)
     assert tr.recovered == cw.symbols[3]
     assert tr.helpers == [0, 1, 2]
@@ -473,7 +467,7 @@ def test_repair_c1_partial_prefix_group(toy_c1_wide):
 def test_repair_c2_recovers_every_node(toy_c2):
     rng = random.Random(60606)
     for trial in range(5):
-        cw = make_codeword(toy_c2, rng)
+        cw = random_codeword(toy_c2, rng)
         for failed in range(toy_c2.n):
             tr = repair_c2(toy_c2, cw, failed)
             assert tr.recovered == cw.symbols[failed]
@@ -486,7 +480,7 @@ def test_repair_c2_recovers_every_node(toy_c2):
 
 def test_repair_c2_matches_interpolation_oracle(toy_c2):
     rng = random.Random(11)
-    cw = make_codeword(toy_c2, rng)
+    cw = random_codeword(toy_c2, rng)
     for failed in (0, 6, 7, 12):
         tr = repair_c2(toy_c2, cw, failed)
         others = [i for i in range(toy_c2.n) if i != failed][: toy_c2.k]
@@ -499,9 +493,9 @@ def test_bit_count_invariant_is_a_coded_error(toy_c1, toy_c1_wide, toy_c2,
     # the cut-set check survives python -O: a skewed bound is reported,
     # for both schemes and above the canonical locality too
     rng = random.Random(3)
-    cw1 = make_codeword(toy_c1, rng)
-    cw_wide = make_codeword(toy_c1_wide, rng)
-    cw2 = make_codeword(toy_c2, rng)
+    cw1 = random_codeword(toy_c1, rng)
+    cw_wide = random_codeword(toy_c1_wide, rng)
+    cw2 = random_codeword(toy_c2, rng)
     monkeypatch.setattr(repair_engine, "cutset_bits", lambda *a: 1)
     for call in (lambda: repair_c1(toy_c1, cw1, 0),
                  lambda: repair_c1(toy_c1_wide, cw_wide, 0, d=5),
@@ -513,7 +507,7 @@ def test_bit_count_invariant_is_a_coded_error(toy_c1, toy_c1_wide, toy_c2,
 
 def test_transcript_payload_shape(toy_c1):
     rng = random.Random(2)
-    cw = make_codeword(toy_c1, rng)
+    cw = random_codeword(toy_c1, rng)
     tr = repair_c1(toy_c1, cw, 1)
     payload = tr.to_payload()
     assert payload["failed"] == 1
