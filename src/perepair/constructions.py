@@ -24,6 +24,9 @@ import warnings
 from .errors import PERepairError
 from ._util import atomic_write_text, canonical_json, digest_of, read_text
 from .field_tower import (
+    FieldCtx,
+    FieldElem,
+    _gf2_coordinates,
     _is_probable_prime,
     factor_integer,
     is_primitive_in_subfield,
@@ -104,8 +107,8 @@ class _PlanBase:
     groups, u = prod p_i and u_i = u / p_i, node addressing, the evaluation
     set, the plan-file payload and its digest.
 
-    groups_spec holds one (p, t, (points, exponents)) per group, and
-    _PLAN_INTS names each construction's int fields of the payload.  A
+    groups_spec holds one (p, t, (points, exponents, minpolys)) per group,
+    and _PLAN_INTS names each construction's int fields of the payload.  A
     subclass sets those other than base_bits (s and k, or r) before calling
     __init__, which takes the digest, and derives L (and k) after it.
     """
@@ -118,7 +121,7 @@ class _PlanBase:
         self.u_list = tuple(self.u // p for p in self.primes)
         self.groups = tuple(
             ExclusionGroup(i + 1, p, t, pts, exps)
-            for i, (p, t, (pts, exps)) in enumerate(groups_spec)
+            for i, (p, t, (pts, exps, _)) in enumerate(groups_spec)
         )
         self.n = sum(g.t for g in self.groups)
         points = []
@@ -126,7 +129,8 @@ class _PlanBase:
         for gi, g in enumerate(self.groups):
             points.extend(g.points)
             node_group.extend([gi] * g.t)
-        self.eval_set = EvaluationSet(ctx, points)
+        minpolys = [mu for _, _, (_, _, mus) in groups_spec for mu in mus]
+        self.eval_set = EvaluationSet(ctx, points, minpolys)
         self._node_group = tuple(node_group)
         self.digest = digest_of(self.payload())
         self._cache = {}
@@ -178,11 +182,18 @@ class Construction2Plan(_PlanBase):
 
 
 def _resolve_points(ctx, base_bits, prime, t, exponents):
-    """Points of one group: powers gamma^e of the canonical generator of the
+    """Points of one group, their exponents and their minimal polynomials
+    over GF(2): powers gamma^e of the canonical generator of the
     degree-(base_bits*prime) subfield.  gamma is tested primitive once, and
     an exponent coprime to the group order keeps that order; EvaluationSet
     rejects repeated points (DUPLICATE_INDEX).  Each point then has degree
     p_i over GF(q^{u_i}), as p_i divides none of the distinct primes of u_i.
+
+    gamma^e is built in the subfield's coordinates, GF(2)[x]/(g) with g
+    gamma's minimal polynomial, as beta = x^e, and lifted to E.  beta has
+    degree m = base_bits*prime, so its minimal polynomial is x^m plus the
+    coordinates of beta^m over beta^0..beta^(m-1), read once per
+    cyclotomic coset of e.
     """
     try:
         sub = ctx.subfield(base_bits * prime)
@@ -211,13 +222,28 @@ def _resolve_points(ctx, base_bits, prime, t, exponents):
                 "CONSTRAINT_VIOLATION",
                 f"exponent {e} does not give a primitive point of GF(2^{base_bits * prime})",
             )
-    gamma = sub.canonical_generator
-    if not is_primitive_in_subfield(gamma, sub):
+    if not is_primitive_in_subfield(sub.canonical_generator, sub):
         raise PERepairError(
             "CONSTRAINT_VIOLATION",
             "evaluation point failed the subfield primitivity check",
         )
-    return [gamma ** e for e in exponents], exponents
+    m = base_bits * prime
+    coords = FieldCtx(m, sub._coord_modulus(), 1)  # arithmetic only
+    points = []
+    minpolys = []
+    by_coset = {}  # the conjugates x^(e 2^i) share a minimal polynomial
+    for e in exponents:
+        beta = coords._pow(2, e)
+        points.append(FieldElem(ctx, sub._lift(beta)))
+        coset = min(e * (1 << i) % order for i in range(m))
+        if coset not in by_coset:
+            powers = [1]
+            for _ in range(m - 1):
+                powers.append(coords._mul(powers[-1], beta))
+            beta_m = coords._mul(powers[-1], beta)
+            by_coset[coset] = (1 << m) | _gf2_coordinates(powers, beta_m)
+        minpolys.append(by_coset[coset])
+    return points, exponents, minpolys
 
 
 def _check_c1(base_bits, s, k, pairs):
@@ -426,8 +452,18 @@ def _plan_shape_error(payload):
     return None
 
 
+# digest -> the plan load_plan rebuilt and validated for it in this process
+_plan_memo = {}
+
+
 def load_plan(path):
-    """Parse, digest-verify, rebuild, and re-validate a plan file.
+    """Parse and digest-verify a plan file, then rebuild and re-validate
+    it, once per digest in a process.
+
+    The shape and the digest are checked on every call.  A digest already
+    loaded in this process then returns the plan built and validated for
+    it, so a re-opened stripe rebuilds nothing and shares its plan's
+    prepared repairs; the digest covers the whole payload.
 
     The field is rebuilt from the stored modulus and generator, so loading
     factors nothing and searches for no generator; the generator is only
@@ -451,6 +487,9 @@ def load_plan(path):
         raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
     if digest_of(payload) != stored:
         raise PERepairError("DIGEST_MISMATCH", f"{path}: plan digest mismatch")
+    plan = _plan_memo.get(stored)
+    if plan is not None:
+        return plan
     # the builders raise ValueError for values no plan can have
     try:
         if payload["construction"] == 1:
@@ -480,4 +519,5 @@ def load_plan(path):
             raise PERepairError("CORRUPT_FILE", f"{path}: stored t disagrees with r")
     if plan.digest != stored:
         raise PERepairError("DIGEST_MISMATCH", f"{path}: rebuilt plan differs")
+    _plan_memo[stored] = plan
     return plan

@@ -10,7 +10,13 @@ coordinates) is on no repair path: it is the oracle the tests check the
 repairs against.
 
 Polynomials are coefficient lists of FieldElem in ascending degree order;
-degrees stay tiny (<= n), so evaluation is plain Horner.
+degrees stay tiny (<= n), so ``poly_eval`` is plain Horner.  ``encode``
+works on raw ints instead.  When the evaluation set knows a point's minimal
+polynomial mu over GF(2), as a plan's does, and deg mu < k, it first
+reduces the message modulo mu, by XORs alone since mu has 0/1
+coefficients, and then runs Horner on the remainder: m(alpha) =
+(m mod mu)(alpha) (Lidl & Niederreiter, Finite Fields, ch. 3).  A point
+then costs min(deg mu, k) - 1 products instead of k - 1.
 """
 
 from __future__ import annotations
@@ -34,15 +40,26 @@ __all__ = [
 
 
 class EvaluationSet:
-    """Ordered, pairwise distinct evaluation points in one field."""
+    """Ordered, pairwise distinct evaluation points in one field.
 
-    __slots__ = ("ctx", "points")
+    minpolys, when given, holds each point's minimal polynomial over GF(2)
+    as a bit-mask int (bit j the coefficient of x^j).  It is trusted, not
+    checked: the plan builders read it off the point's coordinates in its
+    subfield.  It never enters the digest.
+    """
 
-    def __init__(self, ctx: FieldCtx, points):
+    __slots__ = ("ctx", "points", "minpolys")
+
+    def __init__(self, ctx: FieldCtx, points, minpolys=None):
         self.ctx = ctx
         self.points = tuple(points)
         if not self.points:
             raise ValueError("evaluation set must contain at least one point")
+        if minpolys is not None:
+            minpolys = tuple(minpolys)
+            if len(minpolys) != len(self.points) or min(minpolys) < 2:
+                raise ValueError("one minimal polynomial of degree >= 1 per point")
+        self.minpolys = minpolys
         seen = set()
         for p in self.points:
             if p.v in seen:
@@ -113,17 +130,47 @@ def poly_eval(coefficients, x: FieldElem) -> FieldElem:
     return acc
 
 
+def _reduce_gf2(coeffs, mu: int) -> list:
+    """Ascending coefficients of the polynomial ``coeffs`` modulo mu, a
+    monic polynomial over GF(2) given as a bit mask: x^d = sum of the
+    x^j of mu's lower terms, so each top coefficient is XORed down."""
+    d = mu.bit_length() - 1
+    if len(coeffs) <= d:
+        return coeffs
+    taps = [j for j in range(d) if mu >> j & 1]
+    rem = list(coeffs)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            for j in taps:
+                rem[i - d + j] ^= c
+    return rem[:d]
+
+
 def encode(msg: MessagePoly, A: EvaluationSet, plan_digest: str | None = None) -> Codeword:
     """Evaluate the message polynomial at every point of A.
 
-    The codeword is stamped with the evaluation set's digest unless the
-    caller provides the digest of a richer plan artifact.
+    Each point costs min(deg mu, k) - 1 products when A holds its minimal
+    polynomial mu, and k - 1 otherwise (see the module docstring).  The
+    codeword is stamped with the evaluation set's digest unless the caller
+    provides the digest of a richer plan artifact.
     """
     if msg.k > A.n:
         raise PERepairError(
             "DIMENSION_EXCEEDS_LENGTH", f"k={msg.k} exceeds n={A.n}"
         )
-    symbols = [msg.evaluate(p) for p in A.points]
+    ctx = A.ctx
+    # the sum checks each coefficient's field as FieldElem arithmetic does
+    coeffs = [(ctx.zero + c).v for c in msg.coefficients]
+    mul = ctx._mul
+    symbols = []
+    for i, p in enumerate(A.points):
+        rem = coeffs if A.minpolys is None else _reduce_gf2(coeffs, A.minpolys[i])
+        x = p.v
+        acc = rem[-1]
+        for c in reversed(rem[:-1]):
+            acc = mul(acc, x) ^ c
+        symbols.append(FieldElem(ctx, acc))
     return Codeword(symbols, plan_digest or A.digest())
 
 

@@ -258,7 +258,9 @@ def save_cluster(state: ClusterState, path, plan_path=None) -> None:
 
 def load_cluster(path) -> ClusterState:
     """Re-open a cluster file; live symbols are verified against a fresh
-    encode of the seeded message."""
+    encode of the seeded message.  The plan comes from load_plan, which
+    keeps one validated plan per digest, and the node lines are parsed and
+    checked before the message is encoded."""
     path = os.fspath(path)
     header = {}
     node_lines = []
@@ -289,9 +291,10 @@ def load_cluster(path) -> ClusterState:
             "DIGEST_MISMATCH", f"{path}: cluster references a different plan"
         )
 
-    fresh = init_cluster(plan, seed)
+    # every node line is checked before the seeded encode is paid for
     if len(node_lines) != plan.n:
         raise PERepairError("CORRUPT_FILE", f"{path}: expected {plan.n} node lines")
+    stored = []  # (index, symbol or None for FAILED), in file order
     failed_seen = 0
     seen = set()
     for parts in node_lines:
@@ -313,16 +316,19 @@ def load_cluster(path) -> ClusterState:
                 raise PERepairError(
                     "CORRUPT_FILE", f"{path}: more than one failed node"
                 )
-            fresh.nodes[idx].symbol = None
+            stored.append((idx, None))
         else:
             try:
-                stored = plan.ctx.from_hex(parts[2])
+                stored.append((idx, plan.ctx.from_hex(parts[2])))
             except ValueError as exc:
                 raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
-            if stored != fresh._expected[idx]:
-                raise PERepairError(
-                    "DIGEST_MISMATCH",
-                    f"{path}: node {idx} symbol disagrees with the seeded encode",
-                )
-            fresh.nodes[idx].symbol = stored
+
+    fresh = init_cluster(plan, seed)
+    for idx, symbol in stored:
+        if symbol is not None and symbol != fresh._expected[idx]:
+            raise PERepairError(
+                "DIGEST_MISMATCH",
+                f"{path}: node {idx} symbol disagrees with the seeded encode",
+            )
+        fresh.nodes[idx].symbol = symbol
     return fresh

@@ -1,11 +1,13 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
+from perepair import constructions, field_tower
 from perepair.constructions import build_plan_c1, build_plan_c2
 from perepair.field_tower import make_field
-from perepair.rs_codes import MessagePoly, encode
+from perepair.rs_codes import MessagePoly, encode, poly_eval
 
 
 def perfbench_module(name):
@@ -21,6 +23,18 @@ def perfbench_module(name):
 # the benchmark's output oracle, written without perepair's arithmetic: the
 # tests' reference for products, reductions and symbols
 oracle = perfbench_module("oracle")
+
+
+@pytest.fixture
+def fresh_process(monkeypatch):
+    """Empty the field cache and the plan memo, as in a new process; call
+    the returned function to empty them again.  The test's own caches are
+    dropped, and the others restored, when it ends."""
+    def empty():
+        monkeypatch.setattr(field_tower, "_field_cache", {})
+        monkeypatch.setattr(constructions, "_plan_memo", {})
+    empty()
+    return empty
 
 
 @pytest.fixture(scope="session")
@@ -58,8 +72,51 @@ def toy_c1_wide():
     return build_plan_c1(1, [3, 3, 3], s=2, k=2, primes=[3, 5, 7])
 
 
+def primorial(count):
+    """Product of the first count primes, each found by trial division by
+    the primes before it."""
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return math.prod(primes)
+
+
 def random_codeword(plan, rng):
     msg = MessagePoly(
         [plan.ctx.elem(rng.getrandbits(plan.ctx.degree_bits)) for _ in range(plan.k)]
     )
     return encode(msg, plan.eval_set, plan_digest=plan.digest)
+
+
+def gf2_poly(ctx, mu):
+    """The polynomial over GF(2) with bit mask mu, as ascending elements of
+    ctx, for poly_eval."""
+    return [ctx.elem(mu >> j & 1) for j in range(mu.bit_length())]
+
+
+def check_plan_encoding(plan, rng, oracle_ks=None):
+    """Each point's minimal polynomial has degree base_bits * p_i and
+    vanishes at the point, and encode equals MessagePoly.evaluate and the
+    oracle's Horner at k = 1, n, and one below, at and above every point
+    degree.  oracle_ks, when given, limits the oracle's dimensions."""
+    ctx = plan.ctx
+    points = plan.eval_set.points
+    degrees = set()
+    for node, (p, mu) in enumerate(zip(points, plan.eval_set.minpolys)):
+        group = plan.groups[plan.locate(node)[0]]
+        assert mu.bit_length() - 1 == plan.base_bits * group.prime
+        assert poly_eval(gf2_poly(ctx, mu), p) == 0
+        degrees.add(mu.bit_length() - 1)
+    ks = {1, plan.n} | {d + j for d in degrees for j in (-1, 0, 1)}
+    for k in sorted(k for k in ks if 1 <= k <= plan.n):
+        msg = MessagePoly([ctx.elem(rng.getrandbits(ctx.degree_bits))
+                           for _ in range(k)])
+        got = [s.v for s in encode(msg, plan.eval_set).symbols]
+        assert got == [msg.evaluate(p).v for p in points]
+        if oracle_ks is None or k in oracle_ks:
+            coeffs = [c.v for c in msg.coefficients]
+            assert got == [oracle.horner(coeffs, p.v, ctx.modulus)
+                           for p in points]

@@ -35,7 +35,7 @@ from perepair.repair_engine import (
 from perepair.rs_codes import naive_decode
 from perepair.storage_sim import ClusterState, NodeRecord, fail_node, run_repair
 
-from conftest import oracle, random_codeword
+from conftest import oracle, primorial, random_codeword
 
 
 def _fixture_cluster(ex):
@@ -112,9 +112,9 @@ def test_criterion_3_minimum_subpacketization_values():
     assert min_subpacketization(BoundQuery.uniform(9, 1)) == 9699690
     assert min_subpacketization(BoundQuery.uniform(10, 1)) == 223092870
     for k in range(1, 21):
-        assert conventional_lower_bound(k) == min_subpacketization(
-            BoundQuery.uniform(k, 1)
-        )
+        want = primorial(k - 1)  # the first k - 1 primes, by trial division
+        assert conventional_lower_bound(k) == want
+        assert min_subpacketization(BoundQuery.uniform(k, 1)) == want
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     print(f"criterion 3: PASS — 510510 / 9699690 / 223092870 ({elapsed:.2f}s)")

@@ -13,6 +13,8 @@ from perepair.bounds_tradeoff import (
 )
 from perepair.field_tower import _trial_primes
 
+from conftest import primorial
+
 
 def test_first_primes():
     assert first_primes(0) == []
@@ -60,8 +62,12 @@ def test_conventional_lower_bound():
 
 
 def test_bounds_coincide_at_flexibility_one():
+    # both are the product of the first k - 1 primes, built test-side
+    assert primorial(8) == 9699690
     for k in range(1, 21):
-        assert min_subpacketization(BoundQuery.uniform(k, 1)) == conventional_lower_bound(k)
+        want = primorial(k - 1)
+        assert conventional_lower_bound(k) == want
+        assert min_subpacketization(BoundQuery.uniform(k, 1)) == want
 
 
 def test_tradeoff_table_14_10():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from perepair import field_tower
+from perepair import constructions, field_tower
 from perepair._util import digest_of
 from perepair.cli import main
 from perepair.constructions import (
@@ -276,9 +276,13 @@ def _write_plan(path, payload, digest=None):
     path.write_text(json.dumps(payload))
 
 
-def test_plan_file_pins_its_generator(tmp_path, toy_c1, capsys):
+def test_plan_file_pins_its_generator(tmp_path, toy_c1, capsys,
+                                      fresh_process):
     path = tmp_path / "plan.json"
     payload = toy_c1.payload()
+    # a good load first: the plan kept for its digest serves no other file
+    save_plan(toy_c1, path)
+    assert load_plan(path).digest == toy_c1.digest
     # another generator under the stored digest
     _write_plan(path, {**payload, "generator_hex": "2"}, toy_c1.digest)
     with pytest.raises(PERepairError) as ei:
@@ -297,6 +301,7 @@ def test_plan_file_pins_its_generator(tmp_path, toy_c1, capsys):
     rc = main(["cluster", "--plan", str(path), "--out", str(tmp_path / "c")])
     assert rc == 3
     assert "CONSTRAINT_VIOLATION" in capsys.readouterr().err
+    assert set(constructions._plan_memo) == {toy_c1.digest}
     # the same generator given to the builder
     with pytest.raises(PERepairError) as ei:
         build_plan_c1(1, [3, 3], s=2, primes=[3, 5], generator=int(short, 16))
@@ -324,13 +329,14 @@ def test_plan_file_round_trip_is_byte_stable(tmp_path, toy_c1, toy_c2):
         assert second.read_bytes() == first.read_bytes()
 
 
-def test_loading_a_plan_factors_nothing(tmp_path, monkeypatch):
-    # a fresh process: no cached field, and any factoring of 2^N - 1 or
-    # order test against it would be the generator search coming back
+def test_loading_a_plan_factors_nothing(tmp_path, monkeypatch, fresh_process):
+    # a fresh process: no cached field and no loaded plan, and any factoring
+    # of 2^N - 1 or order test against it would be the generator search
+    # coming back
     plan = example1().plan
     path = tmp_path / "example1.plan"
     save_plan(plan, path)
-    monkeypatch.setattr(field_tower, "_field_cache", {})
+    fresh_process()
 
     def no_factoring(n_bits):
         raise AssertionError(f"factored 2^{n_bits} - 1")
@@ -347,12 +353,48 @@ def test_loading_a_plan_factors_nothing(tmp_path, monkeypatch):
     loaded = load_plan(path)
     assert loaded.digest == plan.digest
     assert loaded.ctx is not plan.ctx and loaded.ctx.generator.v == 3
-    assert load_plan(path).ctx is loaded.ctx  # one context per generator
+    assert load_plan(path) is loaded  # one validated plan per digest
     cluster = tmp_path / "example1.cluster"
     save_cluster(init_cluster(loaded, 5), cluster, plan_path=path)
-    monkeypatch.setattr(field_tower, "_field_cache", {})
+    fresh_process()
     assert load_cluster(cluster).plan.digest == plan.digest
     assert ambient_tests and not any(ambient_tests)  # subfield tests only
+
+
+def test_a_loaded_plan_is_kept_per_digest(tmp_path, monkeypatch, toy_c1,
+                                          toy_c2, fresh_process):
+    paths = {}
+    loaded = {}
+    for plan in (toy_c1, toy_c2):
+        paths[plan] = tmp_path / f"c{plan.construction}.plan"
+        save_plan(plan, paths[plan])
+        loaded[plan] = load_plan(paths[plan])
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a loaded plan was rebuilt")
+
+    monkeypatch.setattr(constructions, "build_plan_c1", no_build)
+    monkeypatch.setattr(constructions, "build_plan_c2", no_build)
+    for plan, path in paths.items():
+        assert load_plan(path) is loaded[plan]
+        # the same bytes under another name are the same plan
+        copy = tmp_path / "copy.plan"
+        copy.write_bytes(path.read_bytes())
+        assert load_plan(copy) is loaded[plan]
+        # the digest is still checked first: a payload changed under the
+        # stored digest is refused, and the plan kept for it is not served
+        payload = plan.payload()
+        payload["point_exponents"] = [e[::-1] for e in payload["point_exponents"]]
+        _write_plan(copy, payload, plan.digest)
+        with pytest.raises(PERepairError) as ei:
+            load_plan(copy)
+        assert ei.value.code == "DIGEST_MISMATCH"
+        # and so is every shape check
+        _write_plan(copy, {**plan.payload(), "t": 3}, plan.digest)
+        with pytest.raises(PERepairError) as ei:
+            load_plan(copy)
+        assert ei.value.code == "CORRUPT_FILE"
+    assert set(constructions._plan_memo) == {toy_c1.digest, toy_c2.digest}
 
 
 def test_plan_file_corruption_detection(tmp_path, toy_c1):

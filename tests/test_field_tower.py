@@ -245,11 +245,11 @@ def test_factoring_ignores_the_clock(monkeypatch):
     assert F.order_cofactor == 1
 
 
-def test_example1_field_facts(monkeypatch):
+def test_example1_field_facts(fresh_process):
     # 2^2310 - 1 is only partly factored; the rho step cap fixes which part.
     # The fixtures pin the generators that the search returns today.
     pinned = example1().plan.ctx
-    monkeypatch.setattr(field_tower, "_field_cache", {})
+    fresh_process()
     F = make_field(2310, EXAMPLE1_MODULUS)
     assert F is not pinned and F.modulus == pinned.modulus
     assert F.generator.v == pinned.generator.v == 3
@@ -264,9 +264,8 @@ def test_example1_field_facts(monkeypatch):
         example2().plan.ctx.generator.v == 2
 
 
-def test_pinned_and_searched_contexts_share_the_cache(monkeypatch):
+def test_pinned_and_searched_contexts_share_the_cache(fresh_process):
     # one context per (N, modulus, generator), whichever request comes first
-    monkeypatch.setattr(field_tower, "_field_cache", {})
     f = smallest_irreducible(30)
     pinned = make_field(30, f, 19)
     assert pinned._facts is None  # nothing factored yet
@@ -278,16 +277,16 @@ def test_pinned_and_searched_contexts_share_the_cache(monkeypatch):
     assert other.generator.v == 2 and other is not pinned
     assert make_field(30) is pinned and make_field(30, f, 2) is other
     # searched first, then pinned: the pinned request is served from cache
-    monkeypatch.setattr(field_tower, "_field_cache", {})
+    fresh_process()
     searched = make_field(12)
     assert make_field(12, None, searched.generator.v) is searched
 
 
-def test_pinned_context_facts_match_the_search(monkeypatch):
+def test_pinned_context_facts_match_the_search(fresh_process):
     # 2^61 - 1 is prime; 2^12 - 1 and 2^60 - 1 factor completely
     for n in (12, 60, 61):
         searched = make_field(n)
-        monkeypatch.setattr(field_tower, "_field_cache", {})
+        fresh_process()
         pinned = make_field(n, None, searched.generator.v)
         assert pinned is not searched
         for attr in ("order_factorization", "order_cofactor",
@@ -300,8 +299,8 @@ def test_pinned_context_facts_match_the_search(monkeypatch):
 
 
 def _count_factoring(monkeypatch):
-    # fresh cache, as in a new process; each entry is one 2^N - 1 factored
-    monkeypatch.setattr(field_tower, "_field_cache", {})
+    # each entry is one 2^N - 1 factored; callers take fresh_process, so
+    # that the cache starts empty, as in a new process
     calls = []
     real = field_tower._factor_mersenne_like
 
@@ -314,8 +313,8 @@ def _count_factoring(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [12, 60])
-def test_one_factoring_per_search_and_none_per_cached_request(monkeypatch,
-                                                              n):
+def test_one_factoring_per_search_and_none_per_cached_request(
+        monkeypatch, fresh_process, n):
     # the search's field, asked for again by its modulus and by its
     # generator, is served from the cache
     calls = _count_factoring(monkeypatch)
@@ -325,7 +324,7 @@ def test_one_factoring_per_search_and_none_per_cached_request(monkeypatch,
     assert calls == [n]
 
 
-def test_building_a_plan_factors_once(monkeypatch):
+def test_building_a_plan_factors_once(monkeypatch, fresh_process):
     # the generator search factors 2^30 - 1; the primitivity checks of the
     # points factor only their small subfields' orders
     calls = _count_factoring(monkeypatch)
@@ -334,13 +333,13 @@ def test_building_a_plan_factors_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [12, 60, 210])
-def test_subfield_order_factorization_is_factored_directly(monkeypatch, n):
+def test_subfield_order_factorization_is_factored_directly(fresh_process,
+                                                           n):
     # the same facts from a searched context, its order facts read first,
     # and from a pinned one that never factored 2^N - 1
-    monkeypatch.setattr(field_tower, "_field_cache", {})
     searched = make_field(n)
     assert searched.order_cofactor == 1
-    monkeypatch.setattr(field_tower, "_field_cache", {})
+    fresh_process()
     pinned = make_field(n, None, searched.generator.v)
     assert pinned is not searched
     for m in (m for m in range(1, n + 1) if n % m == 0):

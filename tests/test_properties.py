@@ -1,7 +1,8 @@
 """Property tests: random small plans of both constructions, with random
-point exponents, repair every node to the interpolation oracle's symbol at
-exactly the cut-set bound, by partial-exclusion and by naive repair, and a
-prepared (warm) PE repair replays the cold one.
+point exponents, encode as the oracle's Horner does and repair every node
+to the interpolation oracle's symbol at exactly the cut-set bound, by
+partial-exclusion and by naive repair, and a prepared (warm) PE repair
+replays the cold one.
 
 Examples are derandomized and have no deadline, so the outcome depends on
 the code alone, never on the machine's speed.
@@ -18,7 +19,7 @@ from perepair.repair_engine import cutset_bits, repair_c1, repair_c2
 from perepair.rs_codes import naive_decode
 from perepair.storage_sim import fail_node, init_cluster, run_repair
 
-from conftest import random_codeword
+from conftest import check_plan_encoding, random_codeword
 
 # Construction 1 at s = 2: (base_bits, primes), symbol fields of 30 to 70 bits
 C1_SHAPES = [(1, (3, 5)), (1, (3, 7)), (1, (3, 11)), (1, (5, 7)), (2, (3, 5))]
@@ -79,6 +80,13 @@ def test_every_node_repairs_to_the_oracle_at_the_cutset_bound(plan, seed):
         assert tr.recovered == _oracle(plan, cw, node)
         assert tr.bits_transmitted == cutset_bits(d, plan.k, plan.L,
                                                   plan.base_bits)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(plan=st.one_of(c1_plans(), c2_plans()), seed=st.integers(0, 2 ** 32 - 1))
+def test_encode_agrees_with_horner(plan, seed):
+    # k from 1 to n across the point degrees, the plan's own k aside
+    check_plan_encoding(plan, random.Random(seed))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=30)

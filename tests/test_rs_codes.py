@@ -4,6 +4,7 @@ import random
 import pytest
 
 from perepair.errors import PERepairError
+from perepair.fixtures import by_name
 from perepair.rs_codes import (
     Codeword,
     EvaluationSet,
@@ -15,6 +16,8 @@ from perepair.rs_codes import (
     parity_check,
     poly_eval,
 )
+
+from conftest import check_plan_encoding, gf2_poly, oracle
 
 
 def points_of(ctx, values):
@@ -53,6 +56,81 @@ def test_encode_is_linear(gf64):
         assert [s.v for s in cfg.symbols] == [
             (a + b).v for a, b in zip(cf.symbols, cg.symbols)
         ]
+
+
+def _plan(request, name):
+    """A worked example's plan, or a conftest fixture's."""
+    if name.startswith("example"):
+        return by_name(name).plan
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", ["toy_c1", "toy_c2", "toy_c1_wide",
+                                  "example1", "example2"])
+def test_plan_encode_reduces_by_minimal_polynomials(request, name):
+    plan = _plan(request, name)
+    # the oracle's shift-and-xor products take ~1.5 ms each at N = 2310
+    oracle_ks = {1, plan.k} if plan.ctx.degree_bits > 210 else None
+    check_plan_encoding(plan, random.Random(name), oracle_ks)
+
+
+@pytest.mark.parametrize("name, products", [
+    ("toy_c1_wide", 9),  # k = 2 is below every point degree: no reduction
+    ("example1", 57),    # 84 by plain Horner
+    ("example2", 83),    # 136 by plain Horner
+])
+def test_encode_costs_min_degree_k_products_per_point(request, monkeypatch,
+                                                      name, products):
+    plan = _plan(request, name)
+    ctx = plan.ctx
+    msg = random_message(ctx, plan.k, random.Random(1))
+    want = [msg.evaluate(p) for p in plan.eval_set.points]
+    calls = []
+    mul = ctx._mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(ctx, "_mul", counted)
+    assert list(encode(msg, plan.eval_set).symbols) == want
+    assert len(calls) == products
+
+
+def test_encode_with_given_minimal_polynomials(gf16):
+    # 0 and 1 have x and x + 1; the others are found by search, the first
+    # bit mask that vanishes at the point being its minimal polynomial
+    values = [0, 1, 2, 3, 6, 7, 10, 12]
+    pts = [gf16.elem(v) for v in values]
+    mus = [next(mu for mu in itertools.count(2)
+                if poly_eval(gf2_poly(gf16, mu), p) == 0) for p in pts]
+    assert mus[:3] == [0b10, 0b11, 0b10011]
+    assert sorted({mu.bit_length() - 1 for mu in mus}) == [1, 2, 4]
+    plain = EvaluationSet(gf16, pts)
+    reduced = EvaluationSet(gf16, pts, mus)
+    assert reduced.digest() == plain.digest()
+    rng = random.Random(4)
+    for k in range(1, len(pts) + 1):
+        for _ in range(10):
+            msg = random_message(gf16, k, rng)
+            want = [msg.evaluate(p).v for p in pts]
+            assert [s.v for s in encode(msg, plain).symbols] == want
+            assert [s.v for s in encode(msg, reduced).symbols] == want
+            coeffs = [c.v for c in msg.coefficients]
+            assert want == [oracle.horner(coeffs, p.v, gf16.modulus)
+                            for p in pts]
+
+
+def test_minimal_polynomials_one_per_point(gf16):
+    pts = [gf16.elem(v) for v in (2, 3)]
+    for bad in ([0b10011], [0b10011, 1], [0b10011, 0]):
+        with pytest.raises(ValueError):
+            EvaluationSet(gf16, pts, bad)
+
+
+def test_encode_refuses_a_message_from_another_field(gf16, gf64):
+    with pytest.raises(ValueError):
+        encode(MessagePoly([gf64.one, gf64.one]), points_of(gf16, [1, 2]))
 
 
 def test_dimension_exceeds_length(gf16):

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from perepair import field_tower
+from perepair import field_tower, storage_sim
 from perepair.errors import PERepairError
 from perepair.fixtures import by_name, example1
 from perepair.repair_engine import RepairTranscript
@@ -391,6 +391,52 @@ def test_corrupt_cluster_contents(tmp_path, toy_c1):
     with pytest.raises(PERepairError) as e:
         load_cluster(path)
     assert e.value.code == "CORRUPT_FILE"
+
+
+def test_node_lines_are_checked_before_the_encode(tmp_path, monkeypatch,
+                                                  toy_c1):
+    path = tmp_path / "cluster.txt"
+    save_cluster(init_cluster(toy_c1, 8), path)
+    lines = path.read_text().splitlines()
+    header = [l for l in lines if not l.startswith("node ")]
+    nodes = [l for l in lines if l.startswith("node ")]
+    load_cluster(path)  # the plan is loaded: what is left is the encode
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encoded the message of a malformed file")
+
+    monkeypatch.setattr(storage_sim, "encode", no_encode)
+    malformed = {
+        "truncated": nodes[:-1],
+        "out of range": nodes[:-1] + [f"node {len(nodes)} 0"],
+        "repeated": nodes[:-1] + [nodes[0]],
+        "two failed": ["node 0 FAILED", "node 1 FAILED"] + nodes[2:],
+        "bad hex": [nodes[0] + "zz"] + nodes[1:],
+        "bad index": ["node x 0"] + nodes[1:],
+        "short line": ["node 0"] + nodes[1:],
+    }
+    for why, body in malformed.items():
+        path.write_text("\n".join(header + body) + "\n")
+        with pytest.raises(PERepairError) as e:
+            load_cluster(path)
+        assert e.value.code == "CORRUPT_FILE", why
+
+
+def test_stripes_of_one_plan_share_its_prepared_repairs(tmp_path, toy_c2,
+                                                       fresh_process):
+    states = []
+    for seed in (1, 2):
+        path = tmp_path / f"stripe{seed}.cluster"
+        save_cluster(init_cluster(toy_c2, seed), path)
+        states.append(load_cluster(path))
+    first, second = states
+    assert first.plan is second.plan and first.plan is not toy_c2
+    run_repair(fail_node(first, 0), "pe")
+    prepared = dict(first.plan._cache)
+    _, tr, _ = run_repair(fail_node(second, 0), "pe")
+    assert tr.verified is True
+    assert first.plan._cache.keys() == prepared.keys()
+    assert all(first.plan._cache[key] is prepared[key] for key in prepared)
 
 
 def test_repeated_node_line(tmp_path, toy_c1):
