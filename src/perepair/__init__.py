@@ -20,9 +20,7 @@ from .field_tower import (
     FieldElem,
     SubfieldHandle,
     dual_basis,
-    degree_over,
     factor_integer,
-    is_in_subfield,
     is_primitive_in_subfield,
     make_field,
     trace_to,
@@ -77,9 +75,7 @@ __all__ = [
     "make_field",
     "factor_integer",
     "trace_to",
-    "is_in_subfield",
     "is_primitive_in_subfield",
-    "degree_over",
     "dual_basis",
     "EvaluationSet",
     "MessagePoly",

@@ -22,7 +22,6 @@ __all__ = [
     "min_subpacketization",
     "conventional_lower_bound",
     "tradeoff_table",
-    "normalized_bandwidth",
     "tradeoff_csv",
     "first_primes",
 ]
@@ -111,13 +110,6 @@ def tradeoff_table(n: int, k: int) -> list:
         check_invariant(cur.beta_bar_min >= 1,
                         f"bandwidth floor below 1 at t={cur.t}")
     return rows
-
-
-def normalized_bandwidth(bits: int, L_bits: int) -> Fraction:
-    """Exact bits-transmitted per repaired bit."""
-    if L_bits <= 0:
-        raise ValueError("L_bits must be positive")
-    return Fraction(bits, L_bits)
 
 
 def tradeoff_csv(rows) -> str:

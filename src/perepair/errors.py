@@ -6,9 +6,9 @@ how the CLI reports them:
 
 validation (exit 3)
     REDUCIBLE_MODULUS, ZERO_INVERSE, NOT_A_SUBFIELD_DEGREE, SINGULAR_GRAM,
-    DIMENSION_EXCEEDS_LENGTH, DEGREE_TOO_HIGH, DUPLICATE_INDEX,
-    INSUFFICIENT_PRIMITIVES, RATE_VIOLATION, BAD_PRIME, CONSTRAINT_VIOLATION,
-    LOCALITY_OUT_OF_RANGE, PLAN_MISMATCH, TOO_FEW_HELPERS, ALREADY_FAILED,
+    DIMENSION_EXCEEDS_LENGTH, DUPLICATE_INDEX, INSUFFICIENT_PRIMITIVES,
+    RATE_VIOLATION, BAD_PRIME, CONSTRAINT_VIOLATION, LOCALITY_OUT_OF_RANGE,
+    PLAN_MISMATCH, TOO_FEW_HELPERS, ALREADY_FAILED,
     SECOND_FAILURE_UNSUPPORTED, DIGEST_MISMATCH, CORRUPT_FILE, and
     NO_FAILED_NODE (artifact-level plumbing: run_repair called on a healthy
     cluster)
@@ -30,7 +30,6 @@ VALIDATION_CODES = frozenset({
     "NOT_A_SUBFIELD_DEGREE",
     "SINGULAR_GRAM",
     "DIMENSION_EXCEEDS_LENGTH",
-    "DEGREE_TOO_HIGH",
     "DUPLICATE_INDEX",
     "INSUFFICIENT_PRIMITIVES",
     "RATE_VIOLATION",

@@ -52,9 +52,7 @@ __all__ = [
     "BasisOverSubfield",
     "make_field",
     "trace_to",
-    "is_in_subfield",
     "is_primitive_in_subfield",
-    "degree_over",
     "dual_basis",
     "factor_integer",
     "clmul",
@@ -64,7 +62,6 @@ __all__ = [
     "poly_divmod",
     "poly_gcd",
     "poly_inv_mod",
-    "poly_from_exponents",
     "is_irreducible",
     "smallest_irreducible",
     "gf2_rank",
@@ -159,14 +156,6 @@ def poly_inv_mod(a: int, f: int) -> int:
     if r0 != 1:
         raise ValueError("element not invertible for this modulus")
     return s0  # degree deg f - deg(last remainder above 1) < deg f
-
-
-def poly_from_exponents(*exponents: int) -> int:
-    """Binary polynomial with the given term exponents, e.g. (4, 1, 0)."""
-    p = 0
-    for e in exponents:
-        p ^= 1 << e
-    return p
 
 
 def is_irreducible(f: int) -> bool:
@@ -691,10 +680,11 @@ class FieldCtx:
         return format(e.v, f"0{self._hexw}x")
 
     def from_hex(self, s: str) -> FieldElem:
-        """The element spelled by ASCII hex digits, as to_hex writes it.
+        """The element spelled by ASCII hex digits, as to_hex writes it:
+        exactly the field's fixed width, so a symbol cut short is refused.
         int(s, 16) alone also reads a 0x prefix, a sign, underscores,
         surrounding blanks and non-ASCII digits."""
-        if not s or not _HEX_DIGITS.issuperset(s):
+        if len(s) != self._hexw or not _HEX_DIGITS.issuperset(s):
             raise ValueError(f"not a hex symbol: {s!r}")
         v = int(s, 16)
         if not 0 <= v <= self._mask:
@@ -1028,26 +1018,16 @@ def trace_to(e: FieldElem, sub: SubfieldHandle) -> FieldElem:
     return FieldElem(ctx, sub._lift(sub._trace_coords(e.v)))
 
 
-def is_in_subfield(e: FieldElem, sub: SubfieldHandle) -> bool:
-    """Frobenius fixed-point membership test."""
-    return e.ctx._frob(e.v, sub.degree_bits) == e.v
-
-
 def is_primitive_in_subfield(e: FieldElem, sub: SubfieldHandle) -> bool:
     """True iff e generates the subfield's multiplicative group."""
     if not e:
         raise ValueError("zero is not in the multiplicative group")
     # membership gives e^(2^m) = e, so e^(2^m - 1) = 1 already holds and
     # only the maximal proper divisors of the order remain to be tested
-    if not is_in_subfield(e, sub):
+    if e.ctx._frob(e.v, sub.degree_bits) != e.v:
         return False
     return _order_test(e.ctx, e.v, (1 << sub.degree_bits) - 1,
                        [p for p, _ in sub.order_factorization()])
-
-
-def degree_over(e: FieldElem, sub: SubfieldHandle) -> int:
-    """Degree of the minimal polynomial of e over the subfield."""
-    return e.ctx._degree_over(e.v, sub.degree_bits)
 
 
 def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:

@@ -1,16 +1,18 @@
 """Built-in reference deployments for the reproduce command.
 
-Two fully pinned clusters: every evaluation point is fixed by its minimal
-polynomial over GF(2) rather than by the default exponent choice, and the
-field by its modulus and generator, so the transfer totals these produce
-stay stable even if point selection defaults ever change, and building
-them runs no generator search.  Construction of the large example is
-deferred and cached; nothing here runs when the module is imported.
+Two fully pinned clusters: every evaluation point is a literal exponent
+of its subfield's canonical generator rather than the default exponent
+choice, and the field is fixed by its modulus and generator, so the
+transfer totals these produce stay stable even if point selection defaults
+ever change, and building them searches for nothing.  Each group's
+exponents are j times a list of small multipliers, j the smallest exponent
+whose power is a root of a published minimal polynomial over GF(2); the
+tests check that the first node of each group still has it.  Construction
+of the large example is deferred and cached; nothing here runs when the
+module is imported.
 """
 
 from .constructions import build_plan_c1, build_plan_c2
-from .errors import check_invariant
-from .field_tower import make_field, smallest_irreducible
 from .rs_codes import MessagePoly, encode
 
 __all__ = ["WorkedExample", "example1", "example2", "by_name"]
@@ -39,33 +41,6 @@ class WorkedExample:
         self.naive_bits = naive_bits
 
 
-def _root_exponent(ctx, degree_bits, poly_exponents):
-    """Smallest j with p(gamma^j) = 0, gamma the canonical generator of the
-    degree-``degree_bits`` subfield.  Pins a point by its minimal polynomial:
-    p irreducible of the subfield's degree makes the root's minimal
-    polynomial p itself.  Powers of gamma are taken as residues of x modulo
-    gamma's minimal polynomial g, the subfield's coordinates."""
-    g = ctx.subfield(degree_bits)._coord_modulus()
-    order = (1 << degree_bits) - 1
-    powers = [1]
-    for _ in range(order - 1):
-        x = powers[-1] << 1
-        powers.append(x ^ g if x >> degree_bits else x)
-    for j in range(1, order):
-        v = 0
-        for e in poly_exponents:
-            v ^= powers[(j * e) % order]
-        if v == 0:
-            return j
-    check_invariant(False, "pinned minimal polynomial has no root in its subfield")
-
-
-def _pin_exponents(ctx, degree_bits, poly_exponents, relative):
-    j = _root_exponent(ctx, degree_bits, poly_exponents)
-    order = (1 << degree_bits) - 1
-    return [(j * e) % order for e in relative]
-
-
 def _gf2_message(ctx, coeffs, k):
     elems = [ctx.elem(c) for c in coeffs]
     elems += [ctx.zero] * (k - len(elems))
@@ -81,14 +56,13 @@ def example1() -> WorkedExample:
         return ex
     modulus = (1 << 2310) | (1 << 8) | (1 << 5) | (1 << 2) | 1
     generator = 3  # what make_field's search returns under this modulus
-    ctx = make_field(2310, modulus, generator)
-    pins = [
-        (3, (3, 2, 0)),                # x^3 + x^2 + 1
-        (5, (5, 4, 3, 1, 0)),          # x^5 + x^4 + x^3 + x + 1
-        (7, (7, 6, 5, 2, 0)),          # x^7 + x^6 + x^5 + x^2 + 1
-        (11, (11, 9, 7, 4, 3, 2, 0)),  # x^11 + x^9 + x^7 + x^4 + x^3 + x^2 + 1
+    exps = [
+        [1, 2, 3],          # x^3 + x^2 + 1: 1*(1, 2, 3) mod 7
+        [1, 2, 3],          # x^5 + x^4 + x^3 + x + 1: 1*(1, 2, 3) mod 31
+        [7, 14, 21],        # x^7 + x^6 + x^5 + x^2 + 1: 7*(1, 2, 3) mod 127
+        [887, 1774, 614],   # x^11 + x^9 + x^7 + x^4 + x^3 + x^2 + 1:
+                            # 887*(1, 2, 3) mod 2047
     ]
-    exps = [_pin_exponents(ctx, p, poly, (1, 2, 3)) for p, poly in pins]
     plan = build_plan_c1(
         1, [3, 3, 3, 3], s=2, primes=[3, 5, 7, 11],
         point_exponents=exps, modulus=modulus, generator=generator,
@@ -108,17 +82,15 @@ def example2() -> WorkedExample:
     ex = _cache.get("example2")
     if ex is not None:
         return ex
-    modulus = smallest_irreducible(60)
+    modulus = (1 << 60) | (1 << 59) | 1  # x^60 + x^59 + 1
     generator = 2  # what make_field's search returns under this modulus
-    ctx = make_field(60, modulus, generator)
-    pins = [
-        (4, (4, 1, 0), (1, 2, 4, 7, 8, 11, 13)),    # x^4 + x + 1
-        (6, (6, 4, 3, 1, 0), (1, 2, 4, 5, 8, 10)),  # x^6 + x^4 + x^3 + x + 1
-        # x^10 + x^6 + x^5 + x^3 + x^2 + x + 1
-        (10, (10, 6, 5, 3, 2, 1, 0), (1, 2, 4, 5)),
-    ]
     exps = [
-        _pin_exponents(ctx, m, poly, rel) for m, poly, rel in pins
+        # x^4 + x + 1: 7*(1, 2, 4, 7, 8, 11, 13) mod 15
+        [7, 14, 13, 4, 11, 2, 1],
+        # x^6 + x^4 + x^3 + x + 1: 11*(1, 2, 4, 5, 8, 10) mod 63
+        [11, 22, 44, 55, 25, 47],
+        # x^10 + x^6 + x^5 + x^3 + x^2 + x + 1: 379*(1, 2, 4, 5) mod 1023
+        [379, 758, 493, 872],
     ]
     plan = build_plan_c2(2, 8, [2, 3, 5], point_exponents=exps,
                          modulus=modulus, generator=generator)

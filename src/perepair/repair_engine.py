@@ -275,8 +275,8 @@ def _parity_column(plan, failed: int, helpers):
     if v is None:
         v = dual_multipliers(plan.eval_set)
         plan._cache["dual_multipliers"] = v
-    column = [poly_eval(h, points[j]) * v.v[j] for j in helpers]
-    f_inv = (poly_eval(h, points[failed]) * v.v[failed]).inverse()
+    column = [poly_eval(h, points[j]) * v[j] for j in helpers]
+    f_inv = (poly_eval(h, points[failed]) * v[failed]).inverse()
     return column, f_inv
 
 

@@ -3,11 +3,11 @@
 A codeword is the evaluation of a degree-bounded message polynomial at n
 distinct points of the symbol field.  The dual code of RS(n, k, A) is the
 generalized RS code with column multipliers v_i = prod_{j != i}
-(alpha_i - alpha_j)^{-1}, and ``parity_check`` evaluates those dual
-constraints.  Both repair strategies rebuild a symbol through such a
-constraint.  ``naive_decode`` (Lagrange interpolation through any k
-coordinates) is on no repair path: it is the oracle the tests check the
-repairs against.
+(alpha_i - alpha_j)^{-1} (``dual_multipliers``): for every polynomial g
+of degree <= n - k - 1, sum_i v_i g(alpha_i) c_i = 0.  Both repair
+strategies rebuild a symbol through such a constraint.  ``naive_decode``
+(Lagrange interpolation through any k coordinates) is on no repair path:
+it is the oracle the tests check the repairs against.
 
 Polynomials are coefficient lists of FieldElem in ascending degree order;
 degrees stay tiny (<= n), so ``poly_eval`` is plain Horner.  ``encode``
@@ -29,12 +29,10 @@ __all__ = [
     "EvaluationSet",
     "MessagePoly",
     "Codeword",
-    "DualMultipliers",
     "encode",
     "dual_multipliers",
     "annihilator",
     "poly_eval",
-    "parity_check",
     "naive_decode",
 ]
 
@@ -112,16 +110,6 @@ class Codeword:
         return len(self.symbols)
 
 
-class DualMultipliers:
-    """GRS column multipliers of the dual code, bound to their point set."""
-
-    __slots__ = ("eval_set", "v")
-
-    def __init__(self, eval_set: EvaluationSet, v):
-        self.eval_set = eval_set
-        self.v = tuple(v)
-
-
 def poly_eval(coefficients, x: FieldElem) -> FieldElem:
     """Horner evaluation of an ascending coefficient list."""
     acc = coefficients[-1]
@@ -174,8 +162,8 @@ def encode(msg: MessagePoly, A: EvaluationSet, plan_digest: str | None = None) -
     return Codeword(symbols, plan_digest or A.digest())
 
 
-def dual_multipliers(A: EvaluationSet) -> DualMultipliers:
-    """v_i = prod over j != i of (alpha_i - alpha_j)^{-1}."""
+def dual_multipliers(A: EvaluationSet) -> tuple:
+    """The tuple of v_i = prod over j != i of (alpha_i - alpha_j)^{-1}."""
     out = []
     for i, ai in enumerate(A.points):
         prod = A.ctx.one
@@ -183,7 +171,7 @@ def dual_multipliers(A: EvaluationSet) -> DualMultipliers:
             if j != i:
                 prod = prod * (ai - aj)
         out.append(prod.inverse())
-    return DualMultipliers(A, out)
+    return tuple(out)
 
 
 def annihilator(points, ctx: FieldCtx | None = None) -> list:
@@ -202,28 +190,6 @@ def annihilator(points, ctx: FieldCtx | None = None) -> list:
         for i in range(len(coeffs) - 1):
             coeffs[i] = coeffs[i] + p * coeffs[i + 1]
     return coeffs
-
-
-def parity_check(c: Codeword, g, v: DualMultipliers, k: int | None = None) -> FieldElem:
-    """Dual-code syndrome sum_i v_i * g(alpha_i) * c_i.
-
-    Zero for every valid codeword when deg(g) <= n - k - 1; pass k to have
-    that precondition enforced.
-    """
-    A = v.eval_set
-    if len(c.symbols) != A.n:
-        raise PERepairError(
-            "PLAN_MISMATCH", "codeword length disagrees with evaluation set"
-        )
-    if k is not None and len(g) - 1 > A.n - k - 1:
-        raise PERepairError(
-            "DEGREE_TOO_HIGH",
-            f"parity polynomial degree {len(g) - 1} > {A.n - k - 1}",
-        )
-    acc = A.ctx.zero
-    for vi, ai, ci in zip(v.v, A.points, c.symbols):
-        acc = acc + vi * poly_eval(g, ai) * ci
-    return acc
 
 
 def naive_decode(symbols_at, A: EvaluationSet) -> MessagePoly:

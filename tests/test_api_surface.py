@@ -24,6 +24,26 @@ def test_every_export_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+# the package's public names; an export added or dropped is an API change,
+# so it edits this list on purpose
+PUBLIC_API = [
+    "BasisOverSubfield", "BoundQuery", "ClusterState", "Codeword",
+    "EvaluationSet", "FieldCtx", "FieldElem", "MessagePoly", "PERepairError",
+    "RepairTranscript", "SubfieldHandle", "TransferLog", "__version__",
+    "build_plan_c1", "build_plan_c2", "c1_parameters",
+    "conventional_lower_bound", "cutset_bits", "dual_basis", "encode",
+    "exit_status", "factor_integer", "fail_node", "find_primes_c1",
+    "init_cluster", "is_primitive_in_subfield", "load_cluster", "load_plan",
+    "make_field", "min_subpacketization", "naive_decode", "repair_c1",
+    "repair_c2", "run_repair", "save_cluster", "save_plan", "trace_to",
+    "tradeoff_csv", "tradeoff_table",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(perepair.__all__) == PUBLIC_API
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's tracer wraps these names by attribute; a rename would
     # break a traced run with an AttributeError

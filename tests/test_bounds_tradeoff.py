@@ -7,7 +7,6 @@ from perepair.bounds_tradeoff import (
     conventional_lower_bound,
     first_primes,
     min_subpacketization,
-    normalized_bandwidth,
     tradeoff_csv,
     tradeoff_table,
 )
@@ -100,14 +99,6 @@ def test_tradeoff_validation():
         tradeoff_table(8, 8)
     with pytest.raises(ValueError):
         tradeoff_table(8, 0)
-
-
-def test_normalized_bandwidth():
-    assert normalized_bandwidth(10395, 2310) == Fraction(9, 2)
-    assert normalized_bandwidth(300, 60) == 5
-    assert normalized_bandwidth(2310, 2310) == 1
-    with pytest.raises(ValueError):
-        normalized_bandwidth(5, 0)
 
 
 def test_tradeoff_csv_exact():

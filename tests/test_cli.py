@@ -9,6 +9,7 @@ import pytest
 
 import perepair
 from perepair.cli import main
+from perepair.storage_sim import fail_node, load_cluster, run_repair
 
 
 def run(capsys, *argv):
@@ -197,6 +198,29 @@ def test_repair_json_mode(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["cutset_bits"] == 45
     assert all(p == "trace_response" for _, _, _, p in payload["transfer_log"])
+
+
+@pytest.mark.parametrize("strategy", ["pe", "naive"])
+def test_written_transcript_reads_back(capsys, tmp_path, strategy):
+    # the --out file holds the --json output, which is the in-process
+    # report's payload plus the strategy and the transfer log
+    plan = make_plan(capsys, tmp_path)
+    cluster = tmp_path / "c.txt"
+    run(capsys, "cluster", "--plan", str(plan), "--seed", "42",
+        "--out", str(cluster))
+    out_path = tmp_path / "t.json"
+    rc, out, _ = run(capsys, "--json", "repair", "--cluster", str(cluster),
+                     "--node", "4", "--strategy", strategy,
+                     "--out", str(out_path))
+    assert rc == 0
+    with open(out_path, encoding="utf-8") as fh:
+        written = json.load(fh)
+    assert written == json.loads(out)
+    state = fail_node(load_cluster(cluster), 4)
+    _, report, log = run_repair(state, strategy)
+    want = dict(report.to_payload(), strategy=strategy,
+                transfer_log=log.entries)
+    assert written == json.loads(json.dumps(want))
 
 
 def test_repair_node_out_of_range_is_usage_error(capsys, tmp_path):

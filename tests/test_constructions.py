@@ -227,6 +227,18 @@ def test_digest_freezes_plan_identity(toy_c1, toy_c2, toy_c1_wide):
     assert toy_c2.digest != toy_c1.digest
 
 
+def test_fixture_points_keep_their_published_minimal_polynomials():
+    # the fixtures spell their point exponents out; the first node of each
+    # group is a root of the minimal polynomial they were read from
+    for ex, published in ((example1(), [13, 59, 229, 2717]),
+                          (example2(), [19, 91, 1135])):
+        plan = ex.plan
+        firsts = [sum(g.t for g in plan.groups[:i])
+                  for i in range(len(plan.groups))]
+        assert [plan.eval_set.minpolys[i] for i in firsts] == published
+    assert example2().plan.ctx.modulus == field_tower.smallest_irreducible(60)
+
+
 def test_payload_holds_the_plan_file_fields(toy_c1, toy_c2):
     shared = {"construction", "primes", "t", "point_exponents", "modulus_hex",
               "generator_hex"}

@@ -6,7 +6,7 @@ import pytest
 from perepair.constructions import build_plan_c1
 from perepair.errors import PERepairError
 from perepair import field_tower, repair_engine
-from perepair.field_tower import BasisOverSubfield, degree_over, dual_basis, trace_to
+from perepair.field_tower import BasisOverSubfield, dual_basis, trace_to
 from perepair.fixtures import example2
 from perepair.repair_engine import (
     RepairSubspace,
@@ -129,7 +129,7 @@ def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
             h = annihilator([plan.eval_set.points[i] for i in range(plan.n)
                              if i not in helper_set and i != node], plan.ctx)
             f_mult = (poly_eval(h, plan.eval_set.points[node])
-                      * dual_multipliers(plan.eval_set).v[node])
+                      * dual_multipliers(plan.eval_set)[node])
             assert f_mult * f_inv == plan.ctx.one
             alpha_f = plan.eval_set.points[node]
             B = [f_mult * u for u in _shifts(S.basis, alpha_f, plan.s)]
@@ -539,8 +539,9 @@ def test_points_have_group_degree_and_subspaces_are_bases(toy_c1, toy_c2,
     # trace-dual of those shifts
     for plan in (toy_c1, toy_c2, toy_c1_wide, example2().plan):
         for g, u_i in zip(plan.groups, plan.u_list):
-            sub = plan.ctx.subfield(plan.base_bits * u_i)
-            assert [degree_over(pt, sub) for pt in g.points] == [g.prime] * g.t
+            m = plan.base_bits * u_i
+            assert ([plan.ctx._degree_over(pt.v, m) for pt in g.points]
+                    == [g.prime] * g.t)
     for plan in (toy_c1, toy_c1_wide):
         ctx = plan.ctx
         for node in range(plan.n):

@@ -422,6 +422,56 @@ def test_node_lines_are_checked_before_the_encode(tmp_path, monkeypatch,
         assert e.value.code == "CORRUPT_FILE", why
 
 
+def test_symbol_cut_short_is_corrupt_before_the_encode(tmp_path, monkeypatch,
+                                                      toy_c1):
+    # README's tour cluster, cut inside its last symbol: every cut still
+    # holds a field value, so only the fixed width can refuse it
+    path = tmp_path / "cluster.txt"
+    save_cluster(init_cluster(toy_c1, 42), path)
+    text = path.read_text()
+    assert text.endswith("node 5 18d47f19\n")
+    load_cluster(path)  # the plan is loaded: what is left is the encode
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encoded the message of a malformed file")
+
+    monkeypatch.setattr(storage_sim, "encode", no_encode)
+    for cut in range(2, 9):  # "node 5 18d47f1" down to "node 5 1"
+        path.write_text(text[:-cut])
+        with pytest.raises(PERepairError) as e:
+            load_cluster(path)
+        assert e.value.code == "CORRUPT_FILE", text[-cut - 8:-cut]
+
+
+def _loaded(state):
+    return (state.plan.digest, state.message_seed,
+            [(rec.index, rec.symbol) for rec in state.nodes])
+
+
+def test_every_cut_and_bit_flip_is_refused_or_harmless(tmp_path, toy_c1):
+    # the toy cluster file with one failed node, cut at every byte and with
+    # bit 0 of every byte flipped: each variant raises a coded error or
+    # loads the original's state (a dropped final newline, or \n read as
+    # the line break \v), never an uncoded exception
+    path = tmp_path / "cluster.txt"
+    save_cluster(fail_node(init_cluster(toy_c1, 42), 2), path)
+    data = path.read_bytes()
+    want = _loaded(load_cluster(path))
+    variants = [data[:i] for i in range(len(data))]
+    variants += [data[:i] + bytes([data[i] ^ 0x01]) + data[i + 1:]
+                 for i in range(len(data))]
+    harmless = 0
+    for variant in variants:
+        path.write_bytes(variant)
+        try:
+            got = _loaded(load_cluster(path))
+        except PERepairError:
+            continue
+        assert got == want, variant
+        harmless += 1
+    assert harmless <= data.count(b"\n") + 1
+
+
 def test_stripes_of_one_plan_share_its_prepared_repairs(tmp_path, toy_c2,
                                                        fresh_process):
     states = []
