@@ -162,13 +162,8 @@ def cmd_repair(args, parser) -> int:
     state = load_cluster(args.cluster)
     if not 0 <= args.node < state.plan.n:
         parser.error(f"node {args.node} out of range [0, {state.plan.n})")
-    if state.failed_node is None:
+    if state.failed_node != args.node:
         fail_node(state, args.node)
-    elif state.failed_node != args.node:
-        raise PERepairError(
-            "SECOND_FAILURE_UNSUPPORTED",
-            f"cluster already has node {state.failed_node} failed",
-        )
     state, report, log = run_repair(state, args.strategy, d=args.d)
     payload = report.to_payload()
     payload["strategy"] = args.strategy
@@ -202,10 +197,12 @@ def cmd_bound(args, parser) -> int:
 
 
 def cmd_tradeoff(args, parser) -> int:
-    text = tradeoff_csv(tradeoff_table(args.n, args.k))
+    rows = tradeoff_table(args.n, args.k)
+    text = tradeoff_csv(rows)
     if args.out:
         atomic_write_text(args.out, text)
-        print(f"wrote {args.out}")
+        print(canonical_json({"path": args.out, "rows": len(rows)})
+              if args.json else f"wrote {args.out}")
     else:
         sys.stdout.write(text)
     return 0

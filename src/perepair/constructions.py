@@ -373,6 +373,9 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
                 "CONSTRAINT_VIOLATION",
                 f"group needs {t} primitive points, more than phi(q^{p}-1)",
             )
+    k = sum(r - p + 1 for p in primes) - r
+    if k < 1:
+        raise PERepairError("RATE_VIOLATION", f"k = n - r = {k} < 1")
 
     u = math.prod(primes)
     degree = base_bits * u
@@ -385,10 +388,7 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
         (p, r - p + 1, _resolve_points(ctx, base_bits, p, r - p + 1, e))
         for p, e in zip(primes, exps)
     ]
-    plan = Construction2Plan(base_bits, r, groups_spec, ctx)
-    if plan.k < 1:
-        raise PERepairError("RATE_VIOLATION", f"k = n - r = {plan.k} < 1")
-    return plan
+    return Construction2Plan(base_bits, r, groups_spec, ctx)
 
 
 class C1Parameters:

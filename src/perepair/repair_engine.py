@@ -232,25 +232,17 @@ def verify_span(S: RepairSubspace, alpha, s: int) -> bool:
 
 
 def _helper_prefix(plan, excluded_group: int, d: int):
-    """Minimal prefix R of groups (excluded group skipped) with enough
-    nodes, then round-robin across R until d helpers are picked."""
-    order = [j for j in range(len(plan.groups)) if j != excluded_group]
+    """Construction 1's d helpers and their groups R: R is the minimal
+    prefix of groups, the excluded group skipped, that holds at least d
+    nodes, and the helpers are R's first d nodes round-robin, i.e. sorted
+    by (offset in group, group)."""
     R = []
-    capacity = 0
-    for j in order:
-        R.append(j)
-        capacity += plan.groups[j].t
-        if capacity >= d:
-            break
-    queues = {j: list(plan.group_nodes(j)) for j in R}
-    helpers = []
-    z = 0
-    while len(helpers) < d:
-        j = R[z % len(R)]
-        z += 1
-        if queues[j]:
-            helpers.append(queues[j].pop(0))
-    return helpers, tuple(R)
+    for j in range(len(plan.groups)):
+        if j != excluded_group and sum(plan.groups[g].t for g in R) < d:
+            R.append(j)
+    nodes = sorted((i for j in R for i in plan.group_nodes(j)),
+                   key=lambda i: plan.locate(i)[::-1])
+    return nodes[:d], tuple(R)
 
 
 def _parity_column(plan, failed: int, helpers):
@@ -286,8 +278,10 @@ class _PreparedRepair(NamedTuple):
     Helper ``helpers[i]`` is asked for Tr(mults[i][m] * c), the trace onto
     ``sub``, with mults[i][m] = e_m * col_i for the raw int col_i =
     ``columns[i]``, and that response enters the failed symbol times the
-    raw int ``weights[i][m]``.  ``masks`` picks the evaluation order once,
-    from the shape: None repairs by response (_by_response, 2 products per
+    raw int ``weights[i][m]``.  ``queries`` holds those (helper,
+    mults[i][m]) pairs in response order, built once for every repair's
+    transcript.  ``masks`` picks the evaluation order once, from the
+    shape: None repairs by response (_by_response, 2 products per
     response); for a ``sub`` = GF(2^m) small against E, 4m < N/m + 1
     (SubfieldHandle._is_small), masks[m] = sub._masks(e_m), and the
     repair goes by trace coordinate (_by_coordinate, d + m - 1 products).
@@ -297,29 +291,28 @@ class _PreparedRepair(NamedTuple):
     sub: SubfieldHandle
     columns: list
     mults: list
+    queries: tuple
     weights: list
     masks: tuple | None
 
 
 def _by_response(prep: _PreparedRepair, symbols):
-    """(queries, raw responses, recovered int), each response traced from
-    its own query product and then multiplied by its weight: 2 products
-    per response."""
+    """(raw responses, recovered int), each response traced from its own
+    query product and then multiplied by its weight: 2 products per
+    response."""
     mul = prep.sub.ctx._mul
     trace_coords = prep.sub._trace_coords
     lift = prep.sub._lift
-    queries = []
     raw = []
     acc = 0
     for idx, row_mults, row_weights in zip(prep.helpers, prep.mults,
                                            prep.weights):
         c = symbols[idx].v
         for mult, weight in zip(row_mults, row_weights):
-            queries.append((idx, mult))
             r = lift(trace_coords(mul(mult.v, c)))
             raw.append(r)
             acc ^= mul(r, weight)
-    return queries, raw, acc
+    return raw, acc
 
 
 def _by_coordinate(prep: _PreparedRepair, symbols):
@@ -335,14 +328,10 @@ def _by_coordinate(prep: _PreparedRepair, symbols):
     mul = sub.ctx._mul
     lift = sub._lift
     sums = [0] * sub.degree_bits
-    queries = []
     raw = []
-    for idx, col, row_mults, row_weights in zip(prep.helpers, prep.columns,
-                                                prep.mults, prep.weights):
+    for idx, col, row_weights in zip(prep.helpers, prep.columns, prep.weights):
         y = mul(col, symbols[idx].v)
-        for mult, weight, row_masks in zip(row_mults, row_weights,
-                                           prep.masks):
-            queries.append((idx, mult))
+        for weight, row_masks in zip(row_weights, prep.masks):
             z = 0
             for l, mask in enumerate(row_masks):
                 if (y & mask).bit_count() & 1:
@@ -353,7 +342,7 @@ def _by_coordinate(prep: _PreparedRepair, symbols):
     acc = sums[-1]
     for s_l in reversed(sums[:-1]):
         acc = mul(acc, gamma) ^ s_l
-    return queries, raw, acc
+    return raw, acc
 
 
 def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscript:
@@ -393,7 +382,8 @@ def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscrip
       (|E| * m of them, shared by every helper), and m - 1 products to
       finish, d + m - 1 products.
 
-    Both give the same responses, queries and symbol.  Where K is large
+    Both give the same responses and symbol; the queries are the
+    preparation's, the same for either order.  Where K is large
     the masks cost more than they save (Construction 2, example1), so
     those shapes stay by response.
     """
@@ -423,13 +413,15 @@ def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscrip
                  for m in range(len(E))]
         weights = [[poly_eval(p, plan.eval_set.points[j]).v for p in polys]
                    for j in helpers]
+        mults = [[e_m * col for e_m in E] for col in column]
         prep = _PreparedRepair(
-            helpers, sub, [col.v for col in column],
-            [[e_m * col for e_m in E] for col in column], weights,
+            helpers, sub, [col.v for col in column], mults,
+            tuple((j, m) for j, row in zip(helpers, mults) for m in row),
+            weights,
             tuple(sub._masks(e.v) for e in E) if sub._is_small() else None)
         plan._cache[key] = prep
     evaluate = _by_response if prep.masks is None else _by_coordinate
-    queries, raw, acc = evaluate(prep, codeword.symbols)
+    raw, acc = evaluate(prep, codeword.symbols)
     ctx = plan.ctx
     sub = prep.sub
     responses = [FieldElem(ctx, r) for r in raw]
@@ -438,8 +430,8 @@ def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscrip
     expected = d * cutset_bits(canonical, plan.k, plan.L,
                                plan.base_bits) // canonical
     check_invariant(bits == expected, f"repair moved {bits} bits, not {expected}")
-    return RepairTranscript(failed, prep.helpers, queries, responses,
-                            sub.degree_bits, per_helper_bits, bits,
+    return RepairTranscript(failed, prep.helpers, list(prep.queries),
+                            responses, sub.degree_bits, per_helper_bits, bits,
                             cutset_bits(d, plan.k, plan.L, plan.base_bits),
                             FieldElem(ctx, acc))
 

@@ -78,11 +78,10 @@ class SplitMix64:
 class NodeRecord:
     """One storage node; symbol is None while the node is failed."""
 
-    __slots__ = ("index", "group", "symbol")
+    __slots__ = ("index", "symbol")
 
-    def __init__(self, index, group, symbol):
+    def __init__(self, index, symbol):
         self.index = index
-        self.group = group
         self.symbol = symbol
 
     @property
@@ -91,14 +90,13 @@ class NodeRecord:
 
 
 class ClusterState:
-    __slots__ = ("plan", "nodes", "message_seed", "original_message", "_expected")
+    __slots__ = ("plan", "nodes", "message_seed", "_expected")
 
-    def __init__(self, plan, nodes, message_seed, original_message, expected):
+    def __init__(self, plan, nodes, message_seed, expected):
         self.plan = plan
         self.nodes = nodes
         self.message_seed = message_seed
-        self.original_message = original_message  # retained for verification
-        self._expected = expected
+        self._expected = expected  # the encoded symbols, for verification
 
     @property
     def failed_node(self):
@@ -170,10 +168,8 @@ def init_cluster(plan, seed: int) -> ClusterState:
         [ctx.elem(rng.field_bits(ctx.degree_bits)) for _ in range(plan.k)]
     )
     cw = encode(msg, plan.eval_set, plan_digest=plan.digest)
-    nodes = [
-        NodeRecord(i, plan.locate(i)[0], cw.symbols[i]) for i in range(plan.n)
-    ]
-    return ClusterState(plan, nodes, seed, msg, cw.symbols)
+    nodes = [NodeRecord(i, symbol) for i, symbol in enumerate(cw.symbols)]
+    return ClusterState(plan, nodes, seed, cw.symbols)
 
 
 def fail_node(state: ClusterState, index: int) -> ClusterState:

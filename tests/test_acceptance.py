@@ -41,11 +41,8 @@ from conftest import oracle, primorial, random_codeword
 def _fixture_cluster(ex):
     """A cluster holding the pinned reference codeword (not a seeded one)."""
     plan = ex.plan
-    nodes = [
-        NodeRecord(i, plan.locate(i)[0], ex.codeword.symbols[i])
-        for i in range(plan.n)
-    ]
-    return ClusterState(plan, nodes, 0, ex.message, ex.codeword.symbols)
+    nodes = [NodeRecord(i, symbol) for i, symbol in enumerate(ex.codeword.symbols)]
+    return ClusterState(plan, nodes, 0, ex.codeword.symbols)
 
 
 def _oracle_symbols(ex):

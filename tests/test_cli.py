@@ -8,8 +8,15 @@ import sys
 import pytest
 
 import perepair
+from perepair import cli, repair_engine
 from perepair.cli import main
-from perepair.storage_sim import fail_node, load_cluster, run_repair
+from perepair.fixtures import WorkedExample, example2
+from perepair.storage_sim import (
+    fail_node,
+    load_cluster,
+    run_repair,
+    save_cluster,
+)
 
 
 def run(capsys, *argv):
@@ -223,6 +230,45 @@ def test_written_transcript_reads_back(capsys, tmp_path, strategy):
     assert written == json.loads(json.dumps(want))
 
 
+def test_repair_with_another_node_failed_exits_3(capsys, tmp_path):
+    # a cluster file holds at most one failed node: repairing a second one
+    # is refused, repairing the failed one goes ahead
+    plan = make_plan(capsys, tmp_path)
+    cluster = tmp_path / "c.txt"
+    run(capsys, "cluster", "--plan", str(plan), "--seed", "1",
+        "--out", str(cluster))
+    save_cluster(fail_node(load_cluster(cluster), 1), cluster, plan_path=plan)
+    rc, out, err = run(capsys, "repair", "--cluster", str(cluster),
+                       "--node", "4")
+    assert rc == 3 and out == ""
+    assert "SECOND_FAILURE_UNSUPPORTED" in err
+    rc, out, _ = run(capsys, "repair", "--cluster", str(cluster),
+                     "--node", "1")
+    assert rc == 0 and out.strip() == "bits=45 cutset=45 verified=true"
+
+
+def test_repair_with_a_wrong_symbol_exits_4(capsys, tmp_path, monkeypatch):
+    # both evaluation orders recover the wrong symbol: the report says so
+    # and the exit status is the verification failure's
+    plan = make_plan(capsys, tmp_path)
+    cluster = tmp_path / "c.txt"
+    run(capsys, "cluster", "--plan", str(plan), "--seed", "1",
+        "--out", str(cluster))
+    for name in ("_by_response", "_by_coordinate"):
+        evaluate = getattr(repair_engine, name)
+
+        def off_by_one(prep, symbols, evaluate=evaluate):
+            raw, acc = evaluate(prep, symbols)
+            return raw, acc ^ 1
+
+        monkeypatch.setattr(repair_engine, name, off_by_one)
+    rc, out, err = run(capsys, "repair", "--cluster", str(cluster),
+                       "--node", "4")
+    assert rc == 4
+    assert out.strip() == "bits=45 cutset=45 verified=false"
+    assert "REPAIR_VERIFICATION_FAILED" in err
+
+
 def test_repair_node_out_of_range_is_usage_error(capsys, tmp_path):
     plan = make_plan(capsys, tmp_path)
     cluster = tmp_path / "c.txt"
@@ -278,6 +324,21 @@ def test_tradeoff_csv(capsys, tmp_path):
     assert path.read_text() == out
 
 
+def test_tradeoff_out_summary(capsys, tmp_path):
+    # the CSV goes to the file; stdout has one summary, plain or JSON
+    path = tmp_path / "t.csv"
+    rc, out, _ = run(capsys, "tradeoff", "--n", "14", "--k", "10",
+                     "--out", str(path))
+    assert rc == 0 and out == f"wrote {path}\n"
+    csv = path.read_text()
+    rc, out, _ = run(capsys, "--json", "tradeoff", "--n", "14", "--k", "10",
+                     "--out", str(path))
+    assert rc == 0
+    assert json.loads(out) == {"path": str(path), "rows": 4}
+    assert out.count("\n") == 1
+    assert path.read_text() == csv
+
+
 def test_reproduce_example2(capsys):
     rc, out, _ = run(capsys, "reproduce", "example2")
     assert rc == 0
@@ -309,6 +370,19 @@ def test_reproduce_example2_output_is_pinned(capsys, flags):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         PINNED_EXAMPLE2_SHA256[flags]
+
+
+def test_reproduce_mismatch_exits_4(capsys, monkeypatch):
+    # example2 with a published figure off by one bit for group 0
+    ex = example2()
+    wrong = WorkedExample("example2", ex.plan, ex.message, [0],
+                          (301,) + ex.group_bits[1:], ex.naive_bits)
+    monkeypatch.setattr(cli, "by_name", lambda name: wrong)
+    rc, out, err = run(capsys, "reproduce", "example2")
+    assert rc == 4
+    assert "FAIL (got 300, want 301)" in out
+    assert out.endswith("example2: FAIL\n")
+    assert "REPAIR_VERIFICATION_FAILED" in err
 
 
 def test_reproduce_unknown_name_is_usage_error(capsys):

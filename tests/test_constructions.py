@@ -171,6 +171,17 @@ def test_c2_rejects_undersized_groups():
     assert ei.value.code == "CONSTRAINT_VIOLATION"
 
 
+def test_c2_checks_rate_before_building_a_field(monkeypatch):
+    # t = 4, 2 and r = 6 give k = 0; no field is built to find that out
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built for an impossible rate")
+
+    monkeypatch.setattr(constructions, "make_field", no_field)
+    with pytest.raises(PERepairError, match=r"k = n - r = 0 < 1") as ei:
+        build_plan_c2(1, 6, [3, 5])
+    assert ei.value.code == "RATE_VIOLATION"
+
+
 def test_c2_rejects_non_prime():
     with pytest.raises(PERepairError) as ei:
         build_plan_c2(2, 8, [4, 3])
@@ -331,6 +342,31 @@ def test_plan_file_without_a_generator_is_corrupt(tmp_path, toy_c1):
         load_plan(path)
     assert ei.value.code == "CORRUPT_FILE"
     assert "generator_hex" in str(ei.value)
+
+
+def test_plan_file_with_a_respelled_modulus_is_refused(tmp_path, toy_c1,
+                                                       fresh_process):
+    # the same modulus in another hex spelling, under a recomputed digest:
+    # the rebuilt plan writes the canonical spelling, so its digest differs
+    path = tmp_path / "plan.json"
+    payload = toy_c1.payload()
+    for spelling in ("0x" + payload["modulus_hex"], "0" + payload["modulus_hex"]):
+        _write_plan(path, {**payload, "modulus_hex": spelling})
+        with pytest.raises(PERepairError, match="rebuilt plan differs") as ei:
+            load_plan(path)
+        assert ei.value.code == "DIGEST_MISMATCH"
+    assert constructions._plan_memo == {}
+
+
+def test_c2_plan_file_with_edited_t_is_corrupt(tmp_path, toy_c2,
+                                              fresh_process):
+    # Construction 2 derives t_i = r - p_i + 1, so a stored t list that
+    # disagrees is refused even under a consistent digest
+    path = tmp_path / "plan.json"
+    _write_plan(path, {**toy_c2.payload(), "t": [6, 7]})
+    with pytest.raises(PERepairError, match="stored t disagrees") as ei:
+        load_plan(path)
+    assert ei.value.code == "CORRUPT_FILE"
 
 
 def test_plan_file_round_trip_is_byte_stable(tmp_path, toy_c1, toy_c2):

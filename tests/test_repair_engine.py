@@ -110,6 +110,40 @@ def test_gram_acceptance_matches_verify_span(toy_c1):
     assert outcomes == {True, False}
 
 
+def _lemma1_with_singular(monkeypatch, singular):
+    """A fresh toy_c1-shaped plan whose subspace search sees candidate i
+    replaced by zero vectors, a singular set, when singular(i); returns
+    the plan and the list of betas tried."""
+    real = repair_engine._lemma1_candidates
+    tried = []
+
+    def candidates(plan, group, alpha, ubar):
+        for i, (beta, vectors) in enumerate(real(plan, group, alpha, ubar)):
+            tried.append(beta)
+            if singular(i):
+                vectors = [plan.ctx.zero] * len(vectors)
+            yield beta, vectors
+
+    monkeypatch.setattr(repair_engine, "_lemma1_candidates", candidates)
+    return build_plan_c1(1, [3, 3], s=2, primes=[3, 5]), tried
+
+
+def test_lemma1_takes_the_next_beta_after_a_singular_one(monkeypatch):
+    plan, tried = _lemma1_with_singular(monkeypatch, lambda i: i == 0)
+    S = lemma1_subspace(plan, 0)
+    assert tried[0] == plan.ctx.generator and len(tried) >= 2
+    assert S.beta == tried[-1] != tried[0]
+    assert verify_span(S, plan.eval_set.points[0], plan.s)
+
+
+def test_lemma1_with_every_beta_singular_is_a_span_failure(monkeypatch):
+    plan, tried = _lemma1_with_singular(monkeypatch, lambda i: True)
+    with pytest.raises(PERepairError) as ei:
+        lemma1_subspace(plan, 0)
+    assert ei.value.code == "SPAN_FAILURE"
+    assert len(tried) == 32
+
+
 def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
     # the duals of B = f_mult * {e_m * alpha_f^w} are the subspace's duals
     # over f_mult, equal to a fresh Gram solve of B, and each cached weight
@@ -244,7 +278,8 @@ def test_warm_small_field_repair_costs_d_plus_m_minus_1_products(
 
 def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2):
     # the two private evaluation orders on one preparation: the same
-    # queries, responses, bits and symbol for every node.  Shapes that
+    # responses, bits and symbol for every node, and the transcript's
+    # queries are the preparation's, one per response in response order.  Shapes that
     # repair by response get the masks built here; for Construction 2,
     # |E| = 1 and the masks are the subfield's trace masks psi.
     rng = random.Random(1618)
@@ -272,8 +307,11 @@ def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2):
             by_coordinate = _by_coordinate(prep._replace(masks=masks),
                                            cw.symbols)
             assert by_coordinate == by_response
-            queries, raw, acc = by_response
-            assert queries == tr.queries
+            raw, acc = by_response
+            assert tr.queries == list(prep.queries) == [
+                (j, mult) for j, row in zip(prep.helpers, prep.mults)
+                for mult in row]
+            assert len(tr.queries) == len(raw)
             assert raw == [r.v for r in tr.responses]
             assert acc == tr.recovered.v == cw.symbols[node].v
             assert len(raw) * sub.degree_bits == tr.bits_transmitted

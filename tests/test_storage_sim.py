@@ -46,9 +46,6 @@ def test_init_cluster_is_deterministic(toy_c1):
     a = init_cluster(toy_c1, 0)
     b = init_cluster(toy_c1, 0)
     assert [n.symbol for n in a.nodes] == [n.symbol for n in b.nodes]
-    assert [c.v for c in a.original_message.coefficients] == [
-        c.v for c in b.original_message.coefficients
-    ]
     c = init_cluster(toy_c1, 1)
     assert [n.symbol for n in a.nodes] != [n.symbol for n in c.nodes]
 
@@ -56,7 +53,6 @@ def test_init_cluster_is_deterministic(toy_c1):
 def test_cluster_shape(toy_c1, toy_c2):
     st = init_cluster(toy_c1, 42)
     assert len(st.nodes) == 6
-    assert [n.group for n in st.nodes] == [0, 0, 0, 1, 1, 1]
     assert st.failed_node is None
     st2 = init_cluster(toy_c2, 42)
     assert len(st2.nodes) == 13
