@@ -12,14 +12,16 @@ factoring work is capped by a fixed count of rho steps, never by a clock, so
 every result depends on the inputs alone.
 
 Performance notes: multiplication is carry-less with a 4-bit window table
-of the longer operand; squaring translates bytes through two nibble tables.
+of the longer operand, or with a 256-entry table kept for an operand that
+many products share (the trace sequence, and gamma in a subfield's power
+chain); squaring translates bytes through two nibble tables.  Inversion is
+shift-and-add Euclid, with no division and no product.
 FieldCtx._fold, the only reducer, takes a product (degree <= 2N - 2) to its
 remainder by the exact Barrett quotient, found without a product: w
 shift-XORs in each of ceil(log2((N - 1) / min(N - a))) log-doubling rounds
 for a tail of w exponents a (5 rounds for x^210 + x^203 + 1).  The Rabin
 irreducibility test squares through an arithmetic-only FieldCtx, and
-poly_mod is plain long division (poly_divmod) for the few reductions off
-the hot path.  Primitivity is
+its gcds are plain long division (poly_divmod).  Primitivity is
 one product-tree order test over the known primes of the group order
 (_order_test).  Subfield work is done in the
 subfield: a handle for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma,
@@ -80,7 +82,7 @@ _SQ_HI = bytes(_SQ_LO[b >> 4] for b in range(256))
 
 def clmul(a: int, b: int) -> int:
     """Carry-less product of two binary polynomials; the byte loop runs
-    over the shorter one (poly_inv_mod's quotients are a few bits)."""
+    over the shorter one."""
     if a == 0 or b == 0:
         return 0
     if a.bit_length() > b.bit_length():
@@ -96,6 +98,27 @@ def clmul(a: int, b: int) -> int:
     acc = 0
     for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
         acc = (acc << 8) ^ (t[byte >> 4] << 4) ^ t[byte & 15]
+    return acc
+
+
+def _byte_table(b: int) -> list:
+    """t[j] = j(x) * b(x) for every byte j: the 256-entry table of a fixed
+    operand b, for _clmul_by_table (Hankerson, Menezes & Vanstone, Guide to
+    Elliptic Curve Cryptography, 2.3.3)."""
+    t = [0, b]
+    for i in range(1, 8):
+        s = b << i
+        t += [v ^ s for v in t]
+    return t
+
+
+def _clmul_by_table(a: int, t: list) -> int:
+    """Carry-less product a(x) * b(x), t = _byte_table(b): one lookup per
+    byte of a.  It pays where one operand meets many: the table costs
+    about as much as a few clmul calls at full width."""
+    acc = 0
+    for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
+        acc = (acc << 8) ^ t[byte]
     return acc
 
 
@@ -144,18 +167,31 @@ def poly_gcd(a: int, b: int) -> int:
 
 
 def poly_inv_mod(a: int, f: int) -> int:
-    """Inverse of a modulo f (binary polynomials, gcd(a, f) = 1)."""
+    """Inverse of a modulo f, of degree < deg f, for binary polynomials.
+
+    Shift-and-add extended Euclid (Hankerson, Menezes & Vanstone, Guide to
+    Elliptic Curve Cryptography, Alg. 2.48): with a g1 = u and a g2 = v
+    mod f, u += x^j v and g1 += x^j g2 lower deg u until u = 1, swapping
+    the pairs when deg u < deg v; no division and no product.  When a and
+    f share a factor (f dividing a included), u reaches 0 and ValueError
+    is raised."""
     if a == 0:
         raise PERepairError("ZERO_INVERSE", "cannot invert zero")
-    r0, r1 = f, poly_mod(a, f)
-    s0, s1 = 0, 1
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 ^ clmul(q, s1)
-    if r0 != 1:
-        raise ValueError("element not invertible for this modulus")
-    return s0  # degree deg f - deg(last remainder above 1) < deg f
+    if poly_degree(f) < 1:
+        raise ValueError("modulus must have degree >= 1")
+    u, v = a, f
+    g1, g2 = 1, 0
+    du, dv = u.bit_length(), v.bit_length()
+    while u != 1:
+        if not u:
+            raise ValueError("element not invertible for this modulus")
+        j = du - dv
+        if j < 0:
+            u, v, g1, g2, du, dv, j = v, u, g2, g1, dv, du, -j
+        u ^= v << j
+        g1 ^= g2 << j
+        du = u.bit_length()
+    return g1
 
 
 def is_irreducible(f: int) -> bool:
@@ -589,7 +625,7 @@ class FieldCtx:
         self._rounds = tuple(rounds)
         self._hexw = (degree_bits + 3) // 4
         self._subfields = {}
-        self._trace_bits = None
+        self._trace_table = None
         self.generator = FieldElem(self, generator_value)
 
     # -- raw int arithmetic ------------------------------------------------
@@ -751,13 +787,14 @@ class FieldCtx:
         """Mask w with parity(y & w) = Tr_{E/GF(2)}(a * y) for every y.
 
         Bit i of w is Tr(a x^i) = sum_j a_j t_(i+j), a Hankel product of a
-        with the trace sequence t_j = Tr(x^j), read off one clmul by the
-        bit-reversed a."""
-        if self._trace_bits is None:
-            self._trace_bits = _power_sums(self.modulus)
+        with the trace sequence t_j = Tr(x^j), read off one carry-less
+        product by the bit-reversed a.  The trace sequence is the operand
+        every call shares, so its byte table is built once per context."""
+        if self._trace_table is None:
+            self._trace_table = _byte_table(_power_sums(self.modulus))
         n = self.degree_bits
         rev = int(format(a, f"0{n}b")[::-1], 2)
-        return (clmul(rev, self._trace_bits) >> (n - 1)) & self._mask
+        return (_clmul_by_table(rev, self._trace_table) >> (n - 1)) & self._mask
 
     def _degree_over(self, v: int, m: int) -> int:
         """Smallest d >= 1 with v^(2^(m*d)) == v."""
@@ -807,13 +844,15 @@ class SubfieldHandle:
 
     def gf2_basis(self):
         """Powers gamma^0..gamma^(m-1): a GF(2)-basis of the subfield,
-        as raw ints."""
+        as raw ints.  Every product of the chain is by gamma, so gamma is
+        the tabled operand; the table is dropped with the chain."""
         if self._gf2_basis is None:
             ctx = self.ctx
+            table = _byte_table(self.canonical_generator.v)
             cur = 1
             rows = [1]
             for _ in range(self.degree_bits - 1):
-                cur = ctx._mul(cur, self.canonical_generator.v)
+                cur = ctx._fold(_clmul_by_table(cur, table))
                 rows.append(cur)
             self._gf2_basis = tuple(rows)
         return self._gf2_basis

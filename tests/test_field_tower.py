@@ -75,7 +75,102 @@ def test_poly_inv_mod_round_trip_under_example1_modulus():
         inv = poly_inv_mod(a, EXAMPLE1_MODULUS)
         # the Bezout coefficient is returned as is, so it must be reduced
         assert 0 <= field_tower.poly_degree(inv) < 2310
-        assert poly_mod(oracle.gf2x_mul(a, inv), EXAMPLE1_MODULUS) == 1
+        assert oracle.field_mul(a, inv, EXAMPLE1_MODULUS) == 1
+
+
+def _counting(monkeypatch, module, names):
+    """Wrap module.<name> for each name with a call counter; returns the
+    counts by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_poly_inv_mod_under_a_reducible_modulus():
+    # f = (x^2 + x + 1)(x^3 + x + 1): every a below x^9 that shares a
+    # factor with f (f and its multiples included) is refused, and every
+    # other a is inverted
+    f = 0b110001
+    assert clmul(0b111, 0b1011) == f
+    with pytest.raises(PERepairError) as e:
+        poly_inv_mod(0, f)
+    assert e.value.code == "ZERO_INVERSE"
+    for a in range(1, 1 << 9):
+        if poly_gcd(f, a) != 1:
+            with pytest.raises(ValueError, match="not invertible"):
+                poly_inv_mod(a, f)
+            continue
+        inv = poly_inv_mod(a, f)
+        assert 0 < inv < 1 << 5
+        assert oracle.field_mul(a, inv, f) == 1
+
+
+@pytest.mark.parametrize("degree", [5, 60, 210])
+def test_poly_inv_mod_round_trips_against_the_oracle(degree):
+    # N = 2310: test_poly_inv_mod_round_trip_under_example1_modulus
+    f = smallest_irreducible(degree)
+    rng = random.Random(degree)
+    inputs = [1, 2, (1 << degree) - 1, f ^ 1, f << 1 | 1]
+    inputs += [rng.getrandbits(degree) or 1 for _ in range(40)]
+    for a in inputs:
+        inv = poly_inv_mod(a, f)
+        assert 0 <= field_tower.poly_degree(inv) < degree
+        assert oracle.field_mul(a, inv, f) == 1
+
+
+def test_poly_inv_mod_neither_divides_nor_multiplies(monkeypatch):
+    # shift-and-add Euclid: the bit-serial division and its quotient
+    # products must not come back
+    calls = _counting(monkeypatch, field_tower,
+                      ("clmul", "poly_divmod", "poly_mod"))
+    rng = random.Random(2)
+    for a in [3, rng.getrandbits(2310), rng.getrandbits(2400) | 1 << 2399]:
+        poly_inv_mod(a, EXAMPLE1_MODULUS)
+    with pytest.raises(ValueError):
+        poly_inv_mod(0b111, 0b110001)  # (x^2 + x + 1)(x^3 + x + 1)
+    assert calls == {"clmul": 0, "poly_divmod": 0, "poly_mod": 0}
+
+
+@pytest.mark.parametrize("width", list(range(1, 17)) + [60, 210, 2310])
+def test_byte_table_product_is_clmul(width):
+    rng = random.Random(width)
+    operands = [0, 1, (1 << width) - 1, 1 << (width - 1)]
+    operands += [rng.getrandbits(width) for _ in range(6)]
+    others = operands + [rng.getrandbits(w) for w in (1, 9, 64, 300, 2310)]
+    for b in operands:
+        table = field_tower._byte_table(b)
+        assert len(table) == 256
+        for a in others:
+            got = field_tower._clmul_by_table(a, table)
+            assert got == clmul(a, b) == oracle.gf2x_mul(a, b)
+            # the tabled operand on the other side
+            assert field_tower._clmul_by_table(
+                b, field_tower._byte_table(a)) == got
+
+
+def test_trace_table_is_built_once_per_context(monkeypatch):
+    calls = _counting(monkeypatch, field_tower, ("_byte_table",))
+    f = smallest_irreducible(60)
+    rng = random.Random(60)
+    for ctx in (field_tower.FieldCtx(60, f, 1), field_tower.FieldCtx(60, f, 1)):
+        before = calls["_byte_table"]
+        for _ in range(50):
+            a, y = rng.getrandbits(60), rng.getrandbits(60)
+            w = ctx._trace_functional(a)
+            # Tr(a y) by the sum of the 60 Frobenius powers
+            z = tr = ctx._mul(a, y)
+            for _ in range(59):
+                z = ctx._sq(z)
+                tr ^= z
+            assert tr in (0, 1)
+            assert (w & y).bit_count() & 1 == tr
+        assert calls["_byte_table"] == before + 1
 
 
 def test_clmul_ring_axioms():

@@ -468,6 +468,36 @@ def test_every_cut_and_bit_flip_is_refused_or_harmless(tmp_path, toy_c1):
     assert harmless <= data.count(b"\n") + 1
 
 
+@pytest.mark.parametrize("suffix", ["", ".plan"], ids=["cluster", "plan"])
+def test_every_cut_and_byte_flip_is_refused_or_harmless(tmp_path, toy_c1,
+                                                       fresh_process, suffix):
+    # the toy cluster file, or its plan file, cut at every byte and with
+    # bits 0, 5 and 7 of every byte flipped (bit 5 is ASCII's case bit, bit
+    # 7 leaves UTF-8): each variant raises a coded error or loads the
+    # original's state, and then it spells the same file but for a dropped
+    # final newline, \n read as the line break \v, or a hex digit's case
+    path = tmp_path / "cluster.txt"
+    save_cluster(fail_node(init_cluster(toy_c1, 42), 2), path)
+    target = tmp_path / ("cluster.txt" + suffix)
+    data = target.read_bytes()
+    want = _loaded(load_cluster(path))
+    variants = [data[:i] for i in range(len(data))]
+    variants += [data[:i] + bytes([data[i] ^ bit]) + data[i + 1:]
+                 for bit in (0x01, 0x20, 0x80) for i in range(len(data))]
+    for variant in variants:
+        target.write_bytes(variant)
+        fresh_process()  # every variant's plan is rebuilt, as in a new process
+        try:
+            got = _loaded(load_cluster(path))
+        except PERepairError:
+            continue
+        assert got == want, variant
+        spelled = variant.replace(b"\v", b"\n").lower()
+        if not spelled.endswith(b"\n"):
+            spelled += b"\n"
+        assert spelled == data.lower(), variant
+
+
 def test_stripes_of_one_plan_share_its_prepared_repairs(tmp_path, toy_c2,
                                                        fresh_process):
     states = []
