@@ -11,17 +11,22 @@ by Brent's variant of Pollard rho) for the multiplicative-order checks.  The
 factoring work is capped by a fixed count of rho steps, never by a clock, so
 every result depends on the inputs alone.
 
-Performance notes: multiplication is carry-less with a 4-bit window table
-of the longer operand, or with a 256-entry table kept for an operand that
-many products share (the trace sequence, and gamma in a subfield's power
-chain); squaring translates bytes through two nibble tables.  Inversion is
-shift-and-add Euclid, with no division and no product.
+Performance notes: multiplication is carry-less, one step per byte of the
+shorter operand, and the window follows that operand's length: a 4-bit
+window table of the longer operand below _WIDE_BYTES = 128 bytes, and its
+256-entry byte table from there on, where building the table costs a
+fraction of one product.  A byte table is also kept for an operand that
+many products share (the trace sequence, gamma in a subfield's power
+chain, and each point of a wide field in rs_codes.encode); squaring
+translates bytes through two nibble tables.  Inversion is shift-and-add
+Euclid, with no division and no product.
 FieldCtx._fold, the only reducer, takes a product (degree <= 2N - 2) to its
 remainder by the exact Barrett quotient, found without a product: w
 shift-XORs in each of ceil(log2((N - 1) / min(N - a))) log-doubling rounds
 for a tail of w exponents a (5 rounds for x^210 + x^203 + 1).  The Rabin
 irreducibility test squares through an arithmetic-only FieldCtx, and
-its gcds are plain long division (poly_divmod).  Primitivity is
+its gcds run the inversion's shift-and-add loop without the cofactors,
+with no division.  Primitivity is
 one product-tree order test over the known primes of the group order
 (_order_test).  Subfield work is done in the
 subfield: a handle for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma,
@@ -80,13 +85,23 @@ _SQ_LO = bytes(
 _SQ_HI = bytes(_SQ_LO[b >> 4] for b in range(256))
 
 
+# a loop over this many bytes or more takes the other operand's 256-entry
+# table (_byte_table) instead of its 4-bit window, in clmul and in
+# rs_codes.encode; below it the table costs more than the lookups it saves
+_WIDE_BYTES = 128
+
+
 def clmul(a: int, b: int) -> int:
     """Carry-less product of two binary polynomials; the byte loop runs
-    over the shorter one."""
+    over the shorter one, a, by a 4-bit window table of b, or by b's byte
+    table when a spans _WIDE_BYTES bytes or more (over 1,016 bits)."""
     if a == 0 or b == 0:
         return 0
     if a.bit_length() > b.bit_length():
         a, b = b, a
+    size = (a.bit_length() + 7) >> 3
+    if size >= _WIDE_BYTES:
+        return _clmul_by_table(a, _byte_table(b))
     # window table: t[j] = j(x) * b(x) for all 4-bit j
     t = [0] * 16
     t[1] = b
@@ -96,7 +111,7 @@ def clmul(a: int, b: int) -> int:
     for j in (3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15):
         t[j] = t[j & (j - 1)] ^ t[j & -j]
     acc = 0
-    for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
+    for byte in a.to_bytes(size, "big"):
         acc = (acc << 8) ^ (t[byte >> 4] << 4) ^ t[byte & 15]
     return acc
 
@@ -114,8 +129,7 @@ def _byte_table(b: int) -> list:
 
 def _clmul_by_table(a: int, t: list) -> int:
     """Carry-less product a(x) * b(x), t = _byte_table(b): one lookup per
-    byte of a.  It pays where one operand meets many: the table costs
-    about as much as a few clmul calls at full width."""
+    byte of a."""
     acc = 0
     for byte in a.to_bytes((a.bit_length() + 7) // 8, "big"):
         acc = (acc << 8) ^ t[byte]
@@ -161,9 +175,20 @@ def poly_divmod(a: int, b: int) -> tuple:
 
 
 def poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return a
+    """gcd of binary polynomials (0 when both are 0): poly_inv_mod's
+    shift-and-add loop without the cofactors, u += x^j v with the pair
+    swapped when deg u < deg v, until u = 0."""
+    if not a or not b:
+        return a or b
+    u, v = a, b
+    du, dv = u.bit_length(), v.bit_length()
+    while u:
+        j = du - dv
+        if j < 0:
+            u, v, du, dv, j = v, u, dv, du, -j
+        u ^= v << j
+        du = u.bit_length()
+    return v
 
 
 def poly_inv_mod(a: int, f: int) -> int:

@@ -16,14 +16,20 @@ polynomial mu over GF(2), as a plan's does, and deg mu < k, it first
 reduces the message modulo mu, by XORs alone since mu has 0/1
 coefficients, and then runs Horner on the remainder: m(alpha) =
 (m mod mu)(alpha) (Lidl & Niederreiter, Finite Fields, ch. 3).  A point
-then costs min(deg mu, k) - 1 products instead of k - 1.
+then costs min(deg mu, k) - 1 products instead of k - 1.  Those products
+share the point as one operand, so in a field as wide as the one where
+``clmul`` switches to a byte table (field_tower._WIDE_BYTES, over 1,016
+bits) each point's Horner chain runs on one 256-entry table of the point,
+built for that point alone and kept nowhere.
 """
 
 from __future__ import annotations
 
 from .errors import PERepairError
 from ._util import digest_of
-from .field_tower import FieldCtx, FieldElem
+from .field_tower import (
+    _WIDE_BYTES, FieldCtx, FieldElem, _byte_table, _clmul_by_table,
+)
 
 __all__ = [
     "EvaluationSet",
@@ -139,7 +145,9 @@ def encode(msg: MessagePoly, A: EvaluationSet, plan_digest: str | None = None) -
     """Evaluate the message polynomial at every point of A.
 
     Each point costs min(deg mu, k) - 1 products when A holds its minimal
-    polynomial mu, and k - 1 otherwise (see the module docstring).  The
+    polynomial mu, and k - 1 otherwise (see the module docstring); in a
+    field of _WIDE_BYTES bytes or more they all go through the point's
+    byte table, built once per point and dropped after it.  The
     codeword is stamped with the evaluation set's digest unless the caller
     provides the digest of a richer plan artifact.
     """
@@ -150,14 +158,20 @@ def encode(msg: MessagePoly, A: EvaluationSet, plan_digest: str | None = None) -
     ctx = A.ctx
     # the sum checks each coefficient's field as FieldElem arithmetic does
     coeffs = [(ctx.zero + c).v for c in msg.coefficients]
-    mul = ctx._mul
+    mul, fold = ctx._mul, ctx._fold
+    wide = (ctx.degree_bits + 7) >> 3 >= _WIDE_BYTES
     symbols = []
     for i, p in enumerate(A.points):
         rem = coeffs if A.minpolys is None else _reduce_gf2(coeffs, A.minpolys[i])
         x = p.v
         acc = rem[-1]
-        for c in reversed(rem[:-1]):
-            acc = mul(acc, x) ^ c
+        if wide and len(rem) > 1:
+            t = _byte_table(x)
+            for c in reversed(rem[:-1]):
+                acc = fold(_clmul_by_table(acc, t)) ^ c
+        else:
+            for c in reversed(rem[:-1]):
+                acc = mul(acc, x) ^ c
         symbols.append(FieldElem(ctx, acc))
     return Codeword(symbols, plan_digest or A.digest())
 

@@ -25,6 +25,20 @@ def perfbench_module(name):
 oracle = perfbench_module("oracle")
 
 
+def counting(monkeypatch, owner, names):
+    """Wrap owner.<name> for each name with a call counter; returns the
+    counts by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(owner, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture
 def fresh_process(monkeypatch):
     """Empty the field cache and the plan memo, as in a new process; call

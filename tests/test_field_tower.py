@@ -27,7 +27,7 @@ from perepair.field_tower import (
 )
 from perepair.fixtures import example1, example2
 
-from conftest import oracle
+from conftest import counting, oracle
 
 
 # ---------------------------------------------------------------- raw polys
@@ -78,20 +78,6 @@ def test_poly_inv_mod_round_trip_under_example1_modulus():
         assert oracle.field_mul(a, inv, EXAMPLE1_MODULUS) == 1
 
 
-def _counting(monkeypatch, module, names):
-    """Wrap module.<name> for each name with a call counter; returns the
-    counts by name."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        real = getattr(module, name)
-
-        def counted(*args, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_poly_inv_mod_under_a_reducible_modulus():
     # f = (x^2 + x + 1)(x^3 + x + 1): every a below x^9 that shares a
     # factor with f (f and its multiples included) is refused, and every
@@ -127,7 +113,7 @@ def test_poly_inv_mod_round_trips_against_the_oracle(degree):
 def test_poly_inv_mod_neither_divides_nor_multiplies(monkeypatch):
     # shift-and-add Euclid: the bit-serial division and its quotient
     # products must not come back
-    calls = _counting(monkeypatch, field_tower,
+    calls = counting(monkeypatch, field_tower,
                       ("clmul", "poly_divmod", "poly_mod"))
     rng = random.Random(2)
     for a in [3, rng.getrandbits(2310), rng.getrandbits(2400) | 1 << 2399]:
@@ -154,8 +140,49 @@ def test_byte_table_product_is_clmul(width):
                 b, field_tower._byte_table(a)) == got
 
 
+def test_clmul_width_rule_against_the_oracle():
+    # the shorter operand picks the window: up to 1,016 bits (127 bytes)
+    # the 4-bit one, from 1,017 bits (128 bytes) the other's byte table
+    rng = random.Random(1016)
+    pairs = [(60, 2310), (2310, 60), (1016, 2310), (1017, 2310)]
+    pairs += [(w, w) for w in range(1008, 1033)]
+    pairs += [(w, 2310) for w in range(1008, 1033)]
+    for wa, wb in pairs:
+        for _ in range(2):
+            a = rng.getrandbits(wa) | 1 << (wa - 1)
+            b = rng.getrandbits(wb) | 1 << (wb - 1)
+            assert clmul(a, b) == oracle.gf2x_mul(a, b)
+        assert clmul(0, b) == clmul(a, 0) == 0
+
+
+def test_clmul_tables_only_operands_of_128_bytes(monkeypatch, toy_c1_wide):
+    # GF(2^60) (c2-stream) and GF(2^210) (wide-cold) keep the 4-bit
+    # window, where a byte table per product costs more than it saves
+    calls = counting(monkeypatch, field_tower, ("_byte_table",))
+    rng = random.Random(128)
+
+    def tables(wa, wb):
+        before = calls["_byte_table"]
+        a = rng.getrandbits(wa) | 1 << (wa - 1)
+        b = rng.getrandbits(wb) | 1 << (wb - 1)
+        assert clmul(a, b) == oracle.gf2x_mul(a, b)
+        return calls["_byte_table"] - before
+
+    assert tables(2310, 2310) == 1
+    assert tables(1017, 2310) == tables(2310, 1017) == 1
+    for wa, wb in [(60, 60), (210, 210), (1016, 1016), (1016, 2310),
+                   (2310, 1016), (60, 2310)]:
+        assert tables(wa, wb) == 0
+    before = calls["_byte_table"]
+    for ctx in (example2().plan.ctx, toy_c1_wide.ctx):
+        n = ctx.degree_bits
+        for _ in range(20):
+            ctx._mul(rng.getrandbits(n) | 1 << (n - 1), rng.getrandbits(n))
+    assert calls["_byte_table"] == before
+
+
 def test_trace_table_is_built_once_per_context(monkeypatch):
-    calls = _counting(monkeypatch, field_tower, ("_byte_table",))
+    calls = counting(monkeypatch, field_tower, ("_byte_table",))
     f = smallest_irreducible(60)
     rng = random.Random(60)
     for ctx in (field_tower.FieldCtx(60, f, 1), field_tower.FieldCtx(60, f, 1)):
@@ -195,16 +222,35 @@ def test_poly_divmod_invariant():
         assert poly_mod(a, b) == r
 
 
+def _euclid(a, b):
+    """gcd by long division, the remainders from the oracle's reduction."""
+    while b:
+        a, b = b, oracle.gf2x_reduce(a, b)
+    return a
+
+
 def test_poly_gcd_common_factor():
     rng = random.Random(5)
-    for _ in range(100):
+    for _ in range(200):
+        # a planted common factor h; the cofactors may share more, and g's
+        # may be 0
         h = rng.getrandbits(20) | (1 << 20)
-        f = clmul(h, rng.getrandbits(15) | 1)
-        g = clmul(h, rng.getrandbits(17) | 1)
-        d = poly_gcd(f, g)
-        assert poly_divmod(d, poly_gcd(d, h))[1] == 0 or poly_divmod(d, h)[1] == 0
+        f = clmul(h, rng.getrandbits(rng.randrange(1, 60)) | 1)
+        g = clmul(h, rng.getrandbits(rng.randrange(1, 60)))
         # h divides both, so h divides the gcd
-        assert poly_divmod(d, h)[1] == 0
+        assert oracle.gf2x_reduce(poly_gcd(f, g), h) == 0
+        for a, b in [(f, g), (g, f), (f, 0), (0, g), (f, f), (f, 1)]:
+            assert poly_gcd(a, b) == _euclid(a, b)
+    assert poly_gcd(0, 0) == 0
+    # Rabin's gcds in is_irreducible: x^(2^j) - x against example1's modulus
+    ring = field_tower.FieldCtx(2310, EXAMPLE1_MODULUS, 1)
+    y = 2
+    for j in range(1, 2311):
+        y = ring._sq(y)
+        if j in (210, 330, 462, 770, 1155):  # 2310 / p, p = 11, 7, 5, 3, 2
+            assert poly_gcd(y ^ 2, EXAMPLE1_MODULUS) == 1 == _euclid(
+                y ^ 2, EXAMPLE1_MODULUS)
+    assert poly_gcd(y ^ 2, EXAMPLE1_MODULUS) == EXAMPLE1_MODULUS
 
 
 def test_irreducible_small_tables():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from perepair import rs_codes
 from perepair.errors import PERepairError
 from perepair.fixtures import by_name
 from perepair.rs_codes import (
@@ -16,7 +17,7 @@ from perepair.rs_codes import (
     poly_eval,
 )
 
-from conftest import check_plan_encoding, gf2_poly, oracle
+from conftest import check_plan_encoding, counting, gf2_poly, oracle
 
 
 def points_of(ctx, values):
@@ -73,27 +74,27 @@ def test_plan_encode_reduces_by_minimal_polynomials(request, name):
     check_plan_encoding(plan, random.Random(name), oracle_ks)
 
 
-@pytest.mark.parametrize("name, products", [
-    ("toy_c1_wide", 9),  # k = 2 is below every point degree: no reduction
-    ("example1", 57),    # 84 by plain Horner
-    ("example2", 83),    # 136 by plain Horner
+@pytest.mark.parametrize("name, products, tables", [
+    # k = 2 is below every point degree: no reduction
+    pytest.param("toy_c1_wide", 9, 0, id="toy_c1_wide-9"),
+    # 84 by plain Horner; GF(2^2310) is wide, so one byte table per point
+    pytest.param("example1", 57, 12, id="example1-57"),
+    # 136 by plain Horner
+    pytest.param("example2", 83, 0, id="example2-83"),
 ])
 def test_encode_costs_min_degree_k_products_per_point(request, monkeypatch,
-                                                      name, products):
+                                                      name, products, tables):
     plan = _plan(request, name)
     ctx = plan.ctx
     msg = random_message(ctx, plan.k, random.Random(1))
     want = [msg.evaluate(p) for p in plan.eval_set.points]
-    calls = []
-    mul = ctx._mul
-
-    def counted(a, b):
-        calls.append(1)
-        return mul(a, b)
-
-    monkeypatch.setattr(ctx, "_mul", counted)
+    # a product goes through ctx._mul, or a point's byte table in a wide
+    # field
+    muls = counting(monkeypatch, ctx, ("_mul",))
+    tabled = counting(monkeypatch, rs_codes, ("_clmul_by_table", "_byte_table"))
     assert list(encode(msg, plan.eval_set).symbols) == want
-    assert len(calls) == products
+    assert muls["_mul"] + tabled["_clmul_by_table"] == products
+    assert tabled["_byte_table"] == tables
 
 
 def test_encode_with_given_minimal_polynomials(gf16):
