@@ -52,10 +52,9 @@ class ExclusionGroup:
     """One exclusion set: a prime, its flexibility, and t_i points that are
     primitive in the degree-(base_bits * p) subfield of E."""
 
-    __slots__ = ("index", "prime", "t", "points", "point_exponents")
+    __slots__ = ("prime", "t", "points", "point_exponents")
 
-    def __init__(self, index, prime, t, points, point_exponents):
-        self.index = index  # 1-based, matching group numbering in reports
+    def __init__(self, prime, t, points, point_exponents):
         self.prime = prime
         self.t = t
         self.points = tuple(points)
@@ -120,8 +119,8 @@ class _PlanBase:
         self.u = math.prod(self.primes)
         self.u_list = tuple(self.u // p for p in self.primes)
         self.groups = tuple(
-            ExclusionGroup(i + 1, p, t, pts, exps)
-            for i, (p, t, (pts, exps, _)) in enumerate(groups_spec)
+            ExclusionGroup(p, t, pts, exps)
+            for p, t, (pts, exps, _) in groups_spec
         )
         self.n = sum(g.t for g in self.groups)
         points = []
@@ -246,17 +245,16 @@ def _resolve_points(ctx, base_bits, prime, t, exponents):
     return points, exponents, minpolys
 
 
-def _check_c1(base_bits, s, k, pairs):
-    """Prime and rate checks of a Construction-1 parameter set, given as
-    (prime, t) pairs; returns (n, t_max, k), k defaulting to its maximum
-    n - t_max - s + 1."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got s={s}")
+def _check_groups(base_bits, s, groups):
+    """The group rule of both constructions, on (prime, t, exponents)
+    triples: each group has a fresh prime p = 1 (mod s), and its t points
+    fit among the phi(q^p - 1) primitive elements of GF(q^p).  Construction
+    2 passes s = 1."""
     if base_bits < 1:
         raise ValueError(f"need base_bits >= 1, got {base_bits}")
     q = 1 << base_bits
     seen = set()
-    for p, t in pairs:
+    for p, t, _ in groups:
         if not _is_probable_prime(p) or p in seen:
             raise PERepairError("BAD_PRIME", f"{p} is not a fresh prime")
         seen.add(p)
@@ -268,27 +266,42 @@ def _check_c1(base_bits, s, k, pairs):
                 f"group of {t} points exceeds phi(q^{p}-1) primitive elements",
             )
 
-    n = sum(t for _, t in pairs)
-    t_max = max(t for _, t in pairs)
+
+def _check_c1(base_bits, s, k, groups):
+    """Group and rate checks of a Construction-1 parameter set, given as
+    (prime, t, exponents) triples; returns (n, t_max, k), k defaulting to
+    its maximum n - t_max - s + 1."""
+    if s < 1:
+        raise ValueError(f"need s >= 1, got s={s}")
+    _check_groups(base_bits, s, groups)
+    n = sum(t for _, t, _ in groups)
+    t_max = max(t for _, t, _ in groups)
     if k is None:
         k = n - t_max - s + 1
-    if k < 1 or k > n - t_max:
-        raise PERepairError(
-            "RATE_VIOLATION", f"k={k} outside [1, n - t] = [1, {n - t_max}]"
-        )
-    if k + s - 1 > n - t_max:
+    if k < 1 or k + s - 1 > n - t_max:  # d <= n - t, so k <= n - t too
         raise PERepairError(
             "RATE_VIOLATION",
-            f"locality d = k+s-1 = {k + s - 1} exceeds n - t = {n - t_max}",
+            f"need k >= 1 and d = k+s-1 <= n - t = {n - t_max}, "
+            f"got k={k}, d={k + s - 1}",
         )
     return n, t_max, k
 
 
+def _groups(primes, ts, point_exponents):
+    """(prime, t, exponents) of each group: the i-th prime, t and exponent
+    list go together, exponents defaulting to None."""
+    if len(primes) != len(ts):
+        raise ValueError("one prime per group")
+    exps = [None] * len(ts) if point_exponents is None else list(point_exponents)
+    if len(exps) != len(ts):
+        raise ValueError("one exponent list per group")
+    return list(zip(primes, ts, exps))
+
+
 def _c1_groups(base_bits, s, t_list, primes, point_exponents=None):
-    """(prime, t, exponents) of each Construction-1 group, in plan order:
-    ascending flexibility, tie-broken by prime.  The i-th prime goes with
-    the i-th t; primes default to find_primes_c1's, matched to the t's
-    ascending."""
+    """Construction 1's groups in plan order: ascending flexibility,
+    tie-broken by prime.  Primes default to find_primes_c1's, matched to
+    the t's ascending."""
     t_list = list(t_list)
     if len(t_list) < 2 or min(t_list) < 1:
         raise ValueError("need at least two groups with positive flexibility")
@@ -297,13 +310,19 @@ def _c1_groups(base_bits, s, t_list, primes, point_exponents=None):
             raise ValueError("explicit exponents require explicit primes")
         t_list.sort()
         primes = find_primes_c1(s, len(t_list), t_list, base_bits)
-    primes = [int(p) for p in primes]
-    if len(primes) != len(t_list):
-        raise ValueError("one prime per group")
-    exps = [None] * len(t_list) if point_exponents is None else list(point_exponents)
-    if len(exps) != len(t_list):
-        raise ValueError("one exponent list per group")
-    return sorted(zip(primes, t_list, exps), key=lambda g: (g[1], g[0]))
+    groups = _groups([int(p) for p in primes], t_list, point_exponents)
+    return sorted(groups, key=lambda g: (g[1], g[0]))
+
+
+def _build(cls, base_bits, ints, s, groups, modulus, generator):
+    """The symbol field GF(q^{u s}), each group's points, then the plan:
+    cls(base_bits, *ints, ...)."""
+    u = math.prod(p for p, _, _ in groups)
+    ctx = make_field(base_bits * u * s, modulus, generator)
+    groups_spec = [
+        (p, t, _resolve_points(ctx, base_bits, p, t, e)) for p, t, e in groups
+    ]
+    return cls(base_bits, *ints, groups_spec, ctx)
 
 
 def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
@@ -311,21 +330,22 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
                   generator=None):
     """Resolve and validate a Construction-1 plan.
 
-    Give s (then k defaults to its maximum n - t - s + 1) or give (k, d)
-    to derive s = d - k + 1; groups are normalized to ascending flexibility.
-    Evaluation points default to the smallest exponents of each canonical
-    subfield generator that are coprime to the subfield's group order.
-    modulus and generator go to make_field: without a generator it runs
-    its search.
+    Any two of s, k and d = k + s - 1 fix the third, and all three must
+    agree; s alone takes k's maximum n - t - s + 1.  Groups are normalized
+    to ascending flexibility.  Evaluation points default to the smallest
+    exponents of each canonical subfield generator that are coprime to the
+    subfield's group order.  modulus and generator go to make_field:
+    without a generator it runs its search.
     """
     if s is None:
         if k is None or d is None:
-            raise ValueError("give s, or both k and d")
+            raise ValueError("give two of s, k and d, or s alone")
         s = d - k + 1
-        if s < 1:
-            raise ValueError("need d >= k")
-    elif d is not None and k is not None and d != k + s - 1:
-        raise ValueError(f"inconsistent parameters: d={d} but k+s-1={k + s - 1}")
+    elif d is not None:
+        if k is None:
+            k = d - s + 1
+        elif d != k + s - 1:
+            raise ValueError(f"inconsistent parameters: d={d} but k+s-1={k + s - 1}")
     if s == 1:
         warnings.warn(
             "s=1 degenerates to one-shot interpolation repair; "
@@ -334,15 +354,9 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
         )
 
     groups = _c1_groups(base_bits, s, t_list, primes, point_exponents)
-    n, t_max, k = _check_c1(base_bits, s, k, [(p, t) for p, t, _ in groups])
-    u = math.prod(p for p, _, _ in groups)
-    degree = base_bits * u * s
-    ctx = make_field(degree, modulus, generator)
-
-    groups_spec = [
-        (p, t, _resolve_points(ctx, base_bits, p, t, e)) for p, t, e in groups
-    ]
-    return Construction1Plan(base_bits, s, k, groups_spec, ctx)
+    _, _, k = _check_c1(base_bits, s, k, groups)
+    return _build(Construction1Plan, base_bits, (s, k), s, groups, modulus,
+                  generator)
 
 
 def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
@@ -352,43 +366,18 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
     primes = [int(p) for p in primes]
     if len(primes) < 2:
         raise ValueError("need at least two groups")
-    if base_bits < 1:
-        raise ValueError(f"need base_bits >= 1, got {base_bits}")
-    q = 1 << base_bits
-    seen = set()
-    for p in primes:
-        if not _is_probable_prime(p) or p in seen:
-            raise PERepairError(
-                "CONSTRAINT_VIOLATION", f"{p} is not a fresh prime"
-            )
-        seen.add(p)
-        t = r - p + 1
+    groups = _groups(primes, [r - p + 1 for p in primes], point_exponents)
+    for p, t, _ in groups:
         if t < 2:
             raise PERepairError(
-                "CONSTRAINT_VIOLATION",
-                f"r - p + 1 = {t} < 2 for prime {p}",
+                "CONSTRAINT_VIOLATION", f"r - p + 1 = {t} < 2 for prime {p}"
             )
-        if not _phi_at_least(q ** p - 1, t):
-            raise PERepairError(
-                "CONSTRAINT_VIOLATION",
-                f"group needs {t} primitive points, more than phi(q^{p}-1)",
-            )
-    k = sum(r - p + 1 for p in primes) - r
+    _check_groups(base_bits, 1, groups)
+    k = sum(t for _, t, _ in groups) - r
     if k < 1:
         raise PERepairError("RATE_VIOLATION", f"k = n - r = {k} < 1")
-
-    u = math.prod(primes)
-    degree = base_bits * u
-    ctx = make_field(degree, modulus, generator)
-
-    exps = list(point_exponents) if point_exponents is not None else [None] * len(primes)
-    if len(exps) != len(primes):
-        raise ValueError("one exponent list per group")
-    groups_spec = [
-        (p, r - p + 1, _resolve_points(ctx, base_bits, p, r - p + 1, e))
-        for p, e in zip(primes, exps)
-    ]
-    return Construction2Plan(base_bits, r, groups_spec, ctx)
+    return _build(Construction2Plan, base_bits, (r,), 1, groups, modulus,
+                  generator)
 
 
 class C1Parameters:
@@ -416,9 +405,9 @@ def c1_parameters(base_bits, t_list, *, s, k=None, primes=None) -> C1Parameters:
     """Resolve Construction-1 numerology without building GF(q^{us}):
     the groups pair up and sort exactly as in build_plan_c1, and
     ``primes`` follows that group order."""
-    pairs = [(p, t) for p, t, _ in _c1_groups(base_bits, s, t_list, primes)]
-    n, t_max, k = _check_c1(base_bits, s, k, pairs)
-    primes = tuple(p for p, _ in pairs)
+    groups = _c1_groups(base_bits, s, t_list, primes)
+    n, t_max, k = _check_c1(base_bits, s, k, groups)
+    primes = tuple(p for p, _, _ in groups)
     return C1Parameters(base_bits, s, k, k + s - 1, n, t_max, primes,
                         math.prod(primes))
 
@@ -490,28 +479,17 @@ def load_plan(path):
     plan = _plan_memo.get(stored)
     if plan is not None:
         return plan
+    pinned = {"point_exponents": payload["point_exponents"],
+              "modulus": modulus, "generator": generator}
     # the builders raise ValueError for values no plan can have
     try:
         if payload["construction"] == 1:
-            plan = build_plan_c1(
-                payload["base_bits"],
-                payload["t"],
-                s=payload["s"],
-                k=payload["k"],
-                primes=payload["primes"],
-                point_exponents=payload["point_exponents"],
-                modulus=modulus,
-                generator=generator,
-            )
+            plan = build_plan_c1(payload["base_bits"], payload["t"],
+                                 s=payload["s"], k=payload["k"],
+                                 primes=payload["primes"], **pinned)
         else:
-            plan = build_plan_c2(
-                payload["base_bits"],
-                payload["r"],
-                payload["primes"],
-                point_exponents=payload["point_exponents"],
-                modulus=modulus,
-                generator=generator,
-            )
+            plan = build_plan_c2(payload["base_bits"], payload["r"],
+                                 payload["primes"], **pinned)
     except ValueError as exc:
         raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
     if plan.construction == 2:

@@ -66,7 +66,6 @@ __all__ = [
     "clsq",
     "poly_degree",
     "poly_mod",
-    "poly_divmod",
     "poly_gcd",
     "poly_inv_mod",
     "is_irreducible",
@@ -154,24 +153,14 @@ def poly_degree(p: int) -> int:
 
 def poly_mod(a: int, f: int) -> int:
     """a mod f for binary polynomials, f nonconstant."""
-    if poly_degree(f) < 1:
+    df = poly_degree(f)
+    if df < 1:
         raise ValueError("modulus must have degree >= 1")
-    return poly_divmod(a, f)[1]
-
-
-def poly_divmod(a: int, b: int) -> tuple:
-    """Quotient and remainder of binary polynomials."""
-    if b == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = poly_degree(b)
-    q = 0
     da = poly_degree(a)
-    while da >= db:
-        sh = da - db
-        q |= 1 << sh
-        a ^= b << sh
+    while da >= df:
+        a ^= f << (da - df)
         da = poly_degree(a)
-    return q, a
+    return a
 
 
 def poly_gcd(a: int, b: int) -> int:
@@ -463,8 +452,6 @@ def _factor_bounded(x: int, steps: int):
     stack = [x]
     while stack:
         n = stack.pop()
-        if n == 1:
-            continue
         if _is_probable_prime(n):
             factors[n] = factors.get(n, 0) + 1
             continue
@@ -686,8 +673,6 @@ class FieldCtx:
     def _inv(self, a: int) -> int:
         if a == 0:
             raise PERepairError("ZERO_INVERSE", "cannot invert zero")
-        if self.degree_bits == 1:
-            return 1
         return poly_inv_mod(a, self.modulus)
 
     def _pow(self, a: int, k: int) -> int:

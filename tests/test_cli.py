@@ -68,6 +68,27 @@ def test_plan_conflicting_k_and_d_is_usage_error(capsys, tmp_path):
     assert e.value.code == 2
 
 
+def test_plan_from_k_and_d(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    rc, out, _ = run(capsys, "--json", "plan", "--construction", "1",
+                     "--primes", "3,5", "--t", "3,3", "--k", "2", "--d", "3",
+                     "--out", str(path))
+    assert rc == 0
+    assert json.loads(out)["digest"] == json.loads(path.read_text())["digest"]
+    assert path.read_text() == make_plan(capsys, tmp_path).read_text()
+
+
+def test_plan_from_s_and_d_checks_the_rate(capsys, tmp_path):
+    # k = d - s + 1 = 4 exceeds n - t = 3: refused, nothing written
+    path = tmp_path / "x.json"
+    rc, _, err = run(capsys, "plan", "--construction", "1", "--t", "3,3",
+                     "--s", "2", "--d", "5", "--primes", "3,5",
+                     "--out", str(path))
+    assert rc == 3
+    assert "RATE_VIOLATION" in err
+    assert not path.exists()
+
+
 def test_plan_flag_mixups_are_usage_errors(capsys, tmp_path):
     for argv in (
         ["plan", "--construction", "1", "--s", "2"],             # missing --t
@@ -109,6 +130,19 @@ def test_cluster_and_repair_flow(capsys, tmp_path):
     # node 4 sits in the prime-5 group: five 3-bit responses per helper
     assert len(payload["transfer_log"]) == len(payload["helpers"]) * 5
     assert sum(e[2] for e in payload["transfer_log"]) == 45
+
+
+def test_cluster_json_mode(capsys, tmp_path):
+    plan = make_plan(capsys, tmp_path)
+    cluster = tmp_path / "c.txt"
+    rc, out, _ = run(capsys, "--json", "cluster", "--plan", str(plan),
+                     "--seed", "7", "--out", str(cluster))
+    assert rc == 0 and cluster.exists()
+    assert json.loads(out) == {
+        "nodes": 6, "seed": 7, "path": str(cluster),
+        "plan_digest": json.loads(plan.read_text())["digest"],
+    }
+    assert out.count("\n") == 1
 
 
 def test_c2_repair_rejects_foreign_d(capsys, tmp_path):
@@ -370,6 +404,19 @@ def test_reproduce_example2_output_is_pinned(capsys, flags):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         PINNED_EXAMPLE2_SHA256[flags]
+
+
+def test_reproduce_example1_json(capsys):
+    rc, out, _ = run(capsys, "--json", "reproduce", "example1")
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    bits = [c["got"] for c in payload["checks"] if c["label"].endswith("bits")]
+    assert bits == [10395] * 4 + [18480]
+    assert payload["checks"][-1] == {"label": "naive bits", "got": 18480,
+                                     "want": 18480, "pass": True}
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8388a5ace2b48d70b893a9e2fdaf7ddbc821aa69af463f291f72b516ab3718ba"
 
 
 def test_reproduce_mismatch_exits_4(capsys, monkeypatch):

@@ -57,7 +57,6 @@ def test_toy_c1_shape(toy_c1):
     assert p.L == 30
     assert p.ctx.degree_bits == 30
     assert [g.t for g in p.groups] == [3, 3]
-    assert [g.index for g in p.groups] == [1, 2]
 
 
 def test_toy_c1_node_addressing(toy_c1):
@@ -185,7 +184,61 @@ def test_c2_checks_rate_before_building_a_field(monkeypatch):
 def test_c2_rejects_non_prime():
     with pytest.raises(PERepairError) as ei:
         build_plan_c2(2, 8, [4, 3])
-    assert ei.value.code == "CONSTRAINT_VIOLATION"
+    assert ei.value.code == "BAD_PRIME"
+
+
+def test_both_constructions_share_one_group_rule():
+    # each group fault draws the same code from either builder
+    faults = [
+        ("BAD_PRIME",  # not a prime
+         lambda: build_plan_c1(1, [3, 3], s=2, primes=[9, 5]),
+         lambda: build_plan_c2(1, 8, [4, 3])),
+        ("BAD_PRIME",  # a prime given twice
+         lambda: build_plan_c1(1, [3, 3], s=2, primes=[3, 3]),
+         lambda: build_plan_c2(1, 8, [3, 3])),
+        # phi(2^3 - 1) = 6 < 7 points, and phi(2^2 - 1) = 2 < 3 points
+        ("INSUFFICIENT_PRIMITIVES",
+         lambda: build_plan_c1(1, [7, 3], s=2, primes=[3, 5]),
+         lambda: build_plan_c2(1, 4, [2, 3])),
+    ]
+    for code, *builds in faults:
+        for build in builds:
+            with pytest.raises(PERepairError) as ei:
+                build()
+            assert ei.value.code == code
+
+
+def test_any_two_of_s_k_d_spell_one_plan(toy_c1):
+    # d = k + s - 1: s alone takes k's maximum, 2
+    spellings = [{"s": 2}, {"s": 2, "k": 2}, {"s": 2, "d": 3},
+                 {"k": 2, "d": 3}, {"s": 2, "k": 2, "d": 3}]
+    for given in spellings:
+        plan = build_plan_c1(1, [3, 3], primes=[3, 5], **given)
+        assert (plan.s, plan.k, plan.d) == (2, 2, 3)
+        assert plan.digest == toy_c1.digest
+    for given in ({"d": 3}, {"k": 2}):
+        with pytest.raises(ValueError):
+            build_plan_c1(1, [3, 3], primes=[3, 5], **given)
+
+
+def test_a_d_given_beside_s_fixes_k():
+    plan = build_plan_c1(1, [3, 3, 3], s=2, d=5, primes=[3, 5, 7])
+    assert (plan.k, plan.d) == (4, 5)
+    # n - t = 3 leaves no room for k = 4
+    with pytest.raises(PERepairError) as ei:
+        build_plan_c1(1, [3, 3], s=2, d=5, primes=[3, 5])
+    assert ei.value.code == "RATE_VIOLATION"
+
+
+def test_builders_reject_malformed_groups():
+    for build in (lambda: build_plan_c1(1, [3], s=2, primes=[3]),
+                  lambda: build_plan_c1(1, [3, 0], s=2, primes=[3, 5]),
+                  lambda: build_plan_c2(2, 8, [2]),
+                  # one exponent list too short for its group of 7
+                  lambda: build_plan_c2(2, 8, [2, 3],
+                                        point_exponents=[[1, 2], None])):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_exponent_validation():
@@ -198,6 +251,16 @@ def test_exponent_validation():
         build_plan_c2(2, 8, [2, 3],
                       point_exponents=[[1, 2, 4, 7, 8, 11, 15], None])
     assert ei.value.code == "CONSTRAINT_VIOLATION"  # out of [1, 15)
+
+
+def test_generator_of_short_order_is_refused(toy_c2):
+    # g^3 has order 4095 / 3 but full degree, so make_field takes it; the
+    # canonical generator of GF(2^4) is then h^3, defining but of order 5
+    ctx = toy_c2.ctx
+    with pytest.raises(PERepairError, match="primitivity") as ei:
+        build_plan_c2(2, 8, [2, 3], modulus=ctx.modulus,
+                      generator=ctx._pow(ctx.generator.v, 3))
+    assert ei.value.code == "CONSTRAINT_VIOLATION"
 
 
 def test_duplicate_points_rejected():

@@ -18,7 +18,6 @@ from perepair.field_tower import (
     is_irreducible,
     is_primitive_in_subfield,
     make_field,
-    poly_divmod,
     poly_gcd,
     poly_inv_mod,
     poly_mod,
@@ -113,14 +112,13 @@ def test_poly_inv_mod_round_trips_against_the_oracle(degree):
 def test_poly_inv_mod_neither_divides_nor_multiplies(monkeypatch):
     # shift-and-add Euclid: the bit-serial division and its quotient
     # products must not come back
-    calls = counting(monkeypatch, field_tower,
-                      ("clmul", "poly_divmod", "poly_mod"))
+    calls = counting(monkeypatch, field_tower, ("clmul", "poly_mod"))
     rng = random.Random(2)
     for a in [3, rng.getrandbits(2310), rng.getrandbits(2400) | 1 << 2399]:
         poly_inv_mod(a, EXAMPLE1_MODULUS)
     with pytest.raises(ValueError):
         poly_inv_mod(0b111, 0b110001)  # (x^2 + x + 1)(x^3 + x + 1)
-    assert calls == {"clmul": 0, "poly_divmod": 0, "poly_mod": 0}
+    assert calls == {"clmul": 0, "poly_mod": 0}
 
 
 @pytest.mark.parametrize("width", list(range(1, 17)) + [60, 210, 2310])
@@ -211,15 +209,16 @@ def test_clmul_ring_axioms():
         assert clmul(clmul(a, b), c) == clmul(a, clmul(b, c))
 
 
-def test_poly_divmod_invariant():
+def test_poly_mod_matches_the_oracle():
     rng = random.Random(3)
     for _ in range(300):
         a = rng.getrandbits(100)
         b = rng.getrandbits(40) | (1 << 40)
-        q, r = poly_divmod(a, b)
-        assert r.bit_length() < b.bit_length()
-        assert clmul(q, b) ^ r == a
-        assert poly_mod(a, b) == r
+        assert poly_mod(a, b) == oracle.gf2x_reduce(a, b)
+    assert poly_mod(0b1011, 0b1011) == 0
+    assert poly_mod(0b101, 0b1011) == 0b101
+    with pytest.raises(ValueError):
+        poly_mod(0b101, 1)
 
 
 def _euclid(a, b):
@@ -366,6 +365,16 @@ def test_factor_integer_timeout(monkeypatch):
     with pytest.raises(PERepairError) as err:
         factor_integer(hard)
     assert err.value.code == "FACTORIZATION_TIMEOUT"
+
+
+def test_brent_rho_backtracks_past_a_batch_that_caught_both_factors():
+    # 1000003 * 1000117: a batch's product is 0 mod n, so the round replays
+    # the batch one step at a time from its start
+    assert field_tower._brent_rho(1000120000351, 2, 1 << 23) == (1000003, 3206)
+    # 1000003 * 1000367: under c = 1 the replay reaches n itself, so the
+    # round asks for a retry, and c = 2 splits it
+    assert field_tower._brent_rho(1000370001101, 1, 1 << 23)[0] == 0
+    assert factor_integer(1000370001101) == [(1000003, 1), (1000367, 1)]
 
 
 def test_factoring_ignores_the_clock(monkeypatch):
@@ -518,6 +527,14 @@ def test_gf16_exhaustive_inverse_and_order(gf16):
         assert (e ** 15).v == 1
     with pytest.raises(PERepairError) as err:
         gf16.zero.inverse()
+    assert err.value.code == "ZERO_INVERSE"
+
+
+def test_gf2_inverse():
+    F = make_field(1)
+    assert F.one.inverse().v == 1
+    with pytest.raises(PERepairError) as err:
+        F.zero.inverse()
     assert err.value.code == "ZERO_INVERSE"
 
 
