@@ -30,11 +30,13 @@ with no division.  Primitivity is
 one product-tree order test over the known primes of the group order
 (_order_test).  Subfield work is done in the
 subfield: a handle for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma,
-..., gamma^(m-1) under Tr_{K/GF(2)} and m N-bit masks, one per coordinate
-of Tr_{E/K}, so a trace costs m parities.  The duals come in closed form
-from gamma's minimal polynomial g, with no solve, and each mask is read
-off the trace sequence Tr_{E/GF(2)}(x^j) (Newton's identities on the
-modulus); SubfieldHandle._masks builds every other trace mask the same
+..., gamma^(m-1) under Tr_{K/GF(2)} and the map from E to the coordinates
+of Tr_{E/K} as one 16-entry table per four bits, so a trace costs one
+lookup per hex digit.  The duals come in closed form from gamma's minimal
+polynomial g, with no solve; the m N-bit masks of that map, one per
+coordinate, are read off the trace sequence Tr_{E/GF(2)}(x^j) (Newton's
+identities on the modulus) and transposed into the tables without a
+product.  SubfieldHandle._masks builds every other trace mask the same
 way.  dual_basis solves n = N/m vectors with O(N)
 products in E when m is small against n, as in a repair over a small
 residue field: masks of c_l b_i turn Gram entries into parities, a Gram row
@@ -287,6 +289,41 @@ def _parities(v: int, masks) -> int:
     for l, mask in enumerate(masks):
         z |= ((v & mask).bit_count() & 1) << l
     return z
+
+
+# hex digit -> its value: an int read four bits at a time, most significant
+# digit first, by one format and one translate
+_HEX_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+# hex digit -> "0" or "1", its bit of weight 8, 4, 2 and 1
+_HEX_BITS = tuple(
+    bytes.maketrans(b"0123456789abcdef",
+                    bytes(b"01"[(j >> i) & 1] for j in range(16)))
+    for i in (3, 2, 1, 0))
+
+
+def _nibble_tables(masks, n: int) -> tuple:
+    """The GF(2)-linear map v -> _parities(v, masks) on n-bit v, as one
+    16-entry table per hex digit of v ("Four Russians": Arlazarov, Dinic,
+    Kronrod & Faradzev, 1970).  Table k serves digit k of the
+    ceil(n / 4)-digit hex form of v, most significant first; entry j is
+    the parities of j's bits in that digit's place.
+
+    The mask matrix is transposed without arithmetic: the masks' hex
+    forms, joined last mask first, give digit k of every mask as one
+    strided slice, and each of the digit's bits is that slice translated
+    to binary and read as an int, whose bit l is mask l's."""
+    width = -(-n // 4)
+    rows = b"".join([format(w, f"0{width}x").encode() for w in reversed(masks)])
+    tables = []
+    for k in range(width):
+        digits = rows[k::width]
+        # the columns of the digit's bits of weight 8, 4, 2 and 1
+        d, c, b, a = [int(digits.translate(t), 2) for t in _HEX_BITS]
+        ab = a ^ b
+        dc = d ^ c
+        tables.append((0, a, b, ab, c, c ^ a, c ^ b, c ^ ab,
+                       d, d ^ a, d ^ b, d ^ ab, dc, dc ^ a, dc ^ b, dc ^ ab))
+    return tuple(tables)
 
 
 def _select(table, z: int) -> int:
@@ -822,6 +859,11 @@ class FieldCtx:
 class SubfieldHandle:
     """GF(2^m) inside a FieldCtx, addressed by its canonical generator
     g^((2^N-1)/(2^m-1)).
+
+    Its lazy fields are the factors of 2^m - 1, the power basis
+    gamma^0..gamma^(m-1), gamma's minimal polynomial, and the trace duals
+    with the 4-bit tables of Tr_{E/K} (_trace_duals): ceil(N/4) tables of
+    16 m-bit ints, about 0.75 MB for GF(2^385) in GF(2^2310).
     """
 
     __slots__ = ("ctx", "degree_bits", "canonical_generator",
@@ -879,16 +921,18 @@ class SubfieldHandle:
         return self._minpoly
 
     def _trace_duals(self):
-        """(c, psi): c_0..c_(m-1), the dual of gamma^0..gamma^(m-1) under
-        Tr_{K/GF(2)}, lifted to E, and psi_l = _trace_functional(c_l), so
-        that parity(v & psi_l) is coordinate l of Tr_{E/K}(v).
+        """(c, tables): c_0..c_(m-1), the dual of gamma^0..gamma^(m-1) under
+        Tr_{K/GF(2)}, lifted to E, and the 4-bit tables of _trace_coords.
 
         Coordinate l of z in K is Tr_{K/GF(2)}(c_l z), and by transitivity
-        Tr_{K/GF(2)}(c_l Tr_{E/K}(v)) = Tr_{E/GF(2)}(c_l v).  The duals
-        have a closed form (Lidl & Niederreiter, Finite Fields, ch. 2): if
-        g(x) / (x - gamma) = sum_l b_l x^l then c_l = b_l / g'(gamma), so
-        c_(m-1) = 1 / g'(gamma) and c_(l-1) = gamma c_l + g_l c_(m-1), a
-        shift and two conditional XORs each in coordinates."""
+        Tr_{K/GF(2)}(c_l Tr_{E/K}(v)) = Tr_{E/GF(2)}(c_l v) =
+        parity(v & psi_l) for the mask psi_l = _trace_functional(c_l).  The
+        duals have a closed form (Lidl & Niederreiter, Finite Fields,
+        ch. 2): if g(x) / (x - gamma) = sum_l b_l x^l then
+        c_l = b_l / g'(gamma), so c_(m-1) = 1 / g'(gamma) and
+        c_(l-1) = gamma c_l + g_l c_(m-1), a shift and two conditional XORs
+        each in coordinates.  The psi are transposed once into
+        _nibble_tables and dropped."""
         if self._duals is None:
             m = self.degree_bits
             g = self._coord_modulus()
@@ -902,9 +946,10 @@ class SubfieldHandle:
                 if (g >> l) & 1:
                     c ^= last
                 coords.append(c)
+            ctx = self.ctx
             duals = tuple(self._lift(z) for z in reversed(coords))
-            self._duals = duals, tuple(self.ctx._trace_functional(c)
-                                       for c in duals)
+            self._duals = duals, _nibble_tables(
+                [ctx._trace_functional(c) for c in duals], ctx.degree_bits)
         return self._duals
 
     def _masks(self, v: int):
@@ -924,8 +969,14 @@ class SubfieldHandle:
 
     def _trace_coords(self, v: int) -> int:
         """Coordinates of Tr_{E/K}(v) in the basis gamma^0..gamma^(m-1), as
-        an m-bit int: bit l is parity(v & psi_l)."""
-        return _parities(v, self._trace_duals()[1])
+        an m-bit int (bit l is parity(v & psi_l)): one table lookup per hex
+        digit of v, two per byte."""
+        tables = self._trace_duals()[1]
+        z = 0
+        for t, j in zip(tables, format(v, f"0{len(tables)}x").encode()
+                        .translate(_HEX_NIBBLE)):
+            z ^= t[j]
+        return z
 
     def _lift(self, z: int) -> int:
         """The element of E with coordinates z."""

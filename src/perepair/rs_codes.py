@@ -111,10 +111,6 @@ class Codeword:
         self.symbols = tuple(symbols)
         self.plan_digest = plan_digest
 
-    @property
-    def n(self) -> int:
-        return len(self.symbols)
-
 
 def poly_eval(coefficients, x: FieldElem) -> FieldElem:
     """Horner evaluation of an ascending coefficient list."""

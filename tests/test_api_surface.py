@@ -92,6 +92,11 @@ def test_no_assert_in_library():
     assert offenders == []
 
 
+def test_unknown_error_code_is_refused():
+    with pytest.raises(ValueError, match="unknown error code 'NO_SUCH_CODE'"):
+        errors.PERepairError("NO_SUCH_CODE")
+
+
 def test_error_codes_are_known_raised_and_documented():
     # every literal code passed to PERepairError is known, every known code
     # is raised somewhere, and the errors module lists each one exactly once

@@ -77,6 +77,19 @@ def test_poly_inv_mod_round_trip_under_example1_modulus():
         assert oracle.field_mul(a, inv, EXAMPLE1_MODULUS) == 1
 
 
+def test_poly_inv_mod_refuses_a_constant_modulus():
+    for f in (0, 1):
+        with pytest.raises(ValueError, match="degree >= 1"):
+            poly_inv_mod(1, f)
+
+
+def test_smallest_irreducible_refuses_degree_zero():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            smallest_irreducible(n)
+    assert smallest_irreducible(1) == 0b10
+
+
 def test_poly_inv_mod_under_a_reducible_modulus():
     # f = (x^2 + x + 1)(x^3 + x + 1): every a below x^9 that shares a
     # factor with f (f and its multiples included) is refused, and every
@@ -171,8 +184,9 @@ def test_clmul_tables_only_operands_of_128_bytes(monkeypatch, toy_c1_wide):
     for wa, wb in [(60, 60), (210, 210), (1016, 1016), (1016, 2310),
                    (2310, 1016), (60, 2310)]:
         assert tables(wa, wb) == 0
+    contexts = (example2().plan.ctx, toy_c1_wide.ctx)
     before = calls["_byte_table"]
-    for ctx in (example2().plan.ctx, toy_c1_wide.ctx):
+    for ctx in contexts:
         n = ctx.degree_bits
         for _ in range(20):
             ctx._mul(rng.getrandbits(n) | 1 << (n - 1), rng.getrandbits(n))
@@ -260,6 +274,9 @@ def test_irreducible_small_tables():
     assert is_irreducible(0b10011)  # x^4+x+1
     assert not is_irreducible(0b10101)  # x^4+x^2+1 = (x^2+x+1)^2
     assert is_irreducible(0b100011011)  # x^8+x^4+x^3+x+1
+    # constants are not irreducible; both degree-1 polynomials are
+    assert not is_irreducible(0) and not is_irreducible(1)
+    assert is_irreducible(0b10) and is_irreducible(0b11)
 
 
 @pytest.mark.parametrize(
@@ -556,6 +573,13 @@ def test_pow_big_exponent_wraps(gf64):
     assert (gf64.generator ** 0).v == 1
 
 
+def test_negative_exponent_is_refused(gf64):
+    # no inverse by a negative power: inverse() is the one spelling
+    for k in (-1, -63):
+        with pytest.raises(ValueError, match="non-negative"):
+            gf64.generator ** k
+
+
 def test_make_field_validation():
     with pytest.raises(PERepairError) as err:
         make_field(4, 0b10101)  # (x^2+x+1)^2
@@ -659,6 +683,34 @@ def test_cross_field_operations_rejected(gf16, gf64):
         gf16.one + gf64.one
     with pytest.raises(ValueError):
         gf16.elem(16)
+
+
+def test_division_and_int_operands(gf16):
+    # / is * by inverse(); an int in range is the element of that value
+    for a in range(16):
+        x = gf16.elem(a)
+        for b in range(1, 16):
+            y = gf16.elem(b)
+            assert x / y == x * y.inverse() == x / b
+            assert x + b == b + x == x + y
+            assert x * b == b * x == x * y
+    x = gf16.generator
+    with pytest.raises(PERepairError) as err:
+        x / 0
+    assert err.value.code == "ZERO_INVERSE"
+    with pytest.raises(PERepairError) as err:
+        x / gf16.zero
+    assert err.value.code == "ZERO_INVERSE"
+    for bad in (16, -1):
+        for op in (lambda: x / bad, lambda: x * bad, lambda: bad + x):
+            with pytest.raises(ValueError, match="int out of range"):
+                op()
+    # a str is not coerced: every operator returns NotImplemented
+    for op in (lambda: x / "2", lambda: x * "2", lambda: "2" * x,
+               lambda: x + "2", lambda: "2" - x):
+        with pytest.raises(TypeError):
+            op()
+    assert x != "2" and not x == "2"
 
 
 def test_elements_hash_like_the_ints_they_equal(gf16, gf64):
@@ -816,6 +868,25 @@ def test_example1_subfield_traces_are_pinned():
     for v, digest in pinned.items():
         tr = trace_to(F.elem(v), sub)
         assert hashlib.sha256(tr.hex().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("degree, m", [
+    (60, 12), (60, 20), (60, 30), (210, 3), (210, 5), (2310, 385)])
+def test_trace_coordinate_tables_match_the_trace_masks(degree, m):
+    # the 4-bit tables against the masks psi_l = _trace_functional(c_l)
+    # they are transposed from, recomputed here; N = 60 and N = 210 are
+    # not multiples of 8 and take an odd number of tables, 15 and 53
+    F = example1().plan.ctx if degree == 2310 else make_field(degree)
+    sub = F.subfield(m)
+    duals, tables = sub._trace_duals()
+    assert len(tables) == -(-degree // 4)
+    assert all(len(t) == 16 for t in tables)
+    psi = [F._trace_functional(c) for c in duals]
+    rng = random.Random(degree + m)
+    values = [0, (1 << degree) - 1] + [1 << i for i in range(degree)]
+    values += [rng.getrandbits(degree) for _ in range(20)]
+    for v in values:
+        assert sub._trace_coords(v) == field_tower._parities(v, psi)
 
 
 def test_degree_histograms(gf64):

@@ -281,7 +281,8 @@ def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2):
     # responses, bits and symbol for every node, and the transcript's
     # queries are the preparation's, one per response in response order.  Shapes that
     # repair by response get the masks built here; for Construction 2,
-    # |E| = 1 and the masks are the subfield's trace masks psi.
+    # |E| = 1 and the masks are the subfield's trace masks psi, the masks
+    # that _trace_duals transposes into its tables.
     rng = random.Random(1618)
     for plan in (toy_c1, toy_c1_wide, toy_c2):
         cw = random_codeword(plan, rng)
@@ -302,7 +303,8 @@ def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2):
             if prep.masks is not None:
                 assert prep.masks == masks
             if plan.construction == 2:
-                assert masks == (sub._trace_duals()[1],)
+                assert masks == (tuple(sub.ctx._trace_functional(c)
+                                       for c in sub._trace_duals()[0]),)
             by_response = _by_response(prep, cw.symbols)
             by_coordinate = _by_coordinate(prep._replace(masks=masks),
                                            cw.symbols)

@@ -295,6 +295,21 @@ def test_cluster_roundtrip_explicit_plan_path(tmp_path, toy_c2):
     assert back.plan.digest == toy_c2.digest
 
 
+def test_blank_lines_in_a_cluster_file_are_skipped(tmp_path, toy_c1):
+    st = init_cluster(toy_c1, 7)
+    fail_node(st, 2)
+    path, spaced = tmp_path / "c.txt", tmp_path / "spaced.txt"
+    save_cluster(st, path, plan_path=tmp_path / "p.json")
+    lines = path.read_text().splitlines()
+    # empty and blank lines before, between and after the header and nodes
+    spaced.write_text("\n" + "\n\n".join(lines[:3]) + "\n  \n"
+                      + "\n".join(lines[3:]) + "\n\n")
+    a, b = load_cluster(path), load_cluster(spaced)
+    assert b.plan is a.plan
+    assert (b.message_seed, b.failed_node) == (a.message_seed, 2)
+    assert [n.symbol for n in b.nodes] == [n.symbol for n in a.nodes]
+
+
 def test_saved_file_is_stable(tmp_path, toy_c1):
     st = init_cluster(toy_c1, 4)
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
