@@ -1,8 +1,10 @@
 """Sub-packetization lower bounds and the flexibility/bandwidth trade-off.
 
-Flexibility t means: any t nodes may be excluded from helping a repair, and
-the scheme must still meet the cut-set bound with the remaining d = n - t
-helpers.  Raising t buys scheduling freedom and costs bandwidth; the bound
+Flexibility means, as in the paper: each node i has an exclusion set, the
+t_i nodes (itself included) that never help repair it, and its repair must
+still meet the cut-set bound from helpers outside that set, at most
+d = n - t_i of them; t is the largest t_i, and t = 1 is conventional
+repair.  Raising t buys scheduling freedom and costs bandwidth; the bound
 side says how small the sub-packetization L can possibly be for a given
 (k, t).  Everything here is exact integer/rational arithmetic.
 """

@@ -24,11 +24,17 @@ FieldCtx._fold, the only reducer, takes a product (degree <= 2N - 2) to its
 remainder by the exact Barrett quotient, found without a product: w
 shift-XORs in each of ceil(log2((N - 1) / min(N - a))) log-doubling rounds
 for a tail of w exponents a (5 rounds for x^210 + x^203 + 1).  The Rabin
-irreducibility test squares through an arithmetic-only FieldCtx, and
+irreducibility test refuses an even weight (x + 1 divides) before it
+squares through an arithmetic-only FieldCtx, and
 its gcds run the inversion's shift-and-add loop without the cofactors,
-with no division.  Primitivity is
+with no division.  2^N - 1 is factored piece by cyclotomic piece
+Phi_d(2), each trial-divided only by the primes of d and by 1 + j lcm(2, d)
+(every other prime of Phi_d(2) has 2 of order d), so no sieve of primes is
+built.  Primitivity is
 one product-tree order test over the known primes of the group order
-(_order_test).  Subfield work is done in the
+(_order_test); the generator search first rejects a candidate v with
+v^((2^N - 1)/p) = 1 at the smallest prime p, one power of a small v, and
+only then checks its degree and runs the tree.  Subfield work is done in the
 subfield: a handle for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma,
 ..., gamma^(m-1) under Tr_{K/GF(2)} and the map from E to the coordinates
 of Tr_{E/K} as one 16-entry table per four bits, so a trace costs one
@@ -50,7 +56,7 @@ exponents are arbitrary-precision throughout.
 from __future__ import annotations
 
 import math
-from itertools import compress, count
+from itertools import chain, compress, count
 
 from .errors import PERepairError, check_invariant
 
@@ -211,7 +217,10 @@ def poly_inv_mod(a: int, f: int) -> int:
 
 
 def is_irreducible(f: int) -> bool:
-    """Rabin's test: x^(2^n) = x mod f and gcd(x^(2^(n/p)) - x, f) = 1."""
+    """Rabin's test: x^(2^n) = x mod f and gcd(x^(2^(n/p)) - x, f) = 1.
+
+    Above degree 1, f(0) = 0 (x divides f) and an even weight (f(1) = 0,
+    so x + 1 divides f) return False with no squaring."""
     n = poly_degree(f)
     if n < 1:
         return False
@@ -219,6 +228,8 @@ def is_irreducible(f: int) -> bool:
         return True
     if not (f & 1):
         return False  # divisible by x
+    if not (f.bit_count() & 1):
+        return False  # f(1) = 0: divisible by x + 1
     checkpoints = {n // p for p, _ in factor_integer(n)}
     ring = FieldCtx(n, f, 1)  # arithmetic only, as in make_field
     y = 2  # the polynomial x
@@ -469,15 +480,18 @@ def _brent_rho(n: int, c: int, steps: int):
     return (0 if g == n else g), used
 
 
-def _factor_bounded(x: int, steps: int):
+def _factor_bounded(x: int, steps: int, divisors):
     """Factor as far as `steps` rho iterations per composite allow,
-    retries under a new c included.
+    retries under a new c included, after trial division by `divisors`.
 
+    `divisors` ascends and holds every prime factor of x up to its last
+    entry; a composite entry then never divides, as its primes either do
+    not divide x or were divided out before it.
     Returns (factors, leftover): a {prime: exponent} dict and the unfactored
     composite remainder (1 when factorization completed).
     """
     factors = {}
-    for p in _trial_primes(x):
+    for p in divisors:
         if p * p > x:
             break
         while x % p == 0:
@@ -516,7 +530,7 @@ def factor_integer(x: int):
     """
     if x < 2:
         raise ValueError("factor_integer requires x >= 2")
-    factors, leftover = _factor_bounded(x, _FACTOR_STEPS)
+    factors, leftover = _factor_bounded(x, _FACTOR_STEPS, _trial_primes(x))
     if leftover != 1:
         raise PERepairError(
             "FACTORIZATION_TIMEOUT",
@@ -549,17 +563,36 @@ def _cyclotomic_values(n: int):
     return vals
 
 
+def _cyclotomic_divisors(d: int, v: int):
+    """Ascending trial divisors of v = Phi_d(2), d >= 2, up to
+    min(isqrt(v), 10^6): the primes of d, then 1 + j lcm(2, d) for j >= 1.
+    A prime p of v that does not divide d has 2 of order d mod p, so
+    d | p - 1, and p is odd (the rule of the Cunningham tables: Brillhart
+    et al., Factorizations of b^n +- 1, AMS 1988)."""
+    limit = min(math.isqrt(v), _TRIAL_LIMIT)
+    step = math.lcm(2, d)
+    own = [p for p, _ in factor_integer(d) if p <= limit]
+    return chain(own, range(1 + step, limit + 1, step))
+
+
 def _factor_mersenne_like(n_bits: int):
     """Best-effort factorization of 2^n - 1 via its cyclotomic pieces, with
     a cap of _ORDER_STEPS rho steps per composite.
 
-    Returns (factors dict, cofactor, complete).  Unfactored pieces multiply
-    into the composite cofactor instead of failing the whole call.
+    Each piece Phi_d(2) is trial-divided only by the primes of d and by
+    1 + j lcm(2, d) (_cyclotomic_divisors): about 10^6 / lcm(2, d)
+    numbers in place of the 78,498 primes below 10^6, so no sieve is
+    built, and the factors found are the ones those primes find.  Returns
+    (factors dict, cofactor, complete).  Unfactored pieces multiply into
+    the composite cofactor instead of failing the whole call.
     """
     factors = {}
     cofactor = 1
-    for v in _cyclotomic_values(n_bits).values():
-        found, leftover = _factor_bounded(v, _ORDER_STEPS)
+    for d, v in _cyclotomic_values(n_bits).items():
+        if d == 1:
+            continue  # Phi_1(2) = 1
+        found, leftover = _factor_bounded(v, _ORDER_STEPS,
+                                          _cyclotomic_divisors(d, v))
         for p, e in found.items():
             factors[p] = factors.get(p, 0) + e
         cofactor *= leftover
@@ -1043,7 +1076,10 @@ def make_field(degree_bits: int, modulus: int | None = None,
 
     With no generator, the generator is the smallest polynomial (as an
     integer) that is defining over GF(2) and passes the order test against
-    every prime of 2^N - 1 that factoring finds.  2^N - 1 is factored with a
+    every prime of 2^N - 1 that factoring finds.  The tests run cheapest
+    first: v^((2^N - 1)/p) != 1 at the smallest prime p, then the degree of
+    v, then the full order test.  2^N - 1 is factored by cyclotomic pieces
+    (_factor_mersenne_like), with trial divisors that need no sieve and a
     fixed cap of rho steps per composite, so the outcome depends on N alone.
     When a composite survives the cap, the generator found has passed every
     available necessary test but its primitivity rests on the published
@@ -1082,11 +1118,14 @@ def make_field(degree_bits: int, modulus: int | None = None,
     if ctx is None:
         probe = FieldCtx(degree_bits, modulus, 1)  # arithmetic only
         if generator is None:
-            # defining over GF(2), then of full order as far as factored
+            # of full order as far as factored, and defining over GF(2);
+            # one power at the smallest prime rejects most candidates first
             primes = list(_factor_mersenne_like(degree_bits)[0])
+            smallest = [min(primes)] if primes else []
             generator = next(
                 v for v in count(2)
-                if probe._degree_over(v, 1) == degree_bits
+                if _order_test(probe, v, probe.order, smallest)
+                and probe._degree_over(v, 1) == degree_bits
                 and _order_test(probe, v, probe.order, primes))
         elif not (0 < generator <= probe._mask
                   and probe._degree_over(generator, 1) == degree_bits):

@@ -97,6 +97,13 @@ def test_unknown_error_code_is_refused():
         errors.PERepairError("NO_SUCH_CODE")
 
 
+def test_exit_status_by_code_class():
+    for code in ("FACTORIZATION_TIMEOUT", "SPAN_FAILURE"):
+        assert errors.exit_status(code) == 5
+    assert errors.exit_status("REPAIR_VERIFICATION_FAILED") == 4
+    assert errors.exit_status("CORRUPT_FILE") == 3
+
+
 def test_error_codes_are_known_raised_and_documented():
     # every literal code passed to PERepairError is known, every known code
     # is raised somewhere, and the errors module lists each one exactly once

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -10,6 +12,7 @@ from perepair.bounds_tradeoff import (
     tradeoff_csv,
     tradeoff_table,
 )
+from perepair.constructions import find_primes_c1
 from perepair.field_tower import _trial_primes
 
 from conftest import primorial
@@ -51,6 +54,8 @@ def test_bound_query_validation():
         BoundQuery(3, [0, 1])
     with pytest.raises(ValueError):
         BoundQuery(3, [])
+    with pytest.raises(ValueError):
+        BoundQuery.uniform(3, 0)  # the check that stops k // 0
 
 
 def test_conventional_lower_bound():
@@ -58,6 +63,39 @@ def test_conventional_lower_bound():
     assert conventional_lower_bound(5) == 210
     assert conventional_lower_bound(8) == 510510
     assert conventional_lower_bound(9) == 9699690
+
+
+@lru_cache(maxsize=None)
+def _c1_subpacketization(s, l, t):
+    """Construction 1's L = s * prod p_i over l groups of t nodes (q = 2),
+    with the primes build_plan_c1 takes by default."""
+    return s * math.prod(find_primes_c1(s, l, [t] * l))
+
+
+def test_construction_1_subpacketization_against_both_bounds():
+    # n = 6..24, every uniform t dividing n (l = n/t >= 2 groups), every k
+    # and s with d = k + s - 1 <= n - t.  s = 1 is left out: there d = k,
+    # and naive repair meets the cut-set bound at L = 1 for any MDS code.
+    smallest = {}
+    for n in range(6, 25):
+        for t in range(1, n // 2 + 1):
+            if n % t:
+                continue
+            l = n // t
+            for k in range(1, n - t):
+                floor = min_subpacketization(BoundQuery(k, [t] * l))
+                Ls = [_c1_subpacketization(s, l, t)
+                      for s in range(2, n - t - k + 2)]
+                assert min(Ls) >= floor, (n, k, t)  # never below the PE bound
+                smallest[n, k, t] = min(Ls)
+    assert smallest[12, 8, 3] == 2310  # example1's code, at s = 2
+    beats = {}
+    for (n, k, t), L in sorted(smallest.items()):
+        beats.setdefault((n, k), []).append(L < conventional_lower_bound(k))
+    assert len(beats) == 247  # every (n, k) with 1 <= k <= n - 2
+    for flags in beats.values():
+        assert flags == sorted(flags)  # once a t beats it, every larger t does
+    assert sum(flags[-1] for flags in beats.values()) == 89
 
 
 def test_bounds_coincide_at_flexibility_one():

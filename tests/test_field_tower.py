@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import time
 
@@ -266,6 +267,18 @@ def test_poly_gcd_common_factor():
     assert poly_gcd(y ^ 2, EXAMPLE1_MODULUS) == EXAMPLE1_MODULUS
 
 
+def test_even_weight_is_reducible_without_squaring(monkeypatch):
+    # f(1) = 0 puts x + 1 in f: refused before any factoring or squaring
+    calls = counting(monkeypatch, field_tower, ["factor_integer", "clsq"])
+    for f in (0b101, 0b1111, 0b11000000011, (1 << 210) | (1 << 203) | 3):
+        assert not is_irreducible(f)
+    assert calls == {"factor_integer": 0, "clsq": 0}
+    assert is_irreducible(0b11)  # x + 1 itself, of even weight
+    # the search skips even weights without the test's squarings
+    assert smallest_irreducible(210) == (1 << 210) | (1 << 203) | 1
+    assert calls["factor_integer"] == 33  # the odd weights, 65 candidates
+
+
 def test_irreducible_small_tables():
     assert is_irreducible(0b111)  # x^2+x+1 is the only degree-2 irreducible
     assert not is_irreducible(0b101)  # x^2+1 = (x+1)^2
@@ -359,7 +372,7 @@ def test_factor_integer_trial_limit_boundary():
 
 
 def test_trial_primes_grow_by_segments(monkeypatch):
-    # the bounds one make_field(2310) asks for, in order, then a smaller one
+    # three growing bounds, then 10^6 and a smaller one
     monkeypatch.setattr(field_tower, "_trial_primes_cache", [])
     monkeypatch.setattr(field_tower, "_trial_primes_bound", 1)
 
@@ -392,6 +405,97 @@ def test_brent_rho_backtracks_past_a_batch_that_caught_both_factors():
     # round asks for a retry, and c = 2 splits it
     assert field_tower._brent_rho(1000370001101, 1, 1 << 23)[0] == 0
     assert factor_integer(1000370001101) == [(1000003, 1), (1000367, 1)]
+
+
+def test_brent_rho_cap_runs_out_mid_round_and_mid_backtrack():
+    # 1000003 * 1000367 under c = 1: the round of 1024 steps walks to 3,070,
+    # its first batch (steps 3,071-3,198) catches both factors, and the
+    # replay of that batch, one step at a time, meets n itself at 3,218
+    n = 1000370001101
+    assert field_tower._brent_rho(n, 1, 1 << 23) == (0, 3218)
+    # a cap of 3,100 stops before that batch, one of 3,210 in the replay
+    for steps, spent in ((3100, 3070), (3210, 3210)):
+        d, used = field_tower._brent_rho(n, 1, steps)
+        assert d is None and used == spent <= steps
+        # no trial divisors: the composite goes to rho whole, and is left
+        assert field_tower._factor_bounded(n, steps, ()) == ({}, n)
+
+
+def _sieve_factorization(n_bits):
+    """2^n - 1 factored as before the cyclotomic divisors: each piece
+    Phi_d(2) trial-divided by every prime up to min(isqrt, 10^6)."""
+    factors, cofactor = {}, 1
+    for v in field_tower._cyclotomic_values(n_bits).values():
+        found, leftover = field_tower._factor_bounded(
+            v, field_tower._ORDER_STEPS, field_tower._trial_primes(v))
+        for p, e in found.items():
+            factors[p] = factors.get(p, 0) + e
+        cofactor *= leftover
+    return factors, cofactor, cofactor == 1
+
+
+def test_cyclotomic_divisors_factor_as_the_prime_sieve_did():
+    # same primes, in the same order, the same cofactor and completeness
+    for n in [*range(2, 131), 140, 150, 168, 180, 190, 210, 240, 300, 330,
+              390, 462]:
+        found, cofactor, complete = field_tower._factor_mersenne_like(n)
+        want, want_cofactor, want_complete = _sieve_factorization(n)
+        assert list(found.items()) == list(want.items()), n
+        assert (cofactor, complete) == (want_cofactor, want_complete), n
+
+
+def test_cyclotomic_divisors_are_the_primes_of_d_then_1_mod_lcm():
+    v = (1 << 21) - 1  # not Phi_21(2); only its size sets the limit
+    assert list(field_tower._cyclotomic_divisors(21, v)) == \
+        [3, 7, *range(43, math.isqrt(v) + 1, 42)]
+    assert list(field_tower._cyclotomic_divisors(10, 11)) == [2]
+    # Phi_210(2) has 48 bits: divisors 1 + 210 j run to 10^6, no further
+    v = field_tower._cyclotomic_values(210)[210]
+    divs = list(field_tower._cyclotomic_divisors(210, v))
+    assert divs[:5] == [2, 3, 5, 7, 211] and divs[-1] == 999811
+    assert len(divs) == 4 + 10 ** 6 // 210
+
+
+def test_cold_make_field_builds_no_prime_sieve(monkeypatch, fresh_process):
+    # the primes sieved are those to isqrt(210), for the degree's divisors
+    # and Rabin's test; the cyclotomic pieces take no sieved prime
+    monkeypatch.setattr(field_tower, "_trial_primes_cache", [])
+    monkeypatch.setattr(field_tower, "_trial_primes_bound", 1)
+    make_field(210)
+    assert field_tower._trial_primes_cache == [2, 3, 5, 7, 11, 13]
+
+
+def test_generator_search_rejects_at_the_smallest_prime_first(
+        monkeypatch, fresh_process):
+    # 2^210 - 1: of the candidates 2..25, all but 19 and 25 have
+    # v^((2^210 - 1)/3) = 1, so only those two pay the degree check
+    calls = []
+    real = field_tower.FieldCtx._degree_over
+
+    def counted(ctx, v, m):
+        calls.append(v)
+        return real(ctx, v, m)
+
+    monkeypatch.setattr(field_tower.FieldCtx, "_degree_over", counted)
+    assert make_field(210).generator.v == 25
+    assert calls == [19, 25]
+
+
+def test_searched_fields_are_pinned(fresh_process):
+    # (modulus, generator) of every default field below, as the search by
+    # sieved trial primes, degree check first, found them; every generator
+    # not listed is 2
+    degrees = [*range(2, 70), 90, 105, 120, 210, 330]
+    other = {8: 6, 9: 7, 12: 6, 14: 7, 16: 6, 18: 3, 26: 3, 28: 7, 30: 19,
+             32: 3, 33: 3, 34: 3, 36: 7, 42: 3, 44: 7, 46: 7, 48: 3, 57: 7,
+             66: 6, 105: 7, 120: 3, 210: 25}
+    h = hashlib.sha256()
+    for n in degrees:
+        F = make_field(n)
+        assert F.generator.v == other.get(n, 2), n
+        h.update(f"{n}:{F.modulus:x}:{F.generator.v:x}\n".encode())
+    assert h.hexdigest() == (
+        "6943693b58d617f1af6e2f3257dbdb599b93154c8d6fb3d1ca9182285d1af50c")
 
 
 def test_factoring_ignores_the_clock(monkeypatch):

@@ -269,3 +269,16 @@ def test_mds_property_toy(gf64):
         for subset in itertools.combinations(range(8), 3):
             m = naive_decode([(i, c.symbols[i]) for i in subset], A)
             assert [e.v for e in m.coefficients] == [e.v for e in f.coefficients]
+
+
+def test_empty_inputs_and_out_of_range_indices_are_refused(gf16):
+    with pytest.raises(ValueError, match="at least one point"):
+        EvaluationSet(gf16, [])
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        MessagePoly([])
+    with pytest.raises(ValueError, match="needs an explicit field"):
+        annihilator([])
+    A = points_of(gf16, [1, 2, 3])
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"index {i} out of range"):
+            naive_decode([(0, gf16.one), (i, gf16.one)], A)

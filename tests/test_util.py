@@ -30,3 +30,26 @@ def test_parse_decimal_reads_ascii_digits_only():
         with pytest.raises(ValueError):
             parse_decimal(text)
     assert parse_decimal("12") == 12 and parse_decimal("-3") == -3
+
+
+def test_atomic_write_text_cleans_up_after_a_failed_write(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "out.txt"
+    atomic_write_text(path, "first\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "\ud800")  # a lone surrogate has no UTF-8
+    assert path.read_text(encoding="utf-8") == "first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    # a clean-up that fails too leaves the temp file, and the write's own
+    # error is the one raised
+    def no_unlink(name):
+        raise PermissionError(name)
+
+    monkeypatch.setattr(os, "unlink", no_unlink)
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "\ud800")
+    monkeypatch.undo()
+    assert path.read_text(encoding="utf-8") == "first\n"
+    left, out = sorted(p.name for p in tmp_path.iterdir())
+    assert left.startswith(".tmp-") and out == "out.txt"
