@@ -42,7 +42,6 @@ from .bounds_tradeoff import (
 from .constructions import (
     build_plan_c1,
     build_plan_c2,
-    c1_parameters,
     find_primes_c1,
     load_plan,
     save_plan,
@@ -90,7 +89,6 @@ __all__ = [
     "find_primes_c1",
     "build_plan_c1",
     "build_plan_c2",
-    "c1_parameters",
     "save_plan",
     "load_plan",
     "RepairTranscript",

@@ -1,11 +1,22 @@
-"""Small shared plumbing: canonical JSON, digests, strict file reads,
-atomic file writes, strict decimal parsing."""
+"""Small shared plumbing: the one memo rule, canonical JSON, digests,
+strict file reads, atomic file writes, strict decimal parsing."""
 
 import hashlib
 import json
 import os
 
 from .errors import PERepairError
+
+
+def memo(store, key, build):
+    """store[key], calling build() to fill it only on a miss.  A build that
+    raises stores nothing.  The package fills its keyed memos here alone,
+    save make_field's, which files one context under up to three
+    spellings; a key names every input its value depends on."""
+    if key in store:
+        return store[key]
+    value = store[key] = build()
+    return value
 
 
 def canonical_json(payload) -> str:

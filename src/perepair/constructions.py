@@ -22,7 +22,7 @@ import math
 import warnings
 
 from .errors import PERepairError
-from ._util import atomic_write_text, canonical_json, digest_of, read_text
+from ._util import atomic_write_text, canonical_json, digest_of, memo, read_text
 from .field_tower import (
     FieldCtx,
     FieldElem,
@@ -38,11 +38,9 @@ __all__ = [
     "ExclusionGroup",
     "Construction1Plan",
     "Construction2Plan",
-    "C1Parameters",
     "find_primes_c1",
     "build_plan_c1",
     "build_plan_c2",
-    "c1_parameters",
     "save_plan",
     "load_plan",
 ]
@@ -197,10 +195,9 @@ def _resolve_points(ctx, base_bits, prime, t, exponents):
     try:
         sub = ctx.subfield(base_bits * prime)
     except PERepairError as exc:
-        # a given generator of degree N can still leave the subfield's
-        # canonical generator non-defining: bad input, not a defect
-        if exc.code != "INVARIANT_VIOLATION":
-            raise
+        # base_bits * prime divides N, so this is INVARIANT_VIOLATION: a
+        # given generator of degree N can still leave the subfield's
+        # canonical generator non-defining, bad input rather than a defect
         raise PERepairError(
             "CONSTRAINT_VIOLATION", f"generator {ctx.generator_hex}: {exc}"
         )
@@ -267,26 +264,6 @@ def _check_groups(base_bits, s, groups):
             )
 
 
-def _check_c1(base_bits, s, k, groups):
-    """Group and rate checks of a Construction-1 parameter set, given as
-    (prime, t, exponents) triples; returns (n, t_max, k), k defaulting to
-    its maximum n - t_max - s + 1."""
-    if s < 1:
-        raise ValueError(f"need s >= 1, got s={s}")
-    _check_groups(base_bits, s, groups)
-    n = sum(t for _, t, _ in groups)
-    t_max = max(t for _, t, _ in groups)
-    if k is None:
-        k = n - t_max - s + 1
-    if k < 1 or k + s - 1 > n - t_max:  # d <= n - t, so k <= n - t too
-        raise PERepairError(
-            "RATE_VIOLATION",
-            f"need k >= 1 and d = k+s-1 <= n - t = {n - t_max}, "
-            f"got k={k}, d={k + s - 1}",
-        )
-    return n, t_max, k
-
-
 def _groups(primes, ts, point_exponents):
     """(prime, t, exponents) of each group: the i-th prime, t and exponent
     list go together, exponents defaulting to None."""
@@ -296,22 +273,6 @@ def _groups(primes, ts, point_exponents):
     if len(exps) != len(ts):
         raise ValueError("one exponent list per group")
     return list(zip(primes, ts, exps))
-
-
-def _c1_groups(base_bits, s, t_list, primes, point_exponents=None):
-    """Construction 1's groups in plan order: ascending flexibility,
-    tie-broken by prime.  Primes default to find_primes_c1's, matched to
-    the t's ascending."""
-    t_list = list(t_list)
-    if len(t_list) < 2 or min(t_list) < 1:
-        raise ValueError("need at least two groups with positive flexibility")
-    if primes is None:
-        if point_exponents is not None:
-            raise ValueError("explicit exponents require explicit primes")
-        t_list.sort()
-        primes = find_primes_c1(s, len(t_list), t_list, base_bits)
-    groups = _groups([int(p) for p in primes], t_list, point_exponents)
-    return sorted(groups, key=lambda g: (g[1], g[0]))
 
 
 def _build(cls, base_bits, ints, s, groups, modulus, generator):
@@ -332,10 +293,12 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
 
     Any two of s, k and d = k + s - 1 fix the third, and all three must
     agree; s alone takes k's maximum n - t - s + 1.  Groups are normalized
-    to ascending flexibility.  Evaluation points default to the smallest
-    exponents of each canonical subfield generator that are coprime to the
-    subfield's group order.  modulus and generator go to make_field:
-    without a generator it runs its search.
+    to ascending flexibility, tie-broken by prime; primes default to
+    find_primes_c1's, matched to the t's ascending.  Every group and rate
+    check runs before the symbol field is built.  Evaluation points
+    default to the smallest exponents of each canonical subfield generator
+    that are coprime to the subfield's group order.  modulus and generator
+    go to make_field: without a generator it runs its search.
     """
     if s is None:
         if k is None or d is None:
@@ -353,8 +316,29 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
             stacklevel=2,
         )
 
-    groups = _c1_groups(base_bits, s, t_list, primes, point_exponents)
-    _, _, k = _check_c1(base_bits, s, k, groups)
+    t_list = list(t_list)
+    if len(t_list) < 2 or min(t_list) < 1:
+        raise ValueError("need at least two groups with positive flexibility")
+    if primes is None:
+        if point_exponents is not None:
+            raise ValueError("explicit exponents require explicit primes")
+        t_list.sort()
+        primes = find_primes_c1(s, len(t_list), t_list, base_bits)
+    groups = _groups([int(p) for p in primes], t_list, point_exponents)
+    groups.sort(key=lambda g: (g[1], g[0]))  # ascending t, then prime
+    if s < 1:
+        raise ValueError(f"need s >= 1, got s={s}")
+    _check_groups(base_bits, s, groups)
+    n = sum(t_list)
+    t_max = max(t_list)
+    if k is None:
+        k = n - t_max - s + 1
+    if k < 1 or k + s - 1 > n - t_max:  # d <= n - t, so k <= n - t too
+        raise PERepairError(
+            "RATE_VIOLATION",
+            f"need k >= 1 and d = k+s-1 <= n - t = {n - t_max}, "
+            f"got k={k}, d={k + s - 1}",
+        )
     return _build(Construction1Plan, base_bits, (s, k), s, groups, modulus,
                   generator)
 
@@ -378,38 +362,6 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
         raise PERepairError("RATE_VIOLATION", f"k = n - r = {k} < 1")
     return _build(Construction2Plan, base_bits, (r,), 1, groups, modulus,
                   generator)
-
-
-class C1Parameters:
-    """Arithmetic-only view of a Construction-1 parameter set (no field
-    build), for sizes where the symbol field is far beyond desk scale."""
-
-    __slots__ = ("base_bits", "s", "k", "d", "n", "t_max", "primes", "u",
-                 "L", "repair_bits", "naive_bits")
-
-    def __init__(self, base_bits, s, k, d, n, t_max, primes, u):
-        self.base_bits = base_bits
-        self.s = s
-        self.k = k
-        self.d = d
-        self.n = n
-        self.t_max = t_max
-        self.primes = primes
-        self.u = u
-        self.L = u * s
-        self.repair_bits = d * u * base_bits
-        self.naive_bits = k * self.L * base_bits
-
-
-def c1_parameters(base_bits, t_list, *, s, k=None, primes=None) -> C1Parameters:
-    """Resolve Construction-1 numerology without building GF(q^{us}):
-    the groups pair up and sort exactly as in build_plan_c1, and
-    ``primes`` follows that group order."""
-    groups = _c1_groups(base_bits, s, t_list, primes)
-    n, t_max, k = _check_c1(base_bits, s, k, groups)
-    primes = tuple(p for p, _, _ in groups)
-    return C1Parameters(base_bits, s, k, k + s - 1, n, t_max, primes,
-                        math.prod(primes))
 
 
 # ------------------------------------------------------------------ file I/O
@@ -476,26 +428,25 @@ def load_plan(path):
         raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
     if digest_of(payload) != stored:
         raise PERepairError("DIGEST_MISMATCH", f"{path}: plan digest mismatch")
-    plan = _plan_memo.get(stored)
-    if plan is not None:
-        return plan
-    pinned = {"point_exponents": payload["point_exponents"],
-              "modulus": modulus, "generator": generator}
-    # the builders raise ValueError for values no plan can have
-    try:
-        if payload["construction"] == 1:
-            plan = build_plan_c1(payload["base_bits"], payload["t"],
-                                 s=payload["s"], k=payload["k"],
-                                 primes=payload["primes"], **pinned)
-        else:
-            plan = build_plan_c2(payload["base_bits"], payload["r"],
-                                 payload["primes"], **pinned)
-    except ValueError as exc:
-        raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
-    if plan.construction == 2:
-        if [g.t for g in plan.groups] != payload["t"]:
+
+    def rebuild():
+        pinned = {"point_exponents": payload["point_exponents"],
+                  "modulus": modulus, "generator": generator}
+        # the builders raise ValueError for values no plan can have
+        try:
+            if payload["construction"] == 1:
+                plan = build_plan_c1(payload["base_bits"], payload["t"],
+                                     s=payload["s"], k=payload["k"],
+                                     primes=payload["primes"], **pinned)
+            else:
+                plan = build_plan_c2(payload["base_bits"], payload["r"],
+                                     payload["primes"], **pinned)
+        except ValueError as exc:
+            raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
+        if plan.construction == 2 and [g.t for g in plan.groups] != payload["t"]:
             raise PERepairError("CORRUPT_FILE", f"{path}: stored t disagrees with r")
-    if plan.digest != stored:
-        raise PERepairError("DIGEST_MISMATCH", f"{path}: rebuilt plan differs")
-    _plan_memo[stored] = plan
-    return plan
+        if plan.digest != stored:
+            raise PERepairError("DIGEST_MISMATCH", f"{path}: rebuilt plan differs")
+        return plan
+
+    return memo(_plan_memo, stored, rebuild)

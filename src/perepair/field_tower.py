@@ -59,6 +59,7 @@ import math
 from itertools import chain, compress, count
 
 from .errors import PERepairError, check_invariant
+from ._util import memo
 
 __all__ = [
     "FieldCtx",
@@ -851,11 +852,7 @@ class FieldCtx:
                 "NOT_A_SUBFIELD_DEGREE",
                 f"{m} does not divide {self.degree_bits}",
             )
-        handle = self._subfields.get(m)
-        if handle is None:
-            handle = SubfieldHandle(self, m)
-            self._subfields[m] = handle
-        return handle
+        return memo(self._subfields, m, lambda: SubfieldHandle(self, m))
 
     def _frob(self, v: int, m: int) -> int:
         """e^(2^m) by m squarings."""

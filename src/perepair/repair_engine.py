@@ -28,14 +28,27 @@ The two schemes share their skeleton and differ in the query plan:
   point alpha, so it is addressed by (node, R).
 * Construction 2: all survivors outside the failed group help, one query
   each, responses in GF(q^{u_i}).
+
+Everything the engine derives from a plan is kept in ``plan._cache``, and
+this module alone fills it, by _util.memo: the package's one memo rule
+(build on a miss only; a build that raises stores nothing).  Each key is
+(kind, *every input the value depends on):
+
+* ("dual_multipliers",): the dual code's column multipliers v_j;
+* ("subspace", node, R): lemma1_subspace's subspace, R the sorted tuple
+  of helper groups;
+* ("repair", failed, d): a PE repair's preparation, whose helpers
+  (failed, d) fixes (_repair);
+* ("naive", failed, helpers): the naive repair's weights (_naive_weights).
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import PERepairError, check_invariant
-from ._util import canonical_json
+from ._util import canonical_json, memo
 from .field_tower import BasisOverSubfield, FieldElem, SubfieldHandle, dual_basis
 from .rs_codes import annihilator, dual_multipliers, poly_eval
 
@@ -136,43 +149,40 @@ def lemma1_subspace(plan, node: int, helper_groups=None) -> RepairSubspace:
     they span E, which is the span condition for alpha and also proves the
     candidates independent over GF(q^{u-bar}).  The duals are kept for the
     repair.  If the ambient generator fails as beta, small powers of it
-    are tried in order.  Helper groups default to every other group.
+    are tried in order.  Helper groups default to every other group; in
+    any order, they must be distinct groups of the plan other than the
+    node's, and the subspace is cached per (node, sorted groups).
     """
     if plan.construction != 1:
         raise ValueError("repair subspaces of this shape exist for construction 1")
     group, _ = plan.locate(node)
-    if helper_groups is None:
-        helper_groups = tuple(j for j in range(len(plan.groups)) if j != group)
-    helper_groups = tuple(helper_groups)
-    if group in helper_groups or not helper_groups:
-        raise ValueError("helper groups must be nonempty and exclude the failed group")
-    cache_key = ("subspace", node, helper_groups)
-    cached = plan._cache.get(cache_key)
-    if cached is not None:
-        return cached
+    others = set(range(len(plan.groups))) - {group}
+    helper_groups = others if helper_groups is None else tuple(helper_groups)
+    R = tuple(sorted(set(helper_groups)))
+    if not R or len(R) != len(helper_groups) or not others.issuperset(R):
+        raise ValueError(
+            f"helper groups {helper_groups} must be distinct groups of the "
+            f"plan, at least one, other than node {node}'s group {group}")
 
-    ubar = 1
-    for j in helper_groups:
-        ubar *= plan.groups[j].prime
-    if plan.u_list[group] % ubar:
-        raise ValueError("helper groups must exclude the repaired group's prime")
-    sub = plan.ctx.subfield(plan.base_bits * ubar)
-    alpha = plan.eval_set.points[node]
-    for beta, vectors in _lemma1_candidates(plan, group, alpha, ubar):
-        shifted = BasisOverSubfield(sub, _shifts(vectors, alpha, plan.s))
-        try:
-            duals = dual_basis(shifted)
-        except PERepairError as err:
-            if err.code != "SINGULAR_GRAM":
-                raise
-            continue
-        subspace = RepairSubspace(
-            sub, BasisOverSubfield(sub, vectors), beta, duals.vectors)
-        plan._cache[cache_key] = subspace
-        return subspace
-    raise PERepairError(
-        "SPAN_FAILURE", f"no workable beta among g^1..g^32 for node {node}"
-    )
+    def search():
+        ubar = math.prod(plan.groups[j].prime for j in R)
+        sub = plan.ctx.subfield(plan.base_bits * ubar)
+        alpha = plan.eval_set.points[node]
+        for beta, vectors in _lemma1_candidates(plan, group, alpha, ubar):
+            shifted = BasisOverSubfield(sub, _shifts(vectors, alpha, plan.s))
+            try:
+                duals = dual_basis(shifted)
+            except PERepairError as err:
+                if err.code != "SINGULAR_GRAM":
+                    raise
+                continue
+            return RepairSubspace(
+                sub, BasisOverSubfield(sub, vectors), beta, duals.vectors)
+        raise PERepairError(
+            "SPAN_FAILURE", f"no workable beta among g^1..g^32 for node {node}"
+        )
+
+    return memo(plan._cache, ("subspace", node, R), search)
 
 
 def _lemma1_candidates(plan, group: int, alpha, ubar: int):
@@ -263,13 +273,21 @@ def _parity_column(plan, failed: int, helpers):
         [points[i] for i in range(plan.n) if i not in helper_set and i != failed],
         ctx,
     )
-    v = plan._cache.get("dual_multipliers")
-    if v is None:
-        v = dual_multipliers(plan.eval_set)
-        plan._cache["dual_multipliers"] = v
+    v = memo(plan._cache, ("dual_multipliers",),
+             lambda: dual_multipliers(plan.eval_set))
     column = [poly_eval(h, points[j]) * v[j] for j in helpers]
     f_inv = (poly_eval(h, points[failed]) * v[failed]).inverse()
     return column, f_inv
+
+
+def _naive_weights(plan, failed: int, helpers):
+    """Naive repair's weights w_j = column_j * f_inv of _parity_column, so
+    that c_f = sum_j w_j c_j over k helpers; cached per (failed, helpers)."""
+    def build():
+        column, f_inv = _parity_column(plan, failed, helpers)
+        return [col * f_inv for col in column]
+
+    return memo(plan._cache, ("naive", failed, tuple(helpers)), build)
 
 
 class _PreparedRepair(NamedTuple):
@@ -294,6 +312,22 @@ class _PreparedRepair(NamedTuple):
     queries: tuple
     weights: list
     masks: tuple | None
+
+
+def _prepare(plan, failed, helpers, sub, E, W, duals) -> _PreparedRepair:
+    """_repair's preparation from the shape's query plan."""
+    column, f_inv = _parity_column(plan, failed, helpers)
+    # D_m's coefficients, ascending: the repair duals of B_{m,0..W-1}
+    polys = [[dv * f_inv for dv in duals[m * W:(m + 1) * W]]
+             for m in range(len(E))]
+    weights = [[poly_eval(p, plan.eval_set.points[j]).v for p in polys]
+               for j in helpers]
+    mults = [[e_m * col for e_m in E] for col in column]
+    return _PreparedRepair(
+        helpers, sub, [col.v for col in column], mults,
+        tuple((j, m) for j, row in zip(helpers, mults) for m in row),
+        weights,
+        tuple(sub._masks(e.v) for e in E) if sub._is_small() else None)
 
 
 def _by_response(prep: _PreparedRepair, symbols):
@@ -403,23 +437,8 @@ def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscrip
             "LOCALITY_OUT_OF_RANGE",
             f"d={d} outside [{canonical}, {top}] for this scheme",
         )
-    key = ("repair", failed, d)
-    prep = plan._cache.get(key)
-    if prep is None:
-        helpers, sub, E, W, duals = shape(gi, d)
-        column, f_inv = _parity_column(plan, failed, helpers)
-        # D_m's coefficients, ascending: the repair duals of B_{m,0..W-1}
-        polys = [[dv * f_inv for dv in duals[m * W:(m + 1) * W]]
-                 for m in range(len(E))]
-        weights = [[poly_eval(p, plan.eval_set.points[j]).v for p in polys]
-                   for j in helpers]
-        mults = [[e_m * col for e_m in E] for col in column]
-        prep = _PreparedRepair(
-            helpers, sub, [col.v for col in column], mults,
-            tuple((j, m) for j, row in zip(helpers, mults) for m in row),
-            weights,
-            tuple(sub._masks(e.v) for e in E) if sub._is_small() else None)
-        plan._cache[key] = prep
+    prep = memo(plan._cache, ("repair", failed, d),
+                lambda: _prepare(plan, failed, *shape(gi, d)))
     evaluate = _by_response if prep.masks is None else _by_coordinate
     raw, acc = evaluate(prep, codeword.symbols)
     ctx = plan.ctx

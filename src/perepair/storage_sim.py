@@ -11,8 +11,10 @@ rebuilds the failed symbol by one parity check of the dual code: c_f =
 sum_j w_j c_j, with w_j = h(alpha_j) v_j / (h(alpha_f) v_f), h the
 annihilator of the other n - k - 1 points (the column that
 repair_engine's skeleton also uses).  The weights cost one inversion,
-beyond the plan's dual multipliers, which are computed once.  They are
-cached on the plan per (failed, helpers), so a repeat costs k products.
+beyond the plan's dual multipliers, which are computed once.
+repair_engine owns both and caches them on the plan, under the keys
+("dual_multipliers",) and ("naive", failed, helpers), so a repeat costs k
+products.  This module fills no cache of its own.
 
 Messages are drawn from SplitMix64 so clusters reproduce bit-identically
 across runs and machines: state advances by the odd constant
@@ -36,7 +38,7 @@ import os
 from .errors import PERepairError, check_invariant
 from ._util import atomic_write_text, parse_decimal, read_text
 from .constructions import load_plan, save_plan
-from .repair_engine import _parity_column, _scheme
+from .repair_engine import _naive_weights, _scheme
 from .rs_codes import Codeword, MessagePoly, encode
 
 __all__ = [
@@ -212,15 +214,8 @@ def run_repair(state: ClusterState, strategy: str = "pe", d: int | None = None):
         symbol_bits = plan.ctx.degree_bits
         for h in helpers:
             log.add(h, failed, symbol_bits, "full_symbol")
-        # w_j = column_j * f_inv, cached per (failed, helpers)
-        key = ("naive", failed, tuple(helpers))
-        weights = plan._cache.get(key)
-        if weights is None:
-            column, f_inv = _parity_column(plan, failed, helpers)
-            weights = [col * f_inv for col in column]
-            plan._cache[key] = weights
         recovered = plan.ctx.zero
-        for h, w in zip(helpers, weights):
+        for h, w in zip(helpers, _naive_weights(plan, failed, helpers)):
             recovered = recovered + w * state.nodes[h].symbol
         transcript = NaiveReport(failed, helpers, log.total_bits, recovered)
         check_invariant(log.total_bits == plan.k * plan.L * plan.base_bits,

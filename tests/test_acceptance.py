@@ -6,6 +6,7 @@ asserted, so a pathologically slow environment fails loudly rather than
 silently degrading.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,7 +18,7 @@ from perepair.bounds_tradeoff import (
     tradeoff_csv,
     tradeoff_table,
 )
-from perepair.constructions import build_plan_c1, build_plan_c2, c1_parameters
+from perepair.constructions import build_plan_c1, build_plan_c2, find_primes_c1
 from perepair.field_tower import (
     BasisOverSubfield,
     dual_basis,
@@ -137,9 +138,20 @@ def test_criterion_4_flexibility_bandwidth_tradeoff_table():
 
 def test_criterion_5_strict_improvement_over_conventional_bounds():
     t0 = time.monotonic()
+    # Construction 1 from its closed form, no field built: the primes are
+    # find_primes_c1's, k = n - t - s + 1 at most, d = k + s - 1 helpers
+    # move d*u base symbols, L = s*u, and naive repair reads k*L
+    def c1(base_bits, t_list, s):
+        primes = find_primes_c1(s, len(t_list), t_list, base_bits)
+        n = sum(t_list)
+        k = n - max(t_list) - s + 1
+        u = math.prod(primes)
+        return (primes, n, k, k + s - 1, u, s * u,
+                (k + s - 1) * u * base_bits, k * s * u * base_bits)
+
     # (12,8) with per-node exclusion: 2310 bits vs the 510510 floor at t=1
-    twelve_eight = c1_parameters(1, [3, 3, 3, 3], s=2)
-    assert twelve_eight.u * twelve_eight.s == 2310
+    assert c1(1, [3, 3, 3, 3], 2) == (
+        (3, 5, 7, 11), 12, 8, 9, 1155, 2310, 10395, 18480)
     assert 2310 < 510510 == conventional_lower_bound(8)
 
     # (17,9) with group exclusion: 30 symbols vs the 9699690 floor
@@ -148,11 +160,8 @@ def test_criterion_5_strict_improvement_over_conventional_bounds():
     assert 30 < 9699690 == conventional_lower_bound(9)
 
     # (17,9) per-node variant: L and bandwidth from the closed form alone
-    variant = c1_parameters(2, [5, 6, 6], s=3)
-    assert variant.primes == (7, 13, 19)
-    assert (variant.n, variant.k, variant.d) == (17, 9, 11)
-    assert variant.u * variant.s == 5187
-    assert variant.repair_bits == 11 * variant.u * 2 == 38038
+    assert c1(2, [5, 6, 6], 3) == (
+        (7, 13, 19), 17, 9, 11, 1729, 5187, 38038, 9 * 5187 * 2)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     print(f"criterion 5: PASS — 2310<510510, 30<9699690, 5187/38038 ({elapsed:.2f}s)")

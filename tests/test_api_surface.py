@@ -30,13 +30,12 @@ PUBLIC_API = [
     "BasisOverSubfield", "BoundQuery", "ClusterState", "Codeword",
     "EvaluationSet", "FieldCtx", "FieldElem", "MessagePoly", "PERepairError",
     "RepairTranscript", "SubfieldHandle", "TransferLog", "__version__",
-    "build_plan_c1", "build_plan_c2", "c1_parameters",
-    "conventional_lower_bound", "cutset_bits", "dual_basis", "encode",
-    "exit_status", "factor_integer", "fail_node", "find_primes_c1",
-    "init_cluster", "is_primitive_in_subfield", "load_cluster", "load_plan",
-    "make_field", "min_subpacketization", "naive_decode", "repair_c1",
-    "repair_c2", "run_repair", "save_cluster", "save_plan", "trace_to",
-    "tradeoff_csv", "tradeoff_table",
+    "build_plan_c1", "build_plan_c2", "conventional_lower_bound",
+    "cutset_bits", "dual_basis", "encode", "exit_status", "factor_integer",
+    "fail_node", "find_primes_c1", "init_cluster", "is_primitive_in_subfield",
+    "load_cluster", "load_plan", "make_field", "min_subpacketization",
+    "naive_decode", "repair_c1", "repair_c2", "run_repair", "save_cluster",
+    "save_plan", "trace_to", "tradeoff_csv", "tradeoff_table",
 ]
 
 
@@ -70,6 +69,26 @@ def test_no_clock_in_library():
                 continue
             offenders += [f"{path.name}: {n}" for n in names
                           if n.split(".")[0] in clocks]
+    assert offenders == []
+
+
+def test_memos_are_filled_by_util_memo_alone():
+    # one cache rule: _util.memo is the only code that stores into a keyed
+    # memo, so a build that raises leaves no entry and every key is built
+    # one way
+    memos = {"_cache", "_plan_memo", "_subfields"}
+    offenders = []
+    for path in sorted(Path(perepair.__file__).parent.glob("*.py")):
+        if path.name == "_util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Subscript)
+                    and isinstance(node.ctx, ast.Store)):
+                continue
+            store = node.value
+            name = getattr(store, "id", None) or getattr(store, "attr", None)
+            if name in memos:
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -12,7 +13,7 @@ from perepair.bounds_tradeoff import (
     tradeoff_csv,
     tradeoff_table,
 )
-from perepair.constructions import find_primes_c1
+from perepair.constructions import _phi_at_least, find_primes_c1
 from perepair.field_tower import _trial_primes
 
 from conftest import primorial
@@ -96,6 +97,31 @@ def test_construction_1_subpacketization_against_both_bounds():
     for flags in beats.values():
         assert flags == sorted(flags)  # once a t beats it, every larger t does
     assert sum(flags[-1] for flags in beats.values()) == 89
+
+
+def test_construction_2_subpacketization_against_both_bounds():
+    # Construction 2's L = prod p_i with t_i = r - p_i + 1 >= 2 and
+    # k = sum t_i - r >= 1, over 2-4 of the first 8 primes, r <= 39,
+    # n <= 60 and q = 2 or 4, keeping the groups whose subfield GF(q^p)
+    # has t_i primitive elements: the rules build_plan_c2 applies
+    sets = beats = 0
+    for base_bits in (1, 2):
+        for l in (2, 3, 4):
+            for primes in itertools.combinations(first_primes(8), l):
+                for r in range(1, 40):
+                    t_list = [r - p + 1 for p in primes]
+                    n = sum(t_list)
+                    k = n - r
+                    if min(t_list) < 2 or n > 60 or k < 1 or not all(
+                            _phi_at_least((1 << base_bits) ** p - 1, t)
+                            for p, t in zip(primes, t_list)):
+                        continue
+                    L = math.prod(primes)
+                    assert L >= min_subpacketization(BoundQuery(k, t_list)), (
+                        base_bits, primes, r)
+                    sets += 1
+                    beats += L < conventional_lower_bound(k)
+    assert (sets, beats) == (1699, 1481)
 
 
 def test_bounds_coincide_at_flexibility_one():

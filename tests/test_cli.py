@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -90,17 +91,26 @@ def test_plan_from_s_and_d_checks_the_rate(capsys, tmp_path):
 
 
 def test_plan_flag_mixups_are_usage_errors(capsys, tmp_path):
-    for argv in (
-        ["plan", "--construction", "1", "--s", "2"],             # missing --t
-        ["plan", "--construction", "2", "--r", "8"],             # missing primes
-        ["plan", "--construction", "2", "--r", "8",
-         "--primes", "2,3", "--k", "4"],                         # k is derived
-        ["plan", "--construction", "1", "--t", "3,3", "--s", "2",
-         "--r", "8"],                                            # r is c2-only
+    for argv, reason in (
+        (["--construction", "1", "--s", "2"], "construction 1 needs --t"),
+        (["--construction", "2", "--r", "8"],
+         "construction 2 needs --r and --primes"),
+        (["--construction", "2", "--r", "8", "--primes", "2,3", "--k", "4"],
+         "construction 2 derives k = n - r"),
+        (["--construction", "1", "--t", "3,3", "--s", "2", "--r", "8"],
+         "--r belongs to construction 2"),
+        (["--construction", "2", "--r", "8", "--primes", "2,3", "--s", "2"],
+         "--t/--s/--d belong to construction 1"),
+        (["--construction", "2", "--r", "8", "--primes", "3"],
+         "need at least two groups"),
+        (["--construction", "1", "--t", "3,x"],
+         "not a comma-separated int list"),
     ):
         with pytest.raises(SystemExit) as e:
-            run(capsys, *argv, "--out", str(tmp_path / "x.json"))
+            run(capsys, "plan", *argv, "--out", str(tmp_path / "x.json"))
         assert e.value.code == 2
+        assert reason in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_plan_validation_failure_exits_3(capsys, tmp_path):
@@ -341,6 +351,25 @@ def test_bound_values(capsys):
     # a non-uniform flexibility list
     rc, out, _ = run(capsys, "--json", "bound", "--k", "8", "--t", "2,3,3")
     assert json.loads(out)["L_min"] == 6
+
+
+def test_bound_and_tradeoff_refusals_exit_3(capsys):
+    rc, out, err = run(capsys, "bound", "--k", "3", "--t", "0")
+    assert (rc, out) == (3, "") and "flexibility must be positive" in err
+    rc, out, err = run(capsys, "tradeoff", "--n", "3", "--k", "3")
+    assert (rc, out) == (3, "") and "need n > k >= 1" in err
+
+
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    # python -m perepair.cli: the module's __main__ block exits with main's
+    # status.  runpy warns that the package already imported the module.
+    monkeypatch.setattr(sys, "argv", ["perepair", "bound", "--k", "3",
+                                      "--t", "3"])
+    with pytest.warns(RuntimeWarning, match="perepair.cli"):
+        with pytest.raises(SystemExit) as e:
+            runpy.run_module("perepair.cli", run_name="__main__")
+    assert e.value.code == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_tradeoff_csv(capsys, tmp_path):

@@ -8,11 +8,11 @@ from perepair._util import digest_of
 from perepair.cli import main
 from perepair.constructions import (
     _PLAN_INTS,
+    _check_groups,
     _euler_phi,
     _phi_at_least,
     build_plan_c1,
     build_plan_c2,
-    c1_parameters,
     find_primes_c1,
     load_plan,
     save_plan,
@@ -567,32 +567,19 @@ def test_c1_rejects_s_below_one():
     for s in (0, -1):
         with pytest.raises(ValueError, match="need s >= 1"):
             build_plan_c1(1, [3, 3], s=s, primes=[3, 5])
-        with pytest.raises(ValueError, match="need s >= 1"):
-            c1_parameters(1, [3, 3], s=s, primes=[3, 5])
 
 
-def test_c1_parameters_desk_arithmetic():
-    p = c1_parameters(2, [5, 6, 6], s=3)
-    assert p.primes == (7, 13, 19)
-    assert (p.n, p.k, p.d) == (17, 9, 11)
-    assert p.u == 1729 and p.L == 5187
-    assert p.repair_bits == 38038
-    assert p.naive_bits == 9 * 5187 * 2
-
-
-def test_c1_parameters_four_group_case():
-    p = c1_parameters(1, [3, 3, 3, 3], s=2)
-    assert p.primes == (3, 5, 7, 11)
-    assert (p.n, p.k, p.d) == (12, 8, 9)
-    assert p.u == 1155 and p.L == 2310
-    assert p.repair_bits == 10395
-    assert p.naive_bits == 18480
-
-
-def test_c1_parameters_settles_phi_without_factoring():
+def test_c1_parameters_settles_phi_without_factoring(monkeypatch):
     # 2^137 - 1 outlasts the rho cap, but phi(n) >= sqrt(n/2) admits 3
-    p = c1_parameters(1, [3, 3], s=2, primes=[3, 137])
-    assert p.primes == (3, 137) and p.u == 411
+    factored = []
+
+    def factor_integer(x):
+        factored.append(x)
+        return field_tower.factor_integer(x)
+
+    monkeypatch.setattr(constructions, "factor_integer", factor_integer)
+    _check_groups(1, 2, [(3, 3, None), (137, 3, None)])
+    assert factored == [7]  # 2^3 - 1 alone: 3 > isqrt(7 // 2) = 1
 
 
 def test_phi_bound_agrees_with_euler_phi():
@@ -603,30 +590,25 @@ def test_phi_bound_agrees_with_euler_phi():
             assert _phi_at_least(x, t) == (t <= phi)
 
 
-def test_c1_parameters_validation():
+def test_c1_parameters_validation(monkeypatch):
+    # every group and rate check runs before the symbol field is built
+    def make_field(*args):
+        raise AssertionError("the symbol field was built")
+
+    monkeypatch.setattr(constructions, "make_field", make_field)
     with pytest.raises(PERepairError) as ei:
-        c1_parameters(1, [3, 3], s=2, k=4)
+        build_plan_c1(1, [3, 3], s=2, k=4)
     assert ei.value.code == "RATE_VIOLATION"
-    with pytest.raises(PERepairError) as ei:
-        c1_parameters(1, [3, 3], s=2, primes=[2, 5])
-    assert ei.value.code == "BAD_PRIME"
-
-
-def test_c1_parameters_checks_primes_like_build_plan_c1():
-    # 9 = 1 (mod 2) passes the congruence test but is not a prime, and a
-    # repeated prime would give two groups the same subfield
-    for primes in ([9, 5], [3, 3], [1, 3]):
-        with pytest.raises(PERepairError) as ei:
-            c1_parameters(1, [3, 3], s=2, primes=primes)
-        assert ei.value.code == "BAD_PRIME"
+    # 2 != 1 (mod 2); 9 = 1 (mod 2) passes the congruence test but is not
+    # a prime, and a repeated prime would give two groups the same subfield
+    for primes in ([2, 5], [9, 5], [3, 3], [1, 3]):
         with pytest.raises(PERepairError) as ei:
             build_plan_c1(1, [3, 3], s=2, primes=primes)
         assert ei.value.code == "BAD_PRIME"
     with pytest.raises(ValueError):
-        c1_parameters(1, [3, 3], s=2, primes=[3, 5, 7])
-    # the i-th prime goes with the i-th t in both: 3 carries the group of
-    # 7 points, more than phi(2^3 - 1) = 6 primitive elements
-    for build in (c1_parameters, build_plan_c1):
-        with pytest.raises(PERepairError) as ei:
-            build(1, [7, 3], s=2, primes=[3, 5])
-        assert ei.value.code == "INSUFFICIENT_PRIMITIVES"
+        build_plan_c1(1, [3, 3], s=2, primes=[3, 5, 7])
+    # the i-th prime goes with the i-th t: 3 carries the group of 7
+    # points, more than phi(2^3 - 1) = 6 primitive elements
+    with pytest.raises(PERepairError) as ei:
+        build_plan_c1(1, [7, 3], s=2, primes=[3, 5])
+    assert ei.value.code == "INSUFFICIENT_PRIMITIVES"

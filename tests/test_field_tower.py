@@ -651,6 +651,12 @@ def test_gf16_exhaustive_inverse_and_order(gf16):
     assert err.value.code == "ZERO_INVERSE"
 
 
+def test_reprs_name_the_field(gf16):
+    assert repr(gf16.elem(3)) == "FieldElem(3)"
+    assert repr(gf16) == "FieldCtx(GF(2^4), modulus=0x13)"
+    assert repr(gf16.subfield(2)) == "SubfieldHandle(GF(2^2) in GF(2^4))"
+
+
 def test_gf2_inverse():
     F = make_field(1)
     assert F.one.inverse().v == 1
@@ -855,6 +861,7 @@ def test_unprimitive_generator_is_an_invariant_violation():
     with pytest.raises(PERepairError) as err:
         ctx.subfield(2)
     assert err.value.code == "INVARIANT_VIOLATION"
+    assert ctx._subfields == {}  # the failed handle is not kept
     # under the reducible x^4 + 1, x^(2^d) never returns to x
     ring = field_tower.FieldCtx(4, 0b10001, 2)
     with pytest.raises(PERepairError) as err:

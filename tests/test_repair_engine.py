@@ -33,7 +33,7 @@ from perepair.rs_codes import (
 )
 from perepair.storage_sim import fail_node, init_cluster, run_repair
 
-from conftest import random_codeword
+from conftest import counting, random_codeword
 
 
 def test_cutset_bits_values():
@@ -142,6 +142,7 @@ def test_lemma1_with_every_beta_singular_is_a_span_failure(monkeypatch):
         lemma1_subspace(plan, 0)
     assert ei.value.code == "SPAN_FAILURE"
     assert len(tried) == 32
+    assert plan._cache == {}  # a failed search caches nothing
 
 
 def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
@@ -330,11 +331,64 @@ def test_lemma1_subspaces_over_a_gf4_base():
         assert verify_span(S, plan.eval_set.points[node], plan.s)
 
 
-def test_lemma1_rejects_degenerate_helper_groups(toy_c1):
-    with pytest.raises(ValueError):
-        lemma1_subspace(toy_c1, 0, helper_groups=(0,))
-    with pytest.raises(ValueError):
-        lemma1_subspace(toy_c1, 0, helper_groups=())
+def test_lemma1_rejects_degenerate_helper_groups(toy_c1, toy_c1_wide):
+    # empty, the node's own group, repeated, out of range; -1 would index
+    # node 6's own group 2
+    for plan, node, groups in ((toy_c1, 0, (0,)), (toy_c1, 0, ()),
+                               (toy_c1_wide, 0, (1, 1)),
+                               (toy_c1_wide, 0, (5,)),
+                               (toy_c1_wide, 6, (-1,)),
+                               (toy_c1_wide, 6, (0, 2))):
+        with pytest.raises(ValueError, match="must be distinct groups"):
+            lemma1_subspace(plan, node, helper_groups=groups)
+
+
+def test_lemma1_caches_a_subspace_once_per_helper_group_set(toy_c1_wide,
+                                                            monkeypatch):
+    # the key holds the groups sorted, so their order builds nothing new
+    plan = toy_c1_wide
+    monkeypatch.setattr(plan, "_cache", {})
+    calls = counting(monkeypatch, repair_engine, ["dual_basis"])
+    S = lemma1_subspace(plan, 0, helper_groups=(1, 2))
+    solves = calls["dual_basis"]
+    assert solves >= 1
+    assert lemma1_subspace(plan, 0, helper_groups=(2, 1)) is S
+    assert lemma1_subspace(plan, 0) is S  # every other group by default
+    assert list(plan._cache) == [("subspace", 0, (1, 2))]
+    assert calls["dual_basis"] == solves
+
+
+def test_plan_cache_keys_name_their_inputs(toy_c1_wide, monkeypatch):
+    # a new failed node, locality or helper set is a new entry, under a key
+    # (kind, *inputs)
+    plan = toy_c1_wide
+    monkeypatch.setattr(plan, "_cache", {})
+    state = init_cluster(plan, 5)
+    for node, strategy, d in ((0, "pe", None), (0, "pe", 4), (0, "pe", 4),
+                              (0, "naive", None), (4, "naive", None)):
+        fail_node(state, node)
+        assert run_repair(state, strategy, d)[1].verified
+    assert set(plan._cache) == {
+        ("dual_multipliers",),
+        ("subspace", 0, (1,)), ("repair", 0, 3),
+        ("subspace", 0, (1, 2)), ("repair", 0, 4),
+        ("naive", 0, (1, 2)), ("naive", 4, (0, 1)),
+    }
+
+
+def test_lemma1_lets_other_gram_errors_through(toy_c1, monkeypatch):
+    # only SINGULAR_GRAM moves the search to the next beta
+    def broken(basis):
+        calls.append(basis)
+        raise PERepairError("INVARIANT_VIOLATION", "a broken Gram solve")
+
+    calls = []
+    monkeypatch.setattr(toy_c1, "_cache", {})
+    monkeypatch.setattr(repair_engine, "dual_basis", broken)
+    with pytest.raises(PERepairError) as ei:
+        lemma1_subspace(toy_c1, 0)
+    assert ei.value.code == "INVARIANT_VIOLATION"
+    assert len(calls) == 1 and toy_c1._cache == {}
 
 
 def test_verify_span_s1_full_basis(toy_c1):
@@ -465,6 +519,10 @@ def test_repair_c1_plan_mismatch(toy_c1, toy_c1_wide):
     with pytest.raises(PERepairError) as ei:
         repair_c1(toy_c1, unlabeled, 0)
     assert ei.value.code == "PLAN_MISMATCH"
+    short = Codeword(cw.symbols[:-1], toy_c1.digest)
+    with pytest.raises(PERepairError, match="length") as ei:
+        repair_c1(toy_c1, short, 0)
+    assert ei.value.code == "PLAN_MISMATCH"
 
 
 def test_repair_wrong_construction(toy_c1, toy_c2):
@@ -475,6 +533,8 @@ def test_repair_wrong_construction(toy_c1, toy_c2):
         repair_c2(toy_c1, cw1, 0)
     with pytest.raises(ValueError):
         repair_c1(toy_c2, cw2, 0)
+    with pytest.raises(ValueError, match="construction 1"):
+        lemma1_subspace(toy_c2, 0)
 
 
 def test_repair_c1_above_canonical_locality(toy_c1_wide):

@@ -3,7 +3,7 @@ import stat
 
 import pytest
 
-from perepair._util import atomic_write_text, parse_decimal
+from perepair._util import atomic_write_text, memo, parse_decimal
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
@@ -53,3 +53,22 @@ def test_atomic_write_text_cleans_up_after_a_failed_write(tmp_path,
     assert path.read_text(encoding="utf-8") == "first\n"
     left, out = sorted(p.name for p in tmp_path.iterdir())
     assert left.startswith(".tmp-") and out == "out.txt"
+
+
+def test_memo_builds_once_and_keeps_no_failed_build():
+    store = {}
+    builds = []
+
+    def build():
+        builds.append(1)
+        return "value"
+
+    def broken():
+        raise ValueError("no value")
+
+    assert memo(store, ("kind", 1), build) == "value"
+    assert memo(store, ("kind", 1), broken) == "value"  # a hit builds nothing
+    assert builds == [1]
+    with pytest.raises(ValueError):
+        memo(store, ("kind", 2), broken)
+    assert store == {("kind", 1): "value"}

@@ -6,8 +6,10 @@ Runs pytest in this process under a sys.settrace line tracer, then prints
 each line of the package that holds code but never ran, as path:line, and
 their count last.  Without arguments pytest runs the suite's testpaths
 (tests/ and perfbench/).  Child processes the tests start are not traced.
-The trace makes the suite several times slower, so the suite does not run
-this file.
+Exits 0, printing nothing beyond pytest's own report, when pytest passes
+and every line ran; 1 otherwise, so it can serve as a gate.  The trace
+makes the suite several times slower, so the suite does not run this
+file.
 """
 import os
 import sys
@@ -44,14 +46,20 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     import pytest
 
+    # the code lines are read before the run, from the text it imports
+    code_lines = {
+        path: lines_of(compile(path.read_text(encoding="utf-8"), str(path),
+                               "exec"))
+        for path in sorted(SRC.glob("*.py"))}
     threading.settrace(on_call)
     sys.settrace(on_call)
     status = pytest.main(["-q", "-p", "no:cacheprovider"] + sys.argv[1:])
     sys.settrace(None)
     unrun = []
-    for path in sorted(SRC.glob("*.py")):
-        code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+    for path, lines in code_lines.items():
         unrun += [f"{path.relative_to(ROOT)}:{line}" for line in
-                  sorted(lines_of(code) - {ln for f, ln in ran if f == str(path)})]
-    print("\n".join(unrun))
-    print(f"{len(unrun)} unrun lines (pytest exit status {int(status)})")
+                  sorted(lines - {ln for f, ln in ran if f == str(path)})]
+    if unrun or status != 0:
+        print("\n".join(unrun))
+        print(f"{len(unrun)} unrun lines (pytest exit status {int(status)})")
+        sys.exit(1)
