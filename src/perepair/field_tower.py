@@ -6,10 +6,10 @@ basis representation of GF(2^N); every subfield GF(2^m), m | N, lives inside
 it and is addressed through a :class:`SubfieldHandle` (membership is the
 Frobenius fixed-point test ``e^(2^m) == e``).  On top of that the module
 provides trace maps onto arbitrary subfields, trace-dual bases, primitive and
-defining element tests, and integer factorization (trial division followed
-by Brent's variant of Pollard rho) for the multiplicative-order checks.  The
-factoring work is capped by a fixed count of rho steps, never by a clock, so
-every result depends on the inputs alone.
+defining element tests, and integer factorization (trial division to 10^6
+followed by Brent's variant of Pollard rho) for the multiplicative-order
+checks.  The factoring work is capped by a fixed count of rho steps, never
+by a clock, so every result depends on the inputs alone.
 
 Performance notes: multiplication is carry-less, one step per byte of the
 shorter operand, and the window follows that operand's length: a 4-bit
@@ -29,12 +29,13 @@ squares through an arithmetic-only FieldCtx, and
 its gcds run the inversion's shift-and-add loop without the cofactors,
 with no division.  2^N - 1 is factored piece by cyclotomic piece
 Phi_d(2), each trial-divided only by the primes of d and by 1 + j lcm(2, d)
-(every other prime of Phi_d(2) has 2 of order d), so no sieve of primes is
-built.  Primitivity is
-one product-tree order test over the known primes of the group order
-(_order_test); the generator search first rejects a candidate v with
-v^((2^N - 1)/p) = 1 at the smallest prime p, one power of a small v, and
-only then checks its degree and runs the tree.  Subfield work is done in the
+(every other prime of Phi_d(2) has 2 of order d); any other integer is
+trial-divided by 2 and the odd numbers, so no list of primes is built or
+kept.  Primitivity is one product-tree order test over the known primes
+of the group order (_order_test); the generator search first rejects a
+candidate v with v^((2^N - 1)/p) = 1 at the smallest prime p, one power of
+a small v, and only then checks its degree and runs the tree.  Subfield
+work is done in the
 subfield: a handle for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma,
 ..., gamma^(m-1) under Tr_{K/GF(2)} and the map from E to the coordinates
 of Tr_{E/K} as one 16-entry table per four bits, so a trace costs one
@@ -56,7 +57,7 @@ exponents are arbitrary-precision throughout.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, count
+from itertools import chain, count
 
 from .errors import PERepairError, check_invariant
 from ._util import memo
@@ -369,35 +370,13 @@ def _power_sums(f: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# integer factorization: trial division to 10^6, then Brent's rho
+# integer factorization: trial division to 10^6, then Brent's rho.  The
+# trial divisors are progressions, never a list of primes: 2 and the odd
+# numbers (factor_integer), or the candidates of a cyclotomic piece
+# (_cyclotomic_divisors); _factor_bounded says why a composite divisor
+# does no harm.
 
 _TRIAL_LIMIT = 10 ** 6
-_trial_primes_cache = []  # every prime <= _trial_primes_bound
-_trial_primes_bound = 1
-
-
-def _trial_primes(x: int):
-    """Every prime up to min(isqrt(x), 10^6), enough to trial-divide x.
-
-    The list only grows: a larger bound sieves just the new segment, with
-    the primes up to its square root, so each number is sieved once."""
-    global _trial_primes_bound
-    limit = min(math.isqrt(x), _TRIAL_LIMIT)
-    if limit > _trial_primes_bound:
-        root = math.isqrt(limit)
-        if root > _trial_primes_bound:
-            _trial_primes(root * root)
-        lo = _trial_primes_bound + 1
-        seg = bytearray([1]) * (limit + 1 - lo)
-        for p in _trial_primes_cache:
-            if p > root:
-                break
-            first = max(p * p, -(-lo // p) * p) - lo
-            seg[first::p] = bytes(len(range(first, len(seg), p)))
-        _trial_primes_cache.extend(compress(range(lo, limit + 1), seg))
-        _trial_primes_bound = limit
-    return _trial_primes_cache
-
 
 # Brent-rho caps, in iterations of y -> y^2 + c spent on one composite with
 # retries under a new c included.  Complete factorization (factor_integer):
@@ -525,13 +504,16 @@ def _factor_bounded(x: int, steps: int, divisors):
 def factor_integer(x: int):
     """Full factorization of x >= 2 as a sorted list of (prime, exponent).
 
-    Trial division up to 10^6, then Pollard rho (Brent) with a cap of
-    _FACTOR_STEPS iterations per composite; raises FACTORIZATION_TIMEOUT if
-    a composite is left when the cap runs out.
+    Trial division by 2 and the odd numbers up to min(isqrt(x), 10^6), then
+    Pollard rho (Brent) with a cap of _FACTOR_STEPS iterations per
+    composite; raises FACTORIZATION_TIMEOUT if a composite is left when the
+    cap runs out.
     """
     if x < 2:
         raise ValueError("factor_integer requires x >= 2")
-    factors, leftover = _factor_bounded(x, _FACTOR_STEPS, _trial_primes(x))
+    limit = min(math.isqrt(x), _TRIAL_LIMIT)
+    factors, leftover = _factor_bounded(
+        x, _FACTOR_STEPS, chain((2,), range(3, limit + 1, 2)))
     if leftover != 1:
         raise PERepairError(
             "FACTORIZATION_TIMEOUT",
@@ -582,8 +564,8 @@ def _factor_mersenne_like(n_bits: int):
 
     Each piece Phi_d(2) is trial-divided only by the primes of d and by
     1 + j lcm(2, d) (_cyclotomic_divisors): about 10^6 / lcm(2, d)
-    numbers in place of the 78,498 primes below 10^6, so no sieve is
-    built, and the factors found are the ones those primes find.  Returns
+    numbers in place of the 500,000 odd ones below 10^6, and the factors
+    found are the ones the primes below 10^6 find.  Returns
     (factors dict, cofactor, complete).  Unfactored pieces multiply into
     the composite cofactor instead of failing the whole call.
     """

@@ -27,8 +27,12 @@ File formats
     cluster file    `plan = <path>` (relative to the cluster file), then
                     `plan_digest = <hex>`, `seed = <int>`, and one
                     `node <index> <symbol hex | FAILED>` line per node.
-    transfer log    CSV `from,to,bits,purpose`; purposes are
+    transfer log    entries (from, to, bits, purpose); purposes are
                     "trace_response" (pe) and "full_symbol" (naive).
+                    `perepair repair --out` and `--json` write them in the
+                    transcript as `transfer_log: [[from, to, bits,
+                    purpose], ...]`; TransferLog.to_csv() gives CSV rows
+                    `from,to,bits,purpose` under that header.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 from pathlib import Path
@@ -84,6 +85,18 @@ def toy_c1_wide():
     # three groups over GF(2^210) with k below the canonical rate, so the
     # helper prefix is a strict subset of the other groups
     return build_plan_c1(1, [3, 3, 3], s=2, k=2, primes=[3, 5, 7])
+
+
+@functools.lru_cache(maxsize=None)
+def primes_to(n):
+    """Every prime up to n, ascending, by the sieve of Eratosthenes: the
+    tests' reference list of primes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return tuple(p for p in range(n + 1) if sieve[p])
 
 
 def primorial(count):

@@ -92,6 +92,18 @@ def test_memos_are_filled_by_util_memo_alone():
     assert offenders == []
 
 
+def test_library_has_no_global_statement():
+    # no module rebinds its own state: the only process-wide state is the
+    # memos filled by _util.memo or make_field (_field_cache, _plan_memo,
+    # fixtures._cache)
+    offenders = []
+    for path in sorted(Path(perepair.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Global):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def _raises_assertion_error(node) -> bool:
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"

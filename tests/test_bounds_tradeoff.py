@@ -14,18 +14,16 @@ from perepair.bounds_tradeoff import (
     tradeoff_table,
 )
 from perepair.constructions import _phi_at_least, find_primes_c1
-from perepair.field_tower import _trial_primes
 
-from conftest import primorial
+from conftest import primes_to, primorial
 
 
 def test_first_primes():
     assert first_primes(0) == []
     assert first_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert first_primes(25)[-1] == 97
-    # against field_tower's segmented sieve; the 2000th prime is 17,389
-    sieve = [p for p in _trial_primes(17390 ** 2) if p < 17390]
-    assert first_primes(2000) == sieve
+    # against the sieve of Eratosthenes; the 2000th prime is 17,389
+    assert first_primes(2000) == list(primes_to(17389))
 
 
 def test_min_subpacketization_uniform():

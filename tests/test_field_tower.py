@@ -27,7 +27,7 @@ from perepair.field_tower import (
 )
 from perepair.fixtures import example1, example2
 
-from conftest import counting, oracle
+from conftest import counting, oracle, primes_to
 
 
 # ---------------------------------------------------------------- raw polys
@@ -360,7 +360,7 @@ def test_factor_integer_multiplicity():
 
 
 def test_factor_integer_trial_limit_boundary():
-    # trial division sieves to min(isqrt(x), 10^6); 999983 is the largest
+    # trial division runs to min(isqrt(x), 10^6); 999983 is the largest
     # prime below 10^6 and 1000003 the smallest above it
     assert factor_integer(2) == [(2, 1)]
     assert factor_integer(4) == [(2, 2)]
@@ -371,22 +371,29 @@ def test_factor_integer_trial_limit_boundary():
     assert factor_integer(15) == [(3, 1), (5, 1)]
 
 
-def test_trial_primes_grow_by_segments(monkeypatch):
-    # three growing bounds, then 10^6 and a smaller one
-    monkeypatch.setattr(field_tower, "_trial_primes_cache", [])
-    monkeypatch.setattr(field_tower, "_trial_primes_bound", 1)
+def test_factor_integer_trial_divides_as_the_primes_would(monkeypatch):
+    # 2 and the odd numbers find what the primes to 10^6 find, and leave
+    # rho the same number: same factors from the same rho rounds
+    rng = random.Random(29)
+    cases = [*(2 ** k - 1 for k in range(2, 65)), 999983 ** 2, 1000003 ** 2,
+             999983 * 1000003, (2 ** 61 - 1) * (2 ** 31 - 1),
+             *(rng.getrandbits(40) | 1 << 39 for _ in range(200))]
+    rounds = []
+    real = field_tower._brent_rho
 
-    def by_trial_division(limit):
-        return [p for p in range(2, limit + 1)
-                if all(p % d for d in range(2, int(p ** 0.5) + 1))]
-
-    for limit in (48, 774, 2954):
-        assert field_tower._trial_primes(limit * limit + limit) == \
-            by_trial_division(limit)
-    primes = field_tower._trial_primes(10 ** 13)
-    assert len(primes) == 78498 and primes[-1] == 999983
-    assert field_tower._trial_primes(100) is primes
-    assert field_tower._trial_primes_bound == 10 ** 6
+    def recorded(n, c, steps):
+        rounds.append((n, c, steps))
+        return real(n, c, steps)
+    monkeypatch.setattr(field_tower, "_brent_rho", recorded)
+    for x in cases:
+        got = factor_integer(x)
+        got_rounds = rounds.copy()
+        rounds.clear()
+        want, leftover = field_tower._factor_bounded(
+            x, field_tower._FACTOR_STEPS, primes_to(10 ** 6))
+        assert (got, leftover) == (sorted(want.items()), 1), x
+        assert got_rounds == rounds, x
+        rounds.clear()
 
 
 def test_factor_integer_timeout(monkeypatch):
@@ -427,7 +434,7 @@ def _sieve_factorization(n_bits):
     factors, cofactor = {}, 1
     for v in field_tower._cyclotomic_values(n_bits).values():
         found, leftover = field_tower._factor_bounded(
-            v, field_tower._ORDER_STEPS, field_tower._trial_primes(v))
+            v, field_tower._ORDER_STEPS, primes_to(10 ** 6))
         for p, e in found.items():
             factors[p] = factors.get(p, 0) + e
         cofactor *= leftover
@@ -454,15 +461,6 @@ def test_cyclotomic_divisors_are_the_primes_of_d_then_1_mod_lcm():
     divs = list(field_tower._cyclotomic_divisors(210, v))
     assert divs[:5] == [2, 3, 5, 7, 211] and divs[-1] == 999811
     assert len(divs) == 4 + 10 ** 6 // 210
-
-
-def test_cold_make_field_builds_no_prime_sieve(monkeypatch, fresh_process):
-    # the primes sieved are those to isqrt(210), for the degree's divisors
-    # and Rabin's test; the cyclotomic pieces take no sieved prime
-    monkeypatch.setattr(field_tower, "_trial_primes_cache", [])
-    monkeypatch.setattr(field_tower, "_trial_primes_bound", 1)
-    make_field(210)
-    assert field_tower._trial_primes_cache == [2, 3, 5, 7, 11, 13]
 
 
 def test_generator_search_rejects_at_the_smallest_prime_first(
