@@ -49,7 +49,8 @@ def read_text(path) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write a file via temp-and-rename so readers never see partial output.
+    """Write a file via temp-and-rename so readers never see partial output,
+    or raise WRITE_FAILED, leaving no temp file behind when clean-up can.
 
     The temp file is created with mode 0666, which the umask trims to what
     open() would give; mkstemp's private 0600 would survive the rename.
@@ -57,14 +58,17 @@ def atomic_write_text(path, text: str) -> None:
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise PERepairError("WRITE_FAILED", f"cannot write {path}: {exc.strerror}")

@@ -18,6 +18,7 @@ set, and a content digest; it is immutable and safe to share.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -367,10 +368,21 @@ def build_plan_c2(base_bits, r, primes, *, point_exponents=None, modulus=None,
 # ------------------------------------------------------------------ file I/O
 
 
+def _plan_json(plan) -> str:
+    """A plan file's JSON: the canonical payload with its digest."""
+    return canonical_json({**plan.payload(), "digest": plan.digest})
+
+
 def save_plan(plan, path) -> None:
-    payload = plan.payload()
-    payload["digest"] = plan.digest
-    atomic_write_text(path, canonical_json(payload) + "\n")
+    atomic_write_text(path, _plan_json(plan) + "\n")
+
+
+def _holds_plan(path, plan) -> bool:
+    """Whether the file at path already holds plan, in any JSON spelling."""
+    try:
+        return canonical_json(json.loads(read_text(path))) == _plan_json(plan)
+    except (PERepairError, ValueError):
+        return False
 
 
 def _plan_shape_error(payload):
@@ -412,8 +424,6 @@ def load_plan(path):
     before plans pinned their generator) is CORRUPT_FILE: its digest, and
     its clusters' ``plan_digest``, predate the field.
     """
-    import json
-
     try:
         payload = json.loads(read_text(path))
         why = _plan_shape_error(payload)

@@ -9,9 +9,10 @@ validation (exit 3)
     DIMENSION_EXCEEDS_LENGTH, DUPLICATE_INDEX, INSUFFICIENT_PRIMITIVES,
     RATE_VIOLATION, BAD_PRIME, CONSTRAINT_VIOLATION, LOCALITY_OUT_OF_RANGE,
     PLAN_MISMATCH, TOO_FEW_HELPERS, ALREADY_FAILED,
-    SECOND_FAILURE_UNSUPPORTED, DIGEST_MISMATCH, CORRUPT_FILE, and
-    NO_FAILED_NODE (artifact-level plumbing: run_repair called on a healthy
-    cluster)
+    SECOND_FAILURE_UNSUPPORTED, DIGEST_MISMATCH, CORRUPT_FILE (an input
+    that cannot be read or parsed), WRITE_FAILED (an output that cannot be
+    written, such as one in a missing directory), and NO_FAILED_NODE
+    (artifact-level plumbing: run_repair called on a healthy cluster)
 repair verification (exit 4)
     REPAIR_VERIFICATION_FAILED (CLI-level; repairs that finish but do not
     match ground truth), INVARIANT_VIOLATION (a bit count or the trade-off
@@ -43,6 +44,7 @@ VALIDATION_CODES = frozenset({
     "NO_FAILED_NODE",
     "DIGEST_MISMATCH",
     "CORRUPT_FILE",
+    "WRITE_FAILED",
 })
 
 RESOURCE_CODES = frozenset({"FACTORIZATION_TIMEOUT", "SPAN_FAILURE"})

@@ -724,8 +724,6 @@ class FieldCtx:
         return self._fold(clsq(a))
 
     def _inv(self, a: int) -> int:
-        if a == 0:
-            raise PERepairError("ZERO_INVERSE", "cannot invert zero")
         return poly_inv_mod(a, self.modulus)
 
     def _pow(self, a: int, k: int) -> int:

@@ -24,9 +24,12 @@ shift.  Field coefficients take ceil(N/64) consecutive 64-bit words,
 little-endian, masked to N bits.
 
 File formats
-    cluster file    `plan = <path>` (relative to the cluster file), then
-                    `plan_digest = <hex>`, `seed = <int>`, and one
-                    `node <index> <symbol hex | FAILED>` line per node.
+    cluster file    exactly these lines, blank lines aside: `plan = <path>`
+                    (relative to the cluster file), `plan_digest = <hex>`,
+                    `seed = <int>`, then `node 0 <symbol>` ... `node n-1
+                    <symbol>` in order, each symbol the field's full-width
+                    hex or `FAILED`, at most one `FAILED`.  Reordered,
+                    repeated or unknown lines are CORRUPT_FILE.
     transfer log    entries (from, to, bits, purpose); purposes are
                     "trace_response" (pe) and "full_symbol" (naive).
                     `perepair repair --out` and `--json` write them in the
@@ -41,7 +44,7 @@ import os
 
 from .errors import PERepairError, check_invariant
 from ._util import atomic_write_text, parse_decimal, read_text
-from .constructions import load_plan, save_plan
+from .constructions import _holds_plan, load_plan, save_plan
 from .repair_engine import _naive_weights, _scheme
 from .rs_codes import Codeword, MessagePoly, encode
 
@@ -59,6 +62,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_HEADER = ("plan", "plan_digest", "seed")  # a cluster file's first lines
 
 
 class SplitMix64:
@@ -233,18 +237,16 @@ def run_repair(state: ClusterState, strategy: str = "pe", d: int | None = None):
 
 
 def save_cluster(state: ClusterState, path, plan_path=None) -> None:
-    """Write the cluster file and (always) its plan file next to it."""
+    """Write the cluster file, and its plan file (next to it by default)
+    unless that file already holds the plan, in any JSON spelling."""
     path = os.fspath(path)
-    if plan_path is None:
-        plan_path = path + ".plan"
-    plan_path = os.fspath(plan_path)
-    save_plan(state.plan, plan_path)
+    plan_path = path + ".plan" if plan_path is None else os.fspath(plan_path)
+    plan = state.plan
+    if not _holds_plan(plan_path, plan):
+        save_plan(plan, plan_path)
     rel = os.path.relpath(plan_path, os.path.dirname(os.path.abspath(path)))
-    lines = [
-        f"plan = {rel}",
-        f"plan_digest = {state.plan.digest}",
-        f"seed = {state.message_seed}",
-    ]
+    values = (rel, plan.digest, state.message_seed)
+    lines = [f"{key} = {value}" for key, value in zip(_HEADER, values)]
     for rec in state.nodes:
         mark = "FAILED" if rec.failed else rec.symbol.hex()
         lines.append(f"node {rec.index} {mark}")
@@ -252,78 +254,53 @@ def save_cluster(state: ClusterState, path, plan_path=None) -> None:
 
 
 def load_cluster(path) -> ClusterState:
-    """Re-open a cluster file; live symbols are verified against a fresh
-    encode of the seeded message.  The plan comes from load_plan, which
-    keeps one validated plan per digest, and the node lines are parsed and
-    checked before the message is encoded."""
+    """Re-open a cluster file, exactly as save_cluster writes it; live
+    symbols are verified against a fresh encode of the seeded message.  The
+    plan comes from load_plan, which keeps one validated plan per digest,
+    and every line is checked before the message is encoded."""
     path = os.fspath(path)
-    header = {}
-    node_lines = []
-    for line in read_text(path).splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("node "):
-            node_lines.append(line.split())
-        elif "=" in line:
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
-        else:
-            raise PERepairError("CORRUPT_FILE", f"{path}: stray line {line!r}")
+    lines = [line for line in map(str.strip, read_text(path).splitlines()) if line]
+    head = [line.partition("=") for line in lines[:len(_HEADER)]]
+    if [key.strip() for key, eq, _ in head if eq] != list(_HEADER):
+        raise PERepairError("CORRUPT_FILE", f"{path}: the header is not "
+                            + ", ".join(f"{key} = ..." for key in _HEADER))
+    plan_ref, digest, seed = (value.strip() for _, _, value in head)
+    nodes = lines[len(_HEADER):]
     try:
-        plan_ref = header["plan"]
-        digest = header["plan_digest"]
-        seed = parse_decimal(header["seed"])
-    except (KeyError, ValueError) as exc:
-        raise PERepairError("CORRUPT_FILE", f"{path}: bad header: {exc}")
+        seed = parse_decimal(seed)
+    except ValueError as exc:
+        raise PERepairError("CORRUPT_FILE", f"{path}: bad seed: {exc}")
+    for line in nodes:  # refused before the plan is read, as stray lines were
+        if not line.startswith("node "):
+            raise PERepairError("CORRUPT_FILE", f"{path}: {line!r} is not a node line")
 
-    plan_path = plan_ref
-    if not os.path.isabs(plan_path):
-        plan_path = os.path.join(os.path.dirname(os.path.abspath(path)), plan_path)
+    plan_path = os.path.join(os.path.dirname(os.path.abspath(path)), plan_ref)
     plan = load_plan(plan_path)
     if plan.digest != digest:
         raise PERepairError(
             "DIGEST_MISMATCH", f"{path}: cluster references a different plan"
         )
 
-    # every node line is checked before the seeded encode is paid for
-    if len(node_lines) != plan.n:
+    if len(nodes) != plan.n:
         raise PERepairError("CORRUPT_FILE", f"{path}: expected {plan.n} node lines")
-    stored = []  # (index, symbol or None for FAILED), in file order
-    failed_seen = 0
-    seen = set()
-    for parts in node_lines:
-        if len(parts) != 3:
-            raise PERepairError("CORRUPT_FILE", f"{path}: bad node line {parts}")
+    stored = []  # node i's symbol, or None for FAILED
+    for i, line in enumerate(nodes):
+        parts = line.split()
+        if len(parts) != 3 or parts[1] != str(i):
+            raise PERepairError("CORRUPT_FILE", f"{path}: {line!r} is not node {i}")
         try:
-            idx = parse_decimal(parts[1])
+            stored.append(None if parts[2] == "FAILED" else plan.ctx.from_hex(parts[2]))
         except ValueError as exc:
             raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
-        if not 0 <= idx < plan.n:
-            raise PERepairError("CORRUPT_FILE", f"{path}: node {idx} out of range")
-        if idx in seen:
-            # with the line count checked, a repeat hides a missing node
-            raise PERepairError("CORRUPT_FILE", f"{path}: node {idx} repeated")
-        seen.add(idx)
-        if parts[2] == "FAILED":
-            failed_seen += 1
-            if failed_seen > 1:
-                raise PERepairError(
-                    "CORRUPT_FILE", f"{path}: more than one failed node"
-                )
-            stored.append((idx, None))
-        else:
-            try:
-                stored.append((idx, plan.ctx.from_hex(parts[2])))
-            except ValueError as exc:
-                raise PERepairError("CORRUPT_FILE", f"{path}: {exc}")
+    if sum(symbol is None for symbol in stored) > 1:
+        raise PERepairError("CORRUPT_FILE", f"{path}: more than one failed node")
 
     fresh = init_cluster(plan, seed)
-    for idx, symbol in stored:
-        if symbol is not None and symbol != fresh._expected[idx]:
+    for rec, symbol in zip(fresh.nodes, stored):
+        if symbol is not None and symbol != rec.symbol:
             raise PERepairError(
                 "DIGEST_MISMATCH",
-                f"{path}: node {idx} symbol disagrees with the seeded encode",
+                f"{path}: node {rec.index} symbol disagrees with the seeded encode",
             )
-        fresh.nodes[idx].symbol = symbol
+        rec.symbol = symbol
     return fresh

@@ -155,6 +155,44 @@ def test_cluster_json_mode(capsys, tmp_path):
     assert out.count("\n") == 1
 
 
+def test_cluster_leaves_its_plan_file_as_it_is(capsys, tmp_path):
+    # a plan file that already holds the plan is read, never rewritten
+    plan = make_plan(capsys, tmp_path)
+    plan.write_text(json.dumps(json.loads(plan.read_text()), indent=2) + "\n")
+    pretty = plan.read_bytes()
+    cluster = tmp_path / "c.txt"
+    rc, _, _ = run(capsys, "cluster", "--plan", str(plan), "--seed", "42",
+                   "--out", str(cluster))
+    assert rc == 0
+    assert plan.read_bytes() == pretty
+    assert cluster.read_text().splitlines()[0] == "plan = plan.json"
+    assert load_cluster(cluster).message_seed == 42
+
+
+def test_unwritable_outputs_exit_3(capsys, tmp_path):
+    # --out in a missing directory, or naming a directory: a coded error
+    # that names the path, and no temp file left behind
+    plan = make_plan(capsys, tmp_path)
+    cluster = tmp_path / "c.txt"
+    run(capsys, "cluster", "--plan", str(plan), "--seed", "1",
+        "--out", str(cluster))
+    (tmp_path / "adir").mkdir()
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    commands = {
+        "plan": ["--construction", "1", "--s", "2", "--primes", "3,5",
+                 "--t", "3,3", "--k", "2"],
+        "cluster": ["--plan", str(plan), "--seed", "1"],
+        "repair": ["--cluster", str(cluster), "--node", "0"],
+        "tradeoff": ["--n", "14", "--k", "10"],
+    }
+    for command, argv in commands.items():
+        for out in (tmp_path / "missing" / "out", tmp_path / "adir"):
+            rc, _, err = run(capsys, command, *argv, "--out", str(out))
+            assert rc == 3, (command, out)
+            assert f"WRITE_FAILED: cannot write {out}: " in err, (command, err)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+
+
 def test_c2_repair_rejects_foreign_d(capsys, tmp_path):
     # Construction 2 repairs from every survivor outside the group: d = n - t_i
     plan = tmp_path / "p.json"

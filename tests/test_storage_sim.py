@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -295,6 +296,24 @@ def test_cluster_roundtrip_explicit_plan_path(tmp_path, toy_c2):
     assert back.plan.digest == toy_c2.digest
 
 
+def test_plan_file_is_rewritten_unless_it_holds_the_plan(tmp_path, toy_c1,
+                                                         toy_c2):
+    # another plan, or this plan's file with a point changed under its
+    # digest, is replaced, so the cluster written beside it loads
+    from perepair.constructions import save_plan
+
+    path, plan_path = tmp_path / "c.txt", tmp_path / "p.json"
+    save_plan(toy_c2, plan_path)
+    save_cluster(init_cluster(toy_c1, 3), path, plan_path=plan_path)
+    assert load_cluster(path).plan.digest == toy_c1.digest
+    canonical = plan_path.read_bytes()
+    payload = json.loads(canonical)
+    payload["point_exponents"][0][0] += 1
+    plan_path.write_text(json.dumps(payload, indent=1))
+    save_cluster(init_cluster(toy_c1, 3), path, plan_path=plan_path)
+    assert plan_path.read_bytes() == canonical
+
+
 def test_blank_lines_in_a_cluster_file_are_skipped(tmp_path, toy_c1):
     st = init_cluster(toy_c1, 7)
     fail_node(st, 2)
@@ -428,6 +447,36 @@ def test_node_lines_are_checked_before_the_encode(tmp_path, monkeypatch,
     }
     for why, body in malformed.items():
         path.write_text("\n".join(header + body) + "\n")
+        with pytest.raises(PERepairError) as e:
+            load_cluster(path)
+        assert e.value.code == "CORRUPT_FILE", why
+
+
+def test_lines_save_cluster_never_writes_are_corrupt_before_the_encode(
+        tmp_path, monkeypatch, toy_c1):
+    # each file holds the lines of one save_cluster wrote, but not in its
+    # order or spelling, so the reader refuses it
+    path = tmp_path / "cluster.txt"
+    save_cluster(init_cluster(toy_c1, 42), path)
+    plan, digest, seed, *nodes = path.read_text().splitlines()
+    assert seed == "seed = 42"
+    load_cluster(path)  # the plan is loaded: what is left is the encode
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encoded the message of a malformed file")
+
+    monkeypatch.setattr(storage_sim, "encode", no_encode)
+    malformed = {
+        "reordered header": [digest, plan, seed] + nodes,
+        "repeated seed": [plan, digest, "seed = 43", seed] + nodes,
+        "unknown key": [plan, digest, seed, "bogus = 1"] + nodes,
+        "header after the nodes": [plan, digest] + nodes + [seed],
+        "nodes swapped": [plan, digest, seed, nodes[1], nodes[0]] + nodes[2:],
+        "node 01": [plan, digest, seed, nodes[0],
+                    nodes[1].replace("node 1 ", "node 01 ")] + nodes[2:],
+    }
+    for why, lines in malformed.items():
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(PERepairError) as e:
             load_cluster(path)
         assert e.value.code == "CORRUPT_FILE", why
