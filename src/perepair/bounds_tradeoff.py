@@ -93,8 +93,12 @@ class TradeoffRow:
 def tradeoff_table(n: int, k: int) -> list:
     """One row per flexibility t in [1, min(k, n-k)].
 
-    L_min comes from the uniform bound; the bandwidth floor is d/(d-k+1)
-    repaired-bits per bit at the loosest locality d = n - t.
+    L_min comes from the uniform bound, which assumes helpers beyond k,
+    d > k; the bandwidth floor is d/(d-k+1) repaired-bits per bit at the
+    loosest locality d = n - t.  The row t = n - k, present when n - k <= k,
+    has d_max = k: there the cut-set bound is k L symbols, which naive
+    repair of any MDS code meets with L = 1, so that row's L_min is 1, the
+    naive endpoint of the trade-off.
     """
     if not n > k >= 1:
         raise ValueError("need n > k >= 1")
@@ -102,9 +106,9 @@ def tradeoff_table(n: int, k: int) -> list:
     for t in range(1, min(k, n - k) + 1):
         d_max = n - t
         beta = Fraction(d_max, d_max - k + 1)
-        rows.append(
-            TradeoffRow(t, min_subpacketization(BoundQuery.uniform(k, t)), d_max, beta)
-        )
+        L_min = (1 if d_max == k
+                 else min_subpacketization(BoundQuery.uniform(k, t)))
+        rows.append(TradeoffRow(t, L_min, d_max, beta))
     for prev, cur in zip(rows, rows[1:]):
         check_invariant(cur.L_min <= prev.L_min, f"L_min rises at t={cur.t}")
         check_invariant(cur.beta_bar_min > prev.beta_bar_min,

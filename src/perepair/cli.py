@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "n-t_i in construction 1, only n-t_i in construction 2")
     r.add_argument("--out", help="transcript JSON file")
 
-    b = sub.add_parser("bound", help="minimum sub-packetization")
+    b = sub.add_parser("bound", help="minimum sub-packetization, for "
+                       "helpers beyond k (d > k)")
     b.set_defaults(run=cmd_bound)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--t", type=_csv_ints, required=True,

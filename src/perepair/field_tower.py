@@ -332,11 +332,17 @@ def _nibble_tables(masks, n: int) -> tuple:
         digits = rows[k::width]
         # the columns of the digit's bits of weight 8, 4, 2 and 1
         d, c, b, a = [int(digits.translate(t), 2) for t in _HEX_BITS]
-        ab = a ^ b
-        dc = d ^ c
-        tables.append((0, a, b, ab, c, c ^ a, c ^ b, c ^ ab,
-                       d, d ^ a, d ^ b, d ^ ab, dc, dc ^ a, dc ^ b, dc ^ ab))
+        tables.append(_digit_table(a, b, c, d))
     return tuple(tables)
+
+
+def _digit_table(a: int, b: int, c: int, d: int) -> tuple:
+    """The 16 XORs of a hex digit's columns: entry j is the XOR of a, b, c
+    and d over j's bits of weight 1, 2, 4 and 8."""
+    ab = a ^ b
+    dc = d ^ c
+    return (0, a, b, ab, c, c ^ a, c ^ b, c ^ ab,
+            d, d ^ a, d ^ b, d ^ ab, dc, dc ^ a, dc ^ b, dc ^ ab)
 
 
 def _select(table, z: int) -> int:
@@ -666,7 +672,8 @@ class FieldCtx:
     trusted.
 
     Immutable after construction; internal caches (subfield handles, the
-    trace sequence, the order facts) are memos only.  The three order facts
+    trace sequence, the order facts, encode's digit tables) are memos
+    only.  The three order facts
     (the possibly partial factorization of 2^N - 1, its cofactor and
     whether the generator is verified) are computed on first read, for
     every context.  Build instances through :func:`make_field`.
@@ -690,6 +697,7 @@ class FieldCtx:
         self._rounds = tuple(rounds)
         self._hexw = (degree_bits + 3) // 4
         self._subfields = {}
+        self._encoders = {}  # rs_codes.encode's digit tables, by (k, points)
         self._trace_table = None
         self.generator = FieldElem(self, generator_value)
 

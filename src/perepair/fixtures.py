@@ -9,7 +9,8 @@ exponents are j times a list of small multipliers, j the smallest exponent
 whose power is a root of a published minimal polynomial over GF(2); the
 tests check that the first node of each group still has it.  Construction
 of the large example is deferred and cached; nothing here runs when the
-module is imported.
+module is imported, and an example's codeword is computed on the first
+read of ``codeword``.
 """
 
 from ._util import memo
@@ -26,20 +27,30 @@ class WorkedExample:
 
     nodes lists the nodes to repair; group_bits[i] is the expected repair
     bandwidth, in bits, for any node of group i; naive_bits is the
-    whole-symbol interpolation cost.
+    whole-symbol interpolation cost.  codeword is computed on its first
+    read, not when the example is built, so building a plan encodes
+    nothing.
     """
 
-    __slots__ = ("name", "plan", "message", "codeword",
+    __slots__ = ("name", "plan", "message", "_codeword",
                  "nodes", "group_bits", "naive_bits")
 
     def __init__(self, name, plan, message, nodes, group_bits, naive_bits):
         self.name = name
         self.plan = plan
         self.message = message
-        self.codeword = encode(message, plan.eval_set, plan_digest=plan.digest)
+        self._codeword = None
         self.nodes = tuple(nodes)
         self.group_bits = tuple(group_bits)
         self.naive_bits = naive_bits
+
+    @property
+    def codeword(self):
+        """The pinned message's codeword, encoded on the first read."""
+        if self._codeword is None:
+            self._codeword = encode(self.message, self.plan.eval_set,
+                                    plan_digest=self.plan.digest)
+        return self._codeword
 
 
 def _gf2_message(ctx, coeffs, k):

@@ -11,24 +11,39 @@ it is the oracle the tests check the repairs against.
 
 Polynomials are coefficient lists of FieldElem in ascending degree order;
 degrees stay tiny (<= n), so ``poly_eval`` is plain Horner.  ``encode``
-works on raw ints instead.  When the evaluation set knows a point's minimal
-polynomial mu over GF(2), as a plan's does, and deg mu < k, it first
-reduces the message modulo mu, by XORs alone since mu has 0/1
-coefficients, and then runs Horner on the remainder: m(alpha) =
-(m mod mu)(alpha) (Lidl & Niederreiter, Finite Fields, ch. 3).  A point
-then costs min(deg mu, k) - 1 products instead of k - 1.  Those products
-share the point as one operand, so in a field as wide as the one where
-``clmul`` switches to a byte table (field_tower._WIDE_BYTES, over 1,016
-bits) each point's Horner chain runs on one 256-entry table of the point,
-built for that point alone and kept nowhere.
+works on raw ints instead, in one of two orders picked from the shape
+alone.
+
+* By table, when the tables' 4 k n N^2 bits stay below _TABLE_BITS = 2^22
+  (the (17, 9) code over GF(2^60) takes 2.2 Mbit, the (9, 2) code over
+  GF(2^210) 3.2 Mbit).  Encoding is GF(2)-linear in the k N message bits,
+  so the codeword, all n symbols packed in one int, is the XOR of one
+  16-entry table row per hex digit of the message ("Four Russians":
+  Arlazarov, Dinic, Kronrod & Faradzev, 1970).  The tables of a digit
+  hold the packed x^b alpha_i^j of its four bits b, for coefficient j;
+  building them costs n(k - 1) products for the point powers, and each
+  step b -> b + 1 is one multiplication by x of all n slots at once.  The
+  field context keeps them under (k, points), so every plan of a process
+  with the same field and points shares one set.
+* By Horner otherwise.  When the evaluation set knows a point's minimal
+  polynomial mu over GF(2), as a plan's does, and deg mu < k, it first
+  reduces the message modulo mu, by XORs alone since mu has 0/1
+  coefficients, and then runs Horner on the remainder: m(alpha) =
+  (m mod mu)(alpha) (Lidl & Niederreiter, Finite Fields, ch. 3).  A point
+  then costs min(deg mu, k) - 1 products instead of k - 1.  Those products
+  share the point as one operand, so in a field as wide as the one where
+  ``clmul`` switches to a byte table (field_tower._WIDE_BYTES, over 1,016
+  bits) each point's Horner chain runs on one 256-entry table of the
+  point, built for that point alone and kept nowhere.
 """
 
 from __future__ import annotations
 
 from .errors import PERepairError
-from ._util import digest_of
+from ._util import digest_of, memo
 from .field_tower import (
-    _WIDE_BYTES, FieldCtx, FieldElem, _byte_table, _clmul_by_table,
+    _HEX_NIBBLE, _WIDE_BYTES, FieldCtx, FieldElem, _byte_table,
+    _clmul_by_table, _digit_table,
 )
 
 __all__ = [
@@ -41,6 +56,9 @@ __all__ = [
     "poly_eval",
     "naive_decode",
 ]
+
+# encode by table while 4 k n N^2, the bits of the tables, stays below this
+_TABLE_BITS = 1 << 22
 
 
 class EvaluationSet:
@@ -137,15 +155,53 @@ def _reduce_gf2(coeffs, mu: int) -> list:
     return rem[:d]
 
 
+def _encode_tables(A: EvaluationSet, k: int):
+    """The digit tables that encode k coefficients at the points of A, or
+    None when their 4 k n N^2 bits would reach _TABLE_BITS.  Table
+    j * ceil(N / 4) + d serves hex digit d, most significant first, of
+    coefficient j; entry v is the packed codeword of the message v x^b,
+    x^b the digit's place, in coefficient j, node i's symbol at bit i N."""
+    ctx = A.ctx
+    N, n = ctx.degree_bits, A.n
+    if 4 * k * n * N * N >= _TABLE_BITS:
+        return None
+    points = tuple(p.v for p in A.points)
+
+    def build():
+        tops = sum(1 << (i * N + N - 1) for i in range(n))  # each slot's x^(N-1)
+        tail = ctx.modulus ^ (1 << N)  # x^N in the field
+        powers = [1] * n
+        tables = []
+        for j in range(k):
+            if j:
+                powers = [ctx._mul(a, x) for a, x in zip(powers, points)]
+            col = sum(a << (i * N) for i, a in enumerate(powers))
+            cols = []  # col = the packed x^b alpha_i^j, for b = len(cols)
+            for _ in range(ctx._hexw * 4):
+                cols.append(col)
+                top = col & tops
+                # times x in every slot: a slot's x^N becomes its tail
+                col = (col ^ top) << 1 ^ (top >> (N - 1)) * tail
+            tables += [_digit_table(*cols[b:b + 4])
+                       for b in range(len(cols) - 4, -1, -4)]
+        return tuple(tables)
+
+    return memo(ctx._encoders, (k, points), build)
+
+
 def encode(msg: MessagePoly, A: EvaluationSet, plan_digest: str | None = None) -> Codeword:
     """Evaluate the message polynomial at every point of A.
 
-    Each point costs min(deg mu, k) - 1 products when A holds its minimal
-    polynomial mu, and k - 1 otherwise (see the module docstring); in a
-    field of _WIDE_BYTES bytes or more they all go through the point's
-    byte table, built once per point and dropped after it.  The
-    codeword is stamped with the evaluation set's digest unless the caller
-    provides the digest of a richer plan artifact.
+    While the tables of A and k stay below _TABLE_BITS (see the module
+    docstring), the codeword is one table lookup per hex digit of the
+    message, and the tables' one build, kept by the field context under
+    (k, points), costs n(k - 1) products.  Otherwise each point costs
+    min(deg mu, k) - 1 products when A holds its minimal polynomial mu,
+    and k - 1 when it does not; in a field of _WIDE_BYTES bytes or more
+    they all go through the point's byte table, built once per point and
+    dropped after it.  The codeword is stamped with the evaluation set's
+    digest unless the caller provides the digest of a richer plan
+    artifact.
     """
     if msg.k > A.n:
         raise PERepairError(
@@ -154,9 +210,27 @@ def encode(msg: MessagePoly, A: EvaluationSet, plan_digest: str | None = None) -
     ctx = A.ctx
     # the sum checks each coefficient's field as FieldElem arithmetic does
     coeffs = [(ctx.zero + c).v for c in msg.coefficients]
+    tables = _encode_tables(A, msg.k)
+    if tables is None:
+        values = _horner_values(coeffs, A)
+    else:
+        digits = "".join([format(c, f"0{ctx._hexw}x") for c in coeffs])
+        acc = 0
+        for t, v in zip(tables, digits.encode().translate(_HEX_NIBBLE)):
+            acc ^= t[v]
+        N, mask = ctx.degree_bits, ctx._mask
+        values = [(acc >> (i * N)) & mask for i in range(A.n)]
+    return Codeword([FieldElem(ctx, v) for v in values],
+                    plan_digest or A.digest())
+
+
+def _horner_values(coeffs, A: EvaluationSet) -> list:
+    """The message's value at each point of A, by Horner on its remainder
+    modulo the point's minimal polynomial when A holds one."""
+    ctx = A.ctx
     mul, fold = ctx._mul, ctx._fold
     wide = (ctx.degree_bits + 7) >> 3 >= _WIDE_BYTES
-    symbols = []
+    values = []
     for i, p in enumerate(A.points):
         rem = coeffs if A.minpolys is None else _reduce_gf2(coeffs, A.minpolys[i])
         x = p.v
@@ -168,8 +242,8 @@ def encode(msg: MessagePoly, A: EvaluationSet, plan_digest: str | None = None) -
         else:
             for c in reversed(rem[:-1]):
                 acc = mul(acc, x) ^ c
-        symbols.append(FieldElem(ctx, acc))
-    return Codeword(symbols, plan_digest or A.digest())
+        values.append(acc)
+    return values
 
 
 def dual_multipliers(A: EvaluationSet) -> tuple:

@@ -40,6 +40,7 @@ File formats
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 from .errors import PERepairError, check_invariant
@@ -238,11 +239,13 @@ def run_repair(state: ClusterState, strategy: str = "pe", d: int | None = None):
 
 def save_cluster(state: ClusterState, path, plan_path=None) -> None:
     """Write the cluster file, and its plan file (next to it by default)
-    unless that file already holds the plan, in any JSON spelling."""
+    unless that file already holds the plan, in any JSON spelling.  When
+    the cluster write fails, a plan file this call wrote is removed."""
     path = os.fspath(path)
     plan_path = path + ".plan" if plan_path is None else os.fspath(plan_path)
     plan = state.plan
-    if not _holds_plan(plan_path, plan):
+    wrote_plan = not _holds_plan(plan_path, plan)
+    if wrote_plan:
         save_plan(plan, plan_path)
     rel = os.path.relpath(plan_path, os.path.dirname(os.path.abspath(path)))
     values = (rel, plan.digest, state.message_seed)
@@ -250,7 +253,13 @@ def save_cluster(state: ClusterState, path, plan_path=None) -> None:
     for rec in state.nodes:
         mark = "FAILED" if rec.failed else rec.symbol.hex()
         lines.append(f"node {rec.index} {mark}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    try:
+        atomic_write_text(path, "\n".join(lines) + "\n")
+    except PERepairError:
+        if wrote_plan:
+            with contextlib.suppress(OSError):
+                os.unlink(plan_path)
+        raise
 
 
 def load_cluster(path) -> ClusterState:

@@ -26,6 +26,44 @@ def perfbench_module(name):
 oracle = perfbench_module("oracle")
 
 
+@functools.lru_cache(maxsize=None)
+def _frobenius_tables(modulus, m):
+    """y -> y^(2^m) in GF(2)[x]/(modulus), a GF(2)-linear map, as one
+    256-entry table per byte of y: column b, the image of x^b, takes m of
+    the oracle's squarings, and entry j of a byte's table is the XOR of
+    the columns of j's bits."""
+    n_bits = modulus.bit_length() - 1
+    columns = []
+    for b in range(n_bits):
+        y = 1 << b
+        for _ in range(m):
+            y = oracle.field_mul(y, y, modulus)
+        columns.append(y)
+    tables = []
+    for i in range(0, n_bits, 8):
+        table = [0]
+        for column in columns[i:i + 8]:
+            table += [v ^ column for v in table]
+        tables.append(table)
+    return tables
+
+
+def oracle_trace(x, m, modulus):
+    """Tr_{E/K}(x) = the sum of x^(2^(m i)) for i < N/m, for K = GF(2^m)
+    inside E = GF(2)[x]/(modulus) of degree N: each power is the last one
+    raised to 2^m by the oracle's products, through the map's byte
+    tables."""
+    tables = _frobenius_tables(modulus, m)
+    total = 0
+    for _ in range((modulus.bit_length() - 1) // m):
+        total ^= x
+        y = 0
+        for table, byte in zip(tables, x.to_bytes(len(tables), "little")):
+            y ^= table[byte]
+        x = y
+    return total
+
+
 def counting(monkeypatch, owner, names):
     """Wrap owner.<name> for each name with a call counter; returns the
     counts by name."""

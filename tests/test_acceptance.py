@@ -126,11 +126,11 @@ def test_criterion_4_flexibility_bandwidth_tradeoff_table():
         1, 223092870, Fraction(13, 4),
     )
     assert (rows[3].t, rows[3].L_min, rows[3].beta_bar_min) == (
-        4, 2, Fraction(10, 1),
+        4, 1, Fraction(10, 1),
     )
     text = tradeoff_csv(rows)
     assert text.splitlines()[1] == "1,223092870,13,13,4"
-    assert text.splitlines()[4] == "4,2,10,10,1"
+    assert text.splitlines()[4] == "4,1,10,10,1"
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     print(f"criterion 4: PASS — 4 rows, endpoints (13/4, 10) ({elapsed:.2f}s)")

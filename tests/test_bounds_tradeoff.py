@@ -137,7 +137,7 @@ def test_tradeoff_table_14_10():
         (1, 223092870, 13, Fraction(13, 4)),
         (2, 210, 12, Fraction(4, 1)),
         (3, 6, 11, Fraction(11, 2)),
-        (4, 2, 10, Fraction(10, 1)),
+        (4, 1, 10, Fraction(10, 1)),
     ]
 
 
@@ -170,5 +170,5 @@ def test_tradeoff_csv_exact():
         "1,223092870,13,13,4\n"
         "2,210,12,4,1\n"
         "3,6,11,11,2\n"
-        "4,2,10,10,1\n"
+        "4,1,10,10,1\n"
     )

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import re
 import runpy
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,34 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def readme_tour():
+    """(argv, printed lines) for each `$ perepair ...` line of README's
+    command blocks: its output is the lines after it, up to the next
+    command, blank line or fence.  The reproduce lines are left out: their
+    comments are not output."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    steps = []
+    for block in re.findall(r"^```\n(.*?)^```",
+                            readme.read_text(encoding="utf-8"), re.M | re.S):
+        for chunk in re.split(r"^\$ perepair ", block, flags=re.M)[1:]:
+            command, *rest = chunk.split("\n")
+            argv = shlex.split(command)
+            if argv[0] != "reproduce":
+                steps.append((argv, rest[:rest.index("")]))
+    return steps
+
+
+def test_readme_command_tour_prints_what_readme_shows(capsys, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    steps = readme_tour()
+    assert [argv[0] for argv, _ in steps] == [
+        "plan", "cluster", "repair", "repair", "bound", "tradeoff"]
+    for argv, want in steps:
+        rc, out, _ = run(capsys, *argv)
+        assert (rc, out.splitlines()) == (0, want), argv
 
 
 def make_plan(capsys, tmp_path, *extra):
@@ -416,7 +447,7 @@ def test_tradeoff_csv(capsys, tmp_path):
     assert lines[0] == "t,L_min,d_max,beta_bar_min_num,beta_bar_min_den"
     assert len(lines) == 5
     assert lines[1] == "1,223092870,13,13,4"
-    assert lines[4] == "4,2,10,10,1"
+    assert lines[4] == "4,1,10,10,1"
 
     path = tmp_path / "t.csv"
     rc, _, _ = run(capsys, "tradeoff", "--n", "14", "--k", "10",

@@ -1,5 +1,7 @@
 """Property tests: random small plans of both constructions, with random
-point exponents, encode as the oracle's Horner does and repair every node
+point exponents, and random narrow evaluation sets on both sides of
+encode's table-size rule, encode as the oracle's Horner does; the plans
+repair every node
 to the interpolation oracle's symbol at exactly the cut-set bound, by
 partial-exclusion and by naive repair, and a prepared (warm) PE repair
 replays the cold one.
@@ -14,12 +16,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perepair import rs_codes
 from perepair.constructions import build_plan_c1, build_plan_c2
+from perepair.field_tower import make_field
 from perepair.repair_engine import cutset_bits, repair_c1, repair_c2
-from perepair.rs_codes import naive_decode
+from perepair.rs_codes import EvaluationSet, MessagePoly, encode, naive_decode
 from perepair.storage_sim import fail_node, init_cluster, run_repair
 
-from conftest import check_plan_encoding, random_codeword
+from conftest import check_plan_encoding, oracle, random_codeword
 
 # Construction 1 at s = 2: (base_bits, primes), symbol fields of 30 to 70 bits
 C1_SHAPES = [(1, (3, 5)), (1, (3, 7)), (1, (3, 11)), (1, (5, 7)), (2, (3, 5))]
@@ -87,6 +91,36 @@ def test_every_node_repairs_to_the_oracle_at_the_cutset_bound(plan, seed):
 def test_encode_agrees_with_horner(plan, seed):
     # k from 1 to n across the point degrees, the plan's own k aside
     check_plan_encoding(plan, random.Random(seed))
+
+
+@st.composite
+def narrow_codes(draw):
+    """(field, points, k, tabled): n = 20 to 24 distinct points of
+    GF(2^56) to GF(2^64), and k on the side of encode's size rule that
+    tabled names, 4 k n N^2 below 2^22 or not: in these shapes both sides
+    hold values of k."""
+    n_bits = draw(st.integers(56, 64))
+    n = draw(st.integers(20, 24))
+    tabled = draw(st.booleans())
+    k_min = -(-rs_codes._TABLE_BITS // (4 * n * n_bits * n_bits))
+    k = draw(st.integers(1, k_min - 1) if tabled else st.integers(k_min, n))
+    points = draw(st.lists(st.integers(0, (1 << n_bits) - 1), min_size=n,
+                           max_size=n, unique=True))
+    return make_field(n_bits), points, k, tabled
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(code=narrow_codes(), seed=st.integers(0, 2 ** 32 - 1))
+def test_narrow_codes_encode_as_horner_on_both_sides_of_the_size_rule(
+        code, seed):
+    ctx, points, k, tabled = code
+    A = EvaluationSet(ctx, [ctx.elem(v) for v in points])
+    assert (rs_codes._encode_tables(A, k) is not None) == tabled
+    rng = random.Random(seed)
+    coeffs = [rng.getrandbits(ctx.degree_bits) for _ in range(k)]
+    got = encode(MessagePoly([ctx.elem(c) for c in coeffs]), A).symbols
+    assert [s.v for s in got] == [oracle.horner(coeffs, x, ctx.modulus)
+                                  for x in points]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=30)

@@ -33,7 +33,33 @@ from perepair.rs_codes import (
 )
 from perepair.storage_sim import fail_node, init_cluster, run_repair
 
-from conftest import counting, random_codeword
+from conftest import counting, oracle, oracle_trace, random_codeword
+
+
+@pytest.mark.parametrize("name", ["toy_c1", "toy_c1_wide", "toy_c2",
+                                  "example2"])
+def test_each_response_is_the_trace_of_the_helpers_own_symbol(request, name):
+    # the repair model's contract, checked by the oracle's arithmetic: a
+    # helper j outside the failed group answers query (j, q) with
+    # Tr_{E/K}(q c_j), an element of K, from its own symbol alone
+    plan = example2().plan if name == "example2" else request.getfixturevalue(name)
+    modulus = plan.ctx.modulus
+    cw = random_codeword(plan, random.Random(name))
+    for node in range(plan.n):
+        tr = repair_c1(plan, cw, node) if plan.construction == 1 else \
+            repair_c2(plan, cw, node)
+        group = plan.group_nodes(plan.locate(node)[0])
+        m = tr.response_bits
+        assert len(tr.queries) == len(tr.responses)
+        assert len(tr.responses) * m == tr.bits_transmitted
+        for (j, q), r in zip(tr.queries, tr.responses):
+            assert j in tr.helpers and j not in group
+            y = r.v
+            for _ in range(m):
+                y = oracle.field_mul(y, y, modulus)
+            assert y == r.v
+            assert r.v == oracle_trace(
+                oracle.field_mul(q.v, cw.symbols[j].v, modulus), m, modulus)
 
 
 def test_cutset_bits_values():

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from perepair import rs_codes
+from perepair.constructions import load_plan, save_plan
 from perepair.errors import PERepairError
+from perepair.field_tower import make_field
 from perepair.fixtures import by_name
 from perepair.rs_codes import (
     Codeword,
@@ -74,27 +76,69 @@ def test_plan_encode_reduces_by_minimal_polynomials(request, name):
     check_plan_encoding(plan, random.Random(name), oracle_ks)
 
 
-@pytest.mark.parametrize("name, products, tables", [
-    # k = 2 is below every point degree: no reduction
-    pytest.param("toy_c1_wide", 9, 0, id="toy_c1_wide-9"),
-    # 84 by plain Horner; GF(2^2310) is wide, so one byte table per point
-    pytest.param("example1", 57, 12, id="example1-57"),
-    # 136 by plain Horner
-    pytest.param("example2", 83, 0, id="example2-83"),
+@pytest.mark.parametrize("name, first, later", [
+    # (products, byte tables) of a plan's first encode, with no tables
+    # memoized yet, and of every later one.  n = 9, k = 2 over GF(2^210):
+    # 3.2 Mbit of digit tables, built by n(k - 1) products; later encodes
+    # are lookups alone
+    pytest.param("toy_c1_wide", (9, 0), (0, 0), id="toy_c1_wide-9"),
+    # its tables would take 2 Gbit, so every encode is by Horner: 84
+    # products plain, 57 after the reduction; GF(2^2310) is wide, so one
+    # byte table per point
+    pytest.param("example1", (57, 12), (57, 12), id="example1-57"),
+    # 2.2 Mbit of tables, built by 17 * 8 products
+    pytest.param("example2", (136, 0), (0, 0), id="example2-136"),
 ])
 def test_encode_costs_min_degree_k_products_per_point(request, monkeypatch,
-                                                      name, products, tables):
+                                                      name, first, later):
     plan = _plan(request, name)
     ctx = plan.ctx
-    msg = random_message(ctx, plan.k, random.Random(1))
-    want = [msg.evaluate(p) for p in plan.eval_set.points]
+    rng = random.Random(1)
+    msgs = [random_message(ctx, plan.k, rng) for _ in range(3)]
+    wants = [[msg.evaluate(p) for p in plan.eval_set.points] for msg in msgs]
+    monkeypatch.setattr(ctx, "_encoders", {})
     # a product goes through ctx._mul, or a point's byte table in a wide
     # field
     muls = counting(monkeypatch, ctx, ("_mul",))
     tabled = counting(monkeypatch, rs_codes, ("_clmul_by_table", "_byte_table"))
-    assert list(encode(msg, plan.eval_set).symbols) == want
-    assert muls["_mul"] + tabled["_clmul_by_table"] == products
-    assert tabled["_byte_table"] == tables
+
+    def spent():
+        return muls["_mul"] + tabled["_clmul_by_table"], tabled["_byte_table"]
+
+    for msg, want, cost in zip(msgs, wants, (first, later, later)):
+        before = spent()
+        assert list(encode(msg, plan.eval_set).symbols) == want
+        assert tuple(a - b for a, b in zip(spent(), before)) == cost
+
+
+def test_narrow_sets_over_the_size_rule_encode_by_horner():
+    # n = 20 over GF(2^60): the tables of k = 14 take 4.03 Mbit and are
+    # built; those of k = 15 would take 4.32 Mbit, at least 2^22, so that
+    # code keeps Horner by the 4-bit window
+    ctx = make_field(60)
+    rng = random.Random(6)
+    A = points_of(ctx, rng.sample(range(1, 1 << 60), 20))
+    for k, tabled in ((14, True), (15, False)):
+        assert (rs_codes._encode_tables(A, k) is not None) == tabled
+        msg = random_message(ctx, k, rng)
+        coeffs = [c.v for c in msg.coefficients]
+        assert [s.v for s in encode(msg, A).symbols] == [
+            oracle.horner(coeffs, p.v, ctx.modulus) for p in A.points]
+
+
+def test_plans_with_the_same_field_and_points_share_one_table_set(
+        toy_c1, tmp_path):
+    # load_plan rebuilds the plan with its own evaluation set, on the same
+    # field context, which keeps the tables
+    save_plan(toy_c1, tmp_path / "toy.plan")
+    loaded = load_plan(tmp_path / "toy.plan")
+    assert loaded.eval_set is not toy_c1.eval_set
+    tables = rs_codes._encode_tables(toy_c1.eval_set, toy_c1.k)
+    assert tables is not None
+    assert rs_codes._encode_tables(loaded.eval_set, loaded.k) is tables
+    msg = random_message(toy_c1.ctx, toy_c1.k, random.Random(8))
+    assert (encode(msg, loaded.eval_set).symbols
+            == encode(msg, toy_c1.eval_set).symbols)
 
 
 def test_encode_with_given_minimal_polynomials(gf16):

@@ -314,6 +314,39 @@ def test_plan_file_is_rewritten_unless_it_holds_the_plan(tmp_path, toy_c1,
     assert plan_path.read_bytes() == canonical
 
 
+def test_failed_cluster_write_removes_the_plan_file_it_wrote(
+        tmp_path, monkeypatch, toy_c1):
+    # the cluster path is a directory, so its write fails after the plan
+    # file beside it was written: that file goes, one already there stays
+    st = init_cluster(toy_c1, 3)
+    target = tmp_path / "adir"
+    target.mkdir()
+    with pytest.raises(PERepairError) as err:
+        save_cluster(st, target)
+    assert err.value.code == "WRITE_FAILED"
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert list(target.iterdir()) == []
+
+    plan_path = tmp_path / "p.json"
+    save_cluster(st, tmp_path / "c.txt", plan_path=plan_path)
+    kept = plan_path.read_bytes()
+    with pytest.raises(PERepairError):
+        save_cluster(st, target, plan_path=plan_path)
+    assert plan_path.read_bytes() == kept
+
+    # a clean-up that fails too leaves the plan file, and the write's own
+    # error is the one raised
+    def no_unlink(name):
+        raise PermissionError(name)
+
+    monkeypatch.setattr(os, "unlink", no_unlink)
+    with pytest.raises(PERepairError) as err:
+        save_cluster(st, target)
+    monkeypatch.undo()
+    assert err.value.code == "WRITE_FAILED"
+    assert (tmp_path / "adir.plan").exists()
+
+
 def test_blank_lines_in_a_cluster_file_are_skipped(tmp_path, toy_c1):
     st = init_cluster(toy_c1, 7)
     fail_node(st, 2)
