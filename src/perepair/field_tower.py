@@ -34,24 +34,30 @@ trial-divided by 2 and the odd numbers, so no list of primes is built or
 kept.  Primitivity is one product-tree order test over the known primes
 of the group order (_order_test); the generator search first rejects a
 candidate v with v^((2^N - 1)/p) = 1 at the smallest prime p, one power of
-a small v, and only then checks its degree and runs the tree.  Subfield
-work is done in the
-subfield: a handle for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma,
-..., gamma^(m-1) under Tr_{K/GF(2)} and the map from E to the coordinates
-of Tr_{E/K} as one 16-entry table per four bits, so a trace costs one
-lookup per hex digit.  The duals come in closed form from gamma's minimal
-polynomial g, with no solve; the m N-bit masks of that map, one per
-coordinate, are read off the trace sequence Tr_{E/GF(2)}(x^j) (Newton's
-identities on the modulus) and transposed into the tables without a
-product.  SubfieldHandle._masks builds every other trace mask the same
-way.  dual_basis solves n = N/m vectors with O(N)
-products in E when m is small against n, as in a repair over a small
-residue field: masks of c_l b_i turn Gram entries into parities, a Gram row
-is one int of m-bit entries whose row operations are XORs of its gamma^l
-multiples, and the m products gamma^l d_col of a pivot serve all its
-operations on the b side.  Otherwise it takes n(n + 1)/2 products for the
-Gram matrix and about one per row operation.  Everything is exact;
-exponents are arbitrary-precision throughout.
+a small v, and only then checks its degree and runs the tree.  A degree
+test of v in GF(2^m) squares m/p times, p the smallest prime of m, and
+compares at each maximal divisor m/p.  A subfield's canonical generator
+g^((2^N - 1)/(2^m - 1)) is a norm, taken by an Itoh-Tsujii chain of
+l - m squarings from L = GF(2^l), l = N/p for the smallest prime p of
+N/m (L = E when that is m itself); L's generator is the norm of g, so
+every subfield of GF(2^(N/2)) shares one step down from E.  Subfield
+work is done in the subfield: a handle for K = GF(2^m) keeps the dual
+c_0..c_(m-1) of 1, gamma, ..., gamma^(m-1) under Tr_{K/GF(2)} and the
+map from E to the coordinates of Tr_{E/K} as one 16-entry table per four
+bits, so a trace costs one lookup per hex digit.  The duals come in
+closed form from gamma's minimal polynomial g, with no solve; the m
+N-bit masks of that map, one per coordinate, are read off the trace
+sequence Tr_{E/GF(2)}(x^j) (Newton's identities on the modulus) and
+transposed into the tables without a product.  SubfieldHandle._masks
+builds every other trace mask the same way.  dual_basis solves n = N/m
+vectors with O(N) products in E when m is small against n, as in a
+repair over a small residue field: masks of c_l b_i turn Gram entries
+into parities, a Gram row is one int of m-bit entries whose row
+operations are XORs of its gamma^l multiples, and the m products
+gamma^l d_col of a pivot serve all its operations on the b side.
+Otherwise it takes n(n + 1)/2 products for the Gram matrix and about one
+per row operation.  Everything is exact; exponents are
+arbitrary-precision throughout.
 """
 
 from __future__ import annotations
@@ -697,6 +703,7 @@ class FieldCtx:
         self._rounds = tuple(rounds)
         self._hexw = (degree_bits + 3) // 4
         self._subfields = {}
+        self._gammas = {}  # canonical subfield generators, raw, by degree
         self._encoders = {}  # rs_codes.encode's digit tables, by (k, points)
         self._trace_table = None
         self.generator = FieldElem(self, generator_value)
@@ -861,14 +868,56 @@ class FieldCtx:
         rev = int(format(a, f"0{n}b")[::-1], 2)
         return (_clmul_by_table(rev, self._trace_table) >> (n - 1)) & self._mask
 
-    def _degree_over(self, v: int, m: int) -> int:
-        """Smallest d >= 1 with v^(2^(m*d)) == v."""
+    def _gamma(self, m: int) -> int:
+        """The canonical generator g^((2^N - 1)/(2^m - 1)) of GF(2^m), m | N,
+        as a raw value, by norms through one shared intermediate field.
+
+        gamma_N is g.  Otherwise gamma_m = N_{L/K}(gamma_L) with
+        L = GF(2^l), l = N/p for the smallest prime p of N/m, and L = E
+        when that is m: norms are transitive (Lidl & Niederreiter, Finite
+        Fields, Thm 2.29) and N_{L/K}(v) = v^((2^l - 1)/(2^m - 1)), so the
+        value is the power's.  Every subfield of GF(2^(N/2)) thus shares
+        the one step down from E.  An intermediate gamma_L is a value only:
+        it gets no handle and no degree check."""
+        n = self.degree_bits
+        if m == n:
+            return self.generator.v
+
+        def build():
+            p = factor_integer(n // m)[0][0]
+            big = n if n // p == m else n // p
+            return self._norm(self._gamma(big), big, m)
+        return memo(self._gammas, m, build)
+
+    def _norm(self, v: int, big: int, small: int) -> int:
+        """N_{L/K}(v) = v^((2^big - 1)/(2^small - 1)), the product of the
+        big/small conjugates v^(2^(small i)), for L = GF(2^big) and
+        K = GF(2^small).  Itoh-Tsujii chain (Information and Computation 78,
+        1988): with a_j the product of the first j conjugates,
+        a_2j = a_j^(2^(small j)) a_j and a_(j+1) = a_j^(2^small) v, so it
+        costs big - small squarings and at most 2 log2(big/small)
+        products."""
+        a, j = v, 1
+        for bit in bin(big // small)[3:]:
+            a = self._mul(self._frob(a, small * j), a)
+            j *= 2
+            if bit == "1":
+                a = self._mul(self._frob(a, small), v)
+                j += 1
+        return a
+
+    def _has_degree(self, v: int, m: int) -> bool:
+        """For v in GF(2^m), m | N: whether v has degree m over GF(2), that
+        is, v^(2^(m/p)) != v for every prime p of m.  One chain of m/p
+        squarings for the smallest p, compared at each maximal divisor
+        m/p."""
+        stops = {m // p for p, _ in factor_integer(m)} if m > 1 else ()
         y = v
-        for d in range(1, self.degree_bits // m + 1):
-            y = self._frob(y, m)
-            if y == v:
-                return d
-        check_invariant(False, "element degree did not divide the tower")
+        for i in range(1, max(stops, default=0) + 1):
+            y = self._sq(y)
+            if i in stops and y == v:
+                return False
+        return True
 
     def __repr__(self):
         return f"FieldCtx(GF(2^{self.degree_bits}), modulus=0x{self.modulus_hex})"
@@ -876,7 +925,10 @@ class FieldCtx:
 
 class SubfieldHandle:
     """GF(2^m) inside a FieldCtx, addressed by its canonical generator
-    g^((2^N-1)/(2^m-1)).
+    g^((2^N-1)/(2^m-1)), which FieldCtx._gamma takes as a norm through a
+    shared intermediate field.  The handle checks that its own generator
+    has degree m (INVARIANT_VIOLATION otherwise, and no handle is kept);
+    the intermediate fields' generators are never checked.
 
     Its lazy fields are the factors of 2^m - 1, the power basis
     gamma^0..gamma^(m-1), gamma's minimal polynomial, and the trace duals
@@ -890,10 +942,10 @@ class SubfieldHandle:
     def __init__(self, ctx: FieldCtx, m: int):
         self.ctx = ctx
         self.degree_bits = m
-        gen = FieldElem(ctx, ctx._pow(ctx.generator.v, ctx.order // ((1 << m) - 1)))
-        self.canonical_generator = gen
+        gen = ctx._gamma(m)
+        self.canonical_generator = FieldElem(ctx, gen)
         check_invariant(
-            m == 1 or ctx._degree_over(gen.v, 1) == m,
+            ctx._has_degree(gen, m),
             "canonical subfield generator is not defining; "
             "the ambient generator cannot be primitive",
         )
@@ -1063,9 +1115,11 @@ def make_field(degree_bits: int, modulus: int | None = None,
     integer) that is defining over GF(2) and passes the order test against
     every prime of 2^N - 1 that factoring finds.  The tests run cheapest
     first: v^((2^N - 1)/p) != 1 at the smallest prime p, then the degree of
-    v, then the full order test.  2^N - 1 is factored by cyclotomic pieces
-    (_factor_mersenne_like), with trial divisors that need no sieve and a
-    fixed cap of rho steps per composite, so the outcome depends on N alone.
+    v (v^(2^(N/q)) != v for each prime q of N, by one chain of N/q
+    squarings for the smallest q), then the full order test.  2^N - 1 is
+    factored by cyclotomic pieces (_factor_mersenne_like), with trial
+    divisors that need no sieve and a fixed cap of rho steps per composite,
+    so the outcome depends on N alone.
     When a composite survives the cap, the generator found has passed every
     available necessary test but its primitivity rests on the published
     parameters (this is the documented caveat for degree 2310); its context
@@ -1073,9 +1127,10 @@ def make_field(degree_bits: int, modulus: int | None = None,
     ``generator_verified = False``.
 
     A given generator (a plan file's ``generator_hex``) is only checked to
-    have degree N over GF(2): no factoring and no order test.  Every
-    context, searched or given, computes the three order facts on first
-    read, so a given generator equal to the search's reads the same facts.
+    have degree N over GF(2), by the same degree test: no factoring and no
+    order test.  Every context, searched or given, computes the three order
+    facts on first read, so a given generator equal to the search's reads
+    the same facts.
     There is one context per (N, modulus, generator): a search that returns
     a generator already given reuses its context.
     """
@@ -1110,10 +1165,10 @@ def make_field(degree_bits: int, modulus: int | None = None,
             generator = next(
                 v for v in count(2)
                 if _order_test(probe, v, probe.order, smallest)
-                and probe._degree_over(v, 1) == degree_bits
+                and probe._has_degree(v, degree_bits)
                 and _order_test(probe, v, probe.order, primes))
         elif not (0 < generator <= probe._mask
-                  and probe._degree_over(generator, 1) == degree_bits):
+                  and probe._has_degree(generator, degree_bits)):
             raise PERepairError(
                 "CONSTRAINT_VIOLATION",
                 f"generator {generator:#x} is not of degree {degree_bits} "

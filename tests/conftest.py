@@ -7,6 +7,7 @@ import pytest
 
 from perepair import constructions, field_tower
 from perepair.constructions import build_plan_c1, build_plan_c2
+from perepair.errors import check_invariant
 from perepair.field_tower import make_field
 from perepair.rs_codes import MessagePoly, encode, poly_eval
 
@@ -62,6 +63,19 @@ def oracle_trace(x, m, modulus):
             y ^= table[byte]
         x = y
     return total
+
+
+def degree_over(ctx, v, m):
+    """Smallest d >= 1 with v^(2^(m d)) = v in ctx, one m-fold Frobenius
+    at a time: the tests' reference for an element's degree over GF(2^m).
+    When N/m steps never return to v, as in a ring whose modulus is
+    reducible, it raises INVARIANT_VIOLATION."""
+    y = v
+    for d in range(1, ctx.degree_bits // m + 1):
+        y = ctx._frob(y, m)
+        if y == v:
+            return d
+    check_invariant(False, "element degree did not divide the tower")
 
 
 def counting(monkeypatch, owner, names):

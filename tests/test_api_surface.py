@@ -76,7 +76,7 @@ def test_memos_are_filled_by_util_memo_alone():
     # one cache rule: _util.memo is the only code that stores into a keyed
     # memo, so a build that raises leaves no entry and every key is built
     # one way
-    memos = {"_cache", "_plan_memo", "_subfields", "_encoders"}
+    memos = {"_cache", "_plan_memo", "_subfields", "_gammas", "_encoders"}
     offenders = []
     for path in sorted(Path(perepair.__file__).parent.glob("*.py")):
         if path.name == "_util.py":

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from perepair import field_tower
+from perepair import field_tower, fixtures
 from perepair.constructions import build_plan_c1
 from perepair.errors import PERepairError
 from perepair.field_tower import (
@@ -27,7 +27,7 @@ from perepair.field_tower import (
 )
 from perepair.fixtures import example1, example2
 
-from conftest import counting, oracle, primes_to
+from conftest import counting, degree_over, oracle, primes_to
 
 
 # ---------------------------------------------------------------- raw polys
@@ -468,13 +468,13 @@ def test_generator_search_rejects_at_the_smallest_prime_first(
     # 2^210 - 1: of the candidates 2..25, all but 19 and 25 have
     # v^((2^210 - 1)/3) = 1, so only those two pay the degree check
     calls = []
-    real = field_tower.FieldCtx._degree_over
+    real = field_tower.FieldCtx._has_degree
 
     def counted(ctx, v, m):
         calls.append(v)
         return real(ctx, v, m)
 
-    monkeypatch.setattr(field_tower.FieldCtx, "_degree_over", counted)
+    monkeypatch.setattr(field_tower.FieldCtx, "_has_degree", counted)
     assert make_field(210).generator.v == 25
     assert calls == [19, 25]
 
@@ -844,7 +844,7 @@ def test_subfield_handles(gf4096):
         assert gamma ** (1 << m) == gamma
         assert is_primitive_in_subfield(gamma, sub)
         if m > 1:
-            assert gf4096._degree_over(gamma.v, 1) == m
+            assert degree_over(gf4096, gamma.v, 1) == m
     with pytest.raises(PERepairError) as err:
         gf4096.subfield(5)
     assert err.value.code == "NOT_A_SUBFIELD_DEGREE"
@@ -863,8 +863,66 @@ def test_unprimitive_generator_is_an_invariant_violation():
     # under the reducible x^4 + 1, x^(2^d) never returns to x
     ring = field_tower.FieldCtx(4, 0b10001, 2)
     with pytest.raises(PERepairError) as err:
-        ring._degree_over(0b10, 1)
+        degree_over(ring, 0b10, 1)
     assert err.value.code == "INVARIANT_VIOLATION"
+
+
+def test_canonical_generators_by_norms_equal_the_powers():
+    # every gamma_m, requested in a shuffled order on a fresh context, is
+    # g^((2^N - 1)/(2^m - 1)), whatever intermediate fields it went through
+    fields = []
+    for n in (12, 60, 210):
+        F = make_field(n)
+        fields.append((n, F.modulus, F.generator.v,
+                       [m for m in range(1, n + 1) if n % m == 0]))
+    fields.append((2310, EXAMPLE1_MODULUS, 3,
+                   [1, 2, 3, 5, 7, 11, 105, 165, 231, 385, 770, 1155, 2310]))
+    rng = random.Random(32)
+    for n, modulus, g, degrees in fields:
+        rng.shuffle(degrees)
+        ctx = field_tower.FieldCtx(n, modulus, g)
+        for m in degrees:
+            assert ctx._gamma(m) == ctx._pow(g, ctx.order // ((1 << m) - 1)), \
+                (n, m)
+
+
+def test_intermediate_generators_are_never_checked(fresh_process):
+    # generator 3 of GF(2^12) is not primitive: gamma_6 has a smaller
+    # degree, while gamma_3, its norm, is defining; gamma_3 passes through
+    # gamma_6 as a bare value, and only a handle for GF(2^6) refuses it
+    modulus = smallest_irreducible(12)
+    ctx = make_field(12, modulus, 3)
+    assert ctx.subfield(3).canonical_generator.v == 0xb1
+    with pytest.raises(PERepairError) as err:
+        ctx.subfield(6)
+    assert err.value.code == "INVARIANT_VIOLATION"
+    assert list(ctx._subfields) == [3]
+    # the other order, on a fresh context: the refusal keeps no handle
+    fresh_process()
+    ctx = make_field(12, modulus, 3)
+    with pytest.raises(PERepairError) as err:
+        ctx.subfield(6)
+    assert err.value.code == "INVARIANT_VIOLATION"
+    assert ctx._subfields == {}
+    assert ctx.subfield(3).canonical_generator.v == 0xb1
+
+
+def test_example1_subfield_generators_cost_norm_steps(monkeypatch,
+                                                       fresh_process):
+    # squarings, not seconds: the build checks the modulus (2310) and g
+    # (1155), climbs once to GF(2^1155) (1155), takes four norms down from
+    # it (4594) and spends 81 on the points and the checks, 9,295 in
+    # all; the repair subfields take four more norms (3734) and their
+    # degree checks (244), 3,978.  By powers of g, the same work took
+    # 13,927 and 9,234 squarings.
+    monkeypatch.setattr(fixtures, "_cache", {})
+    calls = counting(monkeypatch, field_tower.FieldCtx, ["_sq"])
+    ctx = example1().plan.ctx
+    assert calls["_sq"] <= 9500
+    calls["_sq"] = 0
+    for m in (385, 231, 165, 105):
+        ctx.subfield(m)
+    assert calls["_sq"] <= 4000
 
 
 def test_subfield_membership_count(gf4096):
@@ -1001,14 +1059,28 @@ def test_trace_coordinate_tables_match_the_trace_masks(degree, m):
 def test_degree_histograms(gf64):
     hist = {}
     for v in range(64):
-        d = gf64._degree_over(v, 1)
+        d = degree_over(gf64, v, 1)
         hist[d] = hist.get(d, 0) + 1
     assert hist == {1: 2, 2: 2, 3: 6, 6: 54}
     hist2 = {}
     for v in range(64):
-        d = gf64._degree_over(v, 2)
+        d = degree_over(gf64, v, 2)
         hist2[d] = hist2.get(d, 0) + 1
     assert hist2 == {1: 4, 3: 60}
+
+
+def test_degree_test_compares_at_every_maximal_divisor(gf64):
+    # v of degree d lies in GF(2^m) for every m that d divides, and has
+    # degree m there only when d = m: in GF(2^6) a degree-2 element is
+    # caught at 6/3 = 2 squarings and a degree-3 one at 6/2 = 3
+    checked = 0
+    for v in range(64):
+        d = degree_over(gf64, v, 1)
+        for m in (1, 2, 3, 6):
+            if m % d == 0:
+                assert gf64._has_degree(v, m) == (d == m), (v, m)
+                checked += 1
+    assert checked == 2 * 4 + 2 * 2 + 6 * 2 + 54
 
 
 def test_primitive_counts(gf16):

@@ -33,7 +33,8 @@ from perepair.rs_codes import (
 )
 from perepair.storage_sim import fail_node, init_cluster, run_repair
 
-from conftest import counting, oracle, oracle_trace, random_codeword
+from conftest import (counting, degree_over, oracle, oracle_trace,
+                      random_codeword)
 
 
 @pytest.mark.parametrize("name", ["toy_c1", "toy_c1_wide", "toy_c2",
@@ -666,7 +667,7 @@ def test_points_have_group_degree_and_subspaces_are_bases(toy_c1, toy_c2,
     for plan in (toy_c1, toy_c2, toy_c1_wide, example2().plan):
         for g, u_i in zip(plan.groups, plan.u_list):
             m = plan.base_bits * u_i
-            assert ([plan.ctx._degree_over(pt.v, m) for pt in g.points]
+            assert ([degree_over(plan.ctx, pt.v, m) for pt in g.points]
                     == [g.prime] * g.t)
     for plan in (toy_c1, toy_c1_wide):
         ctx = plan.ctx
