@@ -225,7 +225,7 @@ def _resolve_points(ctx, base_bits, prime, t, exponents):
             "evaluation point failed the subfield primitivity check",
         )
     m = base_bits * prime
-    coords = FieldCtx(m, sub._coord_modulus(), 1)  # arithmetic only
+    coords = FieldCtx(m, sub._coord_modulus, 1)  # arithmetic only
     points = []
     minpolys = []
     by_coset = {}  # the conjugates x^(e 2^i) share a minimal polynomial
@@ -320,6 +320,8 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
     t_list = list(t_list)
     if len(t_list) < 2 or min(t_list) < 1:
         raise ValueError("need at least two groups with positive flexibility")
+    if s < 1:
+        raise ValueError(f"need s >= 1, got s={s}")
     if primes is None:
         if point_exponents is not None:
             raise ValueError("explicit exponents require explicit primes")
@@ -327,8 +329,6 @@ def build_plan_c1(base_bits, t_list, *, s=None, k=None, d=None,
         primes = find_primes_c1(s, len(t_list), t_list, base_bits)
     groups = _groups([int(p) for p in primes], t_list, point_exponents)
     groups.sort(key=lambda g: (g[1], g[0]))  # ascending t, then prime
-    if s < 1:
-        raise ValueError(f"need s >= 1, got s={s}")
     _check_groups(base_bits, s, groups)
     n = sum(t_list)
     t_max = max(t_list)

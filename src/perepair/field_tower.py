@@ -63,6 +63,7 @@ arbitrary-precision throughout.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import chain, count
 
 from .errors import PERepairError, check_invariant
@@ -677,19 +678,19 @@ class FieldCtx:
     """GF(2^N) with a fixed modulus and a primitive generator, searched or
     trusted.
 
-    Immutable after construction; internal caches (subfield handles, the
-    trace sequence, the order facts, encode's digit tables) are memos
-    only.  The three order facts
-    (the possibly partial factorization of 2^N - 1, its cofactor and
-    whether the generator is verified) are computed on first read, for
-    every context.  Build instances through :func:`make_field`.
+    Immutable after construction; internal caches are memos only: the
+    keyed ones (subfield handles, canonical generators, encode's digit
+    tables) go through _util.memo, and the trace table and the three order
+    facts (the possibly partial factorization of 2^N - 1, its cofactor and
+    whether the generator is verified) are cached properties, computed on
+    first read by every context.  Build instances through
+    :func:`make_field`.
     """
 
     def __init__(self, degree_bits, modulus, generator_value):
         self.degree_bits = degree_bits
         self.modulus = modulus
         self.order = (1 << degree_bits) - 1
-        self._facts = None  # written by _order_facts alone
         self._mask = (1 << degree_bits) - 1
         # tail exponents a of the modulus, descending; round t of _fold
         # shifts by (N - a) 2^t, keeping the strides below N - 1
@@ -705,7 +706,6 @@ class FieldCtx:
         self._subfields = {}
         self._gammas = {}  # canonical subfield generators, raw, by degree
         self._encoders = {}  # rs_codes.encode's digit tables, by (k, points)
-        self._trace_table = None
         self.generator = FieldElem(self, generator_value)
 
     # -- raw int arithmetic ------------------------------------------------
@@ -742,35 +742,30 @@ class FieldCtx:
         return poly_inv_mod(a, self.modulus)
 
     def _pow(self, a: int, k: int) -> int:
+        """a^k by left-to-right square-and-multiply over the digits of k:
+        binary digits up to 16 bits, hex digits (a 4-bit window) above,
+        against a table of a^1..a^15 that takes 14 products.  The leading
+        digit is read from the table, and each later one costs its bits'
+        squarings and, unless it is 0, one product."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
         if k == 0:
             return 1
         if a == 0:
             return 0
+        table = [1, a]
         if k.bit_length() <= 16:
-            r = 1
-            b = a
-            while k:
-                if k & 1:
-                    r = self._mul(r, b)
-                k >>= 1
-                if k:
-                    b = self._sq(b)
-            return r
-        # 4-bit windowed square-and-multiply for big exponents
-        tbl = [1, a]
-        for _ in range(14):
-            tbl.append(self._mul(tbl[-1], a))
-        r = 1
-        started = False
-        for byte in k.to_bytes((k.bit_length() + 7) // 8, "big"):
-            for nib in (byte >> 4, byte & 15):
-                if started:
-                    r = self._sq(self._sq(self._sq(self._sq(r))))
-                if nib:
-                    r = self._mul(r, tbl[nib]) if started else tbl[nib]
-                    started = True
+            width, spec = 1, "b"
+        else:
+            width, spec = 4, "x"
+            for _ in range(14):
+                table.append(self._mul(table[-1], a))
+        digits = format(k, spec).encode().translate(_HEX_NIBBLE)
+        r = table[digits[0]]
+        for j in digits[1:]:
+            r = self._frob(r, width)
+            if j:
+                r = self._mul(r, table[j])
         return r
 
     # -- element plumbing ----------------------------------------------------
@@ -813,31 +808,30 @@ class FieldCtx:
 
     # -- the group order 2^N - 1, factored on first read ---------------------
 
+    @cached_property
     def _order_facts(self):
         """(factorization, cofactor, verified): the primes of 2^N - 1 found
         within the rho cap, the unfactored composite left (1 if none), and
         whether the generator then passes the order test at every prime of
         a complete factorization."""
-        if self._facts is None and self.degree_bits == 1:
-            self._facts = (), 1, True  # GF(2)* is {1}
-        elif self._facts is None:
-            factors, cofactor, complete = _factor_mersenne_like(self.degree_bits)
-            verified = complete and _order_test(self, self.generator.v,
-                                                self.order, list(factors))
-            self._facts = tuple(sorted(factors.items())), cofactor, verified
-        return self._facts
+        if self.degree_bits == 1:
+            return (), 1, True  # GF(2)* is {1}
+        factors, cofactor, complete = _factor_mersenne_like(self.degree_bits)
+        verified = complete and _order_test(self, self.generator.v,
+                                            self.order, list(factors))
+        return tuple(sorted(factors.items())), cofactor, verified
 
     @property
     def order_factorization(self):
-        return self._order_facts()[0]
+        return self._order_facts[0]
 
     @property
     def order_cofactor(self) -> int:
-        return self._order_facts()[1]
+        return self._order_facts[1]
 
     @property
     def generator_verified(self) -> bool:
-        return self._order_facts()[2]
+        return self._order_facts[2]
 
     # -- subfields and Frobenius --------------------------------------------
 
@@ -862,11 +856,14 @@ class FieldCtx:
         with the trace sequence t_j = Tr(x^j), read off one carry-less
         product by the bit-reversed a.  The trace sequence is the operand
         every call shares, so its byte table is built once per context."""
-        if self._trace_table is None:
-            self._trace_table = _byte_table(_power_sums(self.modulus))
         n = self.degree_bits
         rev = int(format(a, f"0{n}b")[::-1], 2)
         return (_clmul_by_table(rev, self._trace_table) >> (n - 1)) & self._mask
+
+    @cached_property
+    def _trace_table(self):
+        """_byte_table of the trace sequence, for _trace_functional."""
+        return _byte_table(_power_sums(self.modulus))
 
     def _gamma(self, m: int) -> int:
         """The canonical generator g^((2^N - 1)/(2^m - 1)) of GF(2^m), m | N,
@@ -930,14 +927,13 @@ class SubfieldHandle:
     has degree m (INVARIANT_VIOLATION otherwise, and no handle is kept);
     the intermediate fields' generators are never checked.
 
-    Its lazy fields are the factors of 2^m - 1, the power basis
-    gamma^0..gamma^(m-1), gamma's minimal polynomial, and the trace duals
-    with the 4-bit tables of Tr_{E/K} (_trace_duals): ceil(N/4) tables of
-    16 m-bit ints, about 0.75 MB for GF(2^385) in GF(2^2310).
+    Its lazy values are cached properties, computed on first read: the
+    factors of 2^m - 1 (order_factorization), the power basis
+    gamma^0..gamma^(m-1) (gf2_basis), gamma's minimal polynomial
+    (_coord_modulus), and the trace duals with the 4-bit tables of
+    Tr_{E/K} (_trace_duals): ceil(N/4) tables of 16 m-bit ints, about
+    0.75 MB for GF(2^385) in GF(2^2310).
     """
-
-    __slots__ = ("ctx", "degree_bits", "canonical_generator",
-                 "_order_factors", "_gf2_basis", "_minpoly", "_duals")
 
     def __init__(self, ctx: FieldCtx, m: int):
         self.ctx = ctx
@@ -949,47 +945,39 @@ class SubfieldHandle:
             "canonical subfield generator is not defining; "
             "the ambient generator cannot be primitive",
         )
-        self._order_factors = None
-        self._gf2_basis = None
-        self._minpoly = None
-        self._duals = None
 
+    @cached_property
     def order_factorization(self):
         """Prime factorization of 2^m - 1, factored directly: the subfields
         whose primitive elements are checked hold evaluation points and are
         small, and the ambient factoring is never set off."""
-        if self._order_factors is None:
-            m = self.degree_bits
-            self._order_factors = (tuple(factor_integer((1 << m) - 1))
-                                   if m > 1 else ())
-        return self._order_factors
+        m = self.degree_bits
+        return tuple(factor_integer((1 << m) - 1)) if m > 1 else ()
 
+    @cached_property
     def gf2_basis(self):
         """Powers gamma^0..gamma^(m-1): a GF(2)-basis of the subfield,
         as raw ints.  Every product of the chain is by gamma, so gamma is
         the tabled operand; the table is dropped with the chain."""
-        if self._gf2_basis is None:
-            ctx = self.ctx
-            table = _byte_table(self.canonical_generator.v)
-            cur = 1
-            rows = [1]
-            for _ in range(self.degree_bits - 1):
-                cur = ctx._fold(_clmul_by_table(cur, table))
-                rows.append(cur)
-            self._gf2_basis = tuple(rows)
-        return self._gf2_basis
+        ctx = self.ctx
+        table = _byte_table(self.canonical_generator.v)
+        cur = 1
+        rows = [1]
+        for _ in range(self.degree_bits - 1):
+            cur = ctx._fold(_clmul_by_table(cur, table))
+            rows.append(cur)
+        return tuple(rows)
 
     # -- coordinates: K = GF(2)[x]/(g), x = gamma, g gamma's minimal polynomial
 
+    @cached_property
     def _coord_modulus(self) -> int:
         """g, read off the coordinates of gamma^m."""
-        if self._minpoly is None:
-            basis = self.gf2_basis()
-            gamma_m = self.ctx._mul(basis[-1], self.canonical_generator.v)
-            self._minpoly = ((1 << self.degree_bits)
-                             | _gf2_coordinates(basis, gamma_m))
-        return self._minpoly
+        basis = self.gf2_basis
+        gamma_m = self.ctx._mul(basis[-1], self.canonical_generator.v)
+        return (1 << self.degree_bits) | _gf2_coordinates(basis, gamma_m)
 
+    @cached_property
     def _trace_duals(self):
         """(c, tables): c_0..c_(m-1), the dual of gamma^0..gamma^(m-1) under
         Tr_{K/GF(2)}, lifted to E, and the 4-bit tables of _trace_coords.
@@ -1003,31 +991,29 @@ class SubfieldHandle:
         c_(l-1) = gamma c_l + g_l c_(m-1), a shift and two conditional XORs
         each in coordinates.  The psi are transposed once into
         _nibble_tables and dropped."""
-        if self._duals is None:
-            m = self.degree_bits
-            g = self._coord_modulus()
-            # g'(gamma): each odd-degree term x^i of g gives x^(i-1)
-            last = poly_inv_mod((g >> 1) & int("01" * m, 2), g)
-            coords = [last]
-            for l in range(m - 1, 0, -1):
-                c = coords[-1] << 1
-                if c >> m:
-                    c ^= g
-                if (g >> l) & 1:
-                    c ^= last
-                coords.append(c)
-            ctx = self.ctx
-            duals = tuple(self._lift(z) for z in reversed(coords))
-            self._duals = duals, _nibble_tables(
-                [ctx._trace_functional(c) for c in duals], ctx.degree_bits)
-        return self._duals
+        m = self.degree_bits
+        g = self._coord_modulus
+        # g'(gamma): each odd-degree term x^i of g gives x^(i-1)
+        last = poly_inv_mod((g >> 1) & int("01" * m, 2), g)
+        coords = [last]
+        for l in range(m - 1, 0, -1):
+            c = coords[-1] << 1
+            if c >> m:
+                c ^= g
+            if (g >> l) & 1:
+                c ^= last
+            coords.append(c)
+        ctx = self.ctx
+        duals = tuple(self._lift(z) for z in reversed(coords))
+        return duals, _nibble_tables(
+            [ctx._trace_functional(c) for c in duals], ctx.degree_bits)
 
     def _masks(self, v: int):
         """mu_l = _trace_functional(c_l * v) for each l: parity(y & mu_l)
         is coordinate l of Tr_{E/K}(v * y).  m products and m functionals."""
         ctx = self.ctx
         return tuple(ctx._trace_functional(ctx._mul(c, v))
-                     for c in self._trace_duals()[0])
+                     for c in self._trace_duals[0])
 
     def _is_small(self) -> bool:
         """True when 4m < N/m + 1: K is small enough against E that the
@@ -1041,7 +1027,7 @@ class SubfieldHandle:
         """Coordinates of Tr_{E/K}(v) in the basis gamma^0..gamma^(m-1), as
         an m-bit int (bit l is parity(v & psi_l)): one table lookup per hex
         digit of v, two per byte."""
-        tables = self._trace_duals()[1]
+        tables = self._trace_duals[1]
         z = 0
         for t, j in zip(tables, format(v, f"0{len(tables)}x").encode()
                         .translate(_HEX_NIBBLE)):
@@ -1050,7 +1036,7 @@ class SubfieldHandle:
 
     def _lift(self, z: int) -> int:
         """The element of E with coordinates z."""
-        return _select(self.gf2_basis(), z)
+        return _select(self.gf2_basis, z)
 
     def __repr__(self):
         return f"SubfieldHandle(GF(2^{self.degree_bits}) in GF(2^{self.ctx.degree_bits}))"
@@ -1206,7 +1192,7 @@ def is_primitive_in_subfield(e: FieldElem, sub: SubfieldHandle) -> bool:
     if e.ctx._frob(e.v, sub.degree_bits) != e.v:
         return False
     return _order_test(e.ctx, e.v, (1 << sub.degree_bits) - 1,
-                       [p for p, _ in sub.order_factorization()])
+                       [p for p, _ in sub.order_factorization])
 
 
 def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
@@ -1252,12 +1238,12 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
             rows[i] |= t << (j * m)
             rows[j] |= t << (i * m)
 
-    g = sub._coord_modulus()
+    g = sub._coord_modulus
     kmask = (1 << m) - 1
     ones = ctx._mask // kmask  # bit 0 of every slot
     top = ones << (m - 1)
     tails = ones * (g ^ (1 << m))  # g - x^m in every slot
-    basis = sub.gf2_basis()
+    basis = sub.gf2_basis
     lift = sub._lift
 
     def multiples(row):

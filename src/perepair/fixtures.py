@@ -13,6 +13,8 @@ module is imported, and an example's codeword is computed on the first
 read of ``codeword``.
 """
 
+from functools import cached_property
+
 from ._util import memo
 from .constructions import build_plan_c1, build_plan_c2
 from .rs_codes import MessagePoly, encode
@@ -27,30 +29,24 @@ class WorkedExample:
 
     nodes lists the nodes to repair; group_bits[i] is the expected repair
     bandwidth, in bits, for any node of group i; naive_bits is the
-    whole-symbol interpolation cost.  codeword is computed on its first
-    read, not when the example is built, so building a plan encodes
-    nothing.
+    whole-symbol interpolation cost.  codeword is a cached property,
+    encoded on its first read and not when the example is built, so
+    building a plan encodes nothing.
     """
-
-    __slots__ = ("name", "plan", "message", "_codeword",
-                 "nodes", "group_bits", "naive_bits")
 
     def __init__(self, name, plan, message, nodes, group_bits, naive_bits):
         self.name = name
         self.plan = plan
         self.message = message
-        self._codeword = None
         self.nodes = tuple(nodes)
         self.group_bits = tuple(group_bits)
         self.naive_bits = naive_bits
 
-    @property
+    @cached_property
     def codeword(self):
         """The pinned message's codeword, encoded on the first read."""
-        if self._codeword is None:
-            self._codeword = encode(self.message, self.plan.eval_set,
-                                    plan_digest=self.plan.digest)
-        return self._codeword
+        return encode(self.message, self.plan.eval_set,
+                      plan_digest=self.plan.digest)
 
 
 def _gf2_message(ctx, coeffs, k):

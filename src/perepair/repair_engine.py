@@ -229,7 +229,7 @@ def verify_span(S: RepairSubspace, alpha, s: int) -> bool:
     from .field_tower import gf2_rank
 
     ctx = alpha.ctx
-    sigma = S.subfield.gf2_basis()
+    sigma = S.subfield.gf2_basis
     rows = []
     shift = ctx.one
     for _ in range(s):

@@ -92,6 +92,35 @@ def test_memos_are_filled_by_util_memo_alone():
     assert offenders == []
 
 
+def _none_tested_attributes(test):
+    """The attributes <obj>.<attr> that an if's test compares `is None`."""
+    return {ast.unparse(node.left) for node in ast.walk(test)
+            if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Attribute)
+            and [type(op) for op in node.ops] == [ast.Is]
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value is None}
+
+
+def test_lazy_values_are_cached_properties():
+    # one lazy rule: a per-object value computed on first read is a
+    # functools.cached_property, never an `if obj.x is None: obj.x = ...`
+    # fill, so a build that raises stores nothing, as _util.memo's
+    offenders = []
+    for path in sorted(Path(perepair.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.If):
+                continue
+            tested = _none_tested_attributes(node.test)
+            assigned = {ast.unparse(target)
+                        for stmt in node.body for sub in ast.walk(stmt)
+                        if isinstance(sub, ast.Assign)
+                        for target in sub.targets}
+            if tested & assigned:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_library_has_no_global_statement():
     # no module rebinds its own state: the only process-wide state is the
     # memos filled by _util.memo or make_field (_field_cache, _plan_memo,

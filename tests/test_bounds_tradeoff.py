@@ -172,3 +172,32 @@ def test_tradeoff_csv_exact():
         "3,6,11,11,2\n"
         "4,1,10,10,1\n"
     )
+
+
+def test_intermediate_flexibility_beats_the_endpoints_chord():
+    # the abstract: intermediate flexibility attains a better trade-off.
+    # In the plane (ln L_min, bandwidth floor), every row between t = 1
+    # and the last row lies strictly below the chord joining them, over
+    # the tables of 4 <= n <= 40 with three rows or more and endpoints of
+    # different L_min
+    tables = points = 0
+    gaps = []
+    for n in range(4, 41):
+        for k in range(1, n):
+            rows = tradeoff_table(n, k)
+            if len(rows) < 3 or rows[0].L_min == rows[-1].L_min:
+                continue
+            tables += 1
+            x1, y1 = math.log(rows[0].L_min), rows[0].beta_bar_min
+            xe, ye = math.log(rows[-1].L_min), rows[-1].beta_bar_min
+            for r in rows[1:-1]:
+                points += 1
+                x = math.log(r.L_min)
+                chord = float(y1) + float(ye - y1) * (x - x1) / (xe - x1)
+                gaps.append((chord - float(r.beta_bar_min), n, k, r.t))
+    assert (tables, points) == (630, 4047)
+    assert all(gap > 0 for gap, *_ in gaps)
+    gap, *where = min(gaps)
+    # at n = 40, k = 3 the rows t = 2 and t = 3 share L_min = 1, and the
+    # floors 38/36 and 37/35 differ by 1/630
+    assert where == [40, 3, 2] and gap == pytest.approx(1 / 630)

@@ -563,10 +563,12 @@ def test_malformed_plan_file_is_corrupt(tmp_path, toy_c1, case, capsys):
 
 
 def test_c1_rejects_s_below_one():
-    # the prime congruence check p = 1 (mod s) needs s >= 1
+    # the prime congruence check p = 1 (mod s) needs s >= 1; s is checked
+    # before default primes are picked, so the refusal names s alone
     for s in (0, -1):
-        with pytest.raises(ValueError, match="need s >= 1"):
-            build_plan_c1(1, [3, 3], s=s, primes=[3, 5])
+        for primes in ([3, 5], None):
+            with pytest.raises(ValueError, match=f"need s >= 1, got s={s}$"):
+                build_plan_c1(1, [3, 3], s=s, primes=primes)
 
 
 def test_c1_parameters_settles_phi_without_factoring(monkeypatch):

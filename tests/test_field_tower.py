@@ -534,7 +534,7 @@ def test_pinned_and_searched_contexts_share_the_cache(fresh_process):
     # one context per (N, modulus, generator), whichever request comes first
     f = smallest_irreducible(30)
     pinned = make_field(30, f, 19)
-    assert pinned._facts is None  # nothing factored yet
+    assert "_order_facts" not in vars(pinned)  # nothing factored yet
     searched = make_field(30)
     assert searched is pinned and make_field(30, f) is pinned
     assert pinned.generator_verified is True
@@ -610,9 +610,9 @@ def test_subfield_order_factorization_is_factored_directly(fresh_process,
     assert pinned is not searched
     for m in (m for m in range(1, n + 1) if n % m == 0):
         want = tuple(factor_integer((1 << m) - 1)) if m > 1 else ()
-        assert searched.subfield(m).order_factorization() == want
-        assert pinned.subfield(m).order_factorization() == want
-    assert pinned._facts is None
+        assert searched.subfield(m).order_factorization == want
+        assert pinned.subfield(m).order_factorization == want
+    assert "_order_facts" not in vars(pinned)
 
 
 def test_pinned_generator_must_be_defining():
@@ -679,6 +679,45 @@ def test_pow_big_exponent_wraps(gf64):
         k = rng.getrandbits(200)
         assert e ** k == e ** (k % 63)
     assert (gf64.generator ** 0).v == 1
+
+
+def _oracle_pow(a, k, modulus):
+    """a^k by right-to-left square-and-multiply on the oracle's products."""
+    r = 1
+    while k:
+        if k & 1:
+            r = oracle.field_mul(r, a, modulus)
+        a = oracle.field_mul(a, a, modulus)
+        k >>= 1
+    return r
+
+
+@pytest.mark.parametrize("n", [60, 210])
+def test_pow_matches_the_oracle_across_the_digit_switch(n):
+    # binary digits up to 16 bits, hex digits above: both sides of the
+    # switch, and the powers of the order test at every prime found
+    f = smallest_irreducible(n)
+    ctx = field_tower.FieldCtx(n, f, 1)
+    order = (1 << n) - 1
+    primes = field_tower._factor_mersenne_like(n)[0]
+    exponents = [0, 1, 2, 3, (1 << 16) - 1, 1 << 16, (1 << 16) + 1]
+    exponents += [order // p for p in primes]
+    rng = random.Random(n)
+    for a in (0, 2, rng.getrandbits(n)):
+        for k in exponents:
+            assert ctx._pow(a, k) == _oracle_pow(a, k, f), (a, k)
+
+
+def test_pow_products_follow_the_digits(monkeypatch, gf64):
+    # one squaring per bit (binary) or four per hex digit after the
+    # first, one product per later nonzero digit, and the table's 14
+    calls = counting(monkeypatch, field_tower.FieldCtx, ["_mul", "_sq"])
+    for k, muls, sqs in ((1, 0, 0), (0b1011, 2, 3), ((1 << 16) - 1, 15, 15),
+                         (1 << 16, 14, 16), (0x10f00, 14 + 1, 16)):
+        before = dict(calls)
+        gf64._pow(2, k)
+        assert (calls["_mul"] - before["_mul"],
+                calls["_sq"] - before["_sq"]) == (muls, sqs), k
 
 
 def test_negative_exponent_is_refused(gf64):
@@ -1045,7 +1084,7 @@ def test_trace_coordinate_tables_match_the_trace_masks(degree, m):
     # not multiples of 8 and take an odd number of tables, 15 and 53
     F = example1().plan.ctx if degree == 2310 else make_field(degree)
     sub = F.subfield(m)
-    duals, tables = sub._trace_duals()
+    duals, tables = sub._trace_duals
     assert len(tables) == -(-degree // 4)
     assert all(len(t) == 16 for t in tables)
     psi = [F._trace_functional(c) for c in duals]
@@ -1125,7 +1164,7 @@ def _independent(sub, vectors):
     # independent over K = GF(2^m) iff their products with a GF(2)-basis of
     # K have GF(2)-rank m per vector
     F = sub.ctx
-    rows = [F._mul(v.v, c) for v in vectors for c in sub.gf2_basis()]
+    rows = [F._mul(v.v, c) for v in vectors for c in sub.gf2_basis]
     return gf2_rank(rows) == len(vectors) * sub.degree_bits
 
 
@@ -1189,7 +1228,7 @@ def _assert_trace_dual(basis, dual, tau):
     r = next(F.generator ** k for k in itertools.count(1)
              if _trace_by_squarings(F.generator ** k, m))
     e0 = r * _trace_by_squarings(r, m).inverse()
-    gammas = [F.elem(c) for c in sub.gf2_basis()]
+    gammas = [F.elem(c) for c in sub.gf2_basis]
     assert gf2_rank(c.v for c in gammas) == m
     one = [((c * e0).v & tau).bit_count() & 1 for c in gammas]
     for i, bi in enumerate(basis):

@@ -332,7 +332,7 @@ def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2):
                 assert prep.masks == masks
             if plan.construction == 2:
                 assert masks == (tuple(sub.ctx._trace_functional(c)
-                                       for c in sub._trace_duals()[0]),)
+                                       for c in sub._trace_duals[0]),)
             by_response = _by_response(prep, cw.symbols)
             by_coordinate = _by_coordinate(prep._replace(masks=masks),
                                            cw.symbols)
