@@ -28,6 +28,7 @@ from .field_tower import (
     FieldCtx,
     FieldElem,
     _gf2_coordinates,
+    _gf2_pivots,
     _is_probable_prime,
     factor_integer,
     is_primitive_in_subfield,
@@ -238,7 +239,8 @@ def _resolve_points(ctx, base_bits, prime, t, exponents):
             for _ in range(m - 1):
                 powers.append(coords._mul(powers[-1], beta))
             beta_m = coords._mul(powers[-1], beta)
-            by_coset[coset] = (1 << m) | _gf2_coordinates(powers, beta_m)
+            by_coset[coset] = (1 << m) | _gf2_coordinates(
+                _gf2_pivots(powers), beta_m)
         minpolys.append(by_coset[coset])
     return points, exponents, minpolys
 

@@ -291,15 +291,17 @@ def gf2_rank(rows) -> int:
     return len(_gf2_pivots(rows))
 
 
-def _gf2_coordinates(vectors, y: int) -> int:
-    """c with y = XOR of vectors[l] over the set bits l of c, for GF(2)-
-    independent bit-vector ints and y in their span."""
-    pivots = _gf2_pivots(vectors)
+def _gf2_coordinates(pivots, y: int):
+    """c with y = XOR of vectors[l] over the set bits l of c, for the
+    pivots = _gf2_pivots(vectors) of GF(2)-independent bit-vector ints;
+    None when y lies outside their span."""
     c = 0
     while y:
-        v, cv = pivots[y.bit_length() - 1]
-        y ^= v
-        c ^= cv
+        pivot = pivots.get(y.bit_length() - 1)
+        if pivot is None:
+            return None
+        y ^= pivot[0]
+        c ^= pivot[1]
     return c
 
 
@@ -929,7 +931,8 @@ class SubfieldHandle:
 
     Its lazy values are cached properties, computed on first read: the
     factors of 2^m - 1 (order_factorization), the power basis
-    gamma^0..gamma^(m-1) (gf2_basis), gamma's minimal polynomial
+    gamma^0..gamma^(m-1) (gf2_basis), its GF(2) elimination (_pivots),
+    which _coords solves against, gamma's minimal polynomial
     (_coord_modulus), and the trace duals with the 4-bit tables of
     Tr_{E/K} (_trace_duals): ceil(N/4) tables of 16 m-bit ints, about
     0.75 MB for GF(2^385) in GF(2^2310).
@@ -971,11 +974,24 @@ class SubfieldHandle:
     # -- coordinates: K = GF(2)[x]/(g), x = gamma, g gamma's minimal polynomial
 
     @cached_property
+    def _pivots(self):
+        """_gf2_pivots of gf2_basis, the elimination behind _coords: about
+        135 KB for GF(2^385) in GF(2^2310)."""
+        return _gf2_pivots(self.gf2_basis)
+
+    def _coords(self, v: int) -> int:
+        """The coordinates z of v in K, v = _lift(z): at most m XORs against
+        the pivots.  A v outside K is INVARIANT_VIOLATION."""
+        z = _gf2_coordinates(self._pivots, v)
+        check_invariant(z is not None,
+                        f"element is not in GF(2^{self.degree_bits})")
+        return z
+
+    @cached_property
     def _coord_modulus(self) -> int:
         """g, read off the coordinates of gamma^m."""
-        basis = self.gf2_basis
-        gamma_m = self.ctx._mul(basis[-1], self.canonical_generator.v)
-        return (1 << self.degree_bits) | _gf2_coordinates(basis, gamma_m)
+        gamma_m = self.ctx._mul(self.gf2_basis[-1], self.canonical_generator.v)
+        return (1 << self.degree_bits) | self._coords(gamma_m)
 
     @cached_property
     def _trace_duals(self):

@@ -3,17 +3,17 @@
 The engine recovers one erased RS symbol without touching the failed node's
 exclusion group.  Every helper is sent multipliers, returns subfield traces
 of (multiplier * stored symbol), and the decoder reassembles the erased
-symbol through a trace-dual basis.  The decoder is linear, so a preparation,
-cached per (failed node, d), folds that basis and the helpers' point powers
-into one weight per response, D_m(alpha_j).  A prepared repair evaluates
-that map in one of two orders, fixed from the shape: by response, one
-query product, one subfield trace and one weight product per response; or,
-when the response field GF(2^m) is small against E (4m < N/m + 1), by
-trace coordinate, one product per helper, m mask parities per response and
-m - 1 products to finish, d + m - 1 per repair (_repair).  The basis
-comes from one Gram solve per preparation, which is also the certificate
-that the query basis spans E (for Construction 1, Lemma 1's span
-condition).  For N/m vectors over GF(2^m) the solve costs O(N)
+symbol through a trace-dual basis.  The decoder is linear, and a
+preparation, cached per (failed node, d), keeps what one of three orders
+needs to evaluate it, fixed from the shape (_order): by trace coordinate
+when the response field K = GF(2^m) is small against E (4m < N/m + 1),
+d + m - 1 products per repair; in K, where every helper's point lies, when
+4 (W - 1) m <= N, one product per response and |E| W lifts and products
+to finish; else by response, 2 per response (_repair).  Responses stay
+m-bit coordinates, as sent, until a transcript's ``responses`` is read.
+The basis comes from one Gram solve per preparation, which is also the
+certificate that the query basis spans E (for Construction 1, Lemma 1's
+span condition).  For N/m vectors over GF(2^m) the solve costs O(N)
 products in E when m is small against N/m, as in a Construction-1 repair
 at small d, and O((N/m)^2) otherwise (field_tower.dual_basis).  Bandwidth
 is counted in exact bits: a GF(2^m) response is m bits, and at the
@@ -45,11 +45,22 @@ this module alone fills it, by _util.memo: the package's one memo rule
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PERepairError, check_invariant
 from ._util import canonical_json, memo
-from .field_tower import BasisOverSubfield, FieldElem, SubfieldHandle, dual_basis
+from .field_tower import (
+    _WIDE_BYTES,
+    BasisOverSubfield,
+    FieldElem,
+    SubfieldHandle,
+    _byte_table,
+    _clmul_by_table,
+    clmul,
+    dual_basis,
+    poly_mod,
+)
 from .rs_codes import annihilator, dual_multipliers, poly_eval
 
 __all__ = [
@@ -87,25 +98,30 @@ class RepairTranscript:
     they answered, and the exact bit accounting.
 
     ``queries`` holds one (helper, multiplier) pair per response; every
-    response is a subfield element of ``response_bits`` bits.
+    response is a subfield element of ``response_bits`` bits, sent as its
+    m-bit coordinates in the subfield's basis gamma^0..gamma^(m-1).  The
+    transcript keeps those; ``responses``, the same values as elements of
+    the ambient field, is lifted from them on first read.
     """
 
-    __slots__ = ("failed", "helpers", "queries", "responses", "response_bits",
-                 "per_helper_bits", "bits_transmitted", "cutset_bits",
-                 "recovered", "verified")
-
-    def __init__(self, failed, helpers, queries, responses, response_bits,
+    def __init__(self, failed, helpers, queries, subfield, coordinates,
                  per_helper_bits, bits_transmitted, cutset, recovered):
         self.failed = failed
         self.helpers = list(helpers)
         self.queries = queries
-        self.responses = responses
-        self.response_bits = response_bits
+        self._subfield = subfield
+        self._coordinates = coordinates
+        self.response_bits = subfield.degree_bits
         self.per_helper_bits = list(per_helper_bits)
         self.bits_transmitted = bits_transmitted
         self.cutset_bits = cutset
         self.recovered = recovered
         self.verified = None  # set by callers holding ground truth
+
+    @cached_property
+    def responses(self):
+        sub = self._subfield
+        return [FieldElem(sub.ctx, sub._lift(z)) for z in self._coordinates]
 
     def to_payload(self) -> dict:
         return {
@@ -295,14 +311,20 @@ class _PreparedRepair(NamedTuple):
 
     Helper ``helpers[i]`` is asked for Tr(mults[i][m] * c), the trace onto
     ``sub``, with mults[i][m] = e_m * col_i for the raw int col_i =
-    ``columns[i]``, and that response enters the failed symbol times the
-    raw int ``weights[i][m]``.  ``queries`` holds those (helper,
-    mults[i][m]) pairs in response order, built once for every repair's
-    transcript.  ``masks`` picks the evaluation order once, from the
-    shape: None repairs by response (_by_response, 2 products per
-    response); for a ``sub`` = GF(2^m) small against E, 4m < N/m + 1
-    (SubfieldHandle._is_small), masks[m] = sub._masks(e_m), and the
-    repair goes by trace coordinate (_by_coordinate, d + m - 1 products).
+    ``columns[i]``.  ``queries`` holds those (helper, mults[i][m]) pairs in
+    response order, built once for every repair's transcript.  The last
+    four fields hold what the evaluation order that _order picks from the
+    shape reads, and the ones it does not read are None:
+
+    * by response (_by_response, 2 products per response): the raw int
+      ``weights[i][m]`` = D_m(alpha_i) that response (i, m) enters the
+      failed symbol times;
+    * by trace coordinate (_by_coordinate, d + m - 1 products): those
+      weights, and masks[m] = sub._masks(e_m);
+    * in K (_in_subfield, one product per response, then |E| W lifts and
+      products): ``powers[i]``, the coordinates in K of alpha_i^1 ..
+      alpha_i^(W-1), and ``duals[m][w]``, the raw repair dual
+      dual'_{m,w}.
     """
 
     helpers: list
@@ -310,43 +332,68 @@ class _PreparedRepair(NamedTuple):
     columns: list
     mults: list
     queries: tuple
-    weights: list
+    weights: list | None
     masks: tuple | None
+    powers: list | None
+    duals: list | None
+
+
+def _order(sub: SubfieldHandle, W: int) -> str:
+    """The evaluation order of a repair with responses in K = ``sub`` =
+    GF(2^m) and W point powers, from (m, N, W) alone: "coordinate" when K
+    is small against E (SubfieldHandle._is_small); else "subfield" when
+    4 (W - 1) m <= N, where the in-K order's W - 1 carry-less m-bit
+    products per response undercut the N-bit weight product they replace;
+    else "response".  On example2's shapes (N = 60; W = 2, 3, 5) the in-K
+    order took about 0.9, 1.1 and 1.4 times as long as by response."""
+    if sub._is_small():
+        return "coordinate"
+    if 4 * (W - 1) * sub.degree_bits <= sub.ctx.degree_bits:
+        return "subfield"
+    return "response"
 
 
 def _prepare(plan, failed, helpers, sub, E, W, duals) -> _PreparedRepair:
     """_repair's preparation from the shape's query plan."""
     column, f_inv = _parity_column(plan, failed, helpers)
-    # D_m's coefficients, ascending: the repair duals of B_{m,0..W-1}
+    points = [plan.eval_set.points[j] for j in helpers]
+    # dual'_{m,w} by m, the repair duals of B_{m,0..W-1}: D_m's coefficients
     polys = [[dv * f_inv for dv in duals[m * W:(m + 1) * W]]
              for m in range(len(E))]
-    weights = [[poly_eval(p, plan.eval_set.points[j]).v for p in polys]
-               for j in helpers]
     mults = [[e_m * col for e_m in E] for col in column]
+    order = _order(sub, W)
+    weights = masks = powers = dual_rows = None
+    if order == "subfield":
+        powers = [[sub._coords(v.v) for v in _shifts([plan.ctx.one], a, W)[1:]]
+                  for a in points]
+        dual_rows = [[dv.v for dv in p] for p in polys]
+    else:
+        weights = [[poly_eval(p, a).v for p in polys] for a in points]
+        if order == "coordinate":
+            masks = tuple(sub._masks(e.v) for e in E)
     return _PreparedRepair(
         helpers, sub, [col.v for col in column], mults,
         tuple((j, m) for j, row in zip(helpers, mults) for m in row),
-        weights,
-        tuple(sub._masks(e.v) for e in E) if sub._is_small() else None)
+        weights, masks, powers, dual_rows)
 
 
 def _by_response(prep: _PreparedRepair, symbols):
-    """(raw responses, recovered int), each response traced from its own
-    query product and then multiplied by its weight: 2 products per
-    response."""
+    """(response coordinates, recovered int), each response traced from
+    its own query product, then lifted and multiplied by its weight: 2
+    products per response."""
     mul = prep.sub.ctx._mul
     trace_coords = prep.sub._trace_coords
     lift = prep.sub._lift
-    raw = []
+    coords = []
     acc = 0
     for idx, row_mults, row_weights in zip(prep.helpers, prep.mults,
                                            prep.weights):
         c = symbols[idx].v
         for mult, weight in zip(row_mults, row_weights):
-            r = lift(trace_coords(mul(mult.v, c)))
-            raw.append(r)
-            acc ^= mul(r, weight)
-    return raw, acc
+            z = trace_coords(mul(mult.v, c))
+            coords.append(z)
+            acc ^= mul(lift(z), weight)
+    return coords, acc
 
 
 def _by_coordinate(prep: _PreparedRepair, symbols):
@@ -360,9 +407,8 @@ def _by_coordinate(prep: _PreparedRepair, symbols):
     products."""
     sub = prep.sub
     mul = sub.ctx._mul
-    lift = sub._lift
     sums = [0] * sub.degree_bits
-    raw = []
+    coords = []
     for idx, col, row_weights in zip(prep.helpers, prep.columns, prep.weights):
         y = mul(col, symbols[idx].v)
         for weight, row_masks in zip(row_weights, prep.masks):
@@ -371,12 +417,47 @@ def _by_coordinate(prep: _PreparedRepair, symbols):
                 if (y & mask).bit_count() & 1:
                     z |= 1 << l
                     sums[l] ^= weight
-            raw.append(lift(z))
+            coords.append(z)
     gamma = sub.canonical_generator.v
     acc = sums[-1]
     for s_l in reversed(sums[:-1]):
         acc = mul(acc, gamma) ^ s_l
-    return raw, acc
+    return coords, acc
+
+
+def _in_subfield(prep: _PreparedRepair, symbols):
+    """_by_response's result with the sums over helpers taken in K.
+
+    The failed symbol is sum_{m,w} dual'_{m,w} S_{m,w}, where S_{m,w} =
+    sum_j alpha_j^w r_{j,m} lies in K with every alpha_j.  In coordinates,
+    K = GF(2)[x]/(g) with x = gamma, S_{m,w} is the XOR of the carry-less
+    m-bit products of alpha_j^w's and r_{j,m}'s coordinates, reduced mod g
+    once; S_{m,0} is a plain XOR.  d |E| query products, each helper
+    symbol's byte table shared by its |E| queries when E is 8 * _WIDE_BYTES
+    bits or wider, then |E| W lifts and |E| W products to finish."""
+    sub = prep.sub
+    ctx = sub.ctx
+    trace_coords = sub._trace_coords
+    wide = ctx.degree_bits >= 8 * _WIDE_BYTES
+    sums = [[0] * len(row) for row in prep.duals]
+    coords = []
+    for idx, row_mults, row_powers in zip(prep.helpers, prep.mults,
+                                          prep.powers):
+        c = symbols[idx].v
+        table = _byte_table(c) if wide else None
+        for mult, row in zip(row_mults, sums):
+            z = trace_coords(ctx._fold(_clmul_by_table(mult.v, table)) if wide
+                             else ctx._mul(mult.v, c))
+            coords.append(z)
+            row[0] ^= z
+            for w, a in enumerate(row_powers, 1):
+                row[w] ^= clmul(a, z)
+    g = sub._coord_modulus
+    acc = 0
+    for row, dual_row in zip(sums, prep.duals):
+        for s, dv in zip(row, dual_row):
+            acc ^= ctx._mul(sub._lift(poly_mod(s, g)), dv)
+    return coords, acc
 
 
 def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscript:
@@ -401,25 +482,32 @@ def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscrip
     second Gram solve.
 
     That reconstruction, sum_{m,w} dual'_{m,w} * sum_j alpha_j^w * r_{j,m},
-    is regrouped by response: the failed symbol is sum_{j,m} r_{j,m} *
-    D_m(alpha_j) with D_m(x) = sum_w dual'_{m,w} x^w.  The preparation,
-    cached per (failed, d), holds the weights D_m(alpha_j), each by Horner
-    in W - 1 products.  The map is linear over GF(2), and a prepared
-    repair evaluates it in one of two orders, fixed by the preparation
-    from the shape alone.  For R responses in K = GF(2^m):
+    is linear over GF(2).  The preparation, cached per (failed, d), holds
+    what one of three evaluation orders reads, and _order picks the order
+    from the shape alone, (m, N, W).  For R = d |E| responses in
+    K = GF(2^m):
 
-    * by response (_by_response): one query product, one subfield trace
-      and one weight product per response, 2R products;
     * by trace coordinate (_by_coordinate), when K is small against E
-      (4m < N/m + 1, the rule dual_basis uses): one product per helper,
-      m parities per response against masks the preparation keeps
-      (|E| * m of them, shared by every helper), and m - 1 products to
-      finish, d + m - 1 products.
+      (4m < N/m + 1, the rule dual_basis uses): regrouped by response, the
+      failed symbol is sum_{j,m} r_{j,m} * D_m(alpha_j) with D_m(x) =
+      sum_w dual'_{m,w} x^w, and the preparation holds the weights
+      D_m(alpha_j), each by Horner in W - 1 products, and masks (|E| * m
+      of them, shared by every helper).  One product per helper, m
+      parities per response and m - 1 products to finish, d + m - 1
+      products;
+    * in K (_in_subfield), else when 4 (W - 1) m <= N: every alpha_j lies
+      in K, so the inner sums are taken there, by m-bit carry-less
+      products against the coordinates of alpha_j^w that the preparation
+      holds with the duals, reduced once each.  One query product per
+      response, then |E| W lifts and products, R + |E| W products;
+    * by response (_by_response), else: the same weights as by
+      coordinate; one query product, one subfield trace, one lift and one
+      weight product per response, 2R products.
 
-    Both give the same responses and symbol; the queries are the
-    preparation's, the same for either order.  Where K is large
-    the masks cost more than they save (Construction 2, example1), so
-    those shapes stay by response.
+    All three return the responses as coordinates in K and give the same
+    symbol; the queries are the preparation's, the same for every order.
+    The transcript keeps the coordinates, and lifts them to E only when
+    its ``responses`` is read.
     """
     if codeword.plan_digest != plan.digest:
         raise PERepairError(
@@ -439,20 +527,19 @@ def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscrip
         )
     prep = memo(plan._cache, ("repair", failed, d),
                 lambda: _prepare(plan, failed, *shape(gi, d)))
-    evaluate = _by_response if prep.masks is None else _by_coordinate
-    raw, acc = evaluate(prep, codeword.symbols)
-    ctx = plan.ctx
+    evaluate = (_by_coordinate if prep.masks is not None
+                else _by_response if prep.powers is None else _in_subfield)
+    coords, acc = evaluate(prep, codeword.symbols)
     sub = prep.sub
-    responses = [FieldElem(ctx, r) for r in raw]
     per_helper_bits = [len(row) * sub.degree_bits for row in prep.mults]
     bits = sum(per_helper_bits)
     expected = d * cutset_bits(canonical, plan.k, plan.L,
                                plan.base_bits) // canonical
     check_invariant(bits == expected, f"repair moved {bits} bits, not {expected}")
-    return RepairTranscript(failed, prep.helpers, list(prep.queries),
-                            responses, sub.degree_bits, per_helper_bits, bits,
+    return RepairTranscript(failed, prep.helpers, list(prep.queries), sub,
+                            coords, per_helper_bits, bits,
                             cutset_bits(d, plan.k, plan.L, plan.base_bits),
-                            FieldElem(ctx, acc))
+                            FieldElem(plan.ctx, acc))
 
 
 def repair_c1(plan, codeword, failed: int, d: int | None = None) -> RepairTranscript:

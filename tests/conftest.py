@@ -49,14 +49,29 @@ def _frobenius_tables(modulus, m):
     return tables
 
 
+def oracle_frobenius(y, m, modulus):
+    """y^(2^m) in GF(2)[x]/(modulus), by m of the oracle's squarings."""
+    for _ in range(m):
+        y = oracle.field_mul(y, y, modulus)
+    return y
+
+
 def oracle_trace(x, m, modulus):
     """Tr_{E/K}(x) = the sum of x^(2^(m i)) for i < N/m, for K = GF(2^m)
     inside E = GF(2)[x]/(modulus) of degree N: each power is the last one
-    raised to 2^m by the oracle's products, through the map's byte
-    tables."""
+    raised to 2^m by the oracle's products.  Up to N = 256 that goes
+    through the map's byte tables, whose N m products every later trace
+    shares; above it, by N - m squarings of this trace's own."""
+    n_bits = modulus.bit_length() - 1
+    if n_bits > 256:
+        total = x
+        for _ in range(n_bits // m - 1):
+            x = oracle_frobenius(x, m, modulus)
+            total ^= x
+        return total
     tables = _frobenius_tables(modulus, m)
     total = 0
-    for _ in range((modulus.bit_length() - 1) // m):
+    for _ in range(n_bits // m):
         total ^= x
         y = 0
         for table, byte in zip(tables, x.to_bytes(len(tables), "little")):

@@ -1095,6 +1095,24 @@ def test_trace_coordinate_tables_match_the_trace_masks(degree, m):
         assert sub._trace_coords(v) == field_tower._parities(v, psi)
 
 
+@pytest.mark.parametrize("degree, m", [(30, 5), (60, 12), (210, 35)])
+def test_subfield_coordinates_invert_the_lift(degree, m):
+    # _coords solves against the basis gamma^0..gamma^(m-1): 0, the basis
+    # itself and random elements of K come back to the coordinates they
+    # lift from, and an element outside K, the ambient generator, is
+    # refused
+    F = make_field(degree)
+    sub = F.subfield(m)
+    rng = random.Random(degree * m)
+    zs = [0] + [1 << l for l in range(m)]
+    zs += [rng.getrandbits(m) for _ in range(20)]
+    for z in zs:
+        assert sub._coords(sub._lift(z)) == z
+    with pytest.raises(PERepairError) as ei:
+        sub._coords(F.generator.v)
+    assert ei.value.code == "INVARIANT_VIOLATION"
+
+
 def test_degree_histograms(gf64):
     hist = {}
     for v in range(64):

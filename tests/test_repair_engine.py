@@ -7,13 +7,15 @@ from perepair.constructions import build_plan_c1
 from perepair.errors import PERepairError
 from perepair import field_tower, repair_engine
 from perepair.field_tower import BasisOverSubfield, dual_basis, trace_to
-from perepair.fixtures import example2
+from perepair.fixtures import example1, example2
 from perepair.repair_engine import (
     RepairSubspace,
     _by_coordinate,
     _by_response,
     _helper_prefix,
+    _in_subfield,
     _lemma1_candidates,
+    _order,
     _parity_column,
     _shifts,
     cutset_bits,
@@ -33,32 +35,38 @@ from perepair.rs_codes import (
 )
 from perepair.storage_sim import fail_node, init_cluster, run_repair
 
-from conftest import (counting, degree_over, oracle, oracle_trace,
-                      random_codeword)
+from conftest import (counting, degree_over, oracle, oracle_frobenius,
+                      oracle_trace, random_codeword)
 
 
 @pytest.mark.parametrize("name", ["toy_c1", "toy_c1_wide", "toy_c2",
-                                  "example2"])
+                                  "example2", "example1"])
 def test_each_response_is_the_trace_of_the_helpers_own_symbol(request, name):
     # the repair model's contract, checked by the oracle's arithmetic: a
     # helper j outside the failed group answers query (j, q) with
-    # Tr_{E/K}(q c_j), an element of K, from its own symbol alone
-    plan = example2().plan if name == "example2" else request.getfixturevalue(name)
+    # Tr_{E/K}(q c_j), an element of K, from its own symbol alone.  On
+    # example1 a response costs the oracle 2,310 squarings of 2310 bits,
+    # so only the first nonzero response of node 0 is checked, in the group
+    # the benchmark repairs.
+    if name.startswith("example"):
+        plan = (example1() if name == "example1" else example2()).plan
+    else:
+        plan = request.getfixturevalue(name)
     modulus = plan.ctx.modulus
     cw = random_codeword(plan, random.Random(name))
-    for node in range(plan.n):
+    for node in [0] if name == "example1" else range(plan.n):
         tr = repair_c1(plan, cw, node) if plan.construction == 1 else \
             repair_c2(plan, cw, node)
         group = plan.group_nodes(plan.locate(node)[0])
         m = tr.response_bits
         assert len(tr.queries) == len(tr.responses)
         assert len(tr.responses) * m == tr.bits_transmitted
-        for (j, q), r in zip(tr.queries, tr.responses):
+        checked = list(zip(tr.queries, tr.responses))
+        if name == "example1":
+            checked = [next((q, r) for q, r in checked if r)]
+        for (j, q), r in checked:
             assert j in tr.helpers and j not in group
-            y = r.v
-            for _ in range(m):
-                y = oracle.field_mul(y, y, modulus)
-            assert y == r.v
+            assert oracle_frobenius(r.v, m, modulus) == r.v
             assert r.v == oracle_trace(
                 oracle.field_mul(q.v, cw.symbols[j].v, modulus), m, modulus)
 
@@ -174,8 +182,9 @@ def test_lemma1_with_every_beta_singular_is_a_span_failure(monkeypatch):
 
 def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
     # the duals of B = f_mult * {e_m * alpha_f^w} are the subspace's duals
-    # over f_mult, equal to a fresh Gram solve of B, and each cached weight
-    # is the response's share of the reconstruction through those duals:
+    # over f_mult, equal to a fresh Gram solve of B.  A preparation in K
+    # keeps those duals and the coordinates of alpha_j^w; any other keeps
+    # each response's share of the reconstruction through the duals:
     # sum_w dual_{m,w} * alpha_j^w
     rng = random.Random(808)
     for plan in (toy_c1, toy_c1_wide):
@@ -198,6 +207,16 @@ def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
             fresh = dual_basis(BasisOverSubfield(prep.sub, B))
             assert [dv * f_inv for dv in S.duals] == list(fresh.vectors)
             W = plan.s
+            if prep.powers is not None:
+                assert prep.duals == [
+                    [dv.v for dv in fresh.vectors[m * W:(m + 1) * W]]
+                    for m in range(len(S.basis))]
+                assert [[prep.sub._lift(a) for a in row]
+                        for row in prep.powers] == [
+                    [p.v for p in _shifts([plan.ctx.one],
+                                          plan.eval_set.points[j], W)[1:]]
+                    for j in prep.helpers]
+                continue
             for j, row in zip(prep.helpers, prep.weights):
                 pows = _shifts([plan.ctx.one], plan.eval_set.points[j], W)
                 want = []
@@ -241,8 +260,8 @@ def test_cold_repairs_certify_once_without_gf2_rank(monkeypatch):
 
 def test_warm_pe_repair_costs_two_products_per_response(toy_c1, toy_c1_wide,
                                                        monkeypatch):
-    # a prepared repair folds the reconstruction into one weight per
-    # response: one query product and one weight product each, and no
+    # a prepared repair takes at most one query product and one weight
+    # product per response, whichever order evaluates it, and no
     # inversion.  Replaying the dual-basis sum took 3.2 to 6.4 products per
     # response on these plans.
     calls = dict.fromkeys(("_mul", "poly_inv_mod"), 0)
@@ -304,47 +323,99 @@ def test_warm_small_field_repair_costs_d_plus_m_minus_1_products(
         assert calls["poly_inv_mod"] == 0
 
 
-def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2):
-    # the two private evaluation orders on one preparation: the same
-    # responses, bits and symbol for every node, and the transcript's
-    # queries are the preparation's, one per response in response order.  Shapes that
-    # repair by response get the masks built here; for Construction 2,
+def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2,
+                                     monkeypatch):
+    # the three private evaluation orders, each forced on the shape of
+    # every node's repair and then run on one preparation that holds what
+    # all three read: the same response coordinates, bits and symbol.  The
+    # rule picks in K for toy_c1 and toy_c1_wide at d = 5, by coordinate
+    # for toy_c1_wide at d = 3, and by response for Construction 2, where
     # |E| = 1 and the masks are the subfield's trace masks psi, the masks
     # that _trace_duals transposes into its tables.
+    orders = {"response": _by_response, "coordinate": _by_coordinate,
+              "subfield": _in_subfield}
     rng = random.Random(1618)
-    for plan in (toy_c1, toy_c1_wide, toy_c2):
+    for plan, d, picked in ((toy_c1, None, "subfield"),
+                            (toy_c1_wide, 3, "coordinate"),
+                            (toy_c1_wide, 5, "subfield"),
+                            (toy_c2, None, "response"),
+                            (example2().plan, None, "response")):
+        repair = repair_c1 if plan.construction == 1 else repair_c2
         cw = random_codeword(plan, rng)
         for node in range(plan.n):
             gi, _ = plan.locate(node)
-            if plan.construction == 1:
-                tr = repair_c1(plan, cw, node)
-                R = _helper_prefix(plan, gi, plan.d)[1]
-                E = lemma1_subspace(plan, node, helper_groups=R).basis
-            else:
-                tr = repair_c2(plan, cw, node)
-                E = [plan.ctx.one]
-            prep = plan._cache[("repair", node, len(tr.helpers))]
+            tr = repair(plan, cw, node, d)
+            key = ("repair", node, len(tr.helpers))
+            prep = plan._cache[key]
             sub = prep.sub
-            assert (prep.masks is not None) == sub._is_small()
-            assert (prep.masks is not None) == (plan is toy_c1_wide)
-            masks = tuple(sub._masks(e.v) for e in E)
-            if prep.masks is not None:
-                assert prep.masks == masks
+            W = plan.s if plan.construction == 1 else plan.groups[gi].prime
+            assert _order(sub, W) == picked
+            assert (prep.masks is not None) == (picked == "coordinate")
+            assert (prep.powers is not None) == (picked == "subfield")
+            forced = {}
+            for name in orders:
+                del plan._cache[key]
+                monkeypatch.setattr(repair_engine, "_order",
+                                    lambda sub, W, name=name: name)
+                again = repair(plan, cw, node, d)
+                monkeypatch.undo()
+                forced[name] = plan._cache[key]
+                assert again._coordinates == tr._coordinates
+                assert again.recovered == tr.recovered
+            plan._cache[key] = prep
             if plan.construction == 2:
-                assert masks == (tuple(sub.ctx._trace_functional(c)
-                                       for c in sub._trace_duals[0]),)
-            by_response = _by_response(prep, cw.symbols)
-            by_coordinate = _by_coordinate(prep._replace(masks=masks),
-                                           cw.symbols)
-            assert by_coordinate == by_response
-            raw, acc = by_response
+                assert forced["coordinate"].masks == (tuple(
+                    sub.ctx._trace_functional(c)
+                    for c in sub._trace_duals[0]),)
+            one = forced["response"]._replace(
+                masks=forced["coordinate"].masks,
+                powers=forced["subfield"].powers,
+                duals=forced["subfield"].duals)
+            for evaluate in orders.values():
+                assert evaluate(one, cw.symbols) == (tr._coordinates,
+                                                     tr.recovered.v)
             assert tr.queries == list(prep.queries) == [
                 (j, mult) for j, row in zip(prep.helpers, prep.mults)
                 for mult in row]
-            assert len(tr.queries) == len(raw)
-            assert raw == [r.v for r in tr.responses]
-            assert acc == tr.recovered.v == cw.symbols[node].v
-            assert len(raw) * sub.degree_bits == tr.bits_transmitted
+            assert len(tr.queries) == len(tr._coordinates)
+            assert [sub._lift(z) for z in tr._coordinates] == [
+                r.v for r in tr.responses]
+            assert tr.recovered == cw.symbols[node]
+            assert len(tr.queries) * sub.degree_bits == tr.bits_transmitted
+
+
+def test_warm_repair_in_k_lifts_responses_only_when_read(toy_c1,
+                                                        toy_c1_wide,
+                                                        monkeypatch):
+    # every helper point lies in K, so a prepared repair takes its sums over
+    # helpers there: one query product per response, then |E| W lifts and
+    # |E| W products, and no inversion.  The responses stay coordinates
+    # until they are read, and the first read lifts each one once.
+    for plan, d in ((toy_c1, None), (toy_c1_wide, 5)):
+        cw = random_codeword(plan, random.Random(577))
+        for node in range(plan.n):
+            tr = repair_c1(plan, cw, node, d)  # prepares (or finds) it
+            prep = plan._cache[("repair", node, len(tr.helpers))]
+            assert prep.powers is not None
+            E, W = len(prep.mults[0]), plan.s
+            products = counting(monkeypatch, field_tower.FieldCtx, ["_mul"])
+            tables = counting(monkeypatch, repair_engine, ["_clmul_by_table"])
+            inversions = counting(monkeypatch, field_tower, ["poly_inv_mod"])
+            lifts = counting(monkeypatch, field_tower.SubfieldHandle,
+                             ["_lift"])
+            tr = repair_c1(plan, cw, node, d)
+            assert (products["_mul"] + tables["_clmul_by_table"]
+                    == len(tr.helpers) * E + E * W)
+            assert inversions["poly_inv_mod"] == 0
+            assert lifts["_lift"] == E * W  # the finish's, no response's
+            responses = tr.responses
+            assert lifts["_lift"] == E * W + len(tr.queries)
+            assert tr.responses is responses
+            assert lifts["_lift"] == E * W + len(tr.queries)
+            monkeypatch.undo()
+            assert tr.recovered == cw.symbols[node]
+            assert [r.v for r in responses] == [
+                prep.sub._lift(z) for z in tr._coordinates]
 
 
 def test_lemma1_subspaces_over_a_gf4_base():
@@ -756,3 +827,27 @@ def test_every_wide_node_repair_is_pinned(toy_c1_wide):
             h.update(log.to_csv().encode())
             h.update("".join(r.hex() + "\n" for r in tr.responses).encode())
     assert h.hexdigest() == PINNED_WIDE_REPAIRS_SHA256
+
+
+# SHA-256 over the transcript JSON, transfer-log CSV and trace responses of
+# a PE repair of every node of toy_c1_wide at d = 4, 5 and 6, for two
+# cluster seeds: responses in GF(2^15), GF(2^21) and GF(2^35), the shapes
+# that test_every_wide_node_repair_is_pinned (d = 3) does not reach
+PINNED_WIDE_HIGH_LOCALITY_SHA256 = (
+    "5989abf4d6bbc1f4a99a196d46cfd9e6f5b27686fb4ce380f66af27158ecfbfe"
+)
+
+
+def test_every_wide_node_repair_above_the_canonical_locality_is_pinned(
+        toy_c1_wide):
+    h = hashlib.sha256()
+    for seed in (53, 8191):
+        for d in (4, 5, 6):
+            for node in range(toy_c1_wide.n):
+                state = fail_node(init_cluster(toy_c1_wide, seed), node)
+                _, tr, log = run_repair(state, "pe", d)
+                h.update(tr.to_json().encode())
+                h.update(log.to_csv().encode())
+                h.update("".join(r.hex() + "\n"
+                                 for r in tr.responses).encode())
+    assert h.hexdigest() == PINNED_WIDE_HIGH_LOCALITY_SHA256
