@@ -30,13 +30,15 @@ def digest_of(payload) -> str:
 
 
 def parse_decimal(text: str) -> int:
-    """An int as the package's files write it: ASCII digits after an
-    optional minus sign.  int() alone also reads other Unicode digits, a
-    plus sign, underscores and surrounding blanks."""
+    """An int as the package's files write it, str(value): ASCII digits
+    after an optional minus sign, with no leading zero and no -0.  int()
+    alone also reads those, other Unicode digits, a plus sign, underscores
+    and surrounding blanks."""
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an ASCII decimal: {text!r}")
-    return int(text)
+    value = int(text) if digits.isascii() and digits.isdigit() else None
+    if value is None or str(value) != text:
+        raise ValueError(f"not a decimal as str() writes it: {text!r}")
+    return value
 
 
 def read_text(path) -> str:

@@ -25,26 +25,32 @@ remainder by the exact Barrett quotient, found without a product: w
 shift-XORs in each of ceil(log2((N - 1) / min(N - a))) log-doubling rounds
 for a tail of w exponents a (5 rounds for x^210 + x^203 + 1).  The Rabin
 irreducibility test refuses an even weight (x + 1 divides) before it
-squares through an arithmetic-only FieldCtx, and
-its gcds run the inversion's shift-and-add loop without the cofactors,
-with no division.  2^N - 1 is factored piece by cyclotomic piece
-Phi_d(2), each trial-divided only by the primes of d and by 1 + j lcm(2, d)
-(every other prime of Phi_d(2) has 2 of order d); any other integer is
-trial-divided by 2 and the odd numbers, so no list of primes is built or
-kept.  Primitivity is one product-tree order test over the known primes
-of the group order (_order_test); the generator search first rejects a
-candidate v with v^((2^N - 1)/p) = 1 at the smallest prime p, one power of
-a small v, and only then checks its degree and runs the tree.  A degree
-test of v in GF(2^m) squares m/p times, p the smallest prime of m, and
-compares at each maximal divisor m/p.  A subfield's canonical generator
-g^((2^N - 1)/(2^m - 1)) is a norm, taken by an Itoh-Tsujii chain of
-l - m squarings from L = GF(2^l), l = N/p for the smallest prime p of
-N/m (L = E when that is m itself); L's generator is the norm of g, so
-every subfield of GF(2^(N/2)) shares one step down from E.  Subfield
-work is done in the subfield: a handle for K = GF(2^m) keeps the dual
-c_0..c_(m-1) of 1, gamma, ..., gamma^(m-1) under Tr_{K/GF(2)} and the
-map from E to the coordinates of Tr_{E/K} as one 16-entry table per four
-bits, so a trace costs one lookup per hex digit.  The duals come in
+squares through an arithmetic-only FieldCtx, and a factor of degree <= B =
+min(max(4, n.bit_length()), n // 2) after B squarings, by one gcd with the
+product of x^(2^j) - x, j <= B (a distinct-degree sieve); only a modulus
+that passes pays the rest of the chain (6 of the 65 candidates at degree
+210).  Its gcds run the inversion's shift-and-add loop without the
+cofactors, with no division.  2^N - 1 is factored once per process, piece
+by cyclotomic piece Phi_d(2), each trial-divided only by the primes of d
+and by 1 + j lcm(2, d) (every other prime of Phi_d(2) has 2 of order d);
+any other integer is trial-divided by 2 and the odd numbers, so no list of
+primes is built or kept.  Primitivity is one product-tree order test over
+the known primes of the group order (_order_test); the generator search
+first rejects a candidate v with v^((2^N - 1)/p) = 1 at the smallest prime
+p, and only then checks its degree and runs the tree.  That first value is
+a power of a small v only when v is irreducible over GF(2); a product v =
+q r of smaller candidates, asked before it, takes one product of their
+stored values (_power_by_factors).  A degree test of v in GF(2^m) squares
+m/p times, p the smallest prime of m, and compares at each maximal divisor
+m/p.  A subfield's canonical generator g^((2^N - 1)/(2^m - 1)) is a norm,
+taken by an Itoh-Tsujii chain of l - m squarings from L = GF(2^l),
+l = N/p for the smallest prime p of N/m (L = E when that is m itself);
+L's generator is the norm of g, so every subfield of GF(2^(N/2)) shares
+one step down from E.  Subfield work is done in the subfield: a handle
+for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma, ...,
+gamma^(m-1) under Tr_{K/GF(2)} and the map from E to the coordinates of
+Tr_{E/K} as one 16-entry table per four bits, so a trace costs one
+lookup per hex digit.  The duals come in
 closed form from gamma's minimal polynomial g, with no solve; the m
 N-bit masks of that map, one per coordinate, are read off the trace
 sequence Tr_{E/GF(2)}(x^j) (Newton's identities on the modulus) and
@@ -229,7 +235,15 @@ def is_irreducible(f: int) -> bool:
     """Rabin's test: x^(2^n) = x mod f and gcd(x^(2^(n/p)) - x, f) = 1.
 
     Above degree 1, f(0) = 0 (x divides f) and an even weight (f(1) = 0,
-    so x + 1 divides f) return False with no squaring."""
+    so x + 1 divides f) return False with no squaring.  The first
+    B = min(max(4, n.bit_length()), n // 2) squarings also sieve for
+    small factors, a distinct-degree pre-scan (Ben-Or, FOCS 1981; Gao &
+    Panario, 1997): x^(2^j) - x is the product of the irreducibles of
+    degree dividing j, so the product over j <= B shares a factor with f
+    exactly when f has an irreducible factor of degree <= B, and one gcd
+    refuses f after B squarings and B products.  B <= n/2 < n, so an
+    irreducible f, whose own degree exceeds B, is never refused, and a
+    checkpoint n/p <= B is covered by the sieve."""
     n = poly_degree(f)
     if n < 1:
         return False
@@ -239,10 +253,17 @@ def is_irreducible(f: int) -> bool:
         return False  # divisible by x
     if not (f.bit_count() & 1):
         return False  # f(1) = 0: divisible by x + 1
-    checkpoints = {n // p for p, _ in factor_integer(n)}
     ring = FieldCtx(n, f, 1)  # arithmetic only, as in make_field
+    bound = min(max(4, n.bit_length()), n // 2)
     y = 2  # the polynomial x
-    for j in range(1, n + 1):
+    sieve = 1
+    for _ in range(bound):
+        y = ring._sq(y)
+        sieve = ring._mul(sieve, y ^ 2)
+    if poly_gcd(sieve, f) != 1:
+        return False  # an irreducible factor of degree <= bound
+    checkpoints = {n // p for p, _ in factor_integer(n)}
+    for j in range(bound + 1, n + 1):
         y = ring._sq(y)
         if j in checkpoints and poly_gcd(y ^ 2, f) != 1:
             return False
@@ -251,19 +272,18 @@ def is_irreducible(f: int) -> bool:
 
 def smallest_irreducible(n: int) -> int:
     """First irreducible of degree n, coefficient vectors ordered
-    lexicographically low-degree-first."""
+    lexicographically low-degree-first: candidate b sets the middle
+    coefficients x^1..x^(n-1) to its n - 1 bits, read lowest degree from
+    the top bit.  is_irreducible refuses the even weights with no squaring
+    and those with a factor of degree <= B after B squarings, so only a
+    few candidates pay the full chain (6 of 65 at n = 210, B = 8)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     if n == 1:
         return 2  # x itself
     base = (1 << n) | 1
-    width = n - 1
     for b in count(0):
-        mid = 0
-        for i in range(1, n):
-            if (b >> (width - i)) & 1:
-                mid |= 1 << i
-        f = base | mid
+        f = base | int(format(b, f"0{n - 1}b")[::-1], 2) << 1
         if is_irreducible(f):
             return f
 
@@ -597,6 +617,16 @@ def _factor_mersenne_like(n_bits: int):
     return factors, cofactor, cofactor == 1
 
 
+_mersenne_memo = {}
+
+
+def _mersenne_factors(n_bits: int):
+    """_factor_mersenne_like(n_bits), factored once per process: the
+    generator search and every context's order facts share it."""
+    return memo(_mersenne_memo, n_bits,
+                lambda: _factor_mersenne_like(n_bits))
+
+
 # --------------------------------------------------------------------------
 # field context and elements
 
@@ -818,7 +848,7 @@ class FieldCtx:
         a complete factorization."""
         if self.degree_bits == 1:
             return (), 1, True  # GF(2)* is {1}
-        factors, cofactor, complete = _factor_mersenne_like(self.degree_bits)
+        factors, cofactor, complete = _mersenne_factors(self.degree_bits)
         verified = complete and _order_test(self, self.generator.v,
                                             self.order, list(factors))
         return tuple(sorted(factors.items())), cofactor, verified
@@ -1104,6 +1134,25 @@ def _order_test(ctx, v: int, order: int, primes) -> bool:
     return True
 
 
+def _power_by_factors(ctx, v: int, k: int, store) -> int:
+    """v^k in ctx, kept in store under v (one store per k).  A v with a
+    factor q over GF(2), deg q <= deg v / 2, takes the stored powers of q
+    and v / q and one product, since (q r)^k = q^k r^k; only an
+    irreducible v pays the power.  The generator search asks in
+    ascending order, so q and v / q, both smaller, are stored already."""
+    def build():
+        for q in range(2, 1 << (poly_degree(v) // 2 + 1)):
+            quotient, rest = 0, v  # v divided by q, shift by shift
+            while (shift := rest.bit_length() - q.bit_length()) >= 0:
+                quotient ^= 1 << shift
+                rest ^= q << shift
+            if not rest:
+                return ctx._mul(_power_by_factors(ctx, q, k, store),
+                                _power_by_factors(ctx, quotient, k, store))
+        return ctx._pow(v, k)
+    return memo(store, v, build)
+
+
 def make_field(degree_bits: int, modulus: int | None = None,
                generator: int | None = None) -> FieldCtx:
     """Build GF(2^degree_bits), cached by (degree_bits, modulus, generator).
@@ -1118,8 +1167,15 @@ def make_field(degree_bits: int, modulus: int | None = None,
     every prime of 2^N - 1 that factoring finds.  The tests run cheapest
     first: v^((2^N - 1)/p) != 1 at the smallest prime p, then the degree of
     v (v^(2^(N/q)) != v for each prime q of N, by one chain of N/q
-    squarings for the smallest q), then the full order test.  2^N - 1 is
-    factored by cyclotomic pieces (_factor_mersenne_like), with trial
+    squarings for the smallest q), then the full order test.  The first
+    test is multiplicative, (q r)^k = q^k r^k: candidates are visited in
+    ascending order, so a v with a factor q over GF(2) multiplies the
+    stored values of q and v / q, and only an irreducible v pays the
+    power (7 of the 24 candidates at N = 210).  The modulus search is
+    smallest_irreducible's, whose Rabin tests sieve out small factors
+    first; neither shortcut changes which candidate is returned.
+    2^N - 1 is factored once per process (shared with the contexts' order
+    facts) by cyclotomic pieces (_factor_mersenne_like), with trial
     divisors that need no sieve and a fixed cap of rho steps per composite,
     so the outcome depends on N alone.
     When a composite survives the cap, the generator found has passed every
@@ -1161,12 +1217,15 @@ def make_field(degree_bits: int, modulus: int | None = None,
         probe = FieldCtx(degree_bits, modulus, 1)  # arithmetic only
         if generator is None:
             # of full order as far as factored, and defining over GF(2);
-            # one power at the smallest prime rejects most candidates first
-            primes = list(_factor_mersenne_like(degree_bits)[0])
-            smallest = [min(primes)] if primes else []
+            # v^((2^N - 1)/p) != 1 at the smallest prime p rejects most
+            # candidates first, by one product unless v is irreducible
+            primes = list(_mersenne_factors(degree_bits)[0])
+            first = probe.order // min(primes) if primes else 0
+            firsts = {}
             generator = next(
                 v for v in count(2)
-                if _order_test(probe, v, probe.order, smallest)
+                if (not primes
+                    or _power_by_factors(probe, v, first, firsts) != 1)
                 and probe._has_degree(v, degree_bits)
                 and _order_test(probe, v, probe.order, primes))
         elif not (0 < generator <= probe._mask

@@ -276,7 +276,9 @@ def test_even_weight_is_reducible_without_squaring(monkeypatch):
     assert is_irreducible(0b11)  # x + 1 itself, of even weight
     # the search skips even weights without the test's squarings
     assert smallest_irreducible(210) == (1 << 210) | (1 << 203) | 1
-    assert calls["factor_integer"] == 33  # the odd weights, 65 candidates
+    # of the 33 odd weights among 65 candidates, 27 have a factor of degree
+    # <= 8, which the sieve finds before the checkpoints are factored
+    assert calls["factor_integer"] == 6
 
 
 def test_irreducible_small_tables():
@@ -305,6 +307,41 @@ def test_irreducible_census(degree, count):
         if is_irreducible((1 << degree) | tail)
     )
     assert found == count
+
+
+def test_small_factor_sieve_is_trial_division(monkeypatch):
+    # degrees 9-12 sieve to B = 4: f is refused after exactly B squarings
+    # iff an irreducible of degree <= 4 divides it, an even weight (x + 1
+    # divides) with no squaring; a full chain or a checkpoint takes more
+    small = [q for q in range(2, 32) if is_irreducible(q)]
+    assert len(small) == 8  # 2 + 1 + 2 + 3 of degrees 1-4
+    calls = counting(monkeypatch, field_tower.FieldCtx, ["_sq"])
+    for n in range(9, 13):
+        for tail in range(1, 1 << n, 2):
+            f = (1 << n) | tail
+            calls["_sq"] = 0
+            verdict = is_irreducible(f)
+            trial = any(oracle.gf2x_reduce(f, q) == 0 for q in small)
+            refused_early = not verdict and calls["_sq"] <= 4
+            assert refused_early == trial, f
+            if trial:
+                assert calls["_sq"] == (4 if f.bit_count() & 1 else 0), f
+
+
+def test_sieve_refuses_a_small_factor_of_each_degree_at_n_210(monkeypatch):
+    # q h of degree 210, for q irreducible of degree e <= B = 8: refused
+    # after 8 squarings (x + 1, of even weight, before any); an irreducible
+    # pays the whole chain of 210
+    products = {e: clmul(smallest_irreducible(e) if e > 1 else 0b11,
+                         smallest_irreducible(210 - e)) for e in range(1, 9)}
+    calls = counting(monkeypatch, field_tower.FieldCtx, ["_sq"])
+    for e, f in products.items():
+        calls["_sq"] = 0
+        assert f.bit_length() == 211 and not is_irreducible(f)
+        assert calls["_sq"] == (8 if e > 1 else 0), e
+    calls["_sq"] = 0
+    assert is_irreducible((1 << 210) | (1 << 203) | 1)
+    assert calls["_sq"] == 210
 
 
 def test_smallest_irreducible_frozen():
@@ -475,8 +512,57 @@ def test_generator_search_rejects_at_the_smallest_prime_first(
         return real(ctx, v, m)
 
     monkeypatch.setattr(field_tower.FieldCtx, "_has_degree", counted)
+    # that first test's power runs for the irreducible candidates alone;
+    # a product q r of smaller ones multiplies their stored powers
+    first = ((1 << 210) - 1) // 3
+    powered = []
+    real_pow = field_tower.FieldCtx._pow
+
+    def counted_pow(ctx, a, k):
+        if k == first:
+            powered.append(a)
+        return real_pow(ctx, a, k)
+
+    monkeypatch.setattr(field_tower.FieldCtx, "_pow", counted_pow)
     assert make_field(210).generator.v == 25
     assert calls == [19, 25]
+    assert powered == [2, 3, 7, 11, 13, 19, 25]
+
+
+@pytest.mark.parametrize("n", [60, 210])
+def test_first_order_powers_multiply_over_factors(monkeypatch, n):
+    # v^((2^n - 1)/3), 3 the smallest prime of 2^n - 1, for v = 2..64 in
+    # the search's order: equal to the power, which only irreducibles pay
+    ctx = field_tower.FieldCtx(n, smallest_irreducible(n), 1)
+    k = ctx.order // 3
+    real_pow = field_tower.FieldCtx._pow
+    powered = []
+
+    def counted_pow(self, a, e):
+        powered.append(a)
+        return real_pow(self, a, e)
+
+    monkeypatch.setattr(field_tower.FieldCtx, "_pow", counted_pow)
+    store = {}
+    for v in range(2, 65):
+        got = field_tower._power_by_factors(ctx, v, k, store)
+        assert got == real_pow(ctx, v, k) == store[v], v
+    assert powered == [v for v in range(2, 65) if is_irreducible(v)]
+    # asked out of order, a composite fills its factors' entries first
+    store = {}
+    assert field_tower._power_by_factors(ctx, 60, k, store) == \
+        real_pow(ctx, 60, k)
+    # 60 = x^2 (x + 1)^3 over GF(2): x 30, 30 = x 15, 15 = (x + 1) 5 and
+    # 5 = (x + 1)^2, each split at its smallest factor
+    assert sorted(store) == [2, 3, 5, 15, 30, 60]
+
+
+def test_default_search_squaring_budget(monkeypatch, fresh_process):
+    # a count, not a clock: a fresh GF(2^210) search squares 3,926 times,
+    # against 8,980 before the sieve and the product-built first test
+    calls = counting(monkeypatch, field_tower.FieldCtx, ["_sq"])
+    make_field(210)
+    assert calls["_sq"] <= 4500
 
 
 def test_searched_fields_are_pinned(fresh_process):
@@ -582,11 +668,13 @@ def _count_factoring(monkeypatch):
 def test_one_factoring_per_search_and_none_per_cached_request(
         monkeypatch, fresh_process, n):
     # the search's field, asked for again by its modulus and by its
-    # generator, is served from the cache
+    # generator, is served from the cache, and its order facts read the
+    # search's factorization
     calls = _count_factoring(monkeypatch)
     searched = make_field(n)
     assert make_field(n, smallest_irreducible(n)) is searched
     assert make_field(n, None, searched.generator.v) is searched
+    assert searched.generator_verified is True
     assert calls == [n]
 
 

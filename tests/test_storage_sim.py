@@ -650,6 +650,9 @@ def test_non_utf8_cluster_file_is_corrupt(tmp_path, capsys):
     ("seed", "\u0661\u0662"),  # Arabic-Indic 12, which int() reads as 12
     ("seed", "+12"),
     ("seed", "1_2"),
+    ("seed", "012"),  # leading zeros and a signed zero, which int() reads
+    ("seed", "0012"),
+    ("seed", "-0"),
     ("node", "\u0663"),  # Arabic-Indic 3
     ("node", "\uff13"),  # fullwidth 3
 ])

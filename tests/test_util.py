@@ -22,14 +22,17 @@ def test_atomic_write_text_mode_follows_umask(tmp_path, umask, mode):
 
 
 def test_parse_decimal_reads_ascii_digits_only():
-    # int() reads every one of these spellings but the last two
+    # int() reads every one of these spellings but the last two; each is
+    # one that str() never writes
     for text in ("+5", "0_5", " 5", "5 ", "6\t",
                  "\u0665",  # an Arabic-Indic 5
                  "\uff16",  # a fullwidth 6
+                 "012", "0012", "00", "-0", "-012",
                  "", "-"):
         with pytest.raises(ValueError):
             parse_decimal(text)
     assert parse_decimal("12") == 12 and parse_decimal("-3") == -3
+    assert parse_decimal("0") == 0 and parse_decimal("10") == 10
 
 
 def test_atomic_write_text_cleans_up_after_a_failed_write(tmp_path,
