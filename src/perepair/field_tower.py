@@ -56,11 +56,10 @@ N-bit masks of that map, one per coordinate, are read off the trace
 sequence Tr_{E/GF(2)}(x^j) (Newton's identities on the modulus) and
 transposed into the tables without a product.  SubfieldHandle._masks
 builds every other trace mask the same way.  dual_basis solves n = N/m
-vectors with O(N) products in E when m is small against n, as in a
-repair over a small residue field: masks of c_l b_i turn Gram entries
-into parities, a Gram row is one int of m-bit entries whose row
-operations are XORs of its gamma^l multiples, and the m products
-gamma^l d_col of a pivot serve all its operations on the b side.
+vectors with O(N) products in E when m is small against n: masks of
+c_l b_i turn Gram entries into parities, a Gram row is one int of m-bit
+entries whose row operations are XORs of its gamma^l multiples, and the m
+products gamma^l d_col of a pivot serve all its operations on the b side.
 Otherwise it takes n(n + 1)/2 products for the Gram matrix and about one
 per row operation.  Everything is exact; exponents are
 arbitrary-precision throughout.
@@ -1053,6 +1052,30 @@ class SubfieldHandle:
         duals = tuple(self._lift(z) for z in reversed(coords))
         return duals, _nibble_tables(
             [ctx._trace_functional(c) for c in duals], ctx.degree_bits)
+
+    def _power_duals(self, m: int):
+        """y_0..y_(r-1), the dual of delta^0..delta^(r-1) under Tr_{F/K}, as
+        raw ints: F this subfield, delta its canonical generator, K =
+        GF(2^m) and r = [F : K].  The closed form of _trace_duals one level
+        up: delta's minimal polynomial over K is mu(x) = prod_(j < r)
+        (x - delta_j), delta_j = delta^(2^(m j)), so mu(x) / (x - delta) =
+        b(x) = prod_(j > 0) (x - delta_j), and y_l = b_l / mu'(delta) with
+        mu'(delta) = b(delta).  About r^2 / 2 products and one inversion.
+        dual_basis over K cannot give these duals when [E : F] is even:
+        Tr_{E/K} = [E : F] Tr_{F/K} is then 0 on F."""
+        ctx = self.ctx
+        delta = self.canonical_generator.v
+        b = [1]  # low to high
+        norm = 1
+        conj = delta
+        for _ in range(self.degree_bits // m - 1):
+            conj = ctx._frob(conj, m)
+            norm = ctx._mul(norm, delta ^ conj)
+            b = [0] + b
+            for l in range(len(b) - 1):
+                b[l] ^= ctx._mul(conj, b[l + 1])
+        inv = ctx._inv(norm)
+        return [ctx._mul(c, inv) for c in b]
 
     def _masks(self, v: int):
         """mu_l = _trace_functional(c_l * v) for each l: parity(y & mu_l)

@@ -14,8 +14,10 @@ m-bit coordinates, as sent, until a transcript's ``responses`` is read.
 The basis comes from one Gram solve per preparation, which is also the
 certificate that the query basis spans E (for Construction 1, Lemma 1's
 span condition).  For N/m vectors over GF(2^m) the solve costs O(N)
-products in E when m is small against N/m, as in a Construction-1 repair
-at small d, and O((N/m)^2) otherwise (field_tower.dual_basis).  Bandwidth
+products in E when m is small against N/m, and O((N/m)^2) otherwise
+(field_tower.dual_basis).  A Construction-1 repair at small d answers over
+a K smaller than the failed group's point field F, and is certified over F
+instead: [E : F] vectors, not N/m (lemma1_subspace).  Bandwidth
 is counted in exact bits: a GF(2^m) response is m bits, and at the
 canonical locality the total equals the cut-set bound.
 
@@ -78,10 +80,11 @@ class RepairSubspace:
     """Certified repair subspace of one node over a residue subfield.
 
     basis spans S over ``subfield``; ``beta`` is the ambient generator used
-    to build it.  ``duals`` is the trace-dual of the shifted set
-    {b_m * alpha^w}, ordered m-major, alpha the node's point, which
-    certifies the span condition S + alpha S + ... + alpha^{s-1} S = E
-    (lemma1_subspace); subspaces built by hand may leave it None.
+    to build it.  ``duals`` is the trace-dual over ``subfield`` of the
+    shifted set {b_m * alpha^w}, ordered m-major, alpha the node's point,
+    which certifies the span condition S + alpha S + ... + alpha^{s-1} S =
+    E; lemma1_subspace finds it by a Gram solve over the point field.
+    Subspaces built by hand may leave it None.
     """
 
     __slots__ = ("subfield", "basis", "beta", "duals")
@@ -150,24 +153,31 @@ def cutset_bits(d_helpers: int, k: int, L_qsyms: int, base_bits: int) -> int:
 
 
 def lemma1_subspace(plan, node: int, helper_groups=None) -> RepairSubspace:
-    """Repair subspace of one Construction-1 node, over GF(q^{u-bar}).
+    """Repair subspace of one Construction-1 node, over K = GF(q^{u-bar}).
 
     The subspace belongs to the node's point alpha (Lemma 1: S + alpha S +
     ... + alpha^{s-1} S = E): its base layer is the s-shift set
-    {beta^mu * alpha^(mu + sigma*s)} plus the closing sum element, lifted
-    from GF(q^{u_i}) down to the residue field of the helper groups by a
-    power basis of the intermediate subfield.  Each node needs its own
-    subspace; one built for a point does not shift-span for the other
-    points of its group.  One check certifies the result: the trace-dual
-    of the s shifts of the p_i * u_i / u-bar candidate vectors.  They
-    number exactly N / (bits of GF(q^{u-bar})), and the trace form is
-    nondegenerate, so dual_basis's Gram matrix is nonsingular exactly when
-    they span E, which is the span condition for alpha and also proves the
-    candidates independent over GF(q^{u-bar}).  The duals are kept for the
-    repair.  If the ambient generator fails as beta, small powers of it
-    are tried in order.  Helper groups default to every other group; in
-    any order, they must be distinct groups of the plan other than the
-    node's, and the subspace is cached per (node, sorted groups).
+    {beta^mu * alpha^(mu + sigma*s)} plus the closing sum element, p_i
+    vectors b, lifted from the point field F = GF(q^{u_i}) down to the
+    residue field K of the helper groups as the b * delta^l, l < r =
+    u_i / u-bar, since delta, F's canonical generator, has the power basis
+    delta^0..delta^(r-1) of F over K.  Each node needs its own subspace;
+    one built for a point does not shift-span for the other points of its
+    group.  One Gram solve over F certifies the result: {b * alpha^w *
+    delta^l} spans E over K iff {b * alpha^w} spans E over F, and those
+    s p_i = [E : F] vectors span E exactly when dual_basis's Gram matrix
+    is nonsingular, the trace form being nondegenerate.  That is the span
+    condition for alpha, and it also proves the lifted vectors independent
+    over K.  As Tr_{E/K} = Tr_{F/K} Tr_{E/F}, the duals over K are
+    x*_{b,w} * y_l at ((b r + l) s + w), x* the solve's duals and y those
+    of delta's powers under Tr_{F/K} (SubfieldHandle._power_duals): the
+    duals a Gram solve over K gives, from s p_i vectors, not s p_i r.  When
+    F = K (r = 1, as at d = n - t_i) the solve over F is the whole search.
+    The duals are kept for the repair.  If the ambient generator fails as
+    beta, small powers of it are tried in order, and only the accepted
+    beta is lifted.  Helper groups default to every other group; in any
+    order, they must be distinct groups of the plan other than the node's,
+    and the subspace is cached per (node, sorted groups).
     """
     if plan.construction != 1:
         raise ValueError("repair subspaces of this shape exist for construction 1")
@@ -181,19 +191,29 @@ def lemma1_subspace(plan, node: int, helper_groups=None) -> RepairSubspace:
             f"plan, at least one, other than node {node}'s group {group}")
 
     def search():
-        ubar = math.prod(plan.groups[j].prime for j in R)
-        sub = plan.ctx.subfield(plan.base_bits * ubar)
+        ctx = plan.ctx
+        a, s = plan.base_bits, plan.s
+        sub = ctx.subfield(a * math.prod(plan.groups[j].prime for j in R))
+        field = ctx.subfield(a * plan.u_list[group])
         alpha = plan.eval_set.points[node]
-        for beta, vectors in _lemma1_candidates(plan, group, alpha, ubar):
-            shifted = BasisOverSubfield(sub, _shifts(vectors, alpha, plan.s))
+        for beta, base in _lemma1_candidates(plan, group, alpha):
+            shifted = BasisOverSubfield(field, _shifts(base, alpha, s))
             try:
-                duals = dual_basis(shifted)
+                duals = dual_basis(shifted).vectors
             except PERepairError as err:
                 if err.code != "SINGULAR_GRAM":
                     raise
                 continue
+            if field is not sub:
+                # b * delta^l over K, and its duals x*_{b,w} * y_l at
+                # ((b r + l) s + w)
+                ys = [FieldElem(ctx, y)
+                      for y in field._power_duals(sub.degree_bits)]
+                duals = [duals[i * s + w] * y for i in range(len(base))
+                         for y in ys for w in range(s)]
+                base = _shifts(base, field.canonical_generator, len(ys))
             return RepairSubspace(
-                sub, BasisOverSubfield(sub, vectors), beta, duals.vectors)
+                sub, BasisOverSubfield(sub, base), beta, duals)
         raise PERepairError(
             "SPAN_FAILURE", f"no workable beta among g^1..g^32 for node {node}"
         )
@@ -201,18 +221,14 @@ def lemma1_subspace(plan, node: int, helper_groups=None) -> RepairSubspace:
     return memo(plan._cache, ("subspace", node, R), search)
 
 
-def _lemma1_candidates(plan, group: int, alpha, ubar: int):
-    """(beta, candidate vectors) of lemma1_subspace for beta = g^1..g^32,
-    in order, for the point alpha of the group and residue field
-    GF(q^ubar)."""
+def _lemma1_candidates(plan, group: int, alpha):
+    """(beta, base) of lemma1_subspace for beta = g^1..g^32, in order, for
+    the point alpha of the group: the p_i vectors b that the search
+    certifies over the group's point field and lifts to its residue
+    field."""
     ctx = plan.ctx
-    a = plan.base_bits
     s = plan.s
     p_i = plan.groups[group].prime
-    u_i = plan.u_list[group]
-
-    delta = ctx.subfield(a * u_i).canonical_generator
-    lift = _shifts([ctx.one], delta, u_i // ubar)
     step = alpha ** s
     top = alpha ** (p_i - 1)
     for beta_exp in range(1, 33):
@@ -224,7 +240,7 @@ def _lemma1_candidates(plan, group: int, alpha, ubar: int):
         for v in _shifts([top], beta, s):
             closing = closing + v
         base.append(closing)
-        yield beta, [b * f for b in base for f in lift]
+        yield beta, base
 
 
 def _shifts(vectors, alpha, count: int):

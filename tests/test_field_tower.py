@@ -27,7 +27,8 @@ from perepair.field_tower import (
 )
 from perepair.fixtures import example1, example2
 
-from conftest import counting, degree_over, oracle, primes_to
+from conftest import (counting, degree_over, oracle, oracle_frobenius,
+                      primes_to)
 
 
 # ---------------------------------------------------------------- raw polys
@@ -1181,6 +1182,40 @@ def test_trace_coordinate_tables_match_the_trace_masks(degree, m):
     values += [rng.getrandbits(degree) for _ in range(20)]
     for v in values:
         assert sub._trace_coords(v) == field_tower._parities(v, psi)
+
+
+def test_power_duals_meet_the_trace_definition(toy_c1, toy_c1_wide):
+    # Tr_{F/K}(delta^l y_l') = [l = l'] for F = GF(q^{u_i}) over every
+    # residue field K of a Construction-1 plan, delta F's canonical
+    # generator, with Tr_{F/K} the sum of r = [F : K] conjugates by the
+    # oracle's squarings.  toy_c1 has only r = 1; on toy_c1_wide, [E : F]
+    # is even, so Tr_{E/K} (oracle_trace) is 0 on F and cannot stand in
+    seen = set()
+    for plan in (toy_c1, toy_c1_wide):
+        ctx, a = plan.ctx, plan.base_bits
+        modulus = ctx.modulus
+        for gi in range(len(plan.groups)):
+            F = ctx.subfield(a * plan.u_list[gi])
+            others = [j for j in range(len(plan.groups)) if j != gi]
+            for size in range(1, len(others) + 1):
+                for R in itertools.combinations(others, size):
+                    m = a * math.prod(plan.groups[j].prime for j in R)
+                    r = F.degree_bits // m
+                    ys = F._power_duals(m)
+                    assert len(ys) == r
+                    power = 1
+                    for l in range(r):
+                        for l2, y in enumerate(ys):
+                            x = oracle.field_mul(power, y, modulus)
+                            tr = 0
+                            for _ in range(r):
+                                tr ^= x
+                                x = oracle_frobenius(x, m, modulus)
+                            assert tr == (l == l2)
+                        power = oracle.field_mul(
+                            power, F.canonical_generator.v, modulus)
+                    seen.add(r)
+    assert seen == {1, 3, 5, 7}
 
 
 @pytest.mark.parametrize("degree, m", [(30, 5), (60, 12), (210, 35)])

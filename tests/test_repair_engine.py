@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -118,63 +119,74 @@ def test_lemma1_subspace_is_specific_to_its_point(toy_c1):
     assert ei.value.code == "SINGULAR_GRAM"
 
 
-def test_gram_acceptance_matches_verify_span(toy_c1):
-    # every candidate of g^1..g^32, for every node's point, shifted by
-    # each point of its group: the trace-dual Gram solve accepts exactly
-    # what verify_span's GF(2) rank accepts
+def test_gram_acceptance_matches_verify_span(toy_c1, toy_c1_wide):
+    # every candidate of g^1..g^32 for a node's point, shifted by each point
+    # of its group: the Gram solve over F = GF(q^{u_i}) accepts exactly the
+    # candidates whose lift b * delta^l to K verify_span's GF(2) rank
+    # accepts.  Every node of toy_c1 (F = K), and nodes 0, 3 and 6 of
+    # toy_c1_wide with the next group helping (r = [F : K] = 7, 3 and 5)
     outcomes = set()
-    for gi, g in enumerate(toy_c1.groups):
-        ubar = toy_c1.groups[1 - gi].prime
-        sub = toy_c1.ctx.subfield(ubar)
-        for node in toy_c1.group_nodes(gi):
-            alpha = toy_c1.eval_set.points[node]
-            for beta, vectors in _lemma1_candidates(toy_c1, gi, alpha, ubar):
-                basis = BasisOverSubfield(sub, vectors)
-                for pt in g.points:
-                    shifted = _shifts(vectors, pt, toy_c1.s)
+    for plan, nodes in ((toy_c1, range(toy_c1.n)), (toy_c1_wide, (0, 3, 6))):
+        ctx, a = plan.ctx, plan.base_bits
+        for node in nodes:
+            gi, _ = plan.locate(node)
+            helping = plan.groups[(gi + 1) % len(plan.groups)]
+            sub = ctx.subfield(a * helping.prime)
+            field = ctx.subfield(a * plan.u_list[gi])
+            lift = _shifts([ctx.one], field.canonical_generator,
+                           field.degree_bits // sub.degree_bits)
+            alpha = plan.eval_set.points[node]
+            for beta, base in _lemma1_candidates(plan, gi, alpha):
+                basis = BasisOverSubfield(sub, [b * f for b in base
+                                                for f in lift])
+                for pt in plan.groups[gi].points:
+                    shifted = _shifts(base, pt, plan.s)
                     try:
-                        dual_basis(BasisOverSubfield(sub, shifted))
+                        dual_basis(BasisOverSubfield(field, shifted))
                         gram_ok = True
                     except PERepairError as err:
                         assert err.code == "SINGULAR_GRAM"
                         gram_ok = False
                     rank_ok = verify_span(RepairSubspace(sub, basis, beta),
-                                          pt, toy_c1.s)
+                                          pt, plan.s)
                     assert gram_ok == rank_ok
-                    outcomes.add(gram_ok)
-    assert outcomes == {True, False}
+                    outcomes.add((plan is toy_c1, gram_ok))
+    assert outcomes == {(True, True), (True, False), (False, True),
+                        (False, False)}
 
 
 def _lemma1_with_singular(monkeypatch, singular):
-    """A fresh toy_c1-shaped plan whose subspace search sees candidate i
-    replaced by zero vectors, a singular set, when singular(i); returns
-    the plan and the list of betas tried."""
+    """A fresh toy_c1_wide-shaped plan whose subspace search sees candidate
+    i replaced by zero vectors, a singular set, when singular(i); returns
+    the plan and the list of betas tried.  Node 0 with group 1 helping
+    solves over F = GF(2^35) and lifts to K = GF(2^5)."""
     real = repair_engine._lemma1_candidates
     tried = []
 
-    def candidates(plan, group, alpha, ubar):
-        for i, (beta, vectors) in enumerate(real(plan, group, alpha, ubar)):
+    def candidates(plan, group, alpha):
+        for i, (beta, base) in enumerate(real(plan, group, alpha)):
             tried.append(beta)
             if singular(i):
-                vectors = [plan.ctx.zero] * len(vectors)
-            yield beta, vectors
+                base = [plan.ctx.zero] * len(base)
+            yield beta, base
 
     monkeypatch.setattr(repair_engine, "_lemma1_candidates", candidates)
-    return build_plan_c1(1, [3, 3], s=2, primes=[3, 5]), tried
+    return build_plan_c1(1, [3, 3, 3], s=2, k=2, primes=[3, 5, 7]), tried
 
 
 def test_lemma1_takes_the_next_beta_after_a_singular_one(monkeypatch):
     plan, tried = _lemma1_with_singular(monkeypatch, lambda i: i == 0)
-    S = lemma1_subspace(plan, 0)
+    S = lemma1_subspace(plan, 0, helper_groups=(1,))
     assert tried[0] == plan.ctx.generator and len(tried) >= 2
     assert S.beta == tried[-1] != tried[0]
+    assert S.subfield.degree_bits == 5 and len(S.basis) == 3 * 7
     assert verify_span(S, plan.eval_set.points[0], plan.s)
 
 
 def test_lemma1_with_every_beta_singular_is_a_span_failure(monkeypatch):
     plan, tried = _lemma1_with_singular(monkeypatch, lambda i: True)
     with pytest.raises(PERepairError) as ei:
-        lemma1_subspace(plan, 0)
+        lemma1_subspace(plan, 0, helper_groups=(1,))
     assert ei.value.code == "SPAN_FAILURE"
     assert len(tried) == 32
     assert plan._cache == {}  # a failed search caches nothing
@@ -472,6 +484,56 @@ def test_plan_cache_keys_name_their_inputs(toy_c1_wide, monkeypatch):
         ("subspace", 0, (1, 2)), ("repair", 0, 4),
         ("naive", 0, (1, 2)), ("naive", 4, (0, 1)),
     }
+
+
+def _counted_search(monkeypatch, plan, node, helper_groups=None):
+    """lemma1_subspace(plan, node, helper_groups) with its Gram solves
+    recorded as (subfield bits, vectors) and its field products (clmul and
+    _clmul_by_table calls) counted; returns (subspace, solves, products)."""
+    real = repair_engine.dual_basis
+    solves = []
+
+    def recorded(b):
+        solves.append((b.subfield.degree_bits, len(b)))
+        return real(b)
+
+    monkeypatch.setattr(repair_engine, "dual_basis", recorded)
+    names = ["clmul", "_clmul_by_table"]
+    counts = [counting(monkeypatch, owner, names)
+              for owner in (field_tower, repair_engine)]
+    S = lemma1_subspace(plan, node, helper_groups=helper_groups)
+    monkeypatch.undo()
+    return S, solves, sum(sum(c.values()) for c in counts)
+
+
+def test_cold_wide_searches_solve_over_the_point_field(monkeypatch):
+    # a cold (9,2) search at d = 3 with the subfield tables warm solves
+    # once over F = GF(2^(u_i)), [E : F] = 6, 10 and 14 vectors, and stays
+    # within a product budget; the solve over K = GF(2^5) or GF(2^3), 42 or
+    # 70 vectors, took 681, 711 and 690 products
+    shape = dict(s=2, k=2, primes=[3, 5, 7])
+    warm = build_plan_c1(1, [3, 3, 3], **shape)
+    plan = build_plan_c1(1, [3, 3, 3], **shape)
+    for node, u, ubar, budget in ((0, 35, 5, 165), (3, 21, 3, 305),
+                                  (6, 15, 3, 415)):
+        gi, _ = plan.locate(node)
+        R = _helper_prefix(plan, gi, 3)[1]
+        lemma1_subspace(warm, node, helper_groups=R)
+        S, solves, products = _counted_search(monkeypatch, plan, node, R)
+        assert solves == [(u, 210 // u)]
+        assert products <= budget
+        assert S.subfield.degree_bits == ubar
+        assert len(S.basis) * ubar * plan.s == 210
+
+
+def test_example1_search_solves_over_k_as_before(monkeypatch):
+    # d = n - t_i: K is F, and node 0's search makes the one solve over
+    # GF(2^385), 6 vectors, that the solve over K made
+    plan = example1().plan
+    monkeypatch.setattr(plan, "_cache", {})
+    S, solves, _ = _counted_search(monkeypatch, plan, 0)
+    assert solves == [(385, 6)]
+    assert S.subfield.degree_bits == 385 and len(S.basis) == 3
 
 
 def test_lemma1_lets_other_gram_errors_through(toy_c1, monkeypatch):
@@ -806,6 +868,40 @@ def test_cold_preparations_are_pinned():
         h.update(f"{node} {exp}\n".encode())
         h.update("".join(v.hex() + "\n" for v in duals).encode())
     assert h.hexdigest() == PINNED_COLD_PREPARATIONS_SHA256
+
+
+# SHA-256 over the accepted beta, the hex basis and the hex duals of
+# lemma1_subspace for every (node, helper-group set) of toy_c1 and
+# toy_c1_wide, as found by one Gram solve over the residue field K
+PINNED_SUBSPACES_SHA256 = (
+    "e874137a5bc1afa37d3b5fbdcb89b7a5d38d674d7377c96af26efca77b38a610"
+)
+
+
+def test_every_subspace_matches_a_gram_solve_over_k(toy_c1, toy_c1_wide,
+                                                    monkeypatch):
+    # the oracle is the Gram solve over K of the s shifts of the basis:
+    # the trace dual is unique, so any route to it must give these duals
+    h = hashlib.sha256()
+    sets = 0
+    for name, plan in (("toy_c1", toy_c1), ("toy_c1_wide", toy_c1_wide)):
+        monkeypatch.setattr(plan, "_cache", {})
+        for node in range(plan.n):
+            group, _ = plan.locate(node)
+            others = [j for j in range(len(plan.groups)) if j != group]
+            alpha = plan.eval_set.points[node]
+            for size in range(1, len(others) + 1):
+                for R in itertools.combinations(others, size):
+                    S = lemma1_subspace(plan, node, helper_groups=R)
+                    shifted = _shifts(list(S.basis), alpha, plan.s)
+                    fresh = dual_basis(BasisOverSubfield(S.subfield, shifted))
+                    assert list(S.duals) == list(fresh.vectors)
+                    sets += 1
+                    h.update(f"{name} {node} {R} {S.beta.hex()}\n".encode())
+                    h.update("".join(v.hex() + "\n" for v in
+                                     (*S.basis, *S.duals)).encode())
+    assert sets == 6 + 27
+    assert h.hexdigest() == PINNED_SUBSPACES_SHA256
 
 
 # SHA-256 over the transcript JSON, transfer-log CSV and trace responses of
