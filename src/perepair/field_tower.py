@@ -1087,8 +1087,8 @@ class SubfieldHandle:
     def _is_small(self) -> bool:
         """True when 4m < N/m + 1: K is small enough against E that the
         masks of _masks, m products and m functionals per vector, undercut
-        products between vectors.  dual_basis and a prepared repair both
-        switch on it."""
+        products between vectors: dual_basis's switch for its Gram
+        matrix."""
         m = self.degree_bits
         return 4 * m < self.ctx.degree_bits // m + 1
 

@@ -4,13 +4,13 @@ The engine recovers one erased RS symbol without touching the failed node's
 exclusion group.  Every helper is sent multipliers, returns subfield traces
 of (multiplier * stored symbol), and the decoder reassembles the erased
 symbol through a trace-dual basis.  The decoder is linear, and a
-preparation, cached per (failed node, d), keeps what one of three orders
+preparation, cached per (failed node, d), keeps what one of two orders
 needs to evaluate it, fixed from the shape (_order): by trace coordinate
-when the response field K = GF(2^m) is small against E (4m < N/m + 1),
-d + m - 1 products per repair; in K, where every helper's point lies, when
-4 (W - 1) m <= N, one product per response and |E| W lifts and products
-to finish; else by response, 2 per response (_repair).  Responses stay
-m-bit coordinates, as sent, until a transcript's ``responses`` is read.
+when the response field K = GF(2^m) is small against E (m^2 <= 4N),
+d + m - 1 products per repair; else in K, where every helper's point
+lies, one product per response and |E| W lifts and products to finish
+(_repair).  Responses stay m-bit coordinates, as sent, until a
+transcript's ``responses`` is read.
 The basis comes from one Gram solve per preparation, which is also the
 certificate that the query basis spans E (for Construction 1, Lemma 1's
 span condition).  For N/m vectors over GF(2^m) the solve costs O(N)
@@ -330,13 +330,11 @@ class _PreparedRepair(NamedTuple):
     ``columns[i]``.  ``queries`` holds those (helper, mults[i][m]) pairs in
     response order, built once for every repair's transcript.  The last
     four fields hold what the evaluation order that _order picks from the
-    shape reads, and the ones it does not read are None:
+    shape reads, and the other order's two are None:
 
-    * by response (_by_response, 2 products per response): the raw int
+    * by trace coordinate (_by_coordinate, d + m - 1 products): the raw int
       ``weights[i][m]`` = D_m(alpha_i) that response (i, m) enters the
-      failed symbol times;
-    * by trace coordinate (_by_coordinate, d + m - 1 products): those
-      weights, and masks[m] = sub._masks(e_m);
+      failed symbol times, and masks[m] = sub._masks(e_m);
     * in K (_in_subfield, one product per response, then |E| W lifts and
       products): ``powers[i]``, the coordinates in K of alpha_i^1 ..
       alpha_i^(W-1), and ``duals[m][w]``, the raw repair dual
@@ -354,19 +352,23 @@ class _PreparedRepair(NamedTuple):
     duals: list | None
 
 
-def _order(sub: SubfieldHandle, W: int) -> str:
+def _order(sub: SubfieldHandle) -> str:
     """The evaluation order of a repair with responses in K = ``sub`` =
-    GF(2^m) and W point powers, from (m, N, W) alone: "coordinate" when K
-    is small against E (SubfieldHandle._is_small); else "subfield" when
-    4 (W - 1) m <= N, where the in-K order's W - 1 carry-less m-bit
-    products per response undercut the N-bit weight product they replace;
-    else "response".  On example2's shapes (N = 60; W = 2, 3, 5) the in-K
-    order took about 0.9, 1.1 and 1.4 times as long as by response."""
-    if sub._is_small():
-        return "coordinate"
-    if 4 * (W - 1) * sub.degree_bits <= sub.ctx.degree_bits:
-        return "subfield"
-    return "response"
+    GF(2^m) inside E = GF(2^N): "coordinate" when m^2 <= 4N, else
+    "subfield" (in K).
+
+    For R = d |E| responses, with |E| W = [E : K] = N/m, by coordinate
+    takes d + m - 1 products in E and R m parities; in K takes R + N/m
+    products in E, R traces to K, R (W - 1) carry-less m-bit products and
+    N/m reductions and lifts.  The products alone favour by coordinate
+    while m^2 stays below about (d/W + 1) N, 2.5N to 6N on the plans the
+    tests and the benchmark run; a parity, one AND and bit count, costs
+    far less than a product or a trace.  With each order forced on the
+    same preparations in turns, one bound for every d and W, 4N, picks
+    the faster order on every such shape but example1's m = 105
+    (m^2 = 4.8N), where the two tie."""
+    m = sub.degree_bits
+    return "coordinate" if m * m <= 4 * sub.ctx.degree_bits else "subfield"
 
 
 def _prepare(plan, failed, helpers, sub, E, W, duals) -> _PreparedRepair:
@@ -377,50 +379,30 @@ def _prepare(plan, failed, helpers, sub, E, W, duals) -> _PreparedRepair:
     polys = [[dv * f_inv for dv in duals[m * W:(m + 1) * W]]
              for m in range(len(E))]
     mults = [[e_m * col for e_m in E] for col in column]
-    order = _order(sub, W)
     weights = masks = powers = dual_rows = None
-    if order == "subfield":
+    if _order(sub) == "coordinate":
+        weights = [[poly_eval(p, a).v for p in polys] for a in points]
+        masks = tuple(sub._masks(e.v) for e in E)
+    else:
         powers = [[sub._coords(v.v) for v in _shifts([plan.ctx.one], a, W)[1:]]
                   for a in points]
         dual_rows = [[dv.v for dv in p] for p in polys]
-    else:
-        weights = [[poly_eval(p, a).v for p in polys] for a in points]
-        if order == "coordinate":
-            masks = tuple(sub._masks(e.v) for e in E)
     return _PreparedRepair(
         helpers, sub, [col.v for col in column], mults,
         tuple((j, m) for j, row in zip(helpers, mults) for m in row),
         weights, masks, powers, dual_rows)
 
 
-def _by_response(prep: _PreparedRepair, symbols):
-    """(response coordinates, recovered int), each response traced from
-    its own query product, then lifted and multiplied by its weight: 2
-    products per response."""
-    mul = prep.sub.ctx._mul
-    trace_coords = prep.sub._trace_coords
-    lift = prep.sub._lift
-    coords = []
-    acc = 0
-    for idx, row_mults, row_weights in zip(prep.helpers, prep.mults,
-                                           prep.weights):
-        c = symbols[idx].v
-        for mult, weight in zip(row_mults, row_weights):
-            z = trace_coords(mul(mult.v, c))
-            coords.append(z)
-            acc ^= mul(lift(z), weight)
-    return coords, acc
-
-
 def _by_coordinate(prep: _PreparedRepair, symbols):
-    """_by_response's result from d + m - 1 products, m = [K : GF(2)].
+    """(response coordinates, recovered int) from d + m - 1 products,
+    m = [K : GF(2)].
 
     Helper j's queries are e_m * col_j, so y_j = col_j * c_j is one
     product per helper and coordinate l of response (j, m) is
-    parity(y_j & mu_{m,l}).  The recovered symbol sum_i lift(z_i) * w_i
-    equals sum_l gamma^l * S_l, where S_l XORs the weights of the
-    responses whose coordinate l is set: a Horner pass in gamma of m - 1
-    products."""
+    parity(y_j & mu_{m,l}).  The recovered symbol sum_i lift(z_i) * w_i,
+    w_i the weight of response i, equals sum_l gamma^l * S_l, where S_l
+    XORs the weights of the responses whose coordinate l is set: a Horner
+    pass in gamma of m - 1 products."""
     sub = prep.sub
     mul = sub.ctx._mul
     sums = [0] * sub.degree_bits
@@ -442,7 +424,7 @@ def _by_coordinate(prep: _PreparedRepair, symbols):
 
 
 def _in_subfield(prep: _PreparedRepair, symbols):
-    """_by_response's result with the sums over helpers taken in K.
+    """_by_coordinate's result with the sums over helpers taken in K.
 
     The failed symbol is sum_{m,w} dual'_{m,w} S_{m,w}, where S_{m,w} =
     sum_j alpha_j^w r_{j,m} lies in K with every alpha_j.  In coordinates,
@@ -499,29 +481,25 @@ def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscrip
 
     That reconstruction, sum_{m,w} dual'_{m,w} * sum_j alpha_j^w * r_{j,m},
     is linear over GF(2).  The preparation, cached per (failed, d), holds
-    what one of three evaluation orders reads, and _order picks the order
-    from the shape alone, (m, N, W).  For R = d |E| responses in
+    what one of two evaluation orders reads, and _order picks the order
+    from the response field alone, (m, N).  For R = d |E| responses in
     K = GF(2^m):
 
-    * by trace coordinate (_by_coordinate), when K is small against E
-      (4m < N/m + 1, the rule dual_basis uses): regrouped by response, the
-      failed symbol is sum_{j,m} r_{j,m} * D_m(alpha_j) with D_m(x) =
-      sum_w dual'_{m,w} x^w, and the preparation holds the weights
-      D_m(alpha_j), each by Horner in W - 1 products, and masks (|E| * m
-      of them, shared by every helper).  One product per helper, m
-      parities per response and m - 1 products to finish, d + m - 1
+    * by trace coordinate (_by_coordinate), when m^2 <= 4N: regrouped by
+      response, the failed symbol is sum_{j,m} r_{j,m} * D_m(alpha_j) with
+      D_m(x) = sum_w dual'_{m,w} x^w, and the preparation holds the
+      weights D_m(alpha_j), each by Horner in W - 1 products, and masks
+      (|E| * m of them, shared by every helper).  One product per helper,
+      m parities per response and m - 1 products to finish, d + m - 1
       products;
-    * in K (_in_subfield), else when 4 (W - 1) m <= N: every alpha_j lies
-      in K, so the inner sums are taken there, by m-bit carry-less
-      products against the coordinates of alpha_j^w that the preparation
-      holds with the duals, reduced once each.  One query product per
-      response, then |E| W lifts and products, R + |E| W products;
-    * by response (_by_response), else: the same weights as by
-      coordinate; one query product, one subfield trace, one lift and one
-      weight product per response, 2R products.
+    * in K (_in_subfield), else: every alpha_j lies in K, so the inner
+      sums are taken there, by m-bit carry-less products against the
+      coordinates of alpha_j^w that the preparation holds with the duals,
+      reduced once each.  One query product per response, then |E| W
+      lifts and products, R + |E| W products.
 
-    All three return the responses as coordinates in K and give the same
-    symbol; the queries are the preparation's, the same for every order.
+    Both return the responses as coordinates in K and give the same
+    symbol; the queries are the preparation's, the same for either order.
     The transcript keeps the coordinates, and lifts them to E only when
     its ``responses`` is read.
     """
@@ -543,8 +521,7 @@ def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscrip
         )
     prep = memo(plan._cache, ("repair", failed, d),
                 lambda: _prepare(plan, failed, *shape(gi, d)))
-    evaluate = (_by_coordinate if prep.masks is not None
-                else _by_response if prep.powers is None else _in_subfield)
+    evaluate = _by_coordinate if prep.masks is not None else _in_subfield
     coords, acc = evaluate(prep, codeword.symbols)
     sub = prep.sub
     per_helper_bits = [len(row) * sub.degree_bits for row in prep.mults]

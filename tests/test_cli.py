@@ -361,13 +361,13 @@ def test_repair_with_another_node_failed_exits_3(capsys, tmp_path):
 
 
 def test_repair_with_a_wrong_symbol_exits_4(capsys, tmp_path, monkeypatch):
-    # every evaluation order recovers the wrong symbol: the report says so
+    # both evaluation orders recover the wrong symbol: the report says so
     # and the exit status is the verification failure's
     plan = make_plan(capsys, tmp_path)
     cluster = tmp_path / "c.txt"
     run(capsys, "cluster", "--plan", str(plan), "--seed", "1",
         "--out", str(cluster))
-    for name in ("_by_response", "_by_coordinate", "_in_subfield"):
+    for name in ("_by_coordinate", "_in_subfield"):
         evaluate = getattr(repair_engine, name)
 
         def off_by_one(prep, symbols, evaluate=evaluate):

@@ -153,8 +153,8 @@ def test_warm_repairs_replay_the_cold_ones(plan, seed):
 def c1_small_field_plans(draw):
     """Construction 1 over GF(2^210), primes 3, 5 and 7, with d = k + 1 at
     most every t_i, so that every helper prefix is one group: responses
-    in GF(2^3), GF(2^5) or GF(2^7), small against E, so prepared repairs
-    go by trace coordinate."""
+    in GF(2^3), GF(2^5) or GF(2^7), small against E (m^2 <= 4N), so
+    prepared repairs go by trace coordinate."""
     t = [draw(st.integers(2, 5)) for _ in range(3)]
     k = draw(st.integers(1, min(t) - 1))
     exps = [_exponents(draw, 1, p, ti) for p, ti in zip((3, 5, 7), t)]

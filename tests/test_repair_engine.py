@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from perepair.fixtures import example1, example2
 from perepair.repair_engine import (
     RepairSubspace,
     _by_coordinate,
-    _by_response,
     _helper_prefix,
     _in_subfield,
     _lemma1_candidates,
@@ -270,105 +270,98 @@ def test_cold_repairs_certify_once_without_gf2_rank(monkeypatch):
             assert not calls
 
 
-def test_warm_pe_repair_costs_two_products_per_response(toy_c1, toy_c1_wide,
-                                                       monkeypatch):
-    # a prepared repair takes at most one query product and one weight
-    # product per response, whichever order evaluates it, and no
-    # inversion.  Replaying the dual-basis sum took 3.2 to 6.4 products per
-    # response on these plans.
-    calls = dict.fromkeys(("_mul", "poly_inv_mod"), 0)
-    real_mul = field_tower.FieldCtx._mul
-    real_inv = field_tower.poly_inv_mod
-
-    def mul(self, a, b):
-        calls["_mul"] += 1
-        return real_mul(self, a, b)
-
-    def inv(*args):
-        calls["poly_inv_mod"] += 1
-        return real_inv(*args)
-
-    monkeypatch.setattr(field_tower.FieldCtx, "_mul", mul)
-    monkeypatch.setattr(field_tower, "poly_inv_mod", inv)
-    for plan in (toy_c1, toy_c1_wide, example2().plan):
-        st = init_cluster(plan, 6)
-        for node in range(plan.n):
-            fail_node(st, node)
-            run_repair(st, "pe")  # prepares (or finds) this node's repair
-            fail_node(st, node)
-            calls.update(_mul=0, poly_inv_mod=0)
-            st, tr, _ = run_repair(st, "pe")
-            assert tr.verified is True
-            assert calls["_mul"] <= 2 * len(tr.responses)
-            assert calls["poly_inv_mod"] == 0
+_COORDINATE, _IN_K = "coordinate", "subfield"
 
 
-def test_warm_small_field_repair_costs_d_plus_m_minus_1_products(
-        toy_c1_wide, monkeypatch):
-    # responses in GF(2^3) and GF(2^5) against GF(2^210): a prepared repair
-    # goes by trace coordinate, one product per helper and a Horner pass of
-    # m - 1 products in gamma, and no inversion.  By response it took
-    # 2 products per response, 126 (m = 5) and 210 (m = 3).
-    calls = dict.fromkeys(("_mul", "poly_inv_mod"), 0)
-    real_mul = field_tower.FieldCtx._mul
-    real_inv = field_tower.poly_inv_mod
-
-    def mul(self, a, b):
-        calls["_mul"] += 1
-        return real_mul(self, a, b)
-
-    def inv(*args):
-        calls["poly_inv_mod"] += 1
-        return real_inv(*args)
-
-    plan = toy_c1_wide
+@pytest.mark.parametrize("name, d, picks", [
+    pytest.param("toy_c1", None, {5: _COORDINATE, 3: _COORDINATE},
+                 id="toy_c1"),
+    pytest.param("toy_c2", None, {6: _COORDINATE, 4: _COORDINATE},
+                 id="toy_c2"),
+    pytest.param("example2", None, {30: _IN_K, 20: _IN_K, 12: _COORDINATE},
+                 id="example2"),
+    pytest.param("toy_c1_wide", 3, {5: _COORDINATE, 3: _COORDINATE},
+                 id="toy_c1_wide-d3"),
+] + [pytest.param("toy_c1_wide", d,
+                  {35: _IN_K, 21: _COORDINATE, 15: _COORDINATE},
+                  id=f"toy_c1_wide-d{d}") for d in (4, 5, 6)])
+def test_each_shape_picks_its_order_and_its_product_count(
+        request, monkeypatch, name, d, picks):
+    # the order _order picks for each response field K = GF(2^m) of a plan
+    # at locality d, and the exact products in E a prepared repair then
+    # makes (FieldCtx._mul, and _clmul_by_table for wide symbols), with no
+    # inversion: d + m - 1 by coordinate, R + |E| W in K for R = d |E|
+    # responses.  The (9,2) plan at d = 3 is the benchmark's wide-cold
+    # shape.
+    plan = (example2().plan if name == "example2"
+            else request.getfixturevalue(name))
+    repair = repair_c1 if plan.construction == 1 else repair_c2
     cw = random_codeword(plan, random.Random(2718))
+    seen = set()
     for node in range(plan.n):
-        repair_c1(plan, cw, node)  # prepares (or finds) this node's repair
-        monkeypatch.setattr(field_tower.FieldCtx, "_mul", mul)
-        monkeypatch.setattr(field_tower, "poly_inv_mod", inv)
-        calls.update(_mul=0, poly_inv_mod=0)
-        tr = repair_c1(plan, cw, node)
+        tr = repair(plan, cw, node, d)  # prepares (or finds) it
+        prep = plan._cache[("repair", node, len(tr.helpers))]
+        m = prep.sub.degree_bits
+        seen.add(m)
+        assert _order(prep.sub) == picks[m]
+        assert (prep.masks is not None) == (picks[m] == _COORDINATE)
+        assert (prep.powers is not None) == (picks[m] == _IN_K)
+        gi, _ = plan.locate(node)
+        E = len(prep.mults[0])
+        W = plan.s if plan.construction == 1 else plan.groups[gi].prime
+        products = counting(monkeypatch, field_tower.FieldCtx, ["_mul"])
+        tables = counting(monkeypatch, repair_engine, ["_clmul_by_table"])
+        inversions = counting(monkeypatch, field_tower, ["poly_inv_mod"])
+        tr = repair(plan, cw, node, d)
         monkeypatch.undo()
         assert tr.recovered == cw.symbols[node]
-        assert calls["_mul"] <= len(tr.helpers) + tr.response_bits - 1
-        assert calls["poly_inv_mod"] == 0
+        assert products["_mul"] + tables["_clmul_by_table"] == (
+            len(tr.helpers) + m - 1 if picks[m] == _COORDINATE
+            else len(tr.queries) + E * W)
+        assert inversions["poly_inv_mod"] == 0
+    assert seen == set(picks)
+
+
+def test_example1_repairs_in_k():
+    # every node's response field, GF(2^385), GF(2^231), GF(2^165) or
+    # GF(2^105) in GF(2^2310), takes the in-K order, read from the helper
+    # prefix without repairing
+    plan = example1().plan
+    seen = set()
+    for node in range(plan.n):
+        _, R = _helper_prefix(plan, plan.locate(node)[0], plan.d)
+        sub = plan.ctx.subfield(
+            plan.base_bits * math.prod(plan.groups[j].prime for j in R))
+        seen.add(sub.degree_bits)
+        assert _order(sub) == _IN_K
+    assert seen == {385, 231, 165, 105}
 
 
 def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2,
                                      monkeypatch):
-    # the three private evaluation orders, each forced on the shape of
-    # every node's repair and then run on one preparation that holds what
-    # all three read: the same response coordinates, bits and symbol.  The
-    # rule picks in K for toy_c1 and toy_c1_wide at d = 5, by coordinate
-    # for toy_c1_wide at d = 3, and by response for Construction 2, where
-    # |E| = 1 and the masks are the subfield's trace masks psi, the masks
-    # that _trace_duals transposes into its tables.
-    orders = {"response": _by_response, "coordinate": _by_coordinate,
-              "subfield": _in_subfield}
+    # the two private evaluation orders, each forced on the shape of every
+    # node's repair and then run on one preparation that holds what both
+    # read: the same response coordinates, bits and symbol, whichever
+    # order the rule picks (pinned by
+    # test_each_shape_picks_its_order_and_its_product_count).  In
+    # Construction 2 |E| = 1 and the masks are the subfield's trace masks
+    # psi, the masks that _trace_duals transposes into its tables.
+    orders = {"coordinate": _by_coordinate, "subfield": _in_subfield}
     rng = random.Random(1618)
-    for plan, d, picked in ((toy_c1, None, "subfield"),
-                            (toy_c1_wide, 3, "coordinate"),
-                            (toy_c1_wide, 5, "subfield"),
-                            (toy_c2, None, "response"),
-                            (example2().plan, None, "response")):
+    for plan, d in ((toy_c1, None), (toy_c1_wide, 3), (toy_c1_wide, 5),
+                    (toy_c2, None), (example2().plan, None)):
         repair = repair_c1 if plan.construction == 1 else repair_c2
         cw = random_codeword(plan, rng)
         for node in range(plan.n):
-            gi, _ = plan.locate(node)
             tr = repair(plan, cw, node, d)
             key = ("repair", node, len(tr.helpers))
             prep = plan._cache[key]
             sub = prep.sub
-            W = plan.s if plan.construction == 1 else plan.groups[gi].prime
-            assert _order(sub, W) == picked
-            assert (prep.masks is not None) == (picked == "coordinate")
-            assert (prep.powers is not None) == (picked == "subfield")
             forced = {}
             for name in orders:
                 del plan._cache[key]
                 monkeypatch.setattr(repair_engine, "_order",
-                                    lambda sub, W, name=name: name)
+                                    lambda sub, name=name: name)
                 again = repair(plan, cw, node, d)
                 monkeypatch.undo()
                 forced[name] = plan._cache[key]
@@ -379,8 +372,7 @@ def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2,
                 assert forced["coordinate"].masks == (tuple(
                     sub.ctx._trace_functional(c)
                     for c in sub._trace_duals[0]),)
-            one = forced["response"]._replace(
-                masks=forced["coordinate"].masks,
+            one = forced["coordinate"]._replace(
                 powers=forced["subfield"].powers,
                 duals=forced["subfield"].duals)
             for evaluate in orders.values():
@@ -396,16 +388,17 @@ def test_both_evaluation_orders_agree(toy_c1, toy_c1_wide, toy_c2,
             assert len(tr.queries) * sub.degree_bits == tr.bits_transmitted
 
 
-def test_warm_repair_in_k_lifts_responses_only_when_read(toy_c1,
-                                                        toy_c1_wide,
+def test_warm_repair_in_k_lifts_responses_only_when_read(toy_c1_wide,
                                                         monkeypatch):
     # every helper point lies in K, so a prepared repair takes its sums over
     # helpers there: one query product per response, then |E| W lifts and
     # |E| W products, and no inversion.  The responses stay coordinates
-    # until they are read, and the first read lifts each one once.
-    for plan, d in ((toy_c1, None), (toy_c1_wide, 5)):
-        cw = random_codeword(plan, random.Random(577))
-        for node in range(plan.n):
+    # until they are read, and the first read lifts each one once.  Group
+    # 0 of the (9,2) plan answers in K = GF(2^35) at d = 4 to 6.
+    plan = toy_c1_wide
+    cw = random_codeword(plan, random.Random(577))
+    for d in (4, 5, 6):
+        for node in plan.group_nodes(0):
             tr = repair_c1(plan, cw, node, d)  # prepares (or finds) it
             prep = plan._cache[("repair", node, len(tr.helpers))]
             assert prep.powers is not None
