@@ -15,11 +15,12 @@ Performance notes: multiplication is carry-less, one step per byte of the
 shorter operand, and the window follows that operand's length: a 4-bit
 window table of the longer operand below _WIDE_BYTES = 128 bytes, and its
 256-entry byte table from there on, where building the table costs a
-fraction of one product.  A byte table is also kept for an operand that
-many products share (the trace sequence, gamma in a subfield's power
-chain, and each point of a wide field in rs_codes.encode); squaring
-translates bytes through two nibble tables.  Inversion is shift-and-add
-Euclid, with no division and no product.
+fraction of one product.  One rule serves every batch of products that
+share an operand b (a Horner point, a pivot, a trace dual, gamma):
+FieldCtx._scaler(b, uses) tables b when uses ceil(N / 8) >= _WIDE_BYTES,
+clmul's switch at uses = 1.  The trace sequence's table is kept per
+context.  Squaring translates bytes through two nibble tables.  Inversion
+is shift-and-add Euclid, with no division and no product.
 FieldCtx._fold, the only reducer, takes a product (degree <= 2N - 2) to its
 remainder by the exact Barrett quotient, found without a product: w
 shift-XORs in each of ceil(log2((N - 1) / min(N - a))) log-doubling rounds
@@ -68,7 +69,7 @@ arbitrary-precision throughout.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count
 
 from .errors import PERepairError, check_invariant
@@ -108,7 +109,7 @@ _SQ_HI = bytes(_SQ_LO[b >> 4] for b in range(256))
 
 # a loop over this many bytes or more takes the other operand's 256-entry
 # table (_byte_table) instead of its 4-bit window, in clmul and in
-# rs_codes.encode; below it the table costs more than the lookups it saves
+# FieldCtx._scaler; below it the table costs more than the lookups it saves
 _WIDE_BYTES = 128
 
 
@@ -766,6 +767,16 @@ class FieldCtx:
     def _mul(self, a: int, b: int) -> int:
         return self._fold(clmul(a, b))
 
+    def _scaler(self, b: int, uses: int):
+        """a -> b a mod f for ``uses`` products that share the operand b:
+        by b's byte table when their loops span _WIDE_BYTES bytes or more,
+        uses ceil(N / 8) >= _WIDE_BYTES, else by _mul.  For one product
+        that is clmul's own switch at full width."""
+        if uses * ((self.degree_bits + 7) >> 3) >= _WIDE_BYTES:
+            t, fold = _byte_table(b), self._fold
+            return lambda a: fold(_clmul_by_table(a, t))
+        return partial(self._mul, b)
+
     def _sq(self, a: int) -> int:
         return self._fold(clsq(a))
 
@@ -970,6 +981,7 @@ class SubfieldHandle:
     def __init__(self, ctx: FieldCtx, m: int):
         self.ctx = ctx
         self.degree_bits = m
+        self._power_dual_sets = {}  # _power_duals, by the degree of K
         gen = ctx._gamma(m)
         self.canonical_generator = FieldElem(ctx, gen)
         check_invariant(
@@ -989,15 +1001,12 @@ class SubfieldHandle:
     @cached_property
     def gf2_basis(self):
         """Powers gamma^0..gamma^(m-1): a GF(2)-basis of the subfield,
-        as raw ints.  Every product of the chain is by gamma, so gamma is
-        the tabled operand; the table is dropped with the chain."""
-        ctx = self.ctx
-        table = _byte_table(self.canonical_generator.v)
-        cur = 1
+        as raw ints, by m - 1 products that share gamma."""
+        times = self.ctx._scaler(self.canonical_generator.v,
+                                 self.degree_bits - 1)
         rows = [1]
         for _ in range(self.degree_bits - 1):
-            cur = ctx._fold(_clmul_by_table(cur, table))
-            rows.append(cur)
+            rows.append(times(rows[-1]))
         return tuple(rows)
 
     # -- coordinates: K = GF(2)[x]/(g), x = gamma, g gamma's minimal polynomial
@@ -1060,29 +1069,34 @@ class SubfieldHandle:
         up: delta's minimal polynomial over K is mu(x) = prod_(j < r)
         (x - delta_j), delta_j = delta^(2^(m j)), so mu(x) / (x - delta) =
         b(x) = prod_(j > 0) (x - delta_j), and y_l = b_l / mu'(delta) with
-        mu'(delta) = b(delta).  About r^2 / 2 products and one inversion.
-        dual_basis over K cannot give these duals when [E : F] is even:
-        Tr_{E/K} = [E : F] Tr_{F/K} is then 0 on F."""
+        mu'(delta) = b(delta).  About r^2 / 2 products and one inversion,
+        once per m.  dual_basis over K cannot give these duals when
+        [E : F] is even: Tr_{E/K} = [E : F] Tr_{F/K} is then 0 on F."""
         ctx = self.ctx
-        delta = self.canonical_generator.v
-        b = [1]  # low to high
-        norm = 1
-        conj = delta
-        for _ in range(self.degree_bits // m - 1):
-            conj = ctx._frob(conj, m)
-            norm = ctx._mul(norm, delta ^ conj)
-            b = [0] + b
-            for l in range(len(b) - 1):
-                b[l] ^= ctx._mul(conj, b[l + 1])
-        inv = ctx._inv(norm)
-        return [ctx._mul(c, inv) for c in b]
 
-    def _masks(self, v: int):
-        """mu_l = _trace_functional(c_l * v) for each l: parity(y & mu_l)
-        is coordinate l of Tr_{E/K}(v * y).  m products and m functionals."""
+        def build():
+            delta = self.canonical_generator.v
+            b = [1]  # low to high
+            norm = 1
+            conj = delta
+            for _ in range(self.degree_bits // m - 1):
+                conj = ctx._frob(conj, m)
+                norm = ctx._mul(norm, delta ^ conj)
+                b = [0] + b
+                for l in range(len(b) - 1):
+                    b[l] ^= ctx._mul(conj, b[l + 1])
+            inv = ctx._inv(norm)
+            return tuple(ctx._mul(c, inv) for c in b)
+        return memo(self._power_dual_sets, m, build)
+
+    def _masks(self, vs):
+        """For each v of vs, mu_l = _trace_functional(c_l * v) for each l:
+        parity(y & mu_l) is coordinate l of Tr_{E/K}(v * y).  m products
+        and m functionals per v, each c_l shared by every v."""
         ctx = self.ctx
-        return tuple(ctx._trace_functional(ctx._mul(c, v))
-                     for c in self._trace_duals[0])
+        by_dual = [[ctx._trace_functional(times(v)) for v in vs] for times in
+                   (ctx._scaler(c, len(vs)) for c in self._trace_duals[0])]
+        return tuple(zip(*by_dual))
 
     def _is_small(self) -> bool:
         """True when 4m < N/m + 1: K is small enough against E that the
@@ -1302,11 +1316,11 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
     in E when K is small against n, and never more than O(n^2):
 
     * Gram.  Coordinate l of Tr_{E/K}(b_i y) is parity(y & W_il) for the
-      masks W_i = SubfieldHandle._masks(b_i), so every entry is m parities
+      masks W_i = SubfieldHandle._masks(b)[i], so every entry is m parities
       once each vector has paid m products and m functionals.  Those N + N
       undercut the n(n + 1)/2 products b_i b_j only when 4m < n + 1
       (SubfieldHandle._is_small); otherwise each product gives its entry
-      through _trace_coords.
+      through _trace_coords, row i's n - i sharing b_i.
     * T side.  A row is one int of m-bit slots, one per column not yet
       pivoted.  gamma times a row is a shift plus each slot's carry times
       g - x^m, which stays in its slot, so a row operation by f in K XORs
@@ -1314,6 +1328,7 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
       O(n^2) int XORs and no K product.
     * b side.  When m < n the pivot's m products gamma^l d_col serve every
       row operation the same way; otherwise each costs one product.
+    Products that share b_i or d_col go through one FieldCtx._scaler.
     """
     sub = b.subfield
     ctx = sub.ctx
@@ -1328,11 +1343,12 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
     small = m < n
     d = [e.v for e in b.vectors]
     rows = [0] * n
+    masks = sub._masks(d) if by_masks else None
     for i in range(n):
-        masks = sub._masks(d[i]) if by_masks else None
+        times = None if by_masks else ctx._scaler(d[i], n - i)
         for j in range(i, n):
-            t = (_parities(d[j], masks) if by_masks
-                 else sub._trace_coords(ctx._mul(d[i], d[j])))
+            t = (_parities(d[j], masks[i]) if by_masks
+                 else sub._trace_coords(times(d[j])))
             rows[i] |= t << (j * m)
             rows[j] |= t << (i * m)
 
@@ -1379,8 +1395,9 @@ def dual_basis(b: BasisOverSubfield) -> BasisOverSubfield:
                 continue
             if table is None:
                 table = multiples(rest) if rest else [0]
+                times = ctx._scaler(v, m - 1 if small else n - 1)
                 if small:
-                    vs = [v] + [ctx._mul(s, v) for s in basis[1:]]
+                    vs = [v] + [times(s) for s in basis[1:]]
             rows[r] ^= _select(table, f)
-            d[r] ^= _select(vs, f) if small else ctx._mul(lift(f), v)
+            d[r] ^= _select(vs, f) if small else times(lift(f))
     return BasisOverSubfield(sub, [FieldElem(ctx, v) for v in d])

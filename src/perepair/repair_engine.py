@@ -53,17 +53,14 @@ from typing import NamedTuple
 from .errors import PERepairError, check_invariant
 from ._util import canonical_json, memo
 from .field_tower import (
-    _WIDE_BYTES,
     BasisOverSubfield,
     FieldElem,
     SubfieldHandle,
-    _byte_table,
-    _clmul_by_table,
     clmul,
     dual_basis,
     poly_mod,
 )
-from .rs_codes import annihilator, dual_multipliers, poly_eval
+from .rs_codes import _horner, annihilator, dual_multipliers, poly_eval
 
 __all__ = [
     "RepairSubspace",
@@ -207,11 +204,12 @@ def lemma1_subspace(plan, node: int, helper_groups=None) -> RepairSubspace:
             if field is not sub:
                 # b * delta^l over K, and its duals x*_{b,w} * y_l at
                 # ((b r + l) s + w)
-                ys = [FieldElem(ctx, y)
-                      for y in field._power_duals(sub.degree_bits)]
-                duals = [duals[i * s + w] * y for i in range(len(base))
-                         for y in ys for w in range(s)]
-                base = _shifts(base, field.canonical_generator, len(ys))
+                by_y = [ctx._scaler(y, len(duals))
+                        for y in field._power_duals(sub.degree_bits)]
+                duals = [FieldElem(ctx, times(duals[i * s + w].v))
+                         for i in range(len(base)) for times in by_y
+                         for w in range(s)]
+                base = _shifts(base, field.canonical_generator, len(by_y))
             return RepairSubspace(
                 sub, BasisOverSubfield(sub, base), beta, duals)
         raise PERepairError(
@@ -245,12 +243,14 @@ def _lemma1_candidates(plan, group: int, alpha):
 
 def _shifts(vectors, alpha, count: int):
     """[v * alpha^w for v in vectors for w < count], count >= 1: the order
-    of the repair's basis B_{m,w}."""
+    of the repair's basis B_{m,w}, every product by alpha."""
+    ctx = alpha.ctx
+    times = ctx._scaler(alpha.v, len(vectors) * (count - 1))
     out = []
     for v in vectors:
         out.append(v)
         for _ in range(count - 1):
-            out.append(out[-1] * alpha)
+            out.append(FieldElem(ctx, times(out[-1].v)))
     return out
 
 
@@ -334,7 +334,7 @@ class _PreparedRepair(NamedTuple):
 
     * by trace coordinate (_by_coordinate, d + m - 1 products): the raw int
       ``weights[i][m]`` = D_m(alpha_i) that response (i, m) enters the
-      failed symbol times, and masks[m] = sub._masks(e_m);
+      failed symbol times, and masks = sub._masks(E), one row per e_m;
     * in K (_in_subfield, one product per response, then |E| W lifts and
       products): ``powers[i]``, the coordinates in K of alpha_i^1 ..
       alpha_i^(W-1), and ``duals[m][w]``, the raw repair dual
@@ -372,21 +372,27 @@ def _order(sub: SubfieldHandle) -> str:
 
 
 def _prepare(plan, failed, helpers, sub, E, W, duals) -> _PreparedRepair:
-    """_repair's preparation from the shape's query plan."""
+    """_repair's preparation from the shape's query plan.  Each batch of
+    products that shares an operand (f_inv, a column entry, a helper point
+    or, in SubfieldHandle._masks, a trace dual) takes one FieldCtx._scaler."""
+    ctx = plan.ctx
     column, f_inv = _parity_column(plan, failed, helpers)
     points = [plan.eval_set.points[j] for j in helpers]
     # dual'_{m,w} by m, the repair duals of B_{m,0..W-1}: D_m's coefficients
-    polys = [[dv * f_inv for dv in duals[m * W:(m + 1) * W]]
+    scale = ctx._scaler(f_inv.v, len(duals))
+    polys = [[scale(dv.v) for dv in duals[m * W:(m + 1) * W]]
              for m in range(len(E))]
-    mults = [[e_m * col for e_m in E] for col in column]
+    mults = [[FieldElem(ctx, times(e_m.v)) for e_m in E]
+             for times in (ctx._scaler(col.v, len(E)) for col in column)]
     weights = masks = powers = dual_rows = None
     if _order(sub) == "coordinate":
-        weights = [[poly_eval(p, a).v for p in polys] for a in points]
-        masks = tuple(sub._masks(e.v) for e in E)
+        weights = [[_horner(p, times) for p in polys] for times in
+                   (ctx._scaler(a.v, len(duals) - len(E)) for a in points)]
+        masks = sub._masks([e.v for e in E])
     else:
-        powers = [[sub._coords(v.v) for v in _shifts([plan.ctx.one], a, W)[1:]]
+        powers = [[sub._coords(v.v) for v in _shifts([ctx.one], a, W)[1:]]
                   for a in points]
-        dual_rows = [[dv.v for dv in p] for p in polys]
+        dual_rows = polys
     return _PreparedRepair(
         helpers, sub, [col.v for col in column], mults,
         tuple((j, m) for j, row in zip(helpers, mults) for m in row),
@@ -431,21 +437,18 @@ def _in_subfield(prep: _PreparedRepair, symbols):
     K = GF(2)[x]/(g) with x = gamma, S_{m,w} is the XOR of the carry-less
     m-bit products of alpha_j^w's and r_{j,m}'s coordinates, reduced mod g
     once; S_{m,0} is a plain XOR.  d |E| query products, each helper
-    symbol's byte table shared by its |E| queries when E is 8 * _WIDE_BYTES
-    bits or wider, then |E| W lifts and |E| W products to finish."""
+    symbol shared by its |E| queries through one FieldCtx._scaler, then
+    |E| W lifts and |E| W products to finish."""
     sub = prep.sub
     ctx = sub.ctx
     trace_coords = sub._trace_coords
-    wide = ctx.degree_bits >= 8 * _WIDE_BYTES
     sums = [[0] * len(row) for row in prep.duals]
     coords = []
     for idx, row_mults, row_powers in zip(prep.helpers, prep.mults,
                                           prep.powers):
-        c = symbols[idx].v
-        table = _byte_table(c) if wide else None
+        times = ctx._scaler(symbols[idx].v, len(row_mults))
         for mult, row in zip(row_mults, sums):
-            z = trace_coords(ctx._fold(_clmul_by_table(mult.v, table)) if wide
-                             else ctx._mul(mult.v, c))
+            z = trace_coords(times(mult.v))
             coords.append(z)
             row[0] ^= z
             for w, a in enumerate(row_powers, 1):

@@ -31,20 +31,16 @@ alone.
   coefficients, and then runs Horner on the remainder: m(alpha) =
   (m mod mu)(alpha) (Lidl & Niederreiter, Finite Fields, ch. 3).  A point
   then costs min(deg mu, k) - 1 products instead of k - 1.  Those products
-  share the point as one operand, so in a field as wide as the one where
-  ``clmul`` switches to a byte table (field_tower._WIDE_BYTES, over 1,016
-  bits) each point's Horner chain runs on one 256-entry table of the
-  point, built for that point alone and kept nowhere.
+  share the point as one operand, so they go through one FieldCtx._scaler
+  of it, which builds the point's byte table once they span
+  field_tower._WIDE_BYTES bytes, and keeps it nowhere.
 """
 
 from __future__ import annotations
 
 from .errors import PERepairError
 from ._util import digest_of, memo
-from .field_tower import (
-    _HEX_NIBBLE, _WIDE_BYTES, FieldCtx, FieldElem, _byte_table,
-    _clmul_by_table, _digit_table,
-)
+from .field_tower import _HEX_NIBBLE, FieldCtx, FieldElem, _digit_table
 
 __all__ = [
     "EvaluationSet",
@@ -131,10 +127,20 @@ class Codeword:
 
 
 def poly_eval(coefficients, x: FieldElem) -> FieldElem:
-    """Horner evaluation of an ascending coefficient list."""
-    acc = coefficients[-1]
-    for c in reversed(coefficients[:-1]):
-        acc = acc * x + c
+    """Horner evaluation of an ascending coefficient list, whose products
+    share x through one FieldCtx._scaler."""
+    ctx = x.ctx
+    # the sum checks each coefficient's field as FieldElem arithmetic does
+    coeffs = [(ctx.zero + c).v for c in coefficients]
+    return FieldElem(ctx, _horner(coeffs, ctx._scaler(x.v, len(coeffs) - 1)))
+
+
+def _horner(coeffs, times) -> int:
+    """Horner evaluation of ascending raw coefficients at x, times(a) =
+    x a."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = times(acc) ^ c
     return acc
 
 
@@ -197,11 +203,9 @@ def encode(msg: MessagePoly, A: EvaluationSet, plan_digest: str | None = None) -
     message, and the tables' one build, kept by the field context under
     (k, points), costs n(k - 1) products.  Otherwise each point costs
     min(deg mu, k) - 1 products when A holds its minimal polynomial mu,
-    and k - 1 when it does not; in a field of _WIDE_BYTES bytes or more
-    they all go through the point's byte table, built once per point and
-    dropped after it.  The codeword is stamped with the evaluation set's
-    digest unless the caller provides the digest of a richer plan
-    artifact.
+    and k - 1 when it does not, all through one FieldCtx._scaler of the
+    point.  The codeword is stamped with the evaluation set's digest
+    unless the caller provides the digest of a richer plan artifact.
     """
     if msg.k > A.n:
         raise PERepairError(
@@ -228,21 +232,10 @@ def _horner_values(coeffs, A: EvaluationSet) -> list:
     """The message's value at each point of A, by Horner on its remainder
     modulo the point's minimal polynomial when A holds one."""
     ctx = A.ctx
-    mul, fold = ctx._mul, ctx._fold
-    wide = (ctx.degree_bits + 7) >> 3 >= _WIDE_BYTES
     values = []
     for i, p in enumerate(A.points):
         rem = coeffs if A.minpolys is None else _reduce_gf2(coeffs, A.minpolys[i])
-        x = p.v
-        acc = rem[-1]
-        if wide and len(rem) > 1:
-            t = _byte_table(x)
-            for c in reversed(rem[:-1]):
-                acc = fold(_clmul_by_table(acc, t)) ^ c
-        else:
-            for c in reversed(rem[:-1]):
-                acc = mul(acc, x) ^ c
-        values.append(acc)
+        values.append(_horner(rem, ctx._scaler(p.v, len(rem) - 1)))
     return values
 
 

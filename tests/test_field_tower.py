@@ -195,6 +195,95 @@ def test_clmul_tables_only_operands_of_128_bytes(monkeypatch, toy_c1_wide):
     assert calls["_byte_table"] == before
 
 
+# the fewest uses at which FieldCtx._scaler tables its operand: the first
+# with uses * ceil(N / 8) >= 128 bytes
+_FIRST_TABLED_USE = {30: 32, 60: 16, 210: 5, 385: 3, 1016: 2, 1017: 1,
+                     2310: 1}
+
+
+@pytest.mark.parametrize("n", sorted(_FIRST_TABLED_USE))
+def test_scaler_matches_the_oracle_on_both_sides_of_the_gate(monkeypatch, n):
+    # a -> b a mod f, with at most one byte table per scaler, built when
+    # the uses reach the gate and never below it; any modulus of degree N
+    # serves, as the products are checked against the oracle's reduction
+    rng = random.Random(n)
+    f = 1 << n | rng.getrandbits(n) | 1
+    ctx = field_tower.FieldCtx(n, f, 2)
+    calls = counting(monkeypatch, field_tower, ("_byte_table",))
+    full = (1 << n) - 1
+    operands = [0, 1, full, rng.getrandbits(n), rng.getrandbits(n)]
+    first = _FIRST_TABLED_USE[n]
+    for uses in sorted({1, max(first - 1, 1), first, first + 1}):
+        for b in operands:
+            before = calls["_byte_table"]
+            times = ctx._scaler(b, uses)
+            assert calls["_byte_table"] - before == (uses >= first)
+            for a in operands:
+                want = oracle.gf2x_mul(a, b)
+                assert times(a) == ctx._fold(want) == oracle.gf2x_reduce(
+                    want, f)
+            assert calls["_byte_table"] - before == (uses >= first)
+
+
+@pytest.mark.parametrize("n", [1016, 1017, 1023, 1024])
+def test_one_wide_rule_at_the_128_byte_boundary(monkeypatch, n):
+    # clmul at full width, a one-use scaler, a Construction-2-like
+    # evaluation in K (one query per helper) and a two-coefficient
+    # Horner encode all table their shared operand from 1,017 bits
+    # (128 bytes) on, one rule; a three-coefficient encode shares each
+    # point over two products, 2 ceil(N / 8) >= 128 bytes, at every n
+    from perepair.repair_engine import _in_subfield, _PreparedRepair
+    from perepair.rs_codes import EvaluationSet, MessagePoly, encode
+
+    wide = n >= 1017
+    f = smallest_irreducible(n)
+    ctx = field_tower.FieldCtx(n, f, 2)
+    sub = field_tower.SubfieldHandle(ctx, 1)
+    sub._trace_duals  # the trace table, built once, outside the counts
+    rng = random.Random(n)
+    a, b, c = (rng.getrandbits(n) | 1 << (n - 1) for _ in range(3))
+    calls = counting(monkeypatch, field_tower, ("_byte_table",))
+
+    def tables(run):
+        before = calls["_byte_table"]
+        run()
+        return calls["_byte_table"] - before
+
+    assert tables(lambda: clmul(a, b)) == wide
+    assert tables(lambda: ctx._scaler(b, 1)) == wide
+    prep = _PreparedRepair([0], sub, [1], [[ctx.one]], ((0, ctx.one),),
+                           None, None, [[]], [[1]])
+    got = []
+    assert tables(lambda: got.append(
+        _in_subfield(prep, [ctx.elem(a)]))) == wide
+    assert got == [([sub._trace_coords(a)], sub._trace_coords(a))]
+    points = EvaluationSet(ctx, [ctx.elem(x) for x in (a, b, c)])
+    for k, tabled in ((2, wide), (3, True)):
+        coeffs = [rng.getrandbits(n) for _ in range(k)]
+        msg = MessagePoly([ctx.elem(v) for v in coeffs])
+        out = []
+        assert tables(lambda: out.append(encode(msg, points))) == 3 * tabled
+        assert [s.v for s in out[0].symbols] == [
+            oracle.horner(coeffs, x, f) for x in (a, b, c)]
+
+
+def test_gamma_chain_tables_gamma_by_the_rule(monkeypatch):
+    # gamma^0..gamma^(m-1) in GF(2^210) takes m - 1 products by gamma: by
+    # the 4-bit window for m = 3 and 5, by one byte table for m = 7 and 35
+    ctx = make_field(210)
+    calls = counting(monkeypatch, field_tower, ("_byte_table",))
+    for m, tabled in ((3, 0), (5, 0), (7, 1), (35, 1)):
+        sub = field_tower.SubfieldHandle(ctx, m)
+        before = calls["_byte_table"]
+        basis = sub.gf2_basis
+        assert calls["_byte_table"] - before == tabled
+        power = 1
+        for v in basis:
+            assert v == power
+            power = oracle.field_mul(power, sub.canonical_generator.v,
+                                     ctx.modulus)
+
+
 def test_trace_table_is_built_once_per_context(monkeypatch):
     calls = counting(monkeypatch, field_tower, ("_byte_table",))
     f = smallest_irreducible(60)
@@ -1416,7 +1505,9 @@ def test_dual_basis_finds_a_dependency_at_the_last_pivot():
 
 
 # clmul calls of one solve at the parent of the O(N) Gram solve: 13,698
-# (m = 3) and 5,369 (m = 5), one product per Gram entry and row operation
+# (m = 3) and 5,369 (m = 5), one product per Gram entry and row operation.
+# Products that share an operand may go through a byte table
+# (FieldCtx._scaler), so those count too, with the trace functionals'
 @pytest.mark.parametrize("m", [3, 5])
 def test_small_subfield_dual_basis_costs_o_n_products(monkeypatch, m):
     F = make_field(210)
@@ -1425,14 +1516,6 @@ def test_small_subfield_dual_basis_costs_o_n_products(monkeypatch, m):
     basis = BasisOverSubfield(
         sub, [c * F.generator ** i for i in range(210 // m)])
     want = [e.v for e in dual_basis(basis)]  # also fills the handle's caches
-    calls = 0
-    real = field_tower.clmul
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return real(a, b)
-
-    monkeypatch.setattr(field_tower, "clmul", counted)
+    calls = counting(monkeypatch, field_tower, ["clmul", "_clmul_by_table"])
     assert [e.v for e in dual_basis(basis)] == want
-    assert calls <= 2000
+    assert sum(calls.values()) <= 2000

@@ -289,10 +289,10 @@ def test_each_shape_picks_its_order_and_its_product_count(
         request, monkeypatch, name, d, picks):
     # the order _order picks for each response field K = GF(2^m) of a plan
     # at locality d, and the exact products in E a prepared repair then
-    # makes (FieldCtx._mul, and _clmul_by_table for wide symbols), with no
-    # inversion: d + m - 1 by coordinate, R + |E| W in K for R = d |E|
-    # responses.  The (9,2) plan at d = 3 is the benchmark's wide-cold
-    # shape.
+    # makes (FieldCtx._mul, and the _clmul_by_table of a FieldCtx._scaler
+    # for wide symbols), with no inversion: d + m - 1 by coordinate,
+    # R + |E| W in K for R = d |E| responses.  The (9,2) plan at d = 3 is
+    # the benchmark's wide-cold shape.
     plan = (example2().plan if name == "example2"
             else request.getfixturevalue(name))
     repair = repair_c1 if plan.construction == 1 else repair_c2
@@ -310,7 +310,7 @@ def test_each_shape_picks_its_order_and_its_product_count(
         E = len(prep.mults[0])
         W = plan.s if plan.construction == 1 else plan.groups[gi].prime
         products = counting(monkeypatch, field_tower.FieldCtx, ["_mul"])
-        tables = counting(monkeypatch, repair_engine, ["_clmul_by_table"])
+        tables = counting(monkeypatch, field_tower, ["_clmul_by_table"])
         inversions = counting(monkeypatch, field_tower, ["poly_inv_mod"])
         tr = repair(plan, cw, node, d)
         monkeypatch.undo()
@@ -404,7 +404,7 @@ def test_warm_repair_in_k_lifts_responses_only_when_read(toy_c1_wide,
             assert prep.powers is not None
             E, W = len(prep.mults[0]), plan.s
             products = counting(monkeypatch, field_tower.FieldCtx, ["_mul"])
-            tables = counting(monkeypatch, repair_engine, ["_clmul_by_table"])
+            tables = counting(monkeypatch, field_tower, ["_clmul_by_table"])
             inversions = counting(monkeypatch, field_tower, ["poly_inv_mod"])
             lifts = counting(monkeypatch, field_tower.SubfieldHandle,
                              ["_lift"])
@@ -491,12 +491,10 @@ def _counted_search(monkeypatch, plan, node, helper_groups=None):
         return real(b)
 
     monkeypatch.setattr(repair_engine, "dual_basis", recorded)
-    names = ["clmul", "_clmul_by_table"]
-    counts = [counting(monkeypatch, owner, names)
-              for owner in (field_tower, repair_engine)]
+    counts = counting(monkeypatch, field_tower, ["clmul", "_clmul_by_table"])
     S = lemma1_subspace(plan, node, helper_groups=helper_groups)
     monkeypatch.undo()
-    return S, solves, sum(sum(c.values()) for c in counts)
+    return S, solves, sum(counts.values())
 
 
 def test_cold_wide_searches_solve_over_the_point_field(monkeypatch):
@@ -517,6 +515,37 @@ def test_cold_wide_searches_solve_over_the_point_field(monkeypatch):
         assert products <= budget
         assert S.subfield.degree_bits == ubar
         assert len(S.basis) * ubar * plan.s == 210
+
+
+def test_cold_wide_repairs_share_byte_tables(monkeypatch, fresh_process):
+    # wide-cold's cold repairs at d = 3, one node per group, in a fresh
+    # process: each batch of products that shares an operand (a parity
+    # column entry, f_inv, a helper point, a trace dual, a pivot, delta or
+    # gamma) goes through FieldCtx._scaler, so the 4-bit window products
+    # (clmul) and the byte tables built are pinned.  With one window per
+    # product they were 2,065 and 4 (the trace table and three gamma
+    # chains)
+    plan = build_plan_c1(1, [3, 3, 3], s=2, k=2, primes=[3, 5, 7])
+    cw = random_codeword(plan, random.Random(210))
+    calls = counting(monkeypatch, field_tower, ["clmul", "_byte_table"])
+    for node in (0, 3, 6):
+        assert repair_c1(plan, cw, node).recovered == cw.symbols[node]
+    assert calls == {"clmul": 324, "_byte_table": 120}
+
+
+def test_power_duals_are_built_once_per_subfield_pair(monkeypatch,
+                                                      fresh_process):
+    # a cold rebuild of all 9 nodes of the (9,2) plan at d = 3 asks for
+    # the duals of delta's powers 9 times, over 3 (F, K) pairs
+    plan = build_plan_c1(1, [3, 3, 3], s=2, k=2, primes=[3, 5, 7])
+    cw = random_codeword(plan, random.Random(9))
+    asked = counting(monkeypatch, field_tower.SubfieldHandle,
+                     ["_power_duals"])
+    for node in range(plan.n):
+        assert repair_c1(plan, cw, node).recovered == cw.symbols[node]
+    built = sum(len(h._power_dual_sets)
+                for h in plan.ctx._subfields.values())
+    assert (asked["_power_duals"], built) == (9, 3)
 
 
 def test_example1_search_solves_over_k_as_before(monkeypatch):

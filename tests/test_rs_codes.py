@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from perepair import rs_codes
+from perepair import field_tower, rs_codes
 from perepair.constructions import load_plan, save_plan
 from perepair.errors import PERepairError
 from perepair.field_tower import make_field
@@ -98,9 +98,10 @@ def test_encode_costs_min_degree_k_products_per_point(request, monkeypatch,
     wants = [[msg.evaluate(p) for p in plan.eval_set.points] for msg in msgs]
     monkeypatch.setattr(ctx, "_encoders", {})
     # a product goes through ctx._mul, or a point's byte table in a wide
-    # field
+    # field (FieldCtx._scaler)
     muls = counting(monkeypatch, ctx, ("_mul",))
-    tabled = counting(monkeypatch, rs_codes, ("_clmul_by_table", "_byte_table"))
+    tabled = counting(monkeypatch, field_tower,
+                      ("_clmul_by_table", "_byte_table"))
 
     def spent():
         return muls["_mul"] + tabled["_clmul_by_table"], tabled["_byte_table"]
