@@ -48,22 +48,22 @@ taken by an Itoh-Tsujii chain of l - m squarings from L = GF(2^l),
 l = N/p for the smallest prime p of N/m (L = E when that is m itself);
 L's generator is the norm of g, so every subfield of GF(2^(N/2)) shares
 one step down from E.  Subfield work is done in the subfield: a handle
-for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma, ...,
-gamma^(m-1) under Tr_{K/GF(2)} and the map from E to the coordinates of
-Tr_{E/K} as one 16-entry table per four bits, so a trace costs one
-lookup per hex digit.  The duals come in
-closed form from gamma's minimal polynomial g, with no solve; the m
-N-bit masks of that map, one per coordinate, are read off the trace
-sequence Tr_{E/GF(2)}(x^j) (Newton's identities on the modulus) and
-transposed into the tables without a product.  SubfieldHandle._masks
-builds every other trace mask the same way.  dual_basis solves n = N/m
-vectors with O(N) products in E when m is small against n: masks of
+for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma, ..., gamma^(m-1)
+under Tr_{K/GF(2)} and the map from E to the coordinates of Tr_{E/K} as one
+16-entry table per four bits, so a trace costs one lookup per hex digit.
+The duals come in closed form from gamma's minimal polynomial g, with no
+solve; the m N-bit masks of that map, one per coordinate, are read off the
+trace sequence Tr_{E/GF(2)}(x^j) (Newton's identities on the modulus) and
+transposed into the tables without a product.  SubfieldHandle._masks builds
+every other trace mask the same way.  A power basis over any K has its trace
+dual in closed form too (FieldCtx._power_duals); dual_basis solves any other
+n = N/m vectors with O(N) products in E when m is small against n: masks of
 c_l b_i turn Gram entries into parities, a Gram row is one int of m-bit
 entries whose row operations are XORs of its gamma^l multiples, and the m
 products gamma^l d_col of a pivot serve all its operations on the b side.
-Otherwise it takes n(n + 1)/2 products for the Gram matrix and about one
-per row operation.  Everything is exact; exponents are
-arbitrary-precision throughout.
+Otherwise it takes n(n + 1)/2 products for the Gram matrix and about one per
+row operation.  Everything is exact; exponents are arbitrary-precision
+throughout.
 """
 
 from __future__ import annotations
@@ -945,6 +945,24 @@ class FieldCtx:
                 j += 1
         return a
 
+    def _power_duals(self, zeta: int, m: int, r: int):
+        """y_0..y_(r-1), the Tr_{K(zeta)/K}-dual of zeta^0..zeta^(r-1), raw,
+        for K = GF(2^m) and zeta in GF(2^(m r)).  If zeta has degree r over
+        K, its minimal polynomial is mu(x) = prod_(j < r) (x - zeta_j),
+        zeta_j = zeta^(2^(m j)), and y_l = b_l / mu'(zeta) = b_l / b(zeta)
+        for b(x) = mu(x) / (x - zeta) = prod_(j > 0) (x - zeta_j) (Lidl &
+        Niederreiter, Finite Fields, ch. 2): about r^2 / 2 products and one
+        inversion.  Else some zeta_j is zeta: b(zeta) = 0, ZERO_INVERSE."""
+        b, norm, conj = [1], 1, zeta  # b low to high
+        for _ in range(r - 1):
+            conj = self._frob(conj, m)
+            norm = self._mul(norm, zeta ^ conj)
+            b = [0] + b
+            for l in range(len(b) - 1):
+                b[l] ^= self._mul(conj, b[l + 1])
+        inv = self._inv(norm)
+        return tuple(self._mul(c, inv) for c in b)
+
     def _has_degree(self, v: int, m: int) -> bool:
         """For v in GF(2^m), m | N: whether v has degree m over GF(2), that
         is, v^(2^(m/p)) != v for every prime p of m.  One chain of m/p
@@ -1063,31 +1081,12 @@ class SubfieldHandle:
             [ctx._trace_functional(c) for c in duals], ctx.degree_bits)
 
     def _power_duals(self, m: int):
-        """y_0..y_(r-1), the dual of delta^0..delta^(r-1) under Tr_{F/K}, as
-        raw ints: F this subfield, delta its canonical generator, K =
-        GF(2^m) and r = [F : K].  The closed form of _trace_duals one level
-        up: delta's minimal polynomial over K is mu(x) = prod_(j < r)
-        (x - delta_j), delta_j = delta^(2^(m j)), so mu(x) / (x - delta) =
-        b(x) = prod_(j > 0) (x - delta_j), and y_l = b_l / mu'(delta) with
-        mu'(delta) = b(delta).  About r^2 / 2 products and one inversion,
-        once per m.  dual_basis over K cannot give these duals when
+        """The Tr_{F/K}-dual of delta^0..delta^(r-1) (FieldCtx._power_duals),
+        F this subfield, delta its canonical generator, K = GF(2^m) and
+        r = [F : K], once per m.  dual_basis over K cannot give it when
         [E : F] is even: Tr_{E/K} = [E : F] Tr_{F/K} is then 0 on F."""
-        ctx = self.ctx
-
-        def build():
-            delta = self.canonical_generator.v
-            b = [1]  # low to high
-            norm = 1
-            conj = delta
-            for _ in range(self.degree_bits // m - 1):
-                conj = ctx._frob(conj, m)
-                norm = ctx._mul(norm, delta ^ conj)
-                b = [0] + b
-                for l in range(len(b) - 1):
-                    b[l] ^= ctx._mul(conj, b[l + 1])
-            inv = ctx._inv(norm)
-            return tuple(ctx._mul(c, inv) for c in b)
-        return memo(self._power_dual_sets, m, build)
+        return memo(self._power_dual_sets, m, lambda: self.ctx._power_duals(
+            self.canonical_generator.v, m, self.degree_bits // m))
 
     def _masks(self, vs):
         """For each v of vs, mu_l = _trace_functional(c_l * v) for each l:
@@ -1129,7 +1128,7 @@ class BasisOverSubfield:
     """Ordered vectors of E over a subfield: what dual_basis takes and
     returns.  Nothing is checked on construction; dual_basis refuses
     vectors dependent over the subfield with SINGULAR_GRAM, the library's
-    one independence proof.
+    independence proof for every basis but a power basis (_power_duals).
     """
 
     __slots__ = ("subfield", "vectors")

@@ -11,15 +11,15 @@ d + m - 1 products per repair; else in K, where every helper's point
 lies, one product per response and |E| W lifts and products to finish
 (_repair).  Responses stay m-bit coordinates, as sent, until a
 transcript's ``responses`` is read.
-The basis comes from one Gram solve per preparation, which is also the
-certificate that the query basis spans E (for Construction 1, Lemma 1's
-span condition).  For N/m vectors over GF(2^m) the solve costs O(N)
-products in E when m is small against N/m, and O((N/m)^2) otherwise
-(field_tower.dual_basis).  A Construction-1 repair at small d answers over
-a K smaller than the failed group's point field F, and is certified over F
-instead: [E : F] vectors, not N/m (lemma1_subspace).  Bandwidth
-is counted in exact bits: a GF(2^m) response is m bits, and at the
-canonical locality the total equals the cut-set bound.
+The trace-dual basis also certifies that the query basis spans E, by one
+rule: a power basis takes the closed form, inverting a value nonzero
+exactly when it spans (FieldCtx._power_duals); any other takes a Gram
+solve (field_tower.dual_basis).  Construction 2 queries alpha_f's powers
+over K; Construction 1 solves its shifted subspace over the failed
+group's point field F, [E : F] vectors (Lemma 1's span condition), and
+lifts it to a smaller K by delta's power duals (lemma1_subspace).  Bits
+are exact: a GF(2^m) response is m bits, the cut-set bound in total at
+the canonical locality.
 
 The two schemes share their skeleton and differ in the query plan:
 
@@ -380,7 +380,7 @@ def _prepare(plan, failed, helpers, sub, E, W, duals) -> _PreparedRepair:
     points = [plan.eval_set.points[j] for j in helpers]
     # dual'_{m,w} by m, the repair duals of B_{m,0..W-1}: D_m's coefficients
     scale = ctx._scaler(f_inv.v, len(duals))
-    polys = [[scale(dv.v) for dv in duals[m * W:(m + 1) * W]]
+    polys = [[scale(dv) for dv in duals[m * W:(m + 1) * W]]
              for m in range(len(E))]
     mults = [[FieldElem(ctx, times(e_m.v)) for e_m in E]
              for times in (ctx._scaler(col.v, len(E)) for col in column)]
@@ -471,16 +471,16 @@ def _repair(plan, codeword, failed: int, d, canonical, shape) -> RepairTranscrip
 
     ``shape(gi, d)``, gi the failed group, gives the query plan: (helpers,
     response subfield, query basis E, number of point powers W, duals),
-    duals the trace-dual of the unscaled basis {e_m * alpha_f^w}, m-major:
-    lemma1_subspace's certificate for Construction 1, the power basis's
-    Gram solve for Construction 2.  Helper j is asked for the traces of e * col_j * c_j
-    for every e in E, where col_j = h(alpha_j) * v_j is _parity_column's
-    entry: h annihilates the silenced points and v is the dual code's
-    column multiplier.  The failed symbol is rebuilt through the
-    trace-dual of B_{m,w} = e_m * alpha_f^w * c with c = h(alpha_f) * v_f.
-    If Tr(u_i d_j) = delta_ij then Tr((c u_i)(c^-1 d_j)) = delta_ij, so
-    that dual is the shape's duals times c^-1 = f_inv: one inversion, no
-    second Gram solve.
+    duals the raw trace-dual of the unscaled basis {e_m * alpha_f^w},
+    m-major: lemma1_subspace's certificate for Construction 1, the power
+    basis's closed form for Construction 2.  Helper j is asked for the
+    traces of e * col_j * c_j for every e in E, where col_j = h(alpha_j) *
+    v_j is _parity_column's entry: h annihilates the silenced points and v
+    is the dual code's column multiplier.  The failed symbol is rebuilt
+    through the trace-dual of B_{m,w} = e_m * alpha_f^w * c with c =
+    h(alpha_f) * v_f.  If Tr(u_i d_j) = delta_ij then Tr((c u_i)(c^-1 d_j))
+    = delta_ij, so that dual is the shape's duals times c^-1 = f_inv: one
+    inversion, no second solve.
 
     That reconstruction, sum_{m,w} dual'_{m,w} * sum_j alpha_j^w * r_{j,m},
     is linear over GF(2).  The preparation, cached per (failed, d), holds
@@ -552,7 +552,7 @@ def repair_c1(plan, codeword, failed: int, d: int | None = None) -> RepairTransc
         # repair subspace S, over the helper prefix's residue field
         helpers, R = _helper_prefix(plan, gi, d)
         S = lemma1_subspace(plan, failed, helper_groups=R)
-        return helpers, S.subfield, S.basis, plan.s, S.duals
+        return helpers, S.subfield, S.basis, plan.s, [y.v for y in S.duals]
 
     return _repair(plan, codeword, failed, d, plan.d, shape)
 
@@ -566,11 +566,11 @@ def repair_c2(plan, codeword, failed: int, d: int | None = None) -> RepairTransc
     def shape(gi, d):
         group_nodes = set(plan.group_nodes(gi))
         helpers = [i for i in range(plan.n) if i not in group_nodes]
-        sub = plan.ctx.subfield(plan.base_bits * plan.u_list[gi])
+        # alpha_f's power duals over K, [E : K] = p, certify that they span
+        m = plan.base_bits * plan.u_list[gi]
         p = plan.groups[gi].prime
-        powers = _shifts([plan.ctx.one], plan.eval_set.points[failed], p)
-        duals = dual_basis(BasisOverSubfield(sub, powers))
-        return helpers, sub, [plan.ctx.one], p, duals.vectors
+        duals = plan.ctx._power_duals(plan.eval_set.points[failed].v, m, p)
+        return helpers, plan.ctx.subfield(m), [plan.ctx.one], p, duals
 
     return _repair(plan, codeword, failed, d, None, shape)
 

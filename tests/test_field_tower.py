@@ -28,7 +28,7 @@ from perepair.field_tower import (
 from perepair.fixtures import example1, example2
 
 from conftest import (counting, degree_over, oracle, oracle_frobenius,
-                      primes_to)
+                      oracle_trace, primes_to)
 
 
 # ---------------------------------------------------------------- raw polys
@@ -1273,7 +1273,7 @@ def test_trace_coordinate_tables_match_the_trace_masks(degree, m):
         assert sub._trace_coords(v) == field_tower._parities(v, psi)
 
 
-def test_power_duals_meet_the_trace_definition(toy_c1, toy_c1_wide):
+def test_power_duals_meet_the_trace_definition(toy_c1, toy_c1_wide, toy_c2):
     # Tr_{F/K}(delta^l y_l') = [l = l'] for F = GF(q^{u_i}) over every
     # residue field K of a Construction-1 plan, delta F's canonical
     # generator, with Tr_{F/K} the sum of r = [F : K] conjugates by the
@@ -1305,6 +1305,42 @@ def test_power_duals_meet_the_trace_definition(toy_c1, toy_c1_wide):
                             power, F.canonical_generator.v, modulus)
                     seen.add(r)
     assert seen == {1, 3, 5, 7}
+    # Construction 2's duals, of alpha's powers over K = GF(q^{u_i}) with
+    # r = [E : K] = p_i at every node: E = K(alpha), so Tr_{E/K} is
+    # oracle_trace, and the duals are a fresh dual_basis's
+    seen = set()
+    for plan in (toy_c2, example2().plan):
+        ctx, modulus = plan.ctx, plan.ctx.modulus
+        for node, alpha in enumerate(plan.eval_set.points):
+            gi, _ = plan.locate(node)
+            m, r = plan.base_bits * plan.u_list[gi], plan.groups[gi].prime
+            ys = ctx._power_duals(alpha.v, m, r)
+            powers = [alpha ** l for l in range(r)]
+            fresh = dual_basis(BasisOverSubfield(ctx.subfield(m), powers))
+            assert list(ys) == [y.v for y in fresh]
+            for l, power in enumerate(powers):
+                for l2, y in enumerate(ys):
+                    assert oracle_trace(oracle.field_mul(power.v, y, modulus),
+                                        m, modulus) == (l == l2)
+            seen.add((ctx.degree_bits, m, r))
+    assert seen == {(12, 6, 2), (12, 4, 3),
+                    (60, 30, 2), (60, 20, 3), (60, 12, 5)}
+
+
+def test_power_duals_refuse_zeta_of_too_low_degree(toy_c1_wide):
+    # b(zeta) = 0 when zeta's degree over K = GF(2^m) is below r: zeta in
+    # K, zeta of an intermediate degree and zeta = 0 each raise
+    # ZERO_INVERSE and return no duals
+    for ctx, zeta, m, r in (
+            (example2().plan.ctx, 12, 12, 5),
+            (example2().plan.ctx, 30, 6, 10),
+            (toy_c1_wide.ctx, 15, 3, 35),
+            (toy_c1_wide.ctx, 0, 5, 42)):
+        z = ctx.subfield(zeta).canonical_generator.v if zeta else 0
+        assert zeta == 0 or degree_over(ctx, z, m) < r
+        with pytest.raises(PERepairError) as err:
+            ctx._power_duals(z, m, r)
+        assert err.value.code == "ZERO_INVERSE"
 
 
 @pytest.mark.parametrize("degree, m", [(30, 5), (60, 12), (210, 35)])

@@ -241,7 +241,9 @@ def test_repair_scales_the_subspace_duals(toy_c1, toy_c1_wide):
 
 
 def test_cold_repairs_certify_once_without_gf2_rank(monkeypatch):
-    # one Gram solve per cold preparation is the only span certificate
+    # one Gram solve per cold Construction-1 preparation is its only span
+    # certificate; a cold Construction-2 preparation makes none, its power
+    # basis being certified by the closed form's inversion
     def forbidden(*args):
         raise AssertionError("GF(2) rank on the repair path")
 
@@ -255,19 +257,44 @@ def test_cold_repairs_certify_once_without_gf2_rank(monkeypatch):
         return real(b)
 
     monkeypatch.setattr(repair_engine, "dual_basis", counted)
+    monkeypatch.setattr(field_tower, "dual_basis", counted)
     rng = random.Random(1234)
     fresh_c1 = build_plan_c1(1, [3, 3], s=2, primes=[3, 5])
     c2 = example2().plan
     monkeypatch.setattr(c2, "_cache", {})
-    for plan, fn in ((fresh_c1, repair_c1), (c2, repair_c2)):
+    for plan, fn, solves in ((fresh_c1, repair_c1, 1), (c2, repair_c2, 0)):
         cw = random_codeword(plan, rng)
         for node in range(plan.n):
             calls.clear()
             assert fn(plan, cw, node).recovered == cw.symbols[node]
-            assert len(calls) == 1
+            assert len(calls) == solves
             calls.clear()
             fn(plan, cw, node)  # prepared: no Gram solve at all
             assert not calls
+
+
+def test_small_point_fields_take_the_mask_built_gram_route(monkeypatch):
+    # the (6,2) plan with primes 3 and 13 over GF(2^78): the prime-13
+    # group's point field is GF(2^3), so each of its cold searches solves
+    # 26 vectors over it by SubfieldHandle._masks (4m < N/m + 1), and the
+    # prime-3 group solves 6 over GF(2^13) by products.  Every node is
+    # rebuilt at the cut-set bound, equal to the oracle's Horner value
+    plan = build_plan_c1(1, [3, 3], s=2, primes=[3, 13])
+    rng = random.Random(78)
+    modulus = plan.ctx.modulus
+    message = [rng.getrandbits(78) for _ in range(plan.k)]
+    cw = encode(MessagePoly([plan.ctx.elem(c) for c in message]),
+                plan.eval_set, plan_digest=plan.digest)
+    for node in range(plan.n):
+        gi, _ = plan.locate(node)
+        _, solves, _ = _counted_search(monkeypatch, plan, node)
+        want = (3, 26) if plan.groups[gi].prime == 13 else (13, 6)
+        assert solves == [want]
+        assert plan.ctx.subfield(want[0])._is_small() == (want[0] == 3)
+        tr = repair_c1(plan, cw, node)
+        assert tr.bits_transmitted == tr.cutset_bits == 117
+        assert tr.recovered.v == oracle.horner(
+            message, plan.eval_set.points[node].v, modulus)
 
 
 _COORDINATE, _IN_K = "coordinate", "subfield"
