@@ -17,10 +17,10 @@ window table of the longer operand below _WIDE_BYTES = 128 bytes, and its
 256-entry byte table from there on, where building the table costs a
 fraction of one product.  One rule serves every batch of products that
 share an operand b (a Horner point, a pivot, a trace dual, gamma):
-FieldCtx._scaler(b, uses) tables b when uses ceil(N / 8) >= _WIDE_BYTES,
-clmul's switch at uses = 1.  The trace sequence's table is kept per
-context.  Squaring translates bytes through two nibble tables.  Inversion
-is shift-and-add Euclid, with no division and no product.
+FieldCtx._scaler(b, uses) tables b when uses ceil(N / 8) >= _WIDE_BYTES
+(FieldCtx._wide), clmul's switch at uses = 1.  Squaring translates bytes
+through two nibble tables.  Inversion is shift-and-add Euclid, with no
+division and no product.
 FieldCtx._fold, the only reducer, takes a product (degree <= 2N - 2) to its
 remainder by the exact Barrett quotient, found without a product: w
 shift-XORs in each of ceil(log2((N - 1) / min(N - a))) log-doubling rounds
@@ -52,10 +52,11 @@ for K = GF(2^m) keeps the dual c_0..c_(m-1) of 1, gamma, ..., gamma^(m-1)
 under Tr_{K/GF(2)} and the map from E to the coordinates of Tr_{E/K} as one
 16-entry table per four bits, so a trace costs one lookup per hex digit.
 The duals come in closed form from gamma's minimal polynomial g, with no
-solve; the m N-bit masks of that map, one per coordinate, are read off the
-trace sequence Tr_{E/GF(2)}(x^j) (Newton's identities on the modulus) and
-transposed into the tables without a product.  SubfieldHandle._masks builds
-every other trace mask the same way.  A power basis over any K has its trace
+solve; the m N-bit masks of that map, one per coordinate, come in closed
+form too, each the bit-reversed quotient of (a f' mod f) x^N by the modulus
+f from _fold's rounds, with no product (FieldCtx._trace_functional), and
+are transposed into the tables.  SubfieldHandle._masks builds every other
+trace mask the same way.  A power basis over any K has its trace
 dual in closed form too (FieldCtx._power_duals); dual_basis solves any other
 n = N/m vectors with O(N) products in E when m is small against n: masks of
 c_l b_i turn Gram entries into parities, a Gram row is one int of m-bit
@@ -105,6 +106,8 @@ _SQ_LO = bytes(
     sum(((b >> i) & 1) << (2 * i) for i in range(4)) for b in range(256)
 )
 _SQ_HI = bytes(_SQ_LO[b >> 4] for b in range(256))
+# byte -> its bits in reverse order (FieldCtx._trace_functional)
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 # a loop over this many bytes or more takes the other operand's 256-entry
@@ -384,24 +387,6 @@ def _select(table, z: int) -> int:
             acc ^= t
         z >>= 1
     return acc
-
-
-def _power_sums(f: int) -> int:
-    """Power sums t_j of the roots of f, degree n, for j < 2n - 1, as the
-    bits of an int; for irreducible f, t_j = Tr(x^j) in GF(2)[x]/(f).
-
-    Newton's identities give t_1..t_(n-1), t_0 = n mod 2, and the
-    recurrence x^n = tail(x) gives the rest."""
-    n = poly_degree(f)
-    tail = f ^ (1 << n)
-    t = 0
-    for k in range(1, n):
-        bit = (tail & (t << (n - k))).bit_count() ^ (k & (tail >> (n - k)))
-        t |= (bit & 1) << k
-    t |= n & 1
-    for k in range(n, 2 * n - 1):
-        t |= ((tail & (t >> (k - n))).bit_count() & 1) << k
-    return t
 
 
 # --------------------------------------------------------------------------
@@ -712,10 +697,10 @@ class FieldCtx:
 
     Immutable after construction; internal caches are memos only: the
     keyed ones (subfield handles, canonical generators, encode's digit
-    tables) go through _util.memo, and the trace table and the three order
-    facts (the possibly partial factorization of 2^N - 1, its cofactor and
-    whether the generator is verified) are cached properties, computed on
-    first read by every context.  Build instances through
+    tables) go through _util.memo, and the trace masks' constants and the
+    three order facts (the possibly partial factorization of 2^N - 1, its
+    cofactor and whether the generator is verified) are cached properties,
+    computed on first read by every context.  Build instances through
     :func:`make_field`.
     """
 
@@ -767,12 +752,17 @@ class FieldCtx:
     def _mul(self, a: int, b: int) -> int:
         return self._fold(clmul(a, b))
 
+    def _wide(self, uses: int) -> bool:
+        """Whether ``uses`` products that share an operand take its byte
+        table: their loops span _WIDE_BYTES bytes or more, uses ceil(N / 8)
+        >= _WIDE_BYTES.  For one product that is clmul's own switch at full
+        width."""
+        return uses * ((self.degree_bits + 7) >> 3) >= _WIDE_BYTES
+
     def _scaler(self, b: int, uses: int):
         """a -> b a mod f for ``uses`` products that share the operand b:
-        by b's byte table when their loops span _WIDE_BYTES bytes or more,
-        uses ceil(N / 8) >= _WIDE_BYTES, else by _mul.  For one product
-        that is clmul's own switch at full width."""
-        if uses * ((self.degree_bits + 7) >> 3) >= _WIDE_BYTES:
+        by b's byte table when _wide(uses), else by _mul."""
+        if self._wide(uses):
             t, fold = _byte_table(b), self._fold
             return lambda a: fold(_clmul_by_table(a, t))
         return partial(self._mul, b)
@@ -894,18 +884,46 @@ class FieldCtx:
     def _trace_functional(self, a: int) -> int:
         """Mask w with parity(y & w) = Tr_{E/GF(2)}(a * y) for every y.
 
-        Bit i of w is Tr(a x^i) = sum_j a_j t_(i+j), a Hankel product of a
-        with the trace sequence t_j = Tr(x^j), read off one carry-less
-        product by the bit-reversed a.  The trace sequence is the operand
-        every call shares, so its byte table is built once per context."""
+        Bit j of w is Tr(a x^j), coordinate j of a in the trace dual of
+        1, x, ..., x^(N-1): b_j / f'(x) for f(y) / (y - x) = sum_j b_j y^j
+        (Lidl & Niederreiter, Finite Fields, ch. 2).  With u = a f' mod f,
+        so u = sum_j w_j b_j, where b_j = sum_(i > j) f_i x^(i-1-j), the
+        reversed w, sum_j w_j x^(N-1-j), is the quotient of u x^N by f.
+        _fold's rounds take it from the low N - 1 bits of u, since they are
+        exact only up to quotient degree N - 2, and bit N - 1 of u adds the
+        quotient of x^(2N - 1).  No product: f' costs one shift-XOR per odd
+        exponent of f and one _fold, the reversal one bytes.translate."""
         n = self.degree_bits
-        rev = int(format(a, f"0{n}b")[::-1], 2)
-        return (_clmul_by_table(rev, self._trace_table) >> (n - 1)) & self._mask
+        shifts, top = self._trace_consts
+        u = 0
+        for k in shifts:
+            u ^= a << k
+        u = self._fold(u)
+        q = u & (self._mask >> 1)
+        for strides in self._rounds:
+            t = q
+            for d in strides:
+                t ^= q >> d
+            q = t
+        if u >> (n - 1):
+            q ^= top
+        size = (n + 7) >> 3
+        return int.from_bytes(q.to_bytes(size, "little").translate(_REVERSED),
+                              "big") >> (8 * size - n)
 
     @cached_property
-    def _trace_table(self):
-        """_byte_table of the trace sequence, for _trace_functional."""
-        return _byte_table(_power_sums(self.modulus))
+    def _trace_consts(self):
+        """(shifts, top) for _trace_functional: the exponents k - 1 of f'
+        over the odd exponents k of f, and the quotient of x^(2N - 1) by
+        f, by long division."""
+        n, f = self.degree_bits, self.modulus
+        shifts = tuple(k - 1 for k in range(1, n + 1, 2) if f >> k & 1)
+        r, top = 1 << (2 * n - 1), 0
+        while r >> n:
+            k = r.bit_length() - 1 - n
+            top |= 1 << k
+            r ^= f << k
+        return shifts, top
 
     def _gamma(self, m: int) -> int:
         """The canonical generator g^((2^N - 1)/(2^m - 1)) of GF(2^m), m | N,
@@ -1061,8 +1079,10 @@ class SubfieldHandle:
         ch. 2): if g(x) / (x - gamma) = sum_l b_l x^l then
         c_l = b_l / g'(gamma), so c_(m-1) = 1 / g'(gamma) and
         c_(l-1) = gamma c_l + g_l c_(m-1), a shift and two conditional XORs
-        each in coordinates.  The psi are transposed once into
-        _nibble_tables and dropped."""
+        each in coordinates.  Each psi_l comes from the same theorem on E's
+        modulus, with no product, so past gf2_basis and _coord_modulus the
+        build takes m lifts, m functionals and no product.  The psi are
+        transposed once into _nibble_tables and dropped."""
         m = self.degree_bits
         g = self._coord_modulus
         # g'(gamma): each odd-degree term x^i of g gives x^(i-1)

@@ -437,18 +437,22 @@ def _in_subfield(prep: _PreparedRepair, symbols):
     K = GF(2)[x]/(g) with x = gamma, S_{m,w} is the XOR of the carry-less
     m-bit products of alpha_j^w's and r_{j,m}'s coordinates, reduced mod g
     once; S_{m,0} is a plain XOR.  d |E| query products, each helper
-    symbol shared by its |E| queries through one FieldCtx._scaler, then
-    |E| W lifts and |E| W products to finish."""
+    symbol shared by its |E| queries through one FieldCtx._scaler when
+    they reach its byte-table gate (FieldCtx._wide, asked once), by _mul
+    otherwise, then |E| W lifts and |E| W products to finish."""
     sub = prep.sub
     ctx = sub.ctx
+    mul = ctx._mul
     trace_coords = sub._trace_coords
     sums = [[0] * len(row) for row in prep.duals]
+    wide = ctx._wide(len(sums))
     coords = []
     for idx, row_mults, row_powers in zip(prep.helpers, prep.mults,
                                           prep.powers):
-        times = ctx._scaler(symbols[idx].v, len(row_mults))
+        v = symbols[idx].v
+        times = ctx._scaler(v, len(sums)) if wide else None
         for mult, row in zip(row_mults, sums):
-            z = trace_coords(times(mult.v))
+            z = trace_coords(times(mult.v) if wide else mul(v, mult.v))
             coords.append(z)
             row[0] ^= z
             for w, a in enumerate(row_powers, 1):
@@ -457,7 +461,7 @@ def _in_subfield(prep: _PreparedRepair, symbols):
     acc = 0
     for row, dual_row in zip(sums, prep.duals):
         for s, dv in zip(row, dual_row):
-            acc ^= ctx._mul(sub._lift(poly_mod(s, g)), dv)
+            acc ^= mul(sub._lift(poly_mod(s, g)), dv)
     return coords, acc
 
 

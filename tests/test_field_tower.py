@@ -239,7 +239,7 @@ def test_one_wide_rule_at_the_128_byte_boundary(monkeypatch, n):
     f = smallest_irreducible(n)
     ctx = field_tower.FieldCtx(n, f, 2)
     sub = field_tower.SubfieldHandle(ctx, 1)
-    sub._trace_duals  # the trace table, built once, outside the counts
+    sub._trace_duals  # built once, outside the counts
     rng = random.Random(n)
     a, b, c = (rng.getrandbits(n) | 1 << (n - 1) for _ in range(3))
     calls = counting(monkeypatch, field_tower, ("_byte_table",))
@@ -284,23 +284,70 @@ def test_gamma_chain_tables_gamma_by_the_rule(monkeypatch):
                                      ctx.modulus)
 
 
-def test_trace_table_is_built_once_per_context(monkeypatch):
-    calls = counting(monkeypatch, field_tower, ("_byte_table",))
-    f = smallest_irreducible(60)
+def _trace_sequence(f):
+    """t_j = Tr(x^j) in GF(2)[x]/(f), j < 2N - 1, as the bits of an int:
+    the power sums of f's roots, by Newton's identities up to N and by
+    x^N = tail(x) after, with no product of the field."""
+    n = f.bit_length() - 1
+    tail = f ^ 1 << n
+    t = 0  # t_0 = N mod 2 joins last: no identity below reads it
+    for k in range(1, 2 * n - 1):
+        # t_k = sum_(1 <= i < k) f_(n-i) t_(k-i), plus k f_(n-k) if k <= n
+        bit = (tail & (t << n >> k)).bit_count()
+        if k <= n:
+            bit += k * (f >> (n - k) & 1)
+        t |= (bit & 1) << k
+    return t | n & 1
+
+
+# x^N + x + 1 for N = 7, 15, 22 and 63, where _fold has no round at all and
+# the quotient of x^(2N - 1) carries the stride N - 1 (N odd: f' holds
+# x^(N-1)); a dense pinned modulus of odd degree with 27 terms; example2's
+# x^60 + x^59 + 1 (six rounds); x^210 + x^203 + 1, the default GF(2^210)
+# modulus (five rounds); and example1's pentanomial, whose f' is x^4
+_TRACE_MODULI = [1 << n | 3 for n in (7, 15, 22, 63)] + [
+    0x39ab8b6d8ff, 1 << 60 | 1 << 59 | 1, 1 << 210 | 1 << 203 | 1,
+    1 << 2310 | 1 << 8 | 1 << 5 | 1 << 2 | 1]
+
+
+def test_trace_functional_is_the_hankel_mask():
+    # bit j of the mask of a is Tr(a x^j) = sum_i a_i t_(i+j), the Hankel
+    # product of a with the trace sequence; and parity(y & mask) is Tr(a y)
+    # by the sum of the N Frobenius powers of a y
     rng = random.Random(60)
-    for ctx in (field_tower.FieldCtx(60, f, 1), field_tower.FieldCtx(60, f, 1)):
-        before = calls["_byte_table"]
-        for _ in range(50):
-            a, y = rng.getrandbits(60), rng.getrandbits(60)
+    for f in _TRACE_MODULI:
+        n = f.bit_length() - 1
+        assert is_irreducible(f), n
+        ctx = field_tower.FieldCtx(n, f, 1)
+        t = _trace_sequence(f)
+        full = (1 << n) - 1
+        for i in range(n):
+            assert ctx._trace_functional(1 << i) == t >> i & full, (n, i)
+        for a in [full] + [rng.getrandbits(n) for _ in range(6)]:
             w = ctx._trace_functional(a)
-            # Tr(a y) by the sum of the 60 Frobenius powers
+            assert w == sum(((a & t >> j).bit_count() & 1) << j
+                            for j in range(n)), n
+            y = rng.getrandbits(n)
             z = tr = ctx._mul(a, y)
-            for _ in range(59):
+            for _ in range(n - 1):
                 z = ctx._sq(z)
                 tr ^= z
             assert tr in (0, 1)
-            assert (w & y).bit_count() & 1 == tr
-        assert calls["_byte_table"] == before + 1
+            assert (w & y).bit_count() & 1 == tr, n
+
+
+def test_trace_functional_takes_no_product(monkeypatch):
+    # the closed form shifts, folds and reverses: no carry-less product and
+    # no byte table, at widths on both sides of the byte-table gate
+    calls = counting(monkeypatch, field_tower,
+                     ("clmul", "_clmul_by_table", "_byte_table"))
+    rng = random.Random(2310)
+    for f in _TRACE_MODULI:
+        n = f.bit_length() - 1
+        ctx = field_tower.FieldCtx(n, f, 1)
+        for _ in range(5):
+            ctx._trace_functional(rng.getrandbits(n))
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_clmul_ring_axioms():

@@ -549,15 +549,14 @@ def test_cold_wide_repairs_share_byte_tables(monkeypatch, fresh_process):
     # process: each batch of products that shares an operand (a parity
     # column entry, f_inv, a helper point, a trace dual, a pivot, delta or
     # gamma) goes through FieldCtx._scaler, so the 4-bit window products
-    # (clmul) and the byte tables built are pinned.  With one window per
-    # product they were 2,065 and 4 (the trace table and three gamma
-    # chains)
+    # (clmul) and the byte tables built are pinned; the trace masks take
+    # no product and build no table
     plan = build_plan_c1(1, [3, 3, 3], s=2, k=2, primes=[3, 5, 7])
     cw = random_codeword(plan, random.Random(210))
     calls = counting(monkeypatch, field_tower, ["clmul", "_byte_table"])
     for node in (0, 3, 6):
         assert repair_c1(plan, cw, node).recovered == cw.symbols[node]
-    assert calls == {"clmul": 324, "_byte_table": 120}
+    assert calls == {"clmul": 324, "_byte_table": 119}
 
 
 def test_power_duals_are_built_once_per_subfield_pair(monkeypatch,
