@@ -42,11 +42,14 @@ def parse_decimal(text: str) -> int:
 
 
 def read_text(path) -> str:
-    """The whole UTF-8 text of a file the package reads, or CORRUPT_FILE."""
+    """The whole UTF-8 text of a file the package reads, or CORRUPT_FILE,
+    also for the ValueErrors: a NUL in the path, or bytes that are not
+    UTF-8.  Read as bytes and decoded once, with no text-mode stream, so
+    line ends stay as stored; every reader (JSON, splitlines) accepts them."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except (OSError, ValueError) as exc:
         raise PERepairError("CORRUPT_FILE", f"cannot read {path}: {exc}")
 
 

@@ -409,16 +409,21 @@ def _plan_shape_error(payload):
 
 # digest -> the plan load_plan rebuilt and validated for it in this process
 _plan_memo = {}
+# plan file text -> the plan load_plan returned for that text in this process
+_plan_texts = {}
 
 
 def load_plan(path):
     """Parse and digest-verify a plan file, then rebuild and re-validate
     it, once per digest in a process.
 
-    The shape and the digest are checked on every call.  A digest already
-    loaded in this process then returns the plan built and validated for
-    it, so a re-opened stripe rebuilds nothing and shares its plan's
-    prepared repairs; the digest covers the whole payload.
+    The file is read on every call, and its shape and digest are checked
+    once per text in a process: a text already loaded returns the plan
+    found for it, as parsing it again would, since nothing else enters
+    the check.  A digest already loaded in this process then returns the
+    plan built and validated for it, so a re-opened stripe rebuilds nothing
+    and shares its plan's prepared repairs; the digest covers the whole
+    payload.
 
     The field is rebuilt from the stored modulus and generator, so loading
     factors nothing and searches for no generator; the generator is only
@@ -426,8 +431,14 @@ def load_plan(path):
     before plans pinned their generator) is CORRUPT_FILE: its digest, and
     its clusters' ``plan_digest``, predate the field.
     """
+    text = read_text(path)
+    return memo(_plan_texts, text, lambda: _parse_plan(path, text))
+
+
+def _parse_plan(path, text):
+    """load_plan for a plan file text not yet loaded in this process."""
     try:
-        payload = json.loads(read_text(path))
+        payload = json.loads(text)
         why = _plan_shape_error(payload)
         if why is not None:
             raise ValueError(why)

@@ -110,13 +110,14 @@ def counting(monkeypatch, owner, names):
 @pytest.fixture
 def fresh_process(monkeypatch):
     """Empty the field cache, the factorizations of 2^N - 1 and the plan
-    memo, as in a new process; call the returned function to empty them
+    memos, as in a new process; call the returned function to empty them
     again.  The test's own caches are dropped, and the others restored,
     when it ends."""
     def empty():
         monkeypatch.setattr(field_tower, "_field_cache", {})
         monkeypatch.setattr(field_tower, "_mersenne_memo", {})
         monkeypatch.setattr(constructions, "_plan_memo", {})
+        monkeypatch.setattr(constructions, "_plan_texts", {})
     empty()
     return empty
 

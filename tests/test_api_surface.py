@@ -76,8 +76,8 @@ def test_memos_are_filled_by_util_memo_alone():
     # one cache rule: _util.memo is the only code that stores into a keyed
     # memo, so a build that raises leaves no entry and every key is built
     # one way
-    memos = {"_cache", "_plan_memo", "_subfields", "_gammas", "_encoders",
-             "_mersenne_memo", "firsts", "_power_dual_sets"}
+    memos = {"_cache", "_plan_memo", "_plan_texts", "_subfields", "_gammas",
+             "_encoders", "_mersenne_memo", "firsts", "_power_dual_sets"}
     offenders = []
     for path in sorted(Path(perepair.__file__).parent.glob("*.py")):
         if path.name == "_util.py":
@@ -125,7 +125,7 @@ def test_lazy_values_are_cached_properties():
 def test_library_has_no_global_statement():
     # no module rebinds its own state: the only process-wide state is the
     # memos filled by _util.memo or make_field (_field_cache, _mersenne_memo,
-    # _plan_memo, fixtures._cache)
+    # _plan_memo, _plan_texts, fixtures._cache)
     offenders = []
     for path in sorted(Path(perepair.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from conftest import counting
 
 from perepair import constructions, field_tower
 from perepair._util import digest_of
@@ -506,6 +507,31 @@ def test_a_loaded_plan_is_kept_per_digest(tmp_path, monkeypatch, toy_c1,
             load_plan(copy)
         assert ei.value.code == "CORRUPT_FILE"
     assert set(constructions._plan_memo) == {toy_c1.digest, toy_c2.digest}
+
+
+def test_a_plan_text_is_checked_once(tmp_path, monkeypatch, toy_c1,
+                                     fresh_process):
+    # the file is read on every call, but a text already loaded is not
+    # parsed or digested again; any other text, even of the same plan, is
+    # checked in full, and a text that fails its checks is not kept
+    path = tmp_path / "toy.plan"
+    save_plan(toy_c1, path)
+    calls = counting(monkeypatch, constructions, ("_parse_plan",))
+    loaded = load_plan(path)
+    assert load_plan(path) is loaded and calls["_parse_plan"] == 1
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    assert load_plan(path) is loaded and calls["_parse_plan"] == 2
+    _write_plan(path, {**toy_c1.payload(), "t": 3}, toy_c1.digest)
+    for _ in range(2):
+        with pytest.raises(PERepairError) as ei:
+            load_plan(path)
+        assert ei.value.code == "CORRUPT_FILE"
+    assert calls["_parse_plan"] == 4
+    assert list(constructions._plan_texts.values()) == [loaded, loaded]
+    path.unlink()
+    with pytest.raises(PERepairError) as ei:
+        load_plan(path)
+    assert ei.value.code == "CORRUPT_FILE"
 
 
 def test_plan_file_corruption_detection(tmp_path, toy_c1):
